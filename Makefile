@@ -19,6 +19,8 @@
 #   make bench-campaign — campaign benchmarks + BENCH_campaign.json refresh
 #   make bench-gate    — perf-regression gate against the committed history
 #   make bench-smoke   — one-iteration benchmark + COW differential audit
+#   make bench-module  — vet + smoke-test the nested bench/ module, which
+#                        the root `go test ./...` does not compile
 #   make fuzz          — 30s each of prototype-parser and cache-line
 #                        fuzzing beyond the checked-in corpora
 #   make test-e2e-crash — the Jepsen-style crash harness over real
@@ -33,7 +35,7 @@ GO ?= go
 # noise, not untested subsystems).
 COVER_BASELINE ?= 79.2
 
-.PHONY: all check race race-parallel serve-test lint soundness bodyfacts bodyfacts-check cover strategy-matrix verify bench bench-campaign bench-gate bench-profile bench-smoke fuzz test-e2e-crash table1 figure6 stats analyze clean
+.PHONY: all check race race-parallel serve-test lint soundness bodyfacts bodyfacts-check cover strategy-matrix verify bench bench-campaign bench-gate bench-profile bench-smoke bench-module fuzz test-e2e-crash table1 figure6 stats analyze clean
 
 all: check
 
@@ -138,6 +140,12 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkCampaign|BenchmarkFork' -benchtime 1x ./internal/injector/ ./internal/cmem/
 	$(GO) test -count=1 -run TestNopObservabilityAddsNoAllocations ./internal/wrapper/
 	$(GO) test -race -count=1 -run 'TestDifferentialCOWvsEager|TestConcurrentTemplateForks|TestReadPathsLeaveSnapshotFrozen|TestFork|TestProtectAfterFork|TestWriteOnlyPagesSurviveFork|TestChildFree|TestMapResetAfterFork|TestRelease|TestSharedPageRelease' ./internal/cmem/
+
+# The end-to-end benchmark lives in a nested module (bench/go.mod), so
+# the root `go test ./...` never compiles it: an API change in the main
+# module could break it silently. Vet it and run its smoke test.
+bench-module:
+	cd bench && $(GO) vet ./... && $(GO) test .
 
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzParsePrototype -fuzztime 30s ./internal/cparse/

@@ -85,9 +85,11 @@ type obsFlags struct {
 
 	tracer   *obs.Tracer
 	registry *obs.Registry
-	spans    *obs.Spans
 	file     *os.File
 	collect  *obs.CollectSink
+	// roots are the trace's root spans, the top-level phases the stats
+	// command profiles.
+	roots []obs.Event
 }
 
 func registerObsFlags(fs *flag.FlagSet) *obsFlags {
@@ -100,9 +102,10 @@ func registerObsFlags(fs *flag.FlagSet) *obsFlags {
 	}
 }
 
-// open builds the tracer/registry/spans after flag parsing. forceMetrics
-// is set by the stats command, which is pointless without a registry.
-func (of *obsFlags) open(forceMetrics bool) error {
+// open builds the tracer and registry after flag parsing. The stats
+// and serve commands always get a registry; stats also records the
+// trace's root spans for its campaign profile.
+func (of *obsFlags) open(cmd string) error {
 	var sinks []obs.Sink
 	if *of.tracePath != "" {
 		f, err := os.Create(*of.tracePath)
@@ -123,11 +126,18 @@ func (of *obsFlags) open(forceMetrics bool) error {
 			}
 		}))
 	}
+	if cmd == "stats" {
+		// Sinks run under the tracer's lock, so the append is serialized.
+		sinks = append(sinks, obs.FuncSink(func(e obs.Event) {
+			if e.Kind == obs.KindSpan && e.Parent == 0 {
+				of.roots = append(of.roots, e)
+			}
+		}))
+	}
 	of.tracer = obs.New(sinks...)
-	if *of.metrics || forceMetrics {
+	if *of.metrics || cmd == "stats" || cmd == "serve" {
 		of.registry = obs.NewRegistry()
 	}
-	of.spans = obs.NewSpans()
 	return nil
 }
 
@@ -160,9 +170,29 @@ func (of *obsFlags) injectorConfig() healers.InjectorConfig {
 	cfg := injector.DefaultConfig()
 	cfg.Obs = of.tracer
 	cfg.Metrics = of.registry
-	cfg.Spans = of.spans
 	cfg.Workers = injector.ResolveWorkers(*of.workers)
 	return cfg
+}
+
+// generateSuite builds the Ballista suite under its own root span, the
+// profile's "generate" phase.
+func (of *obsFlags) generateSuite(sys *healers.System) (*healers.Suite, error) {
+	start := time.Now()
+	suite, err := sys.GenerateSuite()
+	if err != nil {
+		return nil, err
+	}
+	if of.tracer.Enabled() {
+		of.tracer.Emit(obs.NewTrace().Tag(obs.Event{
+			Kind:  obs.KindSpan,
+			Phase: "generate",
+			N:     len(suite.Tests),
+			Total: len(suite.Tests),
+			TS:    start.UnixMicro(),
+			DurUS: time.Since(start).Microseconds(),
+		}))
+	}
+	return suite, nil
 }
 
 // runServe hosts the campaign service until SIGINT/SIGTERM, then
@@ -248,7 +278,7 @@ func run(args []string) error {
 		return err
 	}
 	rest = fs.Args()
-	if err := of.open(cmd == "stats" || cmd == "serve"); err != nil {
+	if err := of.open(cmd); err != nil {
 		return err
 	}
 	defer of.close()
@@ -266,10 +296,7 @@ func run(args []string) error {
 		if len(names) == 0 {
 			names = sys.CrashProne86()
 		}
-		stop := of.spans.Start("inject")
-		campaign, err := sys.InjectWith(names, of.injectorConfig())
-		stop(len(names))
-		return campaign, err
+		return sys.InjectWith(names, of.injectorConfig())
 	}
 
 	switch cmd {
@@ -300,9 +327,7 @@ func run(args []string) error {
 		default:
 			return fmt.Errorf("inject: -seed must be static, body, or none, got %q", *seedMode)
 		}
-		stop := of.spans.Start("inject")
 		campaign, err := sys.InjectWith(names, cfg)
-		stop(len(names))
 		if err != nil {
 			return err
 		}
@@ -315,7 +340,6 @@ func run(args []string) error {
 		if len(rest) > 0 {
 			names = rest
 		}
-		stop := of.spans.Start("analyze")
 		analyze := sys.Analyze
 		if *useBodies {
 			analyze = sys.AnalyzeBodies
@@ -324,7 +348,6 @@ func run(args []string) error {
 		if err != nil {
 			return err
 		}
-		stop(rep.Summary.Funcs)
 		if *jsonOut {
 			enc := json.NewEncoder(os.Stdout)
 			enc.SetIndent("", "  ")
@@ -385,22 +408,19 @@ func run(args []string) error {
 			return err
 		}
 		decls := campaign.Decls()
-		stop := of.spans.Start("generate")
-		suite, err := sys.GenerateSuite()
+		suite, err := of.generateSuite(sys)
 		if err != nil {
 			return err
 		}
-		stop(len(suite.Tests))
 		fig := sys.RunFigure6WithMode(suite, decls, healers.SemiAuto(decls), healers.Observability{
 			Tracer:  of.tracer,
 			Metrics: of.registry,
-			Spans:   of.spans,
 			Workers: injector.ResolveWorkers(*of.workers),
 		}, mode)
 		fmt.Print(fig.Format())
 		if cmd == "stats" {
 			fmt.Println()
-			fmt.Print(report.Stats(of.registry, of.spans))
+			fmt.Print(report.Stats(of.registry, of.roots))
 		} else {
 			of.finish()
 		}
@@ -425,16 +445,13 @@ func run(args []string) error {
 			return err
 		}
 		semi := healers.SemiAuto(campaign.Decls())
-		stop := of.spans.Start("generate")
-		suite, err := sys.GenerateSuite()
+		suite, err := of.generateSuite(sys)
 		if err != nil {
 			return err
 		}
-		stop(len(suite.Tests))
 		m, err := sys.RunStrategyMatrix(suite, semi, healers.Observability{
 			Tracer:  of.tracer,
 			Metrics: of.registry,
-			Spans:   of.spans,
 			Workers: injector.ResolveWorkers(*of.workers),
 		})
 		if err != nil {

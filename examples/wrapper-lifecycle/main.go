@@ -15,6 +15,7 @@ import (
 
 	"healers"
 	"healers/internal/csim"
+	"healers/internal/obs"
 	"healers/internal/wrapper"
 )
 
@@ -35,12 +36,13 @@ func main() {
 	out := p1.Run(func() uint64 { return debug.Call(p1, "strlen", 0) })
 	fmt.Printf("debugging wrapper: strlen(NULL) -> %v (caught at the source)\n", out)
 
-	// 2. Deployed phase: return an error, log the violation.
+	// 2. Deployed phase: return an error, log the violation. The log is
+	// the tracer's check-violation stream, rendered one line per event.
 	var violations bytes.Buffer
 	p2 := sys.NewProcess(nil)
 	deployed := sys.WrapWith(p2, decls, healers.WrapperOptions{
 		Policy: wrapper.PolicyReturnError,
-		Log:    &violations,
+		Obs:    healers.NewTracer(obs.NewTextSink(&violations)),
 	})
 	p2.ClearErrno()
 	out = p2.Run(func() uint64 { return deployed.Call(p2, "strlen", 0) })

@@ -97,12 +97,11 @@ type (
 	Tracer = obs.Tracer
 	// TraceEvent is one structured observability event.
 	TraceEvent = obs.Event
-	// TraceSink consumes tracer events (JSONL writer, ring buffer...).
+	// TraceSink consumes tracer events (JSONL writer, text renderer,
+	// bounded collector...).
 	TraceSink = obs.Sink
 	// Metrics is the atomic counter/gauge/histogram registry.
 	Metrics = obs.Registry
-	// Spans collects per-phase campaign timings.
-	Spans = obs.Spans
 )
 
 // The wrapper's strategies for a call whose argument fails its check:
@@ -126,9 +125,6 @@ func NewTracer(sinks ...TraceSink) *Tracer { return obs.New(sinks...) }
 // NewMetrics returns an empty metrics registry.
 func NewMetrics() *Metrics { return obs.NewRegistry() }
 
-// NewSpans returns an empty span collector for phase profiling.
-func NewSpans() *Spans { return obs.NewSpans() }
-
 // NewInjectorCache returns an empty campaign result cache; pass it via
 // InjectorConfig.Cache so re-runs skip unchanged functions.
 func NewInjectorCache() *InjectorCache { return injector.NewResultCache() }
@@ -146,12 +142,11 @@ func OpenInjectorCache(path string) (*InjectorDiskCache, error) {
 func NewInjectorFlight() *InjectorFlight { return injector.NewFlight() }
 
 // Observability bundles the cross-cutting instrumentation threaded
-// through a campaign: structured tracing, metrics, and phase spans.
-// The zero value disables all three.
+// through a campaign: structured tracing (whose root spans time each
+// phase) and metrics. The zero value disables both.
 type Observability struct {
 	Tracer  *Tracer
 	Metrics *Metrics
-	Spans   *Spans
 	// Workers shards each Ballista configuration run across a goroutine
 	// pool (0 or 1 = sequential). Reports are identical to sequential
 	// runs; see ballista.RunOptions.Workers.
@@ -273,19 +268,15 @@ func (s *System) GenerateSuite() (*Suite, error) {
 // RunFigure6 evaluates the suite under the three configurations of the
 // paper's Figure 6: unwrapped, fully automatic, semi-automatic.
 func (s *System) RunFigure6(suite *Suite, fullAuto, semiAuto *DeclSet) *Figure6 {
-	return s.RunFigure6Observed(suite, fullAuto, semiAuto, Observability{})
+	return s.RunFigure6WithMode(suite, fullAuto, semiAuto, Observability{}, ModeReject)
 }
 
-// RunFigure6Observed is RunFigure6 with instrumentation threaded
-// through every layer: per-test outcome events and progress from the
+// RunFigure6WithMode is RunFigure6 with instrumentation threaded
+// through every layer — per-test outcome events and progress from the
 // suite runner, wrapper counters and violation events, sandbox
-// boundary counters, and one span per configuration.
-func (s *System) RunFigure6Observed(suite *Suite, fullAuto, semiAuto *DeclSet, o Observability) *Figure6 {
-	return s.RunFigure6WithMode(suite, fullAuto, semiAuto, o, ModeReject)
-}
-
-// RunFigure6WithMode is RunFigure6Observed with the wrapped
-// configurations running under an explicit wrapper mode.
+// boundary counters, and one root span per configuration
+// (ballista:<config>) — and the wrapped configurations running under
+// an explicit wrapper mode.
 func (s *System) RunFigure6WithMode(suite *Suite, fullAuto, semiAuto *DeclSet, o Observability, mode Mode) *Figure6 {
 	template := ballista.NewTemplate()
 	lib := s.Library
@@ -296,10 +287,7 @@ func (s *System) RunFigure6WithMode(suite *Suite, fullAuto, semiAuto *DeclSet, o
 	wrapOpts.Mode = mode
 
 	run := func(config string, factory func(p *Process) ballista.Caller) *Report {
-		stop := o.Spans.Start(config)
-		rep := suite.RunWith(config, template, factory, runOpts)
-		stop(len(suite.Tests))
-		return rep
+		return suite.RunWith(config, template, factory, runOpts)
 	}
 	return &Figure6{
 		Unwrapped: run("unwrapped", func(p *Process) ballista.Caller {
@@ -319,9 +307,9 @@ func (s *System) RunFigure6WithMode(suite *Suite, fullAuto, semiAuto *DeclSet, o
 // RunStrategyMatrix runs the identical suite under the unwrapped
 // library and all three wrapper modes (semi-automatic declarations) in
 // one pass, returning the aligned differential matrix. Each
-// configuration gets its own span; with o.Workers > 1 every
-// configuration's run is sharded and the matrix is identical to the
-// sequential one.
+// configuration gets its own root span (ballista:<config>); with
+// o.Workers > 1 every configuration's run is sharded and the matrix is
+// identical to the sequential one.
 func (s *System) RunStrategyMatrix(suite *Suite, decls *DeclSet, o Observability) (*StrategyMatrix, error) {
 	template := ballista.NewTemplate()
 	lib := s.Library
@@ -338,10 +326,7 @@ func (s *System) RunStrategyMatrix(suite *Suite, decls *DeclSet, o Observability
 			}
 			return wrapper.Attach(p, lib, decls, wrapOpts)
 		}
-		stop := o.Spans.Start(config)
-		rep := suite.RunWith(config, template, factory, runOpts)
-		stop(len(suite.Tests))
-		return rep
+		return suite.RunWith(config, template, factory, runOpts)
 	}
 	unwrapped := run("unwrapped", ModeReject, false)
 	reject := run("mode-reject", ModeReject, true)

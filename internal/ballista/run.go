@@ -338,10 +338,7 @@ func (s *Suite) RunWith(config string, template *csim.Process, factory CallerFac
 	if stepBudget <= 0 {
 		stepBudget = 100_000
 	}
-	tr := opt.Obs
-	if tr == nil {
-		tr = obs.Nop()
-	}
+	tr := opt.Obs      // nil-safe: a nil tracer is the disabled one
 	reg := opt.Metrics // nil-safe
 	outcomeCounter := func(bucket string) *obs.Counter {
 		return reg.Counter(fmt.Sprintf("healers_ballista_outcomes_total{config=%q,bucket=%q}", config, bucket))

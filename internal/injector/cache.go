@@ -166,10 +166,10 @@ func cacheKey(fi *extract.FuncInfo, cfg Config) string {
 }
 
 // fingerprint hashes the configuration fields that influence a
-// function's campaign outcome. Observability plumbing (Obs, Metrics,
-// Trace, Spans) and scheduling (Workers, LibFactory, Cache, Flight)
-// are deliberately excluded: they change how the campaign is observed
-// and executed, never what it computes.
+// function's campaign outcome. Observability plumbing (Obs, Metrics)
+// and scheduling (Workers, LibFactory, Cache, Flight) are deliberately
+// excluded: they change how the campaign is observed and executed,
+// never what it computes.
 func (cfg Config) fingerprint(fn string) string {
 	h := fnv.New64a()
 	fmt.Fprintf(h, "v1|%d|%d|%t", cfg.StepBudget, cfg.ProductCap, cfg.Conservative)

@@ -42,12 +42,6 @@ type Config struct {
 	// type vectors are identical either way, which is why the cache
 	// fingerprint deliberately excludes this field.
 	NoCheckpoints bool
-	// Trace, when non-nil, receives one line per experiment — probe
-	// labels, outcome, and adaptive adjustments.
-	//
-	// Deprecated: Trace is a compatibility shim rendered from the
-	// structured tracer events; new consumers should set Obs instead.
-	Trace func(format string, args ...any)
 	// Obs, when non-nil, receives the campaign's structured events:
 	// one InjectionProbe + SandboxOutcome pair per experiment, an
 	// ArgAdjust per adaptive-loop step, and CampaignPhase progress.
@@ -92,11 +86,6 @@ type Config struct {
 	// identical requests runs one injection and shares the result. The
 	// serve layer passes one Flight alongside its shared cache.
 	Flight *Flight
-	// Spans, when non-nil, records one span per parallel worker
-	// (inject-worker-N) so the campaign profile shows how the shards
-	// balanced. The sequential path records no spans (callers already
-	// wrap InjectAll in a single inject span).
-	Spans *obs.Spans
 }
 
 // ArgSeed is one argument's static pre-inference hint.
@@ -216,17 +205,8 @@ func New(lib *clib.Library, cfg Config) *Injector {
 	if cfg.ProductCap == 0 {
 		cfg.ProductCap = DefaultConfig().ProductCap
 	}
-	tr := cfg.Obs
-	if cfg.Trace != nil {
-		if tr == nil {
-			tr = obs.New()
-		}
-		tr.Attach(legacyTraceSink(cfg.Trace))
-	}
-	if tr == nil {
-		tr = obs.Nop()
-	}
-	inj := &Injector{lib: lib, cfg: cfg, tr: tr}
+	// A nil tracer is the disabled one, like a nil registry below.
+	inj := &Injector{lib: lib, cfg: cfg, tr: cfg.Obs}
 	reg := cfg.Metrics // nil-safe: a nil registry hands out detached instruments
 	inj.mExperiments = reg.Counter("healers_injector_experiments_total")
 	inj.mCrashes = reg.Counter("healers_injector_crashes_total")
@@ -257,27 +237,6 @@ func New(lib *clib.Library, cfg Config) *Injector {
 		inj.timed = true
 	}
 	return inj
-}
-
-// legacyTraceSink renders tracer events in the exact line format the
-// old Config.Trace callback produced, keeping pre-obs consumers
-// byte-compatible.
-func legacyTraceSink(f func(format string, args ...any)) obs.Sink {
-	return obs.FuncSink(func(e obs.Event) {
-		switch e.Kind {
-		case obs.KindArgAdjust:
-			f("  adjust arg%d: %s -> %s (fault at %#x)", e.Arg, e.Probe, e.Detail, e.Addr)
-		case obs.KindSandboxOutcome:
-			switch e.Outcome {
-			case "return":
-				f("%s(%s) -> return %#x (errno %s)", e.Func, e.Probe, e.Ret, e.Err)
-			case "segfault":
-				f("%s(%s) -> SIGSEGV at %#x", e.Func, e.Probe, e.Addr)
-			default:
-				f("%s(%s) -> %s", e.Func, e.Probe, e.Outcome)
-			}
-		}
-	})
 }
 
 // NewTemplateProcess builds the process every injection child is forked

@@ -104,7 +104,6 @@ func (inj *Injector) injectParallel(tasks []task, table *cparse.TypeTable, resul
 			wForks := reg.Counter(fmt.Sprintf("healers_injector_worker_forks_total{worker=%q}", fmt.Sprint(wid)))
 			wShared := reg.Counter(fmt.Sprintf("healers_injector_worker_pages_shared_total{worker=%q}", fmt.Sprint(wid)))
 			wCopied := reg.Counter(fmt.Sprintf("healers_injector_worker_pages_copied_total{worker=%q}", fmt.Sprint(wid)))
-			stop := inj.cfg.Spans.Start(fmt.Sprintf("inject-worker-%d", wid))
 			wsc := campSC.Child()
 			workStart := time.Now() //healers:allow-nondeterminism worker busy-time metric, reporting only
 			done := 0
@@ -133,7 +132,6 @@ func (inj *Injector) injectParallel(tasks []task, table *cparse.TypeTable, resul
 				wCopied.Add(res.Fork.PagesCopied)
 				done++
 			}
-			stop(done)
 			if worker.tr.Enabled() {
 				worker.tr.Emit(wsc.Tag(obs.Event{
 					Kind:  obs.KindSpan,

@@ -86,7 +86,6 @@ func TestParallelVectorsMatchGolden(t *testing.T) {
 	cfg.Workers = 8
 	cfg.LibFactory = clib.New
 	cfg.Metrics = obs.NewRegistry()
-	cfg.Spans = obs.NewSpans()
 	campaign, err := New(lib, cfg).InjectAll(ext, lib.CrashProne86())
 	if err != nil {
 		t.Fatal(err)
@@ -222,7 +221,7 @@ func TestResultCacheSkipsRepeatInjection(t *testing.T) {
 	}
 }
 
-// TestParallelWorkerSpans checks the scheduler records one span per
+// TestParallelWorkerSpans checks the scheduler emits one span event per
 // worker and that the spans jointly cover every function.
 func TestParallelWorkerSpans(t *testing.T) {
 	if testing.Short() {
@@ -230,19 +229,19 @@ func TestParallelWorkerSpans(t *testing.T) {
 	}
 	lib, ext := freshExtraction(t)
 	names := lib.CrashProne86()[:16]
+	collect := obs.NewCollectSink(0)
 	cfg := DefaultConfig()
 	cfg.Workers = 4
-	cfg.Spans = obs.NewSpans()
+	cfg.Obs = obs.New(collect)
 	if _, err := New(lib, cfg).InjectAll(ext, names); err != nil {
 		t.Fatal(err)
 	}
-	spans := cfg.Spans.List()
 	total := 0
 	seen := 0
-	for _, s := range spans {
-		if strings.HasPrefix(s.Name, "inject-worker-") {
+	for _, e := range collect.Events() {
+		if e.Kind == obs.KindSpan && strings.HasPrefix(e.Phase, "inject-worker-") {
 			seen++
-			total += s.Items
+			total += e.N
 		}
 	}
 	if seen != 4 {

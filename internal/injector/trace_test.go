@@ -2,8 +2,6 @@ package injector
 
 import (
 	"bytes"
-	"fmt"
-	"strings"
 	"testing"
 
 	"healers/internal/clib"
@@ -76,33 +74,6 @@ func TestTraceReconcilesWithCampaign(t *testing.T) {
 		if outcomes[name] != calls {
 			t.Errorf("%s: %d outcome events, campaign ran %d experiments", name, outcomes[name], calls)
 		}
-	}
-}
-
-// TestLegacyTraceShim checks the deprecated Config.Trace callback still
-// receives the pre-obs line format, rebuilt from tracer events.
-func TestLegacyTraceShim(t *testing.T) {
-	var lines []string
-	cfg := DefaultConfig()
-	cfg.Trace = func(format string, args ...any) {
-		lines = append(lines, strings.TrimSpace(fmt.Sprintf(format, args...)))
-	}
-	traceCampaign(t, cfg, []string{"asctime"})
-
-	var sawOutcome, sawAdjust bool
-	for _, l := range lines {
-		if strings.Contains(l, "asctime(") && strings.Contains(l, "->") {
-			sawOutcome = true
-		}
-		if strings.HasPrefix(l, "adjust arg0:") && strings.Contains(l, "fault at") {
-			sawAdjust = true
-		}
-	}
-	if !sawOutcome {
-		t.Errorf("legacy trace missing outcome lines; got %d lines", len(lines))
-	}
-	if !sawAdjust {
-		t.Errorf("legacy trace missing adaptive-adjust lines; got %d lines", len(lines))
 	}
 }
 

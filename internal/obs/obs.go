@@ -1,16 +1,18 @@
 // Package obs is the zero-dependency observability substrate of the
-// HEALERS reproduction: a structured event tracer with pluggable sinks,
-// an atomic metrics registry (counters, gauges, fixed-bucket
-// histograms), and per-phase span timing for campaign progress reports.
+// HEALERS reproduction: a structured event tracer with pluggable sinks
+// and an atomic metrics registry (counters, gauges, fixed-bucket
+// histograms). Phase timing is not a separate mechanism: every timed
+// phase is a KindSpan event of the causal trace (trace.go), and the
+// campaign profile is read back from the root spans.
 //
 // The paper's deliverables (Table 1, Figure 6, Table 2) are aggregate
 // observations over millions of sandboxed calls; obs is the layer that
 // carries those observations out of the hot paths. Everything here is
-// designed so that a disabled tracer (obs.Nop) and a nil registry add
-// no allocations to the instrumented code: events are plain value
-// structs built only behind Tracer.Enabled() guards, and counters
-// obtained from a nil registry still work, they are simply detached
-// from any exposition.
+// designed so that a disabled tracer (nil, or without sinks) and a nil
+// registry add no allocations to the instrumented code: events are
+// plain value structs built only behind Tracer.Enabled() guards, and
+// counters obtained from a nil registry still work, they are simply
+// detached from any exposition.
 package obs
 
 import (
@@ -222,17 +224,10 @@ type Tracer struct {
 	sinks []Sink
 }
 
-// New returns a tracer fanning out to sinks. With no sinks the tracer
-// is disabled until Attach adds one.
+// New returns a tracer fanning out to sinks; the sink set is fixed for
+// the tracer's lifetime. With no sinks the tracer is disabled, and so
+// is a nil *Tracer, so instrumented code holds either unconditionally.
 func New(sinks ...Sink) *Tracer { return &Tracer{sinks: sinks} }
-
-// Nop returns a disabled tracer (no sinks). Instrumented code can hold
-// it unconditionally instead of branching on nil.
-func Nop() *Tracer { return &Tracer{} }
-
-// Attach adds a sink. Attach is meant for setup time, before events
-// flow; it is not synchronized against concurrent Emit.
-func (t *Tracer) Attach(s Sink) { t.sinks = append(t.sinks, s) }
 
 // Enabled reports whether any sink is attached. Hot paths use it to
 // skip building event payloads entirely.

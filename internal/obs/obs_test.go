@@ -6,15 +6,13 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-	"time"
 )
 
 func TestTracerSequenceAndFanOutOrder(t *testing.T) {
 	var order []string
 	a := FuncSink(func(e Event) { order = append(order, "a") })
 	b := FuncSink(func(e Event) { order = append(order, "b") })
-	tr := New(a)
-	tr.Attach(b)
+	tr := New(a, b)
 
 	if !tr.Enabled() {
 		t.Fatal("tracer with sinks should be enabled")
@@ -52,24 +50,22 @@ func TestNopAndNilTracerDisabled(t *testing.T) {
 	if nilTr.Seq() != 0 {
 		t.Error("nil tracer Seq should be 0")
 	}
-	if Nop().Enabled() {
-		t.Error("Nop tracer should be disabled")
-	}
 	if New().Enabled() {
 		t.Error("sinkless tracer should be disabled")
 	}
 }
 
 func TestNopTracerEmitAllocatesNothing(t *testing.T) {
-	tr := Nop()
-	allocs := testing.AllocsPerRun(100, func() {
-		if tr.Enabled() {
-			t.Fatal("nop tracer enabled")
+	for name, tr := range map[string]*Tracer{"nil": nil, "sinkless": New()} {
+		allocs := testing.AllocsPerRun(100, func() {
+			if tr.Enabled() {
+				t.Fatalf("%s tracer enabled", name)
+			}
+			tr.Emit(Event{Kind: KindSandboxOutcome, Func: "strcpy", Outcome: "return"})
+		})
+		if allocs != 0 {
+			t.Fatalf("disabled (%s) Emit allocates %v per call, want 0", name, allocs)
 		}
-		tr.Emit(Event{Kind: KindSandboxOutcome, Func: "strcpy", Outcome: "return"})
-	})
-	if allocs != 0 {
-		t.Fatalf("disabled Emit allocates %v per call, want 0", allocs)
 	}
 }
 
@@ -155,43 +151,6 @@ func TestParseJSONLErrors(t *testing.T) {
 	events, err := ParseJSONL(strings.NewReader("\n\n"))
 	if err != nil || len(events) != 0 {
 		t.Fatalf("blank lines: events=%v err=%v", events, err)
-	}
-}
-
-func TestRingSinkOverwrite(t *testing.T) {
-	ring := NewRingSink(4)
-	tr := New(ring)
-	for i := 0; i < 10; i++ {
-		tr.Emit(Event{Kind: KindTestOutcome, N: i})
-	}
-	got := ring.Events()
-	if len(got) != 4 {
-		t.Fatalf("ring holds %d events, want 4", len(got))
-	}
-	// Oldest-first tail of the stream: N = 6, 7, 8, 9.
-	for i, e := range got {
-		if e.N != 6+i {
-			t.Errorf("ring[%d].N = %d, want %d", i, e.N, 6+i)
-		}
-		if e.Seq != uint64(7+i) {
-			t.Errorf("ring[%d].Seq = %d, want %d", i, e.Seq, 7+i)
-		}
-	}
-	if ring.Total() != 10 {
-		t.Fatalf("Total() = %d, want 10", ring.Total())
-	}
-}
-
-func TestRingSinkPartialFill(t *testing.T) {
-	ring := NewRingSink(8)
-	ring.Emit(Event{N: 1})
-	ring.Emit(Event{N: 2})
-	got := ring.Events()
-	if len(got) != 2 || got[0].N != 1 || got[1].N != 2 {
-		t.Fatalf("partial ring = %+v", got)
-	}
-	if NewRingSink(0) == nil {
-		t.Fatal("capacity 0 should clamp, not fail")
 	}
 }
 
@@ -313,63 +272,6 @@ func TestSnapshotJSONRoundTrip(t *testing.T) {
 	hs := s.Histograms["h"]
 	if hs.Count != 1 || hs.Sum != 4 || !reflect.DeepEqual(hs.Buckets, []int64{1, 0}) {
 		t.Fatalf("histogram snapshot = %+v", hs)
-	}
-}
-
-func TestSpansReportWithFakeClock(t *testing.T) {
-	now := time.Unix(1000, 0)
-	s := NewSpans()
-	s.SetClock(func() time.Time { return now })
-
-	stop := s.Start("inject")
-	now = now.Add(1 * time.Second)
-	stop(86)
-
-	stop = s.Start("evaluate")
-	now = now.Add(3 * time.Second)
-	stop(0)
-
-	spans := s.List()
-	if len(spans) != 2 {
-		t.Fatalf("got %d spans", len(spans))
-	}
-	if spans[0].Name != "inject" || spans[0].Dur != time.Second || spans[0].Items != 86 {
-		t.Fatalf("span[0] = %+v", spans[0])
-	}
-
-	report := s.Report()
-	for _, want := range []string{
-		"Campaign profile — 2 phases, total 4s",
-		"inject", "1s", "25.0%", "(86 items, 86/s)",
-		"evaluate", "3s", "75.0%",
-	} {
-		if !strings.Contains(report, want) {
-			t.Errorf("report missing %q:\n%s", want, report)
-		}
-	}
-}
-
-func TestNilSpansAreNoOps(t *testing.T) {
-	var s *Spans
-	s.SetClock(nil)
-	s.Start("x")(1)
-	if s.List() != nil || s.Report() != "" {
-		t.Fatal("nil Spans should report nothing")
-	}
-}
-
-func TestLegacyViolationSinkFormat(t *testing.T) {
-	var buf bytes.Buffer
-	tr := New(LegacyViolationSink(&buf))
-	tr.Emit(Event{Kind: KindWrapperCall, Func: "strlen"}) // filtered out
-	tr.Emit(Event{
-		Kind: KindCheckViolation, Func: "strlen", Arg: 0, Probe: "CSTR",
-		Detail: "unreadable or unterminated string", Errno: 14, Err: "EFAULT",
-		Policy: "return-error",
-	})
-	want := "healers: strlen arg0 violates CSTR: unreadable or unterminated string\n"
-	if got := buf.String(); got != want {
-		t.Fatalf("legacy line = %q, want %q", got, want)
 	}
 }
 

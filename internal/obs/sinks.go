@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sync"
 )
 
 // JSONLSink encodes every event as one JSON object per line. The
@@ -60,67 +59,3 @@ func NewTextSink(w io.Writer) *TextSink { return &TextSink{w: w} }
 
 // Emit implements Sink.
 func (s *TextSink) Emit(e Event) { fmt.Fprintln(s.w, e.String()) }
-
-// RingSink keeps the most recent capacity events for post-mortem
-// dumps: when a campaign dies, the ring holds the tail of the trace
-// without having paid for the whole stream. Older events are
-// overwritten silently; Total reports how many were ever emitted.
-type RingSink struct {
-	mu    sync.Mutex
-	buf   []Event
-	next  int
-	total uint64
-}
-
-// NewRingSink returns a ring holding the last capacity events
-// (minimum 1).
-func NewRingSink(capacity int) *RingSink {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &RingSink{buf: make([]Event, 0, capacity)}
-}
-
-// Emit implements Sink.
-func (s *RingSink) Emit(e Event) {
-	s.mu.Lock()
-	if len(s.buf) < cap(s.buf) {
-		s.buf = append(s.buf, e)
-	} else {
-		s.buf[s.next] = e
-		s.next = (s.next + 1) % cap(s.buf)
-	}
-	s.total++
-	s.mu.Unlock()
-}
-
-// Events returns the retained events, oldest first.
-func (s *RingSink) Events() []Event {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]Event, 0, len(s.buf))
-	out = append(out, s.buf[s.next:]...)
-	out = append(out, s.buf[:s.next]...)
-	return out
-}
-
-// Total returns how many events were emitted into the ring overall,
-// including overwritten ones.
-func (s *RingSink) Total() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.total
-}
-
-// LegacyViolationSink renders KindCheckViolation events in the exact
-// pre-obs wrapper log format ("healers: F argN violates T: reason"),
-// ignoring every other kind. It exists so consumers of the old
-// Options.Log line format keep a byte-identical stream.
-func LegacyViolationSink(w io.Writer) Sink {
-	return FuncSink(func(e Event) {
-		if e.Kind != KindCheckViolation {
-			return
-		}
-		fmt.Fprintf(w, "healers: %s arg%d violates %s: %s\n", e.Func, e.Arg, e.Probe, e.Detail)
-	})
-}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"time"
 
 	"healers/internal/extract"
 	"healers/internal/injector"
@@ -50,13 +51,15 @@ func Table1(c *injector.Campaign) string {
 }
 
 // Stats renders the observability report of a campaign: the per-phase
-// profile first (when spans were collected), then the latency quantiles
-// of every populated histogram, then every registered counter, gauge,
-// and histogram in exposition format.
-func Stats(reg *obs.Registry, spans *obs.Spans) string {
+// profile first (when root spans were recorded), then the latency
+// quantiles of every populated histogram, then every registered
+// counter, gauge, and histogram in exposition format. roots are the
+// trace's root KindSpan events (Parent == 0) in completion order: each
+// top-level phase of the run is one root span.
+func Stats(reg *obs.Registry, roots []obs.Event) string {
 	var b strings.Builder
-	if prof := spans.Report(); prof != "" {
-		b.WriteString(prof)
+	if len(roots) > 0 {
+		b.WriteString(profile(roots))
 		b.WriteByte('\n')
 	}
 	if reg != nil {
@@ -71,6 +74,35 @@ func Stats(reg *obs.Registry, spans *obs.Spans) string {
 		} else {
 			b.WriteString(exp)
 		}
+	}
+	return b.String()
+}
+
+// profile renders the campaign profile from root spans: per-phase
+// duration, share of the total, and throughput where the phase
+// reported an item count (Event.N).
+func profile(roots []obs.Event) string {
+	var total time.Duration
+	for _, e := range roots {
+		total += time.Duration(e.DurUS) * time.Microsecond
+	}
+	var b strings.Builder
+	fmt.Fprintf(&b, "Campaign profile — %d phases, total %s\n", len(roots), total.Round(time.Millisecond))
+	for _, e := range roots {
+		dur := time.Duration(e.DurUS) * time.Microsecond
+		pct := 0.0
+		if total > 0 {
+			pct = 100 * float64(dur) / float64(total)
+		}
+		fmt.Fprintf(&b, "  %-18s %10s %5.1f%%", e.Phase, dur.Round(time.Millisecond), pct)
+		if e.N > 0 {
+			rate := 0.0
+			if dur > 0 {
+				rate = float64(e.N) / dur.Seconds()
+			}
+			fmt.Fprintf(&b, "  (%d items, %.0f/s)", e.N, rate)
+		}
+		b.WriteByte('\n')
 	}
 	return b.String()
 }

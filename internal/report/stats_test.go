@@ -3,7 +3,6 @@ package report
 import (
 	"strings"
 	"testing"
-	"time"
 
 	"healers/internal/obs"
 )
@@ -13,17 +12,15 @@ func TestStatsRendersProfileAndMetrics(t *testing.T) {
 	reg.Counter("healers_wrapper_calls_total").Add(42)
 	reg.Histogram("healers_sandbox_steps", []int64{10}).Observe(3)
 
-	now := time.Unix(0, 0)
-	spans := obs.NewSpans()
-	spans.SetClock(func() time.Time { return now })
-	stop := spans.Start("inject")
-	now = now.Add(2 * time.Second)
-	stop(86)
-
-	out := Stats(reg, spans)
+	roots := []obs.Event{
+		{Kind: obs.KindSpan, Phase: "campaign", N: 86, DurUS: 1_000_000},
+		{Kind: obs.KindSpan, Phase: "ballista:unwrapped", N: 11995, DurUS: 3_000_000},
+	}
+	out := Stats(reg, roots)
 	for _, want := range []string{
-		"Campaign profile — 1 phases, total 2s",
-		"inject",
+		"Campaign profile — 2 phases, total 4s",
+		"campaign", "1s", "25.0%", "(86 items, 86/s)",
+		"ballista:unwrapped", "3s", "75.0%", "(11995 items, 3998/s)",
 		"Metrics",
 		"healers_wrapper_calls_total 42",
 		`healers_sandbox_steps_bucket{le="10"} 1`,

@@ -28,9 +28,9 @@ func benchSetup(b *testing.B, opts Options) (*csim.Process, *Interposer, cmem.Ad
 }
 
 // BenchmarkWrapperCallOverhead compares the checked call path under the
-// three observability states the ISSUE distinguishes: no instrumentation
-// configured (obs.Nop inside), nop tracer passed explicitly, and a live
-// tracer + registry.
+// three observability states: the bare library, the wrapper with no
+// instrumentation configured (a nil tracer is the disabled one), and a
+// live tracer + registry.
 func BenchmarkWrapperCallOverhead(b *testing.B) {
 	b.Run("bare-library", func(b *testing.B) {
 		p, ip, s := benchSetup(b, DefaultOptions())
@@ -42,9 +42,7 @@ func BenchmarkWrapperCallOverhead(b *testing.B) {
 		}
 	})
 	b.Run("wrapped-nop", func(b *testing.B) {
-		opts := DefaultOptions()
-		opts.Obs = obs.Nop()
-		p, ip, s := benchSetup(b, opts)
+		p, ip, s := benchSetup(b, DefaultOptions())
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -53,7 +51,7 @@ func BenchmarkWrapperCallOverhead(b *testing.B) {
 	})
 	b.Run("wrapped-instrumented", func(b *testing.B) {
 		opts := DefaultOptions()
-		opts.Obs = obs.New(obs.NewRingSink(1024))
+		opts.Obs = obs.New(obs.NewCollectSink(1024))
 		opts.Metrics = obs.NewRegistry()
 		p, ip, s := benchSetup(b, opts)
 		b.ReportAllocs()
@@ -81,8 +79,7 @@ func TestNopObservabilityAddsNoAllocations(t *testing.T) {
 		t.Run(mode.String(), func(t *testing.T) {
 			p := newProc()
 			s := cstrAt(t, p, "hello world")
-			opts := DefaultOptions()
-			opts.Obs = obs.Nop() // explicit nop; Attach uses the same when unset
+			opts := DefaultOptions() // nil Obs: the disabled tracer
 			opts.Mode = mode
 			ip := Attach(p, lib, decls, opts)
 			wrapped := testing.AllocsPerRun(500, func() {

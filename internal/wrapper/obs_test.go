@@ -1,7 +1,6 @@
 package wrapper
 
 import (
-	"bytes"
 	"sync"
 	"testing"
 
@@ -67,8 +66,8 @@ func TestStatsSnapshotDuringCalls(t *testing.T) {
 // sum of the per-interposer snapshots.
 func TestConcurrentInterposersSharedObs(t *testing.T) {
 	lib, decls := fullAutoDecls(t)
-	ring := obs.NewRingSink(128)
-	tr := obs.New(ring)
+	collect := obs.NewCollectSink(128)
+	tr := obs.New(collect)
 	reg := obs.NewRegistry()
 
 	const workers = 8
@@ -116,22 +115,19 @@ func TestConcurrentInterposersSharedObs(t *testing.T) {
 	if got := reg.Counter("healers_wrapper_rejected_total").Value(); got != rejected {
 		t.Errorf("registry rejected = %d, per-interposer sum = %d", got, rejected)
 	}
-	if ring.Total() != tr.Seq() {
-		t.Errorf("ring saw %d events, tracer emitted %d", ring.Total(), tr.Seq())
+	if seen := uint64(len(collect.Events())) + collect.Dropped(); seen != tr.Seq() {
+		t.Errorf("sink saw %d events, tracer emitted %d", seen, tr.Seq())
 	}
 }
 
-// TestViolationEventCarriesErrnoAndPolicy checks the satellite contract:
-// routed through the tracer, a rejection carries the delivered errno and
-// the policy, and the Options.Log line renders both.
+// TestViolationEventCarriesErrnoAndPolicy checks that, routed through
+// the tracer, a rejection carries the delivered errno and the policy.
 func TestViolationEventCarriesErrnoAndPolicy(t *testing.T) {
 	lib, decls := fullAutoDecls(t)
 	p := newProc()
 	var events []obs.Event
-	var log bytes.Buffer
 	opts := DefaultOptions()
 	opts.Obs = obs.New(obs.FuncSink(func(e obs.Event) { events = append(events, e) }))
-	opts.Log = &log
 	ip := Attach(p, lib, decls, opts)
 
 	ip.Call(p, "asctime", 0xdead0000)
@@ -153,30 +149,6 @@ func TestViolationEventCarriesErrnoAndPolicy(t *testing.T) {
 	}
 	if v.Policy != "return-error" {
 		t.Errorf("policy = %q, want return-error", v.Policy)
-	}
-	line := log.String()
-	for _, want := range []string{"healers: asctime arg0 violates", "[errno=EINVAL policy=return-error]"} {
-		if !bytes.Contains([]byte(line), []byte(want)) {
-			t.Errorf("log line %q missing %q", line, want)
-		}
-	}
-}
-
-// TestLegacyViolationSinkMatchesOldLogFormat checks obs.LegacyViolationSink
-// reproduces the pre-obs Options.Log line byte for byte.
-func TestLegacyViolationSinkMatchesOldLogFormat(t *testing.T) {
-	lib, decls := fullAutoDecls(t)
-	p := newProc()
-	var legacy bytes.Buffer
-	opts := DefaultOptions()
-	opts.Obs = obs.New(obs.LegacyViolationSink(&legacy))
-	ip := Attach(p, lib, decls, opts)
-
-	ip.Call(p, "strlen", 0xdead0000)
-
-	want := "healers: strlen arg0 violates CSTR: invalid C string\n"
-	if got := legacy.String(); got != want {
-		t.Fatalf("legacy line = %q, want %q", got, want)
 	}
 }
 

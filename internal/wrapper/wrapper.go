@@ -16,7 +16,6 @@ package wrapper
 
 import (
 	"fmt"
-	"io"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -52,16 +51,13 @@ type Options struct {
 	Only map[string]bool
 	// MaxStrlen bounds string walks during checking.
 	MaxStrlen int
-	// Log, when non-nil, receives the deployed wrapper's violation log
-	// ("log invalid inputs" in §2's life-cycle discussion). Each line
-	// carries the errno delivered and the policy applied; consumers of
-	// the historical short format can attach obs.LegacyViolationSink
-	// to Obs instead.
-	Log io.Writer
 	// Obs, when non-nil, receives structured wrapper events: one
 	// WrapperCall per checked or forwarded call and one CheckViolation
-	// per rejection. A nil (or sink-less) tracer costs nothing on the
-	// call path.
+	// per rejection. The CheckViolation stream, carrying the errno
+	// delivered and the policy applied, is the deployed wrapper's
+	// violation log ("log invalid inputs" in §2's life-cycle
+	// discussion); an obs.TextSink renders it one line per rejection.
+	// A nil (or sink-less) tracer costs nothing on the call path.
 	Obs *obs.Tracer
 	// Metrics, when non-nil, registers the wrapper call counters and
 	// the per-call check-work histogram for exposition. Counters for
@@ -279,10 +275,7 @@ func Attach(p *csim.Process, lib *clib.Library, decls *decl.DeclSet, opts Option
 		ip.checkCache = make(map[cmem.Addr]cacheEntry)
 		ip.fileCache = make(map[fileCacheKey]bool)
 	}
-	ip.tr = opts.Obs
-	if ip.tr == nil {
-		ip.tr = obs.Nop()
-	}
+	ip.tr = opts.Obs    // a nil tracer is the disabled one
 	reg := opts.Metrics // nil-safe: hands out detached instruments
 	ip.mCalls = reg.Counter("healers_wrapper_calls_total")
 	ip.mChecked = reg.Counter("healers_wrapper_checked_total")
@@ -322,9 +315,12 @@ func (ip *Interposer) Stats() Stats {
 	rejected := ip.stats.rejected.Load()
 	falseRejects := ip.stats.falseRejects.Load()
 	ip.vmu.Unlock()
+	// A call bumps calls before checked, so loading checked first keeps
+	// Checked <= Calls in every snapshot taken mid-call.
+	checked := ip.stats.checked.Load()
 	return Stats{
 		Calls:              int(ip.stats.calls.Load()),
-		Checked:            int(ip.stats.checked.Load()),
+		Checked:            int(checked),
 		Rejected:           int(rejected),
 		Passthru:           int(ip.stats.passthru.Load()),
 		Reentrant:          int(ip.stats.reentrant.Load()),
@@ -507,10 +503,6 @@ func (ip *Interposer) reject(d *decl.FuncDecl, argIdx int, arg decl.ArgDecl, rea
 			Err:    errName,
 			Policy: policy,
 		})
-	}
-	if ip.opts.Log != nil {
-		fmt.Fprintf(ip.opts.Log, "healers: %s arg%d violates %s: %s [errno=%s policy=%s]\n",
-			v.Func, v.Arg, v.Robust, v.Reason, errName, policy)
 	}
 	if ip.opts.Policy == PolicyAbort {
 		ip.p.Abort()

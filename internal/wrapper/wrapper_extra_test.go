@@ -7,6 +7,7 @@ import (
 
 	"healers/internal/cmem"
 	"healers/internal/csim"
+	"healers/internal/obs"
 )
 
 func TestLibsafeStackFrameBound(t *testing.T) {
@@ -66,16 +67,30 @@ func TestOnlyFilterSelectsFunctions(t *testing.T) {
 	}
 }
 
+// TestViolationLogWriter checks the deployed wrapper's violation log:
+// a TextSink tracer renders each rejection as one line naming the
+// function, the violated robust type, the errno, and the policy.
 func TestViolationLogWriter(t *testing.T) {
 	lib, decls := fullAutoDecls(t)
 	p := newProc()
 	var log bytes.Buffer
 	opts := DefaultOptions()
-	opts.Log = &log
+	opts.Obs = obs.New(obs.NewTextSink(&log))
 	ip := Attach(p, lib, decls, opts)
 	p.Run(func() uint64 { return ip.Call(p, "strlen", 0xdead0000) })
-	if !strings.Contains(log.String(), "strlen") || !strings.Contains(log.String(), "CSTR") {
-		t.Errorf("violation log = %q", log.String())
+	var violations []string
+	for _, line := range strings.Split(strings.TrimSpace(log.String()), "\n") {
+		if strings.Contains(line, " violation ") {
+			violations = append(violations, line)
+		}
+	}
+	if len(violations) != 1 {
+		t.Fatalf("violation lines = %q, want exactly one", violations)
+	}
+	for _, want := range []string{"strlen", "CSTR", "EINVAL", "return-error"} {
+		if !strings.Contains(violations[0], want) {
+			t.Errorf("violation line %q missing %q", violations[0], want)
+		}
 	}
 }
 
