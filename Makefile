@@ -132,14 +132,16 @@ bench-profile:
 		./internal/injector/
 	@echo "wrote profiles/{cpu,mutex,block}.pprof — go tool pprof profiles/injector.test profiles/<which>.pprof"
 
-# CI's cheap perf gate: every campaign benchmark runs one iteration (so
-# a hang or a golden-vector divergence fails fast), the wrapper nop
-# path proves its zero-alloc contract, and the COW differential +
-# aliasing + purity audits run under the race detector.
+# CI's cheap perf gate: every campaign benchmark and the page-cache
+# byte scan run one iteration (so a hang or a golden-vector divergence
+# fails fast), the wrapper nop path, the forked-memory accessors and the
+# per-test Ballista budget prove their allocation contracts, and the
+# COW and page-cache differentials + aliasing + purity audits run under
+# the race detector.
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'BenchmarkCampaign|BenchmarkFork' -benchtime 1x ./internal/injector/ ./internal/cmem/
-	$(GO) test -count=1 -run TestNopObservabilityAddsNoAllocations ./internal/wrapper/
-	$(GO) test -race -count=1 -run 'TestDifferentialCOWvsEager|TestConcurrentTemplateForks|TestReadPathsLeaveSnapshotFrozen|TestFork|TestProtectAfterFork|TestWriteOnlyPagesSurviveFork|TestChildFree|TestMapResetAfterFork|TestRelease|TestSharedPageRelease' ./internal/cmem/
+	$(GO) test -run '^$$' -bench 'BenchmarkCampaign|BenchmarkFork|BenchmarkByteScanForked' -benchtime 1x ./internal/injector/ ./internal/cmem/
+	$(GO) test -count=1 -run 'TestNopObservabilityAddsNoAllocations|TestForkedAccessorsAllocateNothing|TestPerTestAllocationBudget' ./internal/wrapper/ ./internal/cmem/ ./internal/ballista/
+	$(GO) test -race -count=1 -run 'TestDifferentialCOWvsEager|TestPageCacheDifferential|TestReleasedMemoryFaultsThroughCache|TestConcurrentTemplateForks|TestReadPathsLeaveSnapshotFrozen|TestFork|TestProtectAfterFork|TestWriteOnlyPagesSurviveFork|TestChildFree|TestMapResetAfterFork|TestRelease|TestSharedPageRelease' ./internal/cmem/
 
 # The end-to-end benchmark lives in a nested module (bench/go.mod), so
 # the root `go test ./...` never compiles it: an API change in the main

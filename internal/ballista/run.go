@@ -215,53 +215,36 @@ type suiteRunner struct {
 // runTest forks a child from template, delivers one test, and
 // classifies the outcome. It emits the per-test outcome event and the
 // periodic progress event, both parented to sc (the suite span when
-// sequential, the worker span when sharded).
+// sequential, the worker span when sharded); with tracing off it
+// builds no event and reads no clock.
 func (r *suiteRunner) runTest(template *csim.Process, test *Test, sc obs.SpanContext) testResult {
 	child := template.Fork()
 	defer child.Release()
 	child.SetStepBudget(r.stepBudget)
 	child.Metrics = r.sandbox
 	caller := r.factory(child)
-	testStart := time.Now()
-	var tsc obs.SpanContext
+	var testStart time.Time
 	if r.tr.Enabled() {
-		tsc = sc.Child()
+		testStart = time.Now()
 	}
+	res, out := r.deliver(child, caller, test)
+	switch res.bucket {
+	case BucketErrno:
+		r.cErrno.Inc()
+	case BucketSilent:
+		r.cSilent.Inc()
+	case BucketCrash:
+		r.cCrash.Inc()
+	}
+	if r.tr.Enabled() {
+		r.emit(test, sc, testStart, res, out)
+	}
+	return res
+}
 
-	emitOutcome := func(bucket string, out csim.Outcome) {
-		if !r.tr.Enabled() {
-			return
-		}
-		names := make([]string, len(test.Entries))
-		for i, e := range test.Entries {
-			names[i] = e.Name
-		}
-		r.tr.Emit(tsc.Tag(obs.Event{
-			Kind:    obs.KindTestOutcome,
-			Config:  r.config,
-			Func:    test.Func,
-			Probe:   strings.Join(names, ", "),
-			Outcome: bucket,
-			Errno:   out.Errno,
-			Steps:   out.Steps,
-			TS:      testStart.UnixMicro(),
-			DurUS:   time.Since(testStart).Microseconds(),
-		}))
-	}
-	finish := func(res testResult, bucket string, out csim.Outcome) testResult {
-		emitOutcome(bucket, out)
-		n := int(r.done.Add(1))
-		if r.tr.Enabled() && (n%r.every == 0 || n == len(r.suite.Tests)) {
-			r.tr.Emit(sc.Tag(obs.Event{
-				Kind:  obs.KindCampaignPhase,
-				Phase: "ballista:" + r.config,
-				N:     n,
-				Total: len(r.suite.Tests),
-			}))
-		}
-		return res
-	}
-
+// deliver builds the test's arguments in child, makes the call through
+// caller and classifies what happened.
+func (r *suiteRunner) deliver(child *csim.Process, caller Caller, test *Test) (testResult, csim.Outcome) {
 	args := make([]uint64, len(test.Entries))
 	setup := child.Run(func() uint64 {
 		for i, e := range test.Entries {
@@ -272,8 +255,7 @@ func (r *suiteRunner) runTest(template *csim.Process, test *Test, sc obs.SpanCon
 	if setup.Kind != csim.OutcomeReturn {
 		// Setup trouble counts as silent: the test could not be
 		// delivered (rare; kept for accounting completeness).
-		r.cSilent.Inc()
-		return finish(testResult{bucket: BucketSilent, strat: StratPass}, "silent", setup)
+		return testResult{bucket: BucketSilent, strat: StratPass}, setup
 	}
 
 	// Snapshot the caller's strategy counters after setup (pool
@@ -287,45 +269,64 @@ func (r *suiteRunner) runTest(template *csim.Process, test *Test, sc obs.SpanCon
 
 	child.ClearErrno()
 	out := child.Run(func() uint64 { return caller.Call(child, test.Func, args...) })
-	strat := func() StrategyOutcome {
-		// Precedence crash > reject > heal > pass: a crash is terminal
-		// whatever the wrapper did first, and a rejection means the call
-		// never reached the library even if an earlier argument healed.
-		switch out.Kind {
-		case csim.OutcomeSegfault, csim.OutcomeHang, csim.OutcomeAbort:
-			return StratCrash
-		}
-		if ss != nil {
-			rej1, heal1 := ss.StrategyCounts()
-			if rej1 > rej0 {
-				return StratReject
-			}
-			if heal1 > heal0 {
-				if child.ErrnoSet() {
-					return StratHealDiverge
-				}
-				return StratHealSuccess
-			}
-		}
-		if child.ErrnoSet() {
-			// Unwrapped (or unhealed wrapped) errno-set: the library's
-			// own refusal, kept distinct from StratPass so the matrix
-			// mirrors Figure 6's errno bucket.
-			return StratReject
-		}
-		return StratPass
-	}()
 	switch out.Kind {
 	case csim.OutcomeSegfault, csim.OutcomeHang, csim.OutcomeAbort:
-		r.cCrash.Inc()
-		return finish(testResult{bucket: BucketCrash, kind: out.Kind, strat: strat}, "crash", out)
-	default:
-		if child.ErrnoSet() {
-			r.cErrno.Inc()
-			return finish(testResult{bucket: BucketErrno, strat: strat}, "errno-set", out)
+		// Precedence crash > reject > heal > pass: a crash is terminal
+		// whatever the wrapper did first.
+		return testResult{bucket: BucketCrash, kind: out.Kind, strat: StratCrash}, out
+	}
+	bucket := BucketSilent
+	if child.ErrnoSet() {
+		bucket = BucketErrno
+	}
+	strat := StratPass
+	if ss != nil {
+		// A rejection means the call never reached the library even if
+		// an earlier argument healed.
+		rej1, heal1 := ss.StrategyCounts()
+		switch {
+		case rej1 > rej0:
+			strat = StratReject
+		case heal1 > heal0 && bucket == BucketErrno:
+			strat = StratHealDiverge
+		case heal1 > heal0:
+			strat = StratHealSuccess
 		}
-		r.cSilent.Inc()
-		return finish(testResult{bucket: BucketSilent, strat: strat}, "silent", out)
+	}
+	if strat == StratPass && bucket == BucketErrno {
+		// Unwrapped (or unhealed wrapped) errno-set: the library's own
+		// refusal, kept distinct from StratPass so the matrix mirrors
+		// Figure 6's errno bucket.
+		strat = StratReject
+	}
+	return testResult{bucket: bucket, strat: strat}, out
+}
+
+// emit sends the test's outcome event and, every r.every tests and at
+// the last one, the progress event.
+func (r *suiteRunner) emit(test *Test, sc obs.SpanContext, testStart time.Time, res testResult, out csim.Outcome) {
+	names := make([]string, len(test.Entries))
+	for i, e := range test.Entries {
+		names[i] = e.Name
+	}
+	r.tr.Emit(sc.Child().Tag(obs.Event{
+		Kind:    obs.KindTestOutcome,
+		Config:  r.config,
+		Func:    test.Func,
+		Probe:   strings.Join(names, ", "),
+		Outcome: res.bucket.String(),
+		Errno:   out.Errno,
+		Steps:   out.Steps,
+		TS:      testStart.UnixMicro(),
+		DurUS:   time.Since(testStart).Microseconds(),
+	}))
+	if n := int(r.done.Add(1)); n%r.every == 0 || n == len(r.suite.Tests) {
+		r.tr.Emit(sc.Tag(obs.Event{
+			Kind:  obs.KindCampaignPhase,
+			Phase: "ballista:" + r.config,
+			N:     n,
+			Total: len(r.suite.Tests),
+		}))
 	}
 }
 
@@ -375,9 +376,11 @@ func (s *Suite) RunWith(config string, template *csim.Process, factory CallerFac
 		}
 		reg.Gauge(fmt.Sprintf("healers_ballista_workers{config=%q}", config)).Set(int64(workers))
 		// Each worker forks its own template inside its goroutine:
-		// copy-on-write forks only read the parent, and every cmem read
-		// path is side-effect-free, so concurrent forks of (and reads
-		// from) one shared template are race-free.
+		// copy-on-write forks only read the parent, the first fork
+		// freezes it (serialized inside cmem), and a frozen Memory's
+		// read paths write nothing — only a never-frozen child writes
+		// its own page cache — so concurrent forks of (and reads from)
+		// one shared template are race-free.
 		jobs := make(chan int)
 		var wg sync.WaitGroup
 		for w := 0; w < workers; w++ {

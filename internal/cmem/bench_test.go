@@ -69,3 +69,33 @@ func BenchmarkForkCOWDiverge(b *testing.B) {
 		c.Release()
 	}
 }
+
+// BenchmarkByteScanForked is the page cache's fast path: a forked
+// Memory walked byte by byte across two pages, loading each byte and
+// storing it back incremented — the access shape of a string check or a
+// stdio buffer fill inside one experiment. The first pass copies both
+// pages on write; every later access is a cache hit on a private page.
+func BenchmarkByteScanForked(b *testing.B) {
+	m := benchTemplate(b)
+	p, err := m.Malloc(2 * PageSize)
+	if err != nil {
+		b.Fatal(err)
+	}
+	m.Freeze()
+	c := m.Clone()
+	defer c.Release()
+	b.ReportAllocs()
+	b.SetBytes(2 * PageSize)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for a := p; a < p+2*PageSize; a++ {
+			v, f := c.LoadByte(a)
+			if f != nil {
+				b.Fatal(f)
+			}
+			if f := c.StoreByte(a, v+1); f != nil {
+				b.Fatal(f)
+			}
+		}
+	}
+}

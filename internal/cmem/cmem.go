@@ -14,14 +14,21 @@
 // pages into an immutable, refcounted layer and hands the child the
 // layer list — O(layers), not O(pages), so forking a large address
 // space costs the same as forking a small one. A Memory is its layer
-// stack (shared, frozen) plus a private delta map; lookups probe the
-// delta first, then the layers top-down. Read paths are strictly
-// side-effect-free, and Clone serializes its internal freeze, which
-// makes a Memory safe to Clone concurrently from several goroutines as
-// long as nobody mutates it — the property the parallel campaign
-// schedulers rely on to fork worker templates without serializing.
-// Freeze a template explicitly before sharing it to make concurrent
-// Clones entirely write-free.
+// stack (shared, frozen) plus a private delta map; a page-table walk
+// probes the delta first, then the layers top-down.
+//
+// A small direct-mapped page cache (a software TLB) sits in front of
+// the walk, so a run of accesses to one page pays for one walk. Only a
+// single-owner Memory that has never been frozen or cloned writes its
+// cache — the forked child an experiment runs in. Freezing (explicitly
+// or inside the first Clone) flushes the cache and turns it off for
+// good, so on a frozen template or checkpoint every read path is
+// write-free. Clone serializes its internal freeze, which makes a
+// Memory safe to Clone concurrently from several goroutines as long as
+// nobody mutates it — the property the parallel campaign schedulers
+// rely on to fork worker templates without serializing. Freeze a
+// template explicitly before sharing it to make concurrent Clones and
+// reads entirely write-free.
 //
 // All methods return a *Fault on bad accesses instead of panicking; the
 // process layer (package csim) converts faults into simulated signals.
@@ -29,6 +36,7 @@ package cmem
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"sync"
@@ -280,13 +288,14 @@ type layer struct {
 
 // Memory is a simulated address space. The zero value is not usable;
 // call New. A Memory is owned by one goroutine: mutating methods are
-// not safe for concurrent use. Read-only methods perform no writes to
-// shared state, and Clone serializes its freeze step, so concurrent
-// Clones of an otherwise-idle Memory are safe — forked children then
-// diverge under their exclusive owners via copy-on-write. Reads
-// concurrent with the Memory's *first* Clone race against the freeze;
-// call Freeze once before sharing a template across goroutines and
-// every subsequent Clone is write-free.
+// not safe for concurrent use. Read-only methods of a Memory that was
+// never frozen or cloned write only its private page cache; once the
+// Memory is frozen they perform no writes at all. Clone serializes its
+// freeze step, so concurrent Clones of an otherwise-idle Memory are
+// safe — forked children then diverge under their exclusive owners via
+// copy-on-write. Reads concurrent with the Memory's *first* Clone race
+// against the freeze; call Freeze once before sharing a template
+// across goroutines and every subsequent Clone and read is write-free.
 type Memory struct {
 	// layers is the frozen history, bottom-up: entries in later layers
 	// shadow earlier ones. own is the private delta on top — the only
@@ -294,6 +303,11 @@ type Memory struct {
 	// (refs == 1); pages in layers are immutable and copied on write.
 	layers []*layer
 	own    map[Addr]*page
+
+	// tlb caches recent page-table walks; tlbOn says whether this
+	// Memory may write it (never frozen, never cloned). See tlbEntry.
+	tlb   [tlbSize]tlbEntry
+	tlbOn bool
 
 	// cloneMu serializes the lazy freeze inside Clone so sibling
 	// goroutines may fork one template concurrently.
@@ -305,9 +319,8 @@ type Memory struct {
 	heapCursor Addr
 	mmapCursor Addr
 
-	heap *heapState
-
-	stack *Stack
+	heap  heapState
+	stack Stack
 
 	// stats is shared by every Memory in this fork tree.
 	stats *ForkStats
@@ -341,29 +354,78 @@ const (
 func New() *Memory {
 	m := &Memory{
 		own:        make(map[Addr]*page),
+		tlbOn:      true,
 		heapCursor: heapBase,
 		mmapCursor: mmapBase,
 		stats:      &ForkStats{},
 		shard:      nextShard.Add(1) & shardMask,
 	}
-	m.heap = newHeapState()
 	m.stack = newStack(m)
 	return m
 }
 
-// lookup resolves the page containing base: the private delta first,
-// then the frozen layers top-down. A nil result means unmapped —
-// either never mapped or shadowed by a tombstone.
+// tlbSize is the number of page-cache entries. Memory is allocated on
+// every fork, so the cache stays small: 16 entries cover the handful of
+// pages one experiment touches (its arguments, a FILE and its buffer,
+// a sink chunk, the stack) at 256 bytes per Memory.
+const tlbSize = 16
+
+// tlbOwned marks, in the low bits of a page-aligned tlbEntry.tag, that
+// the cached page sits in own: a store to it needs no copy and no own
+// probe.
+const tlbOwned Addr = 1
+
+// tlbEntry caches one page-table walk: tag is the page base, or'ed with
+// tlbOwned when the page is this Memory's private copy; pg is the page
+// (nil marks an empty slot — unmapped results are never cached).
+type tlbEntry struct {
+	tag Addr
+	pg  *page
+}
+
+// slot returns the cache entry base maps to.
+func (m *Memory) slot(base Addr) *tlbEntry {
+	return &m.tlb[(base/PageSize)&(tlbSize-1)]
+}
+
+// flushTLB empties the page cache, dropping its page references.
+func (m *Memory) flushTLB() { m.tlb = [tlbSize]tlbEntry{} }
+
+// lookup resolves the page containing base. A nil result means
+// unmapped — either never mapped or shadowed by a tombstone. A cache
+// hit answers without a walk; a miss walks and, on a Memory allowed to
+// write its cache, fills the slot.
 func (m *Memory) lookup(base Addr) *page {
-	if pg, ok := m.own[base]; ok {
+	if !m.tlbOn {
+		pg, _ := m.walk(base)
 		return pg
+	}
+	e := m.slot(base)
+	if e.pg != nil && e.tag&^tlbOwned == base {
+		return e.pg
+	}
+	pg, owned := m.walk(base)
+	if pg != nil {
+		e.tag, e.pg = base, pg
+		if owned {
+			e.tag |= tlbOwned
+		}
+	}
+	return pg
+}
+
+// walk is the page-table walk: the private delta first, then the
+// frozen layers top-down. owned reports that the page sits in own.
+func (m *Memory) walk(base Addr) (pg *page, owned bool) {
+	if pg, ok := m.own[base]; ok {
+		return pg, true
 	}
 	for i := len(m.layers) - 1; i >= 0; i-- {
 		if pg, ok := m.layers[i].pages[base]; ok {
-			return pg
+			return pg, false
 		}
 	}
-	return nil
+	return nil, false
 }
 
 // inLayers reports whether any frozen layer has an entry for base
@@ -411,6 +473,14 @@ func (m *Memory) Freeze() {
 }
 
 func (m *Memory) freezeLocked() {
+	// The cache's owned bits describe own, which is about to become a
+	// shared layer, and a frozen Memory must stay write-free under
+	// reads: flush and disable it. Testing first keeps repeated freezes
+	// of a template free of stores.
+	if m.tlbOn {
+		m.tlbOn = false
+		m.flushTLB()
+	}
 	if len(m.own) == 0 {
 		return
 	}
@@ -443,8 +513,12 @@ func (m *Memory) Clone() *Memory {
 	layers := m.layers
 	m.cloneMu.Unlock()
 	c := &Memory{
-		layers:     append(make([]*layer, 0, len(layers)+1), layers...),
+		// A full slice expression shares the parent's layer array:
+		// the child's first freeze appends past its capacity and so
+		// reallocates, never writing the parent's array.
+		layers:     layers[:len(layers):len(layers)],
 		own:        make(map[Addr]*page),
+		tlbOn:      true,
 		heapCursor: m.heapCursor,
 		mmapCursor: m.mmapCursor,
 		stats:      m.stats,
@@ -458,7 +532,7 @@ func (m *Memory) Clone() *Memory {
 		shared += int64(l.live)
 	}
 	c.heap = m.heap.clone()
-	c.stack = m.stack.clone(c)
+	c.stack = m.stack.clone()
 	m.stats.forks.Add(1)
 	m.stats.pagesShared.Add(shared)
 	return c
@@ -471,6 +545,7 @@ func (m *Memory) Clone() *Memory {
 func (m *Memory) CloneEager() *Memory {
 	c := &Memory{
 		own:        make(map[Addr]*page),
+		tlbOn:      true,
 		heapCursor: m.heapCursor,
 		mmapCursor: m.mmapCursor,
 		stats:      m.stats,
@@ -482,7 +557,7 @@ func (m *Memory) CloneEager() *Memory {
 		c.own[base] = copyOf(pg, m.shard)
 	})
 	c.heap = m.heap.clone()
-	c.stack = m.stack.clone(c)
+	c.stack = m.stack.clone()
 	return c
 }
 
@@ -490,8 +565,10 @@ func (m *Memory) CloneEager() *Memory {
 // returning pages nothing else references to the page pool. The fault
 // injector calls it when a forked child's experiment completes; the
 // Memory must not be used afterwards (mutations panic, accesses fault
-// as unmapped).
+// as unmapped). The page cache is flushed too: it must neither answer
+// for a released page nor keep pooled pages reachable.
 func (m *Memory) Release() {
+	m.flushTLB()
 	for _, pg := range m.own {
 		if pg != nil {
 			pg.release()
@@ -516,15 +593,37 @@ func (m *Memory) ForkStats() *ForkStats { return m.stats }
 // ensureOwned returns a page for base that this Memory owns
 // exclusively, copying a layer-shared page into the delta first if
 // needed. Every mutation path funnels through it — the copy-on-write
-// fault handler. pg must be the result of lookup(base).
+// fault handler. pg must be the result of lookup(base). When the cache
+// holds base, its owned bit answers without probing own, and a copy
+// updates the entry in place.
 func (m *Memory) ensureOwned(base Addr, pg *page) *page {
-	if opg, ok := m.own[base]; ok {
-		return opg
+	if !m.tlbOn || !m.cached(base, pg) {
+		if opg, ok := m.own[base]; ok {
+			return opg
+		}
+	} else if m.slot(base).tag&tlbOwned != 0 {
+		return pg
 	}
 	np := copyOf(pg, m.shard)
 	m.own[base] = np
 	m.stats.pagesCopied.Add(1)
+	if m.tlbOn {
+		*m.slot(base) = tlbEntry{tag: base | tlbOwned, pg: np}
+	}
 	return np
+}
+
+// cached reports whether the cache entry for base holds pg.
+func (m *Memory) cached(base Addr, pg *page) bool {
+	e := m.slot(base)
+	return e.pg == pg && e.tag&^tlbOwned == base
+}
+
+// invalidate drops the cache entry for base, if it holds one.
+func (m *Memory) invalidate(base Addr) {
+	if e := m.slot(base); e.tag&^tlbOwned == base {
+		*e = tlbEntry{}
+	}
 }
 
 // Map maps n bytes starting at the page containing addr with protection
@@ -559,6 +658,7 @@ func (m *Memory) Unmap(addr Addr, n int) {
 	first := addr.PageBase()
 	last := (addr + Addr(n) - 1).PageBase()
 	for base := first; ; base += PageSize {
+		m.invalidate(base)
 		if pg, ok := m.own[base]; ok && pg != nil {
 			pg.release()
 		}
@@ -667,7 +767,8 @@ func (m *Memory) Read(addr Addr, n int) ([]byte, *Fault) {
 	return out, nil
 }
 
-// Write copies data into memory at addr.
+// Write copies data into memory at addr. data is never retained, so
+// callers may pass stack buffers.
 func (m *Memory) Write(addr Addr, data []byte) *Fault {
 	if f := m.check(addr, len(data), AccessWrite); f != nil {
 		return f
@@ -700,9 +801,8 @@ func (m *Memory) copyIn(addr Addr, data []byte) {
 	}
 }
 
-// LoadByte reads a single byte. Like every read path it performs no
-// state writes, so frozen snapshots and fork templates stay pristine
-// under arbitrary reads.
+// LoadByte reads a single byte. On a frozen Memory it performs no
+// writes, so snapshots and fork templates stay pristine under reads.
 func (m *Memory) LoadByte(addr Addr) (byte, *Fault) {
 	pg := m.lookup(addr.PageBase())
 	if pg == nil {
@@ -730,54 +830,92 @@ func (m *Memory) StoreByte(addr Addr, b byte) *Fault {
 	return nil
 }
 
+// inPage returns the page and offset of [addr, addr+n) when the range
+// lies inside one page that permits access, or the fault check would
+// report for it. ok is false when the range spans pages: the caller
+// then takes the general check-and-copy path.
+func (m *Memory) inPage(addr Addr, n int, access Access) (pg *page, off int, f *Fault, ok bool) {
+	off = int(addr & (PageSize - 1))
+	if off+n > PageSize {
+		return nil, 0, nil, false
+	}
+	pg = m.lookup(addr.PageBase())
+	switch {
+	case pg == nil:
+		return nil, 0, &Fault{Addr: addr, Access: access}, true
+	case access == AccessRead && pg.prot&ProtRead == 0,
+		access == AccessWrite && pg.prot&ProtWrite == 0:
+		return nil, 0, &Fault{Addr: addr, Access: access, Mapped: true}, true
+	}
+	return pg, off, nil, true
+}
+
+// readInto fills out from addr without allocating: in place when the
+// range lies inside one page, through check+copyOut when it spans
+// several — with exactly the faults Read reports either way.
+func (m *Memory) readInto(addr Addr, out []byte) *Fault {
+	if len(out) == 0 {
+		return nil
+	}
+	if pg, off, f, ok := m.inPage(addr, len(out), AccessRead); ok {
+		if f == nil {
+			copy(out, pg.data[off:])
+		}
+		return f
+	}
+	if f := m.check(addr, len(out), AccessRead); f != nil {
+		return f
+	}
+	m.copyOut(addr, out)
+	return nil
+}
+
 // ReadU16 reads a little-endian 16-bit value.
 func (m *Memory) ReadU16(addr Addr) (uint16, *Fault) {
-	b, f := m.Read(addr, 2)
-	if f != nil {
+	var b [2]byte
+	if f := m.readInto(addr, b[:]); f != nil {
 		return 0, f
 	}
-	return uint16(b[0]) | uint16(b[1])<<8, nil
+	return binary.LittleEndian.Uint16(b[:]), nil
 }
 
 // ReadU32 reads a little-endian 32-bit value.
 func (m *Memory) ReadU32(addr Addr) (uint32, *Fault) {
-	b, f := m.Read(addr, 4)
-	if f != nil {
+	var b [4]byte
+	if f := m.readInto(addr, b[:]); f != nil {
 		return 0, f
 	}
-	return uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24, nil
+	return binary.LittleEndian.Uint32(b[:]), nil
 }
 
 // ReadU64 reads a little-endian 64-bit value.
 func (m *Memory) ReadU64(addr Addr) (uint64, *Fault) {
-	b, f := m.Read(addr, 8)
-	if f != nil {
+	var b [8]byte
+	if f := m.readInto(addr, b[:]); f != nil {
 		return 0, f
 	}
-	var v uint64
-	for i := 7; i >= 0; i-- {
-		v = v<<8 | uint64(b[i])
-	}
-	return v, nil
+	return binary.LittleEndian.Uint64(b[:]), nil
 }
 
 // WriteU16 writes a little-endian 16-bit value.
 func (m *Memory) WriteU16(addr Addr, v uint16) *Fault {
-	return m.Write(addr, []byte{byte(v), byte(v >> 8)})
+	var b [2]byte
+	binary.LittleEndian.PutUint16(b[:], v)
+	return m.Write(addr, b[:])
 }
 
 // WriteU32 writes a little-endian 32-bit value.
 func (m *Memory) WriteU32(addr Addr, v uint32) *Fault {
-	return m.Write(addr, []byte{byte(v), byte(v >> 8), byte(v >> 16), byte(v >> 24)})
+	var b [4]byte
+	binary.LittleEndian.PutUint32(b[:], v)
+	return m.Write(addr, b[:])
 }
 
 // WriteU64 writes a little-endian 64-bit value.
 func (m *Memory) WriteU64(addr Addr, v uint64) *Fault {
-	b := make([]byte, 8)
-	for i := range b {
-		b[i] = byte(v >> (8 * i))
-	}
-	return m.Write(addr, b)
+	var b [8]byte
+	binary.LittleEndian.PutUint64(b[:], v)
+	return m.Write(addr, b[:])
 }
 
 // maxCString caps CString scans: a terminator must appear within the
@@ -825,4 +963,4 @@ func (m *Memory) WriteCString(addr Addr, s string) *Fault {
 }
 
 // Stack returns the simulated stack of this address space.
-func (m *Memory) Stack() *Stack { return m.stack }
+func (m *Memory) Stack() *Stack { return &m.stack }

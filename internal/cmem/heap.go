@@ -18,17 +18,20 @@ func (a AllocInfo) End() Addr { return a.Base + Addr(a.Size) }
 // incrementally by Malloc/Free rather than rebuilt lazily on lookup:
 // AllocAt is a read path, and read paths must not write state (a frozen
 // snapshot or a shared fork template stays bit-identical under reads).
+//
+// The zero value is an empty heap: allocs is created on the first
+// Malloc, so forking an address space with no live allocations copies
+// nothing.
 type heapState struct {
-	allocs map[Addr]int // base -> size
+	allocs map[Addr]int // base -> size; nil when empty
 	sorted []Addr       // sorted bases, for containing-block lookup
 }
 
-func newHeapState() *heapState {
-	return &heapState{allocs: make(map[Addr]int)}
-}
-
-func (h *heapState) clone() *heapState {
-	c := &heapState{
+func (h *heapState) clone() heapState {
+	if len(h.allocs) == 0 {
+		return heapState{}
+	}
+	c := heapState{
 		allocs: make(map[Addr]int, len(h.allocs)),
 		sorted: append([]Addr(nil), h.sorted...),
 	}
@@ -80,6 +83,9 @@ func (m *Memory) Malloc(size int) (Addr, error) {
 	}
 	m.Map(base, pages*PageSize, ProtRW)
 	m.heapCursor = base + Addr(pages*PageSize) + PageSize
+	if m.heap.allocs == nil {
+		m.heap.allocs = make(map[Addr]int)
+	}
 	m.heap.allocs[base] = size
 	m.heap.insert(base)
 	return base, nil
@@ -139,7 +145,7 @@ func (m *Memory) Realloc(addr Addr, size int) (Addr, error) {
 // addr, if any. This is the wrapper's stateful lookup. It is a pure
 // read: the sorted index is maintained at allocation time.
 func (m *Memory) AllocAt(addr Addr) (AllocInfo, bool) {
-	h := m.heap
+	h := &m.heap
 	i := sort.Search(len(h.sorted), func(i int) bool { return h.sorted[i] > addr })
 	if i == 0 {
 		return AllocInfo{}, false

@@ -10,7 +10,6 @@ package cmem
 // buffer "in" a frame may safely extend only to the frame's base (the
 // high end), where the saved frame pointer and return address live.
 type Stack struct {
-	mem    *Memory
 	low    Addr // lowest mapped stack address
 	sp     Addr // current stack pointer (grows down)
 	frames []Frame
@@ -25,15 +24,18 @@ type Frame struct {
 // frameLinkSize models the saved frame pointer + return address.
 const frameLinkSize = 16
 
-func newStack(m *Memory) *Stack {
+// newStack maps the stack region of m and returns its bookkeeping.
+func newStack(m *Memory) Stack {
 	low := stackTop - Addr(stackSize)
 	m.Map(low, stackSize, ProtRW)
-	return &Stack{mem: m, low: low, sp: stackTop}
+	return Stack{low: low, sp: stackTop}
 }
 
-func (s *Stack) clone(m *Memory) *Stack {
-	c := &Stack{mem: m, low: s.low, sp: s.sp}
-	c.frames = append(c.frames, s.frames...)
+// clone copies the bookkeeping for a forked address space; the frames
+// are copied only when there are any.
+func (s *Stack) clone() Stack {
+	c := *s
+	c.frames = append([]Frame(nil), s.frames...)
 	return c
 }
 

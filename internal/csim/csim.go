@@ -143,8 +143,8 @@ type Process struct {
 	FS  *FS
 
 	errno      int
-	errnoSet   bool // errno written since last ClearErrno
-	fds        map[int]*OpenFD
+	errnoSet   bool            // errno written since last ClearErrno
+	fds        map[int]*OpenFD // nil until the first open
 	nextFD     int
 	steps      int
 	stepBudget int
@@ -179,7 +179,6 @@ func NewProcess(fs *FS) *Process {
 	return &Process{
 		Mem:        cmem.New(),
 		FS:         fs,
-		fds:        make(map[int]*OpenFD),
 		nextFD:     3,
 		stepBudget: DefaultStepBudget,
 		Cwd:        "/",
@@ -188,8 +187,9 @@ func NewProcess(fs *FS) *Process {
 
 // Fork returns a copy of the process: copy-on-write memory (the child
 // shares every page with the parent until one of them writes it),
-// copy-on-write filesystem (files are shared frozen and privatized on
-// the first mutation), and a deep-copied descriptor table. The fault
+// copy-on-write filesystem (the name table and the files are shared
+// and privatized on the first mutation), and a deep-copied descriptor
+// table. The fault
 // injector forks a child per test call so a crash cannot corrupt the
 // parent.
 //
@@ -214,18 +214,24 @@ func (p *Process) Fork() *Process {
 		FS:         p.FS.Clone(),
 		errno:      p.errno,
 		errnoSet:   p.errnoSet,
-		fds:        make(map[int]*OpenFD, len(p.fds)),
 		nextFD:     p.nextFD,
 		stepBudget: p.stepBudget,
 		Stdin:      p.Stdin,
 		stdinPos:   p.stdinPos,
-		Stdout:     append([]byte(nil), p.Stdout...),
-		Cwd:        p.Cwd,
-		Metrics:    p.Metrics,
+		// Stdout is only ever appended to. The full slice expression
+		// caps the child's view, so the first append on either side
+		// lands beyond what the other can see.
+		Stdout:  p.Stdout[:len(p.Stdout):len(p.Stdout)],
+		Cwd:     p.Cwd,
+		Metrics: p.Metrics,
 	}
 	// Deep-copy the descriptor table preserving dup aliasing: two fds
 	// sharing one open-file description in the parent share one copied
-	// description in the child.
+	// description in the child. A parent with no descriptors forks a
+	// child with no table.
+	if len(p.fds) > 0 {
+		c.fds = make(map[int]*OpenFD, len(p.fds))
+	}
 	copied := make(map[*OpenFD]*OpenFD, len(p.fds))
 	for fd, of := range p.fds {
 		nf, ok := copied[of]
@@ -235,7 +241,7 @@ func (p *Process) Fork() *Process {
 			// The description's file may be unlinked-but-open (absent
 			// from the name table, so FS.Clone never froze it); freeze
 			// it here — both processes now reference it.
-			if cp.File != nil {
+			if cp.File != nil && !cp.File.frozen.Load() {
 				cp.File.frozen.Store(true)
 			}
 			nf = &cp

@@ -41,6 +41,28 @@ func (f *VFile) unfrozenCopy() *VFile {
 type FS struct {
 	files   map[string]*VFile
 	nextIno uint64
+
+	// shared marks the name table as referenced by another FS: Clone
+	// hands its table to the child by reference, and every name-table
+	// mutation goes through own, which copies a shared table first.
+	// While shared is set every file in the table is frozen. The flag
+	// is atomic, and only stored when it changes, because concurrent
+	// template forks clone one FS from several goroutines.
+	shared atomic.Bool
+}
+
+// own makes the name table private ahead of a mutation, copying it if
+// a clone still references it.
+func (fs *FS) own() {
+	if !fs.shared.Load() {
+		return
+	}
+	files := make(map[string]*VFile, len(fs.files)+1)
+	for name, f := range fs.files {
+		files[name] = f
+	}
+	fs.files = files
+	fs.shared.Store(false)
 }
 
 // NewFS returns a filesystem containing only the root directory.
@@ -56,6 +78,7 @@ func (fs *FS) Create(name string, data []byte) *VFile {
 	fs.mkParents(name)
 	f := &VFile{Data: append([]byte(nil), data...), Mode: 0o644, Ino: fs.nextIno}
 	fs.nextIno++
+	fs.own()
 	fs.files[name] = f
 	return f
 }
@@ -69,6 +92,7 @@ func (fs *FS) Mkdir(name string) *VFile {
 	fs.mkParents(name)
 	f := &VFile{IsDir: true, Mode: 0o755, Ino: fs.nextIno}
 	fs.nextIno++
+	fs.own()
 	fs.files[name] = f
 	return f
 }
@@ -84,23 +108,34 @@ func (fs *FS) mkParents(name string) {
 	fs.Mkdir(dir)
 }
 
-// Clone forks the filesystem copy-on-write: the name table is copied
-// (it is small and mutated by Create/Mkdir/Remove without any funnel),
-// but the files themselves are shared by pointer and frozen. A frozen
-// file is privatized the moment either side needs to mutate it — at
-// writable open, or at Fork time for descriptors the child inherits
-// open for writing — so a test that truncates or unlinks a fixture
-// still cannot pollute sibling tests, while the historical eager clone
-// (which deep-copied every fixture byte on every fork, the dominant
-// fork cost) is gone. Clone only reads fs besides the atomic freeze
-// bits, so one filesystem may be cloned concurrently from several
-// goroutines.
+// Clone forks the filesystem copy-on-write at two levels. The name
+// table is shared by reference and copied by whichever side first
+// creates, removes or replaces a name (own). The files themselves are
+// shared by pointer and frozen; a frozen file is privatized the moment
+// either side needs to mutate it — at its first in-place write, or at
+// Fork time for descriptors the child inherits open for writing — so
+// a test that truncates or unlinks a fixture still cannot pollute
+// sibling tests, while the historical eager clone (which deep-copied
+// every fixture byte on every fork, the dominant fork cost) is gone.
+//
+// Freezing happens once per table: the first Clone after a table
+// change freezes every file and marks the table shared, and later
+// Clones of the same table find it shared and write nothing. Clone
+// only reads fs besides those atomic bits, so one filesystem may be
+// cloned concurrently from several goroutines.
 func (fs *FS) Clone() *FS {
-	c := &FS{files: make(map[string]*VFile, len(fs.files)), nextIno: fs.nextIno}
-	for name, f := range fs.files {
-		f.frozen.Store(true)
-		c.files[name] = f
+	if !fs.shared.Load() {
+		for _, f := range fs.files {
+			if !f.frozen.Load() {
+				f.frozen.Store(true)
+			}
+		}
+		// Published after the loop: a concurrent Clone that sees the
+		// table shared also sees every file frozen.
+		fs.shared.Store(true)
 	}
+	c := &FS{files: fs.files, nextIno: fs.nextIno}
+	c.shared.Store(true)
 	return c
 }
 
@@ -116,6 +151,7 @@ func (fs *FS) Remove(name string) bool {
 	if _, ok := fs.files[name]; !ok {
 		return false
 	}
+	fs.own()
 	delete(fs.files, name)
 	return true
 }
@@ -180,6 +216,10 @@ func (p *Process) unshareFile(f *VFile) *VFile {
 	nf := f.unfrozenCopy()
 	for name, g := range p.FS.files {
 		if g == f {
+			// own may swap in a private copy of the table; the
+			// range keeps walking the old one, which still holds
+			// the same names.
+			p.FS.own()
 			p.FS.files[name] = nf
 		}
 	}
@@ -226,7 +266,7 @@ func (p *Process) OpenFile(name string, mode AccessMode, create bool) int {
 	}
 	fd := p.nextFD
 	p.nextFD++
-	p.fds[fd] = &OpenFD{File: f, Name: name, Mode: mode}
+	p.setFD(fd, &OpenFD{File: f, Name: name, Mode: mode})
 	return fd
 }
 
@@ -243,7 +283,7 @@ func (p *Process) OpenDir(name string) int {
 	}
 	fd := p.nextFD
 	p.nextFD++
-	p.fds[fd] = &OpenFD{File: f, Name: name, Mode: ReadOnly, IsDir: true, Entries: p.FS.List(name)}
+	p.setFD(fd, &OpenFD{File: f, Name: name, Mode: ReadOnly, IsDir: true, Entries: p.FS.List(name)})
 	return fd
 }
 
@@ -274,6 +314,15 @@ func (p *Process) OpenFDCount() int { return len(p.fds) }
 func (p *Process) DupFD(of *OpenFD) int {
 	fd := p.nextFD
 	p.nextFD++
-	p.fds[fd] = of
+	p.setFD(fd, of)
 	return fd
+}
+
+// setFD installs a descriptor. The table is created on first use, so a
+// process (or fork) that never opens anything carries none.
+func (p *Process) setFD(fd int, of *OpenFD) {
+	if p.fds == nil {
+		p.fds = make(map[int]*OpenFD)
+	}
+	p.fds[fd] = of
 }

@@ -28,10 +28,12 @@ import (
 //   - All per-call C state (memory, errno, descriptors, statics such
 //     as strtok's scan position) lives in the csim.Process, and every
 //     function campaign builds its own template process, forking a
-//     private copy-on-write child per experiment. Every cmem read path
-//     is side-effect-free and fork refcounts are atomic, so a template
-//     may even be forked from several goroutines at once (ballista's
-//     workers do); here each campaign owns its template outright.
+//     private copy-on-write child per experiment. Every read path of a
+//     frozen cmem.Memory is write-free — only an unfrozen, never-cloned
+//     Memory such as the experiment child writes its private page
+//     cache — and fork refcounts are atomic, so a template may even be
+//     forked from several goroutines at once (ballista's workers do);
+//     here each campaign owns its template outright.
 //   - Generators (gens.*) and the per-function campaign struct are
 //     allocated inside InjectFunction; nothing escapes.
 //   - The shared observability spine is concurrency-safe by

@@ -9,19 +9,35 @@ import (
 	"sync/atomic"
 )
 
-// Counter is a monotonically increasing atomic counter.
+// Counter is a monotonically increasing atomic counter. A nil *Counter
+// is the disabled counter: Inc and Add do nothing and Value is 0, so a
+// hot path that builds its instruments per object can skip building
+// them when nobody will read them.
 type Counter struct {
 	v atomic.Int64
 }
 
 // Inc adds one.
-func (c *Counter) Inc() { c.v.Add(1) }
+func (c *Counter) Inc() {
+	if c != nil {
+		c.v.Add(1)
+	}
+}
 
 // Add adds n.
-func (c *Counter) Add(n int64) { c.v.Add(n) }
+func (c *Counter) Add(n int64) {
+	if c != nil {
+		c.v.Add(n)
+	}
+}
 
 // Value returns the current count.
-func (c *Counter) Value() int64 { return c.v.Load() }
+func (c *Counter) Value() int64 {
+	if c == nil {
+		return 0
+	}
+	return c.v.Load()
+}
 
 // Gauge is an atomic instantaneous value.
 type Gauge struct {
@@ -63,8 +79,12 @@ func newHistogram(bounds []int64) *Histogram {
 	return &Histogram{bounds: b, buckets: make([]atomic.Int64, len(b)+1)}
 }
 
-// Observe records one value.
+// Observe records one value. Like a nil *Counter, a nil *Histogram
+// is disabled: Observe and ObserveEx do nothing.
 func (h *Histogram) Observe(v int64) {
+	if h == nil {
+		return
+	}
 	i := sort.Search(len(h.bounds), func(i int) bool { return h.bounds[i] >= v })
 	h.buckets[i].Add(1)
 	h.count.Add(1)
@@ -75,7 +95,7 @@ func (h *Histogram) Observe(v int64) {
 // as the histogram's exemplar.
 func (h *Histogram) ObserveEx(v int64, trace uint64) {
 	h.Observe(v)
-	if trace != 0 {
+	if h != nil && trace != 0 {
 		h.exemplar.Store(&HistExemplar{Trace: trace, Value: v})
 	}
 }

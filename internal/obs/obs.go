@@ -12,7 +12,9 @@
 // registry add no allocations to the instrumented code: events are
 // plain value structs built only behind Tracer.Enabled() guards, and
 // counters obtained from a nil registry still work, they are simply
-// detached from any exposition.
+// detached from any exposition. Code that builds instruments per
+// short-lived object (the wrapper attaches one interposer per Ballista
+// test) can skip even that: a nil *Counter or *Histogram is disabled.
 package obs
 
 import (

@@ -54,7 +54,7 @@ func TestCheckerMatrix(t *testing.T) {
 			})
 			ip := Attach(p, lib, set, DefaultOptions())
 			// Track the DIR for the OPEN_DIR checks that need state.
-			ip.dirs[v.dir] = true
+			ip.trackDir(v.dir)
 			return ip
 		}
 		return v

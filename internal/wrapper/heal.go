@@ -45,6 +45,24 @@ type Heal struct {
 	Action string
 }
 
+// healRecord is a Heal as the call path records it: the declaration
+// and, for an assertion repair, the assertion, rendered to text only
+// when Stats or an enabled tracer asks.
+type healRecord struct {
+	d         *decl.FuncDecl
+	arg       int
+	assertion decl.Assertion
+	action    string
+}
+
+func (h healRecord) render() Heal {
+	robust := string(h.assertion)
+	if robust == "" {
+		robust = h.d.Args[h.arg].Robust.String()
+	}
+	return Heal{Func: h.d.Name, Arg: h.arg, Robust: robust, Action: h.action}
+}
+
 const (
 	// sinkCap bounds the per-interposer sink region (16 pages). The
 	// region is mapped lazily on the first redirecting repair and lives
@@ -57,6 +75,10 @@ const (
 	// is created in the simulated process's own filesystem on first use.
 	sinkPath = "/healers.sink"
 )
+
+// zeroPage is the source sinkChunk clears chunks from. It is shared by
+// every interposer and only ever read.
+var zeroPage [cmem.PageSize]byte
 
 // healArg attempts to repair argument i after its check failed. On
 // success the repaired argument has re-passed the exact Reject-mode
@@ -77,7 +99,7 @@ func (ip *Interposer) healArg(d *decl.FuncDecl, i int, arg decl.ArgDecl, args []
 		ip.mHealFixpointFail.Inc()
 		return false
 	}
-	ip.recordHeal(Heal{Func: d.Name, Arg: i, Robust: arg.Robust.String(), Action: action})
+	ip.recordHeal(healRecord{d: d, arg: i, action: action})
 	return true
 }
 
@@ -104,7 +126,7 @@ func (ip *Interposer) healAssertion(a decl.Assertion, d *decl.FuncDecl, ai int, 
 		if !repaired {
 			return false, ai, "unrepairable assertion"
 		}
-		ip.recordHeal(Heal{Func: d.Name, Arg: ai, Robust: string(a), Action: action})
+		ip.recordHeal(healRecord{d: d, arg: ai, assertion: a, action: action})
 		ok, i, reason = ip.checkAssertion(a, d, args)
 		if ok {
 			return true, i, ""
@@ -122,13 +144,14 @@ func (ip *Interposer) healAssertion(a decl.Assertion, d *decl.FuncDecl, ai int, 
 
 // recordHeal appends one repair record under the stats lock and marks
 // the in-flight call healed.
-func (ip *Interposer) recordHeal(h Heal) {
+func (ip *Interposer) recordHeal(rec healRecord) {
 	ip.healedThis = true
 	ip.mHealRepairs.Inc()
 	ip.vmu.Lock()
-	ip.heals = append(ip.heals, h)
+	ip.heals = append(ip.heals, rec)
 	ip.vmu.Unlock()
 	if ip.tr.Enabled() {
+		h := rec.render()
 		ip.tr.Emit(obs.Event{
 			Kind:   obs.KindHealAction,
 			Func:   h.Func,
@@ -155,13 +178,13 @@ func (ip *Interposer) repairArg(d *decl.FuncDecl, i int, arg decl.ArgDecl, args 
 		if strings.Contains(arg.CType, "__dirstream") || strings.Contains(arg.CType, "DIR") {
 			return "", false
 		}
-		size, ok := rt.Size.Eval(argsView{ip: ip, args: args})
+		size, ok := ip.evalSize(rt.Size, args)
 		if !ok || size < 0 {
 			return "", false
 		}
 		return ip.redirectToSink(d, args, i, size)
 	case "R_BOUNDED":
-		bound, ok := rt.Size.Eval(argsView{ip: ip, args: args})
+		bound, ok := ip.evalSize(rt.Size, args)
 		if !ok {
 			return "", false
 		}
@@ -343,11 +366,8 @@ func (ip *Interposer) sinkChunk(n int) (cmem.Addr, bool) {
 	}
 	chunk := ip.sinkBase + cmem.Addr(ip.sinkCursor)
 	ip.sinkCursor += size
-	if ip.zeroPage == nil {
-		ip.zeroPage = make([]byte, cmem.PageSize)
-	}
 	for off := 0; off < size; off += cmem.PageSize {
-		ip.p.Mem.Write(chunk+cmem.Addr(off), ip.zeroPage)
+		ip.p.Mem.Write(chunk+cmem.Addr(off), zeroPage[:])
 	}
 	return chunk, true
 }

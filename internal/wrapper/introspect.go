@@ -49,6 +49,19 @@ type Introspection struct {
 	AllocSize int
 }
 
+// introspection is an Introspection as the call path records it, its
+// Robust text left empty until render fills it from the declaration.
+type introspection struct {
+	Introspection
+	d *decl.FuncDecl
+}
+
+func (r introspection) render() Introspection {
+	out := r.Introspection
+	out.Robust = r.d.Args[r.Arg].Robust.String()
+	return out
+}
+
 // introspectArg attempts to rescue argument i after its check failed by
 // proving the pointer lies inside a live heap allocation.
 func (ip *Interposer) introspectArg(d *decl.FuncDecl, i int, arg decl.ArgDecl, args []uint64) bool {
@@ -64,7 +77,7 @@ func (ip *Interposer) introspectArg(d *decl.FuncDecl, i int, arg decl.ArgDecl, a
 		return false
 	}
 	need := -1
-	if n, ok := rt.Size.Eval(argsView{ip: ip, args: args}); ok {
+	if n, ok := ip.evalSize(rt.Size, args); ok {
 		need = n
 	}
 	ip.work++
@@ -74,15 +87,14 @@ func (ip *Interposer) introspectArg(d *decl.FuncDecl, i int, arg decl.ArgDecl, a
 	}
 	ip.stats.falseRejects.Add(1)
 	ip.mFalseReject.Inc()
-	rec := Introspection{
+	rec := introspection{Introspection: Introspection{
 		Func:      d.Name,
 		Arg:       i,
-		Robust:    rt.String(),
 		Addr:      args[i],
 		Need:      need,
 		AllocBase: uint64(info.Base),
 		AllocSize: info.Size,
-	}
+	}, d: d}
 	ip.vmu.Lock()
 	ip.introspections = append(ip.introspections, rec)
 	ip.vmu.Unlock()

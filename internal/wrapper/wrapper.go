@@ -173,6 +173,52 @@ type Violation struct {
 	Reason string
 }
 
+// violation is a Violation as the call path records it: a reference
+// to the (immutable) declaration instead of the robust type's text, so
+// a rejection nobody reads formats nothing and its record stays small.
+type violation struct {
+	d      *decl.FuncDecl
+	arg    int
+	reason string
+}
+
+func (v violation) render() Violation {
+	rt := v.d.Args[v.arg].Robust
+	return Violation{Func: v.d.Name, Arg: v.arg, Robust: rt.String(), Reason: describe(v.reason, rt)}
+}
+
+// Check-failure reasons that quote the argument's robust type. checkArg
+// returns these markers and describe renders them, so a failure that a
+// heal or introspect rescue then overrides never formats the type.
+const (
+	reasonInaccessible = "memory not accessible for <robust type>"
+	reasonUnbounded    = "region neither terminated nor <size> bytes readable"
+)
+
+// describe renders a checkArg reason for argument type rt.
+func describe(reason string, rt decl.RobustType) string {
+	switch reason {
+	case reasonInaccessible:
+		return "memory not accessible for " + rt.String()
+	case reasonUnbounded:
+		return "region neither terminated nor " + rt.Size.String() + " bytes readable"
+	}
+	return reason
+}
+
+// renderAll renders recorded entries for a Stats snapshot (nil when
+// there are none, like an empty append).
+func renderAll[R any, T interface{ render() R }](recs []T) []R {
+	if len(recs) == 0 {
+		return nil
+	}
+	out := make([]R, len(recs))
+	for i, r := range recs {
+		out[i] = r.render()
+	}
+	return out
+}
+
 // Interposer wraps library calls for one simulated process. It is the
 // in-memory equivalent of the generated wrapper shared object after
 // the dynamic linker resolved the application's symbols against it.
@@ -184,7 +230,8 @@ type Interposer struct {
 
 	inFlag bool // Figure 5's recursion detection flag
 
-	// Stateful tables (§5.1, §5.2).
+	// Stateful tables (§5.1, §5.2), created on first use: most
+	// interposers attached for one Ballista test never track anything.
 	heap map[cmem.Addr]int // base -> size, from intercepted allocators
 	dirs map[cmem.Addr]bool
 
@@ -204,16 +251,15 @@ type Interposer struct {
 	// calls. The matching counters are updated inside the same critical
 	// section, so a snapshot always sees counter == len(slice).
 	vmu            sync.Mutex
-	violations     []Violation
-	heals          []Heal
-	introspections []Introspection
+	violations     []violation
+	heals          []healRecord
+	introspections []introspection
 
 	// ModeHeal repair state: the sink region wild pointers are
 	// redirected to (sinkChunk), the substituted FILE/fd/callback
 	// resources, and the per-call healed flag (see heal.go).
 	sinkBase   cmem.Addr
 	sinkCursor int
-	zeroPage   []byte
 	sinkFILE   cmem.Addr
 	sinkFD     int
 	sinkFDSet  bool
@@ -234,10 +280,12 @@ type Interposer struct {
 	// scratch fall back to an allocated copy.
 	argScratch [4][8]uint64
 	argDepth   int
+	// view is the size-expression view evalSize hands out.
+	view argsView
 
 	tr *obs.Tracer
-	// Registry instruments (detached dummies when Options.Metrics is
-	// nil, so the hot path never branches).
+	// Registry instruments; all nil (disabled) when Options.Metrics is
+	// nil, so an interposer attached per test allocates none of them.
 	mCalls            *obs.Counter
 	mChecked          *obs.Counter
 	mRejected         *obs.Counter
@@ -268,15 +316,21 @@ func Attach(p *csim.Process, lib *clib.Library, decls *decl.DeclSet, opts Option
 		lib:   lib,
 		decls: decls,
 		opts:  opts,
-		heap:  make(map[cmem.Addr]int),
-		dirs:  make(map[cmem.Addr]bool),
 	}
 	if opts.CacheChecks {
 		ip.checkCache = make(map[cmem.Addr]cacheEntry)
 		ip.fileCache = make(map[fileCacheKey]bool)
 	}
-	ip.tr = opts.Obs    // a nil tracer is the disabled one
-	reg := opts.Metrics // nil-safe: hands out detached instruments
+	ip.tr = opts.Obs // a nil tracer is the disabled one
+	if reg := opts.Metrics; reg != nil {
+		ip.register(reg)
+	}
+	return ip
+}
+
+// register binds the interposer's instruments to reg. Without a
+// registry they stay nil, which obs treats as disabled.
+func (ip *Interposer) register(reg *obs.Registry) {
 	ip.mCalls = reg.Counter("healers_wrapper_calls_total")
 	ip.mChecked = reg.Counter("healers_wrapper_checked_total")
 	ip.mRejected = reg.Counter("healers_wrapper_rejected_total")
@@ -288,7 +342,6 @@ func Attach(p *csim.Process, lib *clib.Library, decls *decl.DeclSet, opts Option
 	ip.mFalseReject = reg.Counter("healers_wrapper_false_reject_avoided_total")
 	ip.mHealFixpointFail = reg.Counter("healers_wrapper_heal_fixpoint_failures_total")
 	ip.hCheckWork = reg.Histogram("healers_wrapper_check_work", checkWorkBuckets)
-	return ip
 }
 
 // fileCacheKey identifies one FILE validation (the access-mode variant
@@ -309,9 +362,9 @@ func (ip *Interposer) Stats() Stats {
 	// are per-repair records while Healed counts forwarded calls, so
 	// those two are not expected to be equal.
 	ip.vmu.Lock()
-	violations := append([]Violation(nil), ip.violations...)
-	heals := append([]Heal(nil), ip.heals...)
-	introspections := append([]Introspection(nil), ip.introspections...)
+	violations := renderAll[Violation](ip.violations)
+	heals := renderAll[Heal](ip.heals)
+	introspections := renderAll[Introspection](ip.introspections)
 	rejected := ip.stats.rejected.Load()
 	falseRejects := ip.stats.falseRejects.Load()
 	ip.vmu.Unlock()
@@ -420,7 +473,7 @@ func (ip *Interposer) Call(p *csim.Process, name string, args ...uint64) uint64 
 		}
 		if !ok {
 			ip.hCheckWork.Observe(int64(ip.work))
-			return ip.reject(d, i, arg, reason)
+			return ip.reject(d, i, reason)
 		}
 	}
 	for _, assertion := range d.Assertions {
@@ -430,7 +483,7 @@ func (ip *Interposer) Call(p *csim.Process, name string, args ...uint64) uint64 
 		}
 		if !ok {
 			ip.hCheckWork.Observe(int64(ip.work))
-			return ip.reject(d, ai, d.Args[ai], reason)
+			return ip.reject(d, ai, reason)
 		}
 	}
 	ip.hCheckWork.Observe(int64(ip.work))
@@ -463,7 +516,7 @@ func (ip *Interposer) CheckOnly(name string, args ...uint64) (bool, string) {
 			break
 		}
 		if ok, reason := ip.checkArg(arg, held, i); !ok {
-			return false, fmt.Sprintf("arg%d: %s", i, reason)
+			return false, fmt.Sprintf("arg%d: %s", i, describe(reason, arg.Robust))
 		}
 	}
 	for _, assertion := range d.Assertions {
@@ -475,24 +528,19 @@ func (ip *Interposer) CheckOnly(name string, args ...uint64) (bool, string) {
 }
 
 // reject implements the violation policy.
-func (ip *Interposer) reject(d *decl.FuncDecl, argIdx int, arg decl.ArgDecl, reason string) uint64 {
+func (ip *Interposer) reject(d *decl.FuncDecl, argIdx int, reason string) uint64 {
 	ip.mRejected.Inc()
-	v := Violation{
-		Func:   d.Name,
-		Arg:    argIdx,
-		Robust: arg.Robust.String(),
-		Reason: reason,
-	}
+	rec := violation{d: d, arg: argIdx, reason: reason}
 	ip.vmu.Lock()
 	ip.stats.rejected.Add(1)
-	ip.violations = append(ip.violations, v)
+	ip.violations = append(ip.violations, rec)
 	ip.vmu.Unlock()
-	errName := csim.ErrnoName(d.ErrnoOnReject)
-	policy := "return-error"
-	if ip.opts.Policy == PolicyAbort {
-		policy = "abort"
-	}
 	if ip.tr.Enabled() {
+		v := rec.render()
+		policy := "return-error"
+		if ip.opts.Policy == PolicyAbort {
+			policy = "abort"
+		}
 		ip.tr.Emit(obs.Event{
 			Kind:   obs.KindCheckViolation,
 			Func:   v.Func,
@@ -500,7 +548,7 @@ func (ip *Interposer) reject(d *decl.FuncDecl, argIdx int, arg decl.ArgDecl, rea
 			Probe:  v.Robust,
 			Detail: v.Reason,
 			Errno:  d.ErrnoOnReject,
-			Err:    errName,
+			Err:    csim.ErrnoName(d.ErrnoOnReject),
 			Policy: policy,
 		})
 	}
@@ -532,16 +580,16 @@ func (ip *Interposer) postfix(name string, args []uint64, ret uint64) {
 	switch name {
 	case "malloc":
 		if ret != 0 {
-			ip.heap[cmem.Addr(ret)] = int(int64(args[0]))
+			ip.trackAlloc(cmem.Addr(ret), int(int64(args[0])))
 		}
 	case "calloc":
 		if ret != 0 {
-			ip.heap[cmem.Addr(ret)] = int(int64(args[0]) * int64(args[1]))
+			ip.trackAlloc(cmem.Addr(ret), int(int64(args[0])*int64(args[1])))
 		}
 	case "realloc":
 		if ret != 0 {
 			delete(ip.heap, cmem.Addr(args[0]))
-			ip.heap[cmem.Addr(ret)] = int(int64(args[1]))
+			ip.trackAlloc(cmem.Addr(ret), int(int64(args[1])))
 		}
 	case "free":
 		delete(ip.heap, cmem.Addr(args[0]))
@@ -549,12 +597,12 @@ func (ip *Interposer) postfix(name string, args []uint64, ret uint64) {
 		// Functions that hand out heap memory: track conservatively.
 		if ret != 0 && ip.p.Mem.IsAllocBase(cmem.Addr(ret)) {
 			if info, ok := ip.p.Mem.AllocAt(cmem.Addr(ret)); ok {
-				ip.heap[info.Base] = info.Size
+				ip.trackAlloc(info.Base, info.Size)
 			}
 		}
 	case "opendir":
 		if ret != 0 {
-			ip.dirs[cmem.Addr(ret)] = true
+			ip.trackDir(cmem.Addr(ret))
 		}
 	case "closedir":
 		delete(ip.dirs, cmem.Addr(args[0]))
@@ -563,10 +611,34 @@ func (ip *Interposer) postfix(name string, args []uint64, ret uint64) {
 	}
 }
 
+// trackAlloc records a live allocation in the heap table.
+func (ip *Interposer) trackAlloc(base cmem.Addr, size int) {
+	if ip.heap == nil {
+		ip.heap = make(map[cmem.Addr]int)
+	}
+	ip.heap[base] = size
+}
+
+// trackDir records a live DIR stream in the DIR table.
+func (ip *Interposer) trackDir(dir cmem.Addr) {
+	if ip.dirs == nil {
+		ip.dirs = make(map[cmem.Addr]bool)
+	}
+	ip.dirs[dir] = true
+}
+
 // argsView adapts live call arguments to decl.SizeExpr evaluation.
 type argsView struct {
 	ip   *Interposer
 	args []uint64
+}
+
+// evalSize evaluates a size expression over the call's arguments. The
+// view lives in the interposer, so handing it to decl as an interface
+// allocates nothing. Evaluation only reads memory, so it never nests.
+func (ip *Interposer) evalSize(e decl.SizeExpr, args []uint64) (int, bool) {
+	ip.view = argsView{ip: ip, args: args}
+	return e.Eval(&ip.view)
 }
 
 func (v argsView) Strlen(i int) (int, bool) {
@@ -603,14 +675,14 @@ func (ip *Interposer) checkArg(arg decl.ArgDecl, args []uint64, i int) (bool, st
 			}
 			return false, "null pointer"
 		}
-		size, ok := rt.Size.Eval(argsView{ip: ip, args: args})
+		size, ok := ip.evalSize(rt.Size, args)
 		if !ok {
 			return false, "size expression unsatisfiable"
 		}
 		needRead := strings.HasPrefix(rt.Base, "R") || strings.HasPrefix(rt.Base, "RW")
 		needWrite := strings.Contains(rt.Base, "W_ARRAY") || strings.HasPrefix(rt.Base, "RW")
 		if !ip.checkMemory(addr, size, needRead, needWrite) {
-			return false, "memory not accessible for " + rt.String()
+			return false, reasonInaccessible
 		}
 		return true, ""
 
@@ -618,12 +690,12 @@ func (ip *Interposer) checkArg(arg decl.ArgDecl, args []uint64, i int) (bool, st
 		if addr == 0 {
 			return false, "null pointer"
 		}
-		size, ok := rt.Size.Eval(argsView{ip: ip, args: args})
+		size, ok := ip.evalSize(rt.Size, args)
 		if !ok {
 			return false, "size expression unsatisfiable"
 		}
 		if !ip.checkBoundedString(addr, size) {
-			return false, "region neither terminated nor " + rt.Size.String() + " bytes readable"
+			return false, reasonUnbounded
 		}
 		return true, ""
 
