@@ -139,8 +139,8 @@ bench-profile:
 # COW and page-cache differentials + aliasing + purity audits run under
 # the race detector.
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'BenchmarkCampaign|BenchmarkFork|BenchmarkByteScanForked' -benchtime 1x ./internal/injector/ ./internal/cmem/
-	$(GO) test -count=1 -run 'TestNopObservabilityAddsNoAllocations|TestForkedAccessorsAllocateNothing|TestPerTestAllocationBudget' ./internal/wrapper/ ./internal/cmem/ ./internal/ballista/
+	$(GO) test -run '^$$' -bench 'BenchmarkCampaign|BenchmarkFork|BenchmarkByteScanForked|BenchmarkBuildArrayHierarchy|BenchmarkRobustType' -benchtime 1x ./internal/injector/ ./internal/cmem/ ./internal/typesys/
+	$(GO) test -count=1 -run 'TestNopObservabilityAddsNoAllocations|TestForkedAccessorsAllocateNothing|TestPerTestAllocationBudget|TestKernelAllocations' ./internal/wrapper/ ./internal/cmem/ ./internal/ballista/ ./internal/typesys/
 	$(GO) test -race -count=1 -run 'TestDifferentialCOWvsEager|TestPageCacheDifferential|TestReleasedMemoryFaultsThroughCache|TestConcurrentTemplateForks|TestReadPathsLeaveSnapshotFrozen|TestFork|TestProtectAfterFork|TestWriteOnlyPagesSurviveFork|TestChildFree|TestMapResetAfterFork|TestRelease|TestSharedPageRelease' ./internal/cmem/
 
 # The end-to-end benchmark lives in a nested module (bench/go.mod), so

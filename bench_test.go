@@ -25,7 +25,6 @@ import (
 	"healers/internal/extract"
 	"healers/internal/gens"
 	"healers/internal/injector"
-	"healers/internal/typesys"
 	"healers/internal/wrapper"
 )
 
@@ -327,40 +326,6 @@ func BenchmarkCheckCache(b *testing.B) {
 			w.Call(p, "fputc", 'x', fp)
 		}
 	})
-}
-
-// BenchmarkRobustTypeSelection measures the §4.3 selection algorithm
-// over the instantiated asctime hierarchy.
-func BenchmarkRobustTypeSelection(b *testing.B) {
-	sizes := []int{0, 8, 16, 24, 32, 40, 43, 44, 48, 152}
-	h := typesys.BuildArrayHierarchy(sizes)
-	var cases []typesys.Case
-	for _, s := range sizes {
-		outcome := typesys.Crash
-		if s >= 44 {
-			outcome = typesys.Success
-		}
-		ro, _ := h.Lookup(typesys.NameROnlyFixed(s))
-		rw, _ := h.Lookup(typesys.NameRWFixed(s))
-		wo, _ := h.Lookup(typesys.NameWOnlyFixed(s))
-		cases = append(cases,
-			typesys.Case{Fund: ro, Outcome: outcome},
-			typesys.Case{Fund: rw, Outcome: outcome},
-			typesys.Case{Fund: wo, Outcome: typesys.Crash},
-		)
-	}
-	null, _ := h.Lookup(typesys.TypeNull)
-	inv, _ := h.Lookup(typesys.TypeInvalid)
-	cases = append(cases,
-		typesys.Case{Fund: null, Outcome: typesys.ErrorReturn},
-		typesys.Case{Fund: inv, Outcome: typesys.Crash},
-	)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := h.RobustType(cases, typesys.RobustOptions{}); err != nil {
-			b.Fatal(err)
-		}
-	}
 }
 
 // BenchmarkDeclRoundTrip measures Figure 2 XML encode/decode.

@@ -186,6 +186,7 @@ type Injector struct {
 	hPhaseProbe       *obs.Histogram
 	hPhaseCache       *obs.Histogram
 	hPhaseMerge       *obs.Histogram
+	hPhaseDerive      *obs.Histogram // §4.3 robust-type selection, once per function
 }
 
 // adaptiveIterBuckets bound the adjustments-per-chain histogram; the
@@ -232,6 +233,7 @@ func New(lib *clib.Library, cfg Config) *Injector {
 	inj.hPhaseProbe = reg.Histogram("healers_phase_probe_us", phaseBuckets)
 	inj.hPhaseCache = reg.Histogram("healers_phase_cache_us", phaseBuckets)
 	inj.hPhaseMerge = reg.Histogram("healers_phase_merge_us", phaseBuckets)
+	inj.hPhaseDerive = reg.Histogram("healers_phase_derive_us", phaseBuckets)
 	if cfg.Metrics != nil {
 		inj.sandbox = csim.NewMetrics(cfg.Metrics)
 		inj.timed = true
@@ -344,7 +346,14 @@ func (inj *Injector) injectFunction(fi *extract.FuncInfo, table *cparse.TypeTabl
 	c.exploreArguments()
 	c.productPhase()
 	c.settleSeeds()
+	var deriveStart time.Time
+	if inj.timed {
+		deriveStart = time.Now() //healers:allow-nondeterminism derive-phase latency histogram, reporting only
+	}
 	robust, err := c.computeRobustVector()
+	if inj.timed {
+		inj.hPhaseDerive.ObserveEx(time.Since(deriveStart).Microseconds(), c.span.Trace)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("injector: %s: %w", fn.Name, err)
 	}
@@ -711,10 +720,8 @@ func (c *campaign) runOnce(probes []*gens.Probe, explored int) (typesys.CaseOutc
 }
 
 // computeRobustVector builds the per-argument hierarchies and runs the
-// §4.3 selection per coordinate, iterating to a fixpoint: crash
-// evidence for one coordinate only counts when the sibling coordinates
-// lie inside the current robust vector (the supertype-vector condition),
-// and success coverage comes from the coordinate's own exploration runs.
+// §4.3 selection (typesys.RobustVector). Success coverage for an
+// argument comes from its own exploration runs only (vectorRun.explored).
 func (c *campaign) computeRobustVector() ([]string, error) {
 	if len(c.gens) == 0 {
 		return nil, nil
@@ -724,79 +731,23 @@ func (c *campaign) computeRobustVector() ([]string, error) {
 	for i, g := range c.gens {
 		hier[i] = g.Hierarchy()
 	}
-	type resolved struct {
-		funds    []*typesys.Type
-		outcome  typesys.CaseOutcome
-		explored int
-	}
-	cases := make([]resolved, 0, len(c.runs))
-	for _, run := range c.runs {
-		rc := resolved{outcome: run.outcome, explored: run.explored}
+	cases := make([]typesys.VectorCase, len(c.runs))
+	funds := make([]*typesys.Type, n*len(c.runs))
+	for k, run := range c.runs {
+		vc := typesys.VectorCase{Funds: funds[k*n:][:n:n], Outcome: run.outcome, Explored: run.explored}
 		for i, fund := range run.funds {
 			t, found := hier[i].Lookup(fund)
 			if !found {
 				return nil, fmt.Errorf("fund %q of arg %d not in hierarchy", fund, i)
 			}
-			rc.funds = append(rc.funds, t)
+			vc.Funds[i] = t
 		}
-		cases = append(cases, rc)
+		cases[k] = vc
 	}
-	opts := typesys.RobustOptions{Conservative: c.inj.cfg.Conservative}
-
-	result := make([]*typesys.Type, n)
-	compute := func(i int, filterCrash bool) (*typesys.Type, error) {
-		proj := make([]typesys.Case, 0, len(cases))
-		for _, rc := range cases {
-			switch rc.outcome {
-			case typesys.Crash:
-				if filterCrash {
-					inVector := true
-					for j := 0; j < n; j++ {
-						if j != i && !hier[j].Contains(result[j], rc.funds[j]) {
-							inVector = false
-							break
-						}
-					}
-					if !inVector {
-						continue
-					}
-				}
-			default:
-				// Success/error coverage only from this coordinate's
-				// own exploration runs.
-				if rc.explored != i {
-					continue
-				}
-			}
-			proj = append(proj, typesys.Case{Fund: rc.funds[i], Outcome: rc.outcome})
-		}
-		return hier[i].RobustType(proj, opts)
+	result, err := typesys.RobustVector(hier, cases, typesys.RobustOptions{Conservative: c.inj.cfg.Conservative})
+	if err != nil {
+		return nil, err
 	}
-
-	for i := 0; i < n; i++ {
-		t, err := compute(i, false)
-		if err != nil {
-			return nil, fmt.Errorf("argument %d: %w", i, err)
-		}
-		result[i] = t
-	}
-	for iter := 0; iter < 5; iter++ {
-		changed := false
-		for i := 0; i < n; i++ {
-			t, err := compute(i, true)
-			if err != nil {
-				return nil, fmt.Errorf("argument %d: %w", i, err)
-			}
-			if t != result[i] {
-				result[i] = t
-				changed = true
-			}
-		}
-		if !changed {
-			break
-		}
-	}
-
 	names := make([]string, n)
 	for i, t := range result {
 		names[i] = t.Name()

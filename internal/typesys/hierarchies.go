@@ -1,8 +1,8 @@
 package typesys
 
 import (
-	"fmt"
-	"sort"
+	"slices"
+	"strconv"
 )
 
 // Concrete hierarchy builders. The fixed-size array hierarchy is the
@@ -50,58 +50,60 @@ const (
 	TypeDoubleAny    = "DBL_ANY"
 )
 
+// sized names a parameterized type: base[s].
+func sized(base string, s int) string { return base + "[" + strconv.Itoa(s) + "]" }
+
 // Parameterized type name constructors.
-func NameROnlyFixed(s int) string { return fmt.Sprintf("RONLY_FIXED[%d]", s) }
+func NameROnlyFixed(s int) string { return sized("RONLY_FIXED", s) }
 
 // NameRWFixed names the read-write fixed-size fundamental type.
-func NameRWFixed(s int) string { return fmt.Sprintf("RW_FIXED[%d]", s) }
+func NameRWFixed(s int) string { return sized("RW_FIXED", s) }
 
 // NameWOnlyFixed names the write-only fixed-size fundamental type.
-func NameWOnlyFixed(s int) string { return fmt.Sprintf("WONLY_FIXED[%d]", s) }
+func NameWOnlyFixed(s int) string { return sized("WONLY_FIXED", s) }
 
 // NameRArray names the readable-array unified type of minimum size s.
-func NameRArray(s int) string { return fmt.Sprintf("R_ARRAY[%d]", s) }
+func NameRArray(s int) string { return sized("R_ARRAY", s) }
 
 // NameRWArray names the read-write-array unified type.
-func NameRWArray(s int) string { return fmt.Sprintf("RW_ARRAY[%d]", s) }
+func NameRWArray(s int) string { return sized("RW_ARRAY", s) }
 
 // NameWArray names the writable-array unified type.
-func NameWArray(s int) string { return fmt.Sprintf("W_ARRAY[%d]", s) }
+func NameWArray(s int) string { return sized("W_ARRAY", s) }
 
 // NameRArrayNull, NameRWArrayNull, NameWArrayNull name the unions with
 // the NULL type.
-func NameRArrayNull(s int) string { return fmt.Sprintf("R_ARRAY_NULL[%d]", s) }
+func NameRArrayNull(s int) string { return sized("R_ARRAY_NULL", s) }
 
 // NameRWArrayNull names RW_ARRAY[s] ∪ {NULL}.
-func NameRWArrayNull(s int) string { return fmt.Sprintf("RW_ARRAY_NULL[%d]", s) }
+func NameRWArrayNull(s int) string { return sized("RW_ARRAY_NULL", s) }
 
 // NameWArrayNull names W_ARRAY[s] ∪ {NULL}.
-func NameWArrayNull(s int) string { return fmt.Sprintf("W_ARRAY_NULL[%d]", s) }
+func NameWArrayNull(s int) string { return sized("W_ARRAY_NULL", s) }
 
 // NameUnterminated names the fundamental type of readable regions of s
 // bytes that contain no string terminator.
-func NameUnterminated(s int) string { return fmt.Sprintf("UNTERM[%d]", s) }
+func NameUnterminated(s int) string { return sized("UNTERM", s) }
 
 // NameCStringRW names the fundamental type of valid NUL-terminated
 // strings of content length l in writable memory.
-func NameCStringRW(l int) string { return fmt.Sprintf("CSTR_RW[%d]", l) }
+func NameCStringRW(l int) string { return sized("CSTR_RW", l) }
 
 // NameCStringRO names valid strings of content length l in read-only
 // memory.
-func NameCStringRO(l int) string { return fmt.Sprintf("CSTR_RONLY[%d]", l) }
+func NameCStringRO(l int) string { return sized("CSTR_RONLY", l) }
 
-// normSizes sorts, dedups, and ensures 0 is present.
+// normSizes returns the non-negative sizes sorted and deduplicated,
+// with 0 always present.
 func normSizes(sizes []int) []int {
-	seen := map[int]bool{0: true}
-	out := []int{0}
+	out := make([]int, 1, len(sizes)+1) // out[0] == 0
 	for _, s := range sizes {
-		if s >= 0 && !seen[s] {
-			seen[s] = true
+		if s > 0 {
 			out = append(out, s)
 		}
 	}
-	sort.Ints(out)
-	return out
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // BuildArrayHierarchy instantiates the Figure 3 hierarchy over the
@@ -120,6 +122,7 @@ func BuildArrayHierarchy(sizes []int) *Hierarchy {
 // hierarchy (callers combine them with file/dir/string nodes).
 func AddArrayTypes(h *Hierarchy, sizes []int) {
 	ss := normSizes(sizes)
+	h.arraySizes = normSizes(append(h.arraySizes, ss...))
 	null := h.Fundamental(TypeNull)
 	invalid := h.Fundamental(TypeInvalid)
 	top := h.Unified(TypeUnconstrained)
@@ -260,15 +263,12 @@ func AddCStringTypes(h *Hierarchy, untermSizes, strLens []int) {
 	}
 
 	// arrayFloor finds the largest array-size row s with s <= n.
-	arraySizes := h.arraySizes()
 	arrayFloor := func(n int) (int, bool) {
-		best, found := 0, false
-		for _, s := range arraySizes {
-			if s <= n && (!found || s > best) {
-				best, found = s, true
-			}
+		i, _ := slices.BinarySearch(h.arraySizes, n+1) // first size > n
+		if i == 0 {
+			return 0, false
 		}
-		return best, found
+		return h.arraySizes[i-1], true
 	}
 
 	lens := map[int]bool{}
@@ -296,19 +296,6 @@ func AddCStringTypes(h *Hierarchy, untermSizes, strLens []int) {
 			h.Edge(ut, r)
 		}
 	}
-}
-
-// arraySizes lists the sizes s for which R_ARRAY[s] exists.
-func (h *Hierarchy) arraySizes() []int {
-	var out []int
-	for _, t := range h.types {
-		var s int
-		if n, err := fmt.Sscanf(t.name, "R_ARRAY[%d]", &s); n == 1 && err == nil && !t.fundamental {
-			out = append(out, s)
-		}
-	}
-	sort.Ints(out)
-	return out
 }
 
 // BuildIntHierarchy builds the integer hierarchy of the paper's

@@ -14,7 +14,8 @@ package typesys
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"math/bits"
+	"slices"
 	"strings"
 )
 
@@ -24,6 +25,11 @@ type Type struct {
 	name        string
 	fundamental bool
 	index       int
+	// bit is the fundamental's ordinal among the hierarchy's
+	// fundamentals (its bit in every value set); -1 for unified types.
+	bit int
+	// supers are the direct edges t ≤ super, in declaration order.
+	supers []*Type
 }
 
 // Name returns the type's name, e.g. "R_ARRAY_NULL[44]".
@@ -39,21 +45,23 @@ func (t *Type) String() string { return t.name }
 // Unified and Edge, then call Finalize before queries.
 type Hierarchy struct {
 	types  []*Type
+	funds  []*Type // fundamentals by ordinal (Type.bit)
 	byName map[string]*Type
-	// direct edges: sub -> supers
-	supers map[*Type][]*Type
+	// arraySizes are the normalised sizes AddArrayTypes instantiated,
+	// ascending: the rows of the Figure 3 array types.
+	arraySizes []int
 
-	// computed by Finalize
-	le        [][]bool // le[a][b] == a ≤ b (reflexive, transitive)
+	// computed by Finalize: V(t) is sets[t.index*words:][:words], a
+	// bitset over fundamental ordinals. The value sets are the order;
+	// no relation is materialised.
+	words     int
+	sets      []uint64
 	finalized bool
 }
 
 // NewHierarchy returns an empty hierarchy.
 func NewHierarchy() *Hierarchy {
-	return &Hierarchy{
-		byName: make(map[string]*Type),
-		supers: make(map[*Type][]*Type),
-	}
+	return &Hierarchy{byName: make(map[string]*Type)}
 }
 
 func (h *Hierarchy) intern(name string, fundamental bool) *Type {
@@ -63,7 +71,11 @@ func (h *Hierarchy) intern(name string, fundamental bool) *Type {
 		}
 		return t
 	}
-	t := &Type{name: name, fundamental: fundamental, index: len(h.types)}
+	t := &Type{name: name, fundamental: fundamental, index: len(h.types), bit: -1}
+	if fundamental {
+		t.bit = len(h.funds)
+		h.funds = append(h.funds, t)
+	}
 	h.types = append(h.types, t)
 	h.byName[name] = t
 	h.finalized = false
@@ -78,7 +90,7 @@ func (h *Hierarchy) Unified(name string) *Type { return h.intern(name, false) }
 
 // Edge records sub ≤ super.
 func (h *Hierarchy) Edge(sub, super *Type) {
-	h.supers[sub] = append(h.supers[sub], super)
+	sub.supers = append(sub.supers, super)
 	h.finalized = false
 }
 
@@ -91,125 +103,92 @@ func (h *Hierarchy) Lookup(name string) (*Type, bool) {
 // Types returns all types in declaration order.
 func (h *Hierarchy) Types() []*Type { return append([]*Type(nil), h.types...) }
 
-// Errors from Finalize.
+// Errors from Finalize and RobustType.
 var (
 	ErrCycle            = errors.New("typesys: hierarchy contains a cycle")
 	ErrFundamentalSuper = errors.New("typesys: a fundamental type is a supertype")
+	ErrUnifiedCase      = errors.New("typesys: a case is labelled with a unified type")
 )
 
-// Finalize checks the §4.2 structural invariants and computes the
-// subtype relation. Edges declare which types a fundamental's values
+// DFS colours for Finalize's cycle detection.
+const (
+	white uint8 = iota
+	grey
+	black
+)
+
+// Finalize checks the §4.2 structural invariants and computes every
+// type's value set. Edges declare which types a fundamental's values
 // belong to (transitively); the order itself is semantic: T1 ≤ T2 iff
-// the set of fundamentals composing V(T1) is a subset of those
-// composing V(T2). This captures relations the edges only imply — a
+// V(T1) ⊆ V(T2), each value set being the fundamentals with an edge
+// path to the type. This captures relations the edges only imply — a
 // writable string is a writable array even if no edge says so, as long
 // as each writable-string fundamental reaches the array types.
+//
+// The value sets are bitsets over fundamental ordinals in one flat
+// slice, filled in a single pass over the edge DFS's post-order, whose
+// reverse visits every type before its supertypes: each set, once
+// complete, is OR-ed into its direct supers. Finalize allocates the
+// same three slices whatever the hierarchy's size, and every query
+// after it is word operations on these sets.
 func (h *Hierarchy) Finalize() error {
-	n := len(h.types)
 	// A fundamental type is never a supertype.
-	for _, supers := range h.supers {
-		for _, s := range supers {
+	for _, t := range h.types {
+		for _, s := range t.supers {
 			if s.fundamental {
 				return fmt.Errorf("%w: %s", ErrFundamentalSuper, s.name)
 			}
 		}
 	}
-	// Cycle detection over the edge graph (DFS coloring).
-	const (
-		white = 0
-		grey  = 1
-		black = 2
-	)
-	color := make([]int, n)
-	var dfs func(t *Type) error
-	dfs = func(t *Type) error {
-		color[t.index] = grey
-		for _, s := range h.supers[t] {
-			switch color[s.index] {
-			case grey:
-				return fmt.Errorf("%w: through %s", ErrCycle, s.name)
-			case white:
-				if err := dfs(s); err != nil {
-					return err
-				}
-			}
-		}
-		color[t.index] = black
-		return nil
-	}
+	// Cycle detection over the edge graph (DFS colouring), recording
+	// the post-order.
+	n := len(h.types)
+	color := make([]uint8, n)
+	order := make([]*Type, 0, n)
 	for _, t := range h.types {
 		if color[t.index] == white {
-			if err := dfs(t); err != nil {
+			if err := visit(t, color, &order); err != nil {
 				return err
 			}
 		}
 	}
 
-	// Membership: fund ∈ V(t) iff an edge path leads from fund to t (or
-	// t is the fundamental itself). Each type's value set is stored as a
-	// bitset over fundamental ordinals, so the inclusion test below is a
-	// handful of word operations instead of a scan over all types —
-	// hierarchies are rebuilt per argument per campaign function over
-	// every adaptively probed size, and the cubic scan dominated whole
-	// campaigns.
-	fundBit := make([]int, n) // type index -> fundamental ordinal, -1 for unified
-	nf := 0
-	for _, t := range h.types {
-		if t.fundamental {
-			fundBit[t.index] = nf
-			nf++
-		} else {
-			fundBit[t.index] = -1
-		}
+	words := (len(h.funds) + 63) / 64
+	sets := make([]uint64, n*words)
+	for _, f := range h.funds {
+		sets[f.index*words+f.bit/64] |= 1 << (f.bit % 64)
 	}
-	words := (nf + 63) / 64
-	funds := make([][]uint64, n) // funds[t] = bitset of fundamentals in V(t)
-	for i := range funds {
-		funds[i] = make([]uint64, words)
-	}
-	for _, f := range h.types {
-		if !f.fundamental {
-			continue
-		}
-		word, mask := fundBit[f.index]/64, uint64(1)<<(fundBit[f.index]%64)
-		var mark func(t *Type)
-		mark = func(t *Type) {
-			if funds[t.index][word]&mask != 0 {
-				return
-			}
-			funds[t.index][word] |= mask
-			for _, s := range h.supers[t] {
-				mark(s)
+	for i := len(order) - 1; i >= 0; i-- {
+		t := order[i]
+		v := sets[t.index*words:][:words]
+		for _, s := range t.supers {
+			sv := sets[s.index*words:][:words]
+			for k := range v {
+				sv[k] |= v[k]
 			}
 		}
-		mark(f)
 	}
-
-	// LE is fundamental-set inclusion.
-	h.le = make([][]bool, n)
-	for i := range h.le {
-		h.le[i] = make([]bool, n)
-	}
-	for _, a := range h.types {
-		fa := funds[a.index]
-		for _, b := range h.types {
-			fb := funds[b.index]
-			le := true
-			for k := 0; k < words; k++ {
-				if fa[k]&^fb[k] != 0 {
-					le = false
-					break
-				}
-			}
-			// A fundamental is only below types it is a member of;
-			// the empty-set rule would make it below everything.
-			if a.fundamental {
-				le = le && fb[fundBit[a.index]/64]&(1<<(fundBit[a.index]%64)) != 0
-			}
-			h.le[a.index][b.index] = le
-		}
-	}
+	h.words, h.sets = words, sets
 	h.finalized = true
+	return nil
+}
+
+// visit is the DFS of Finalize: it appends t to order after all its
+// supertypes, or reports the cycle a grey supertype closes.
+func visit(t *Type, color []uint8, order *[]*Type) error {
+	color[t.index] = grey
+	for _, s := range t.supers {
+		switch color[s.index] {
+		case grey:
+			return fmt.Errorf("%w: through %s", ErrCycle, s.name)
+		case white:
+			if err := visit(s, color, order); err != nil {
+				return err
+			}
+		}
+	}
+	color[t.index] = black
+	*order = append(*order, t)
 	return nil
 }
 
@@ -221,19 +200,57 @@ func (h *Hierarchy) mustFinal() {
 	}
 }
 
-// LE reports a ≤ b.
+// set returns V(t) as its bitset words.
+func (h *Hierarchy) set(t *Type) []uint64 { return h.sets[t.index*h.words:][:h.words] }
+
+// subset reports a ⊆ b for two value sets.
+func subset(a, b []uint64) bool {
+	for k := range a {
+		if a[k]&^b[k] != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// strictSubset reports a ⊊ b for two value sets.
+func strictSubset(a, b []uint64) bool { return subset(a, b) && !slices.Equal(a, b) }
+
+// meets reports a ∩ b ≠ ∅ for two value sets.
+func meets(a, b []uint64) bool {
+	for k := range a {
+		if a[k]&b[k] != 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// size is |V| for one value set.
+func size(v []uint64) int {
+	c := 0
+	for _, w := range v {
+		c += bits.OnesCount64(w)
+	}
+	return c
+}
+
+// LE reports a ≤ b, i.e. V(a) ⊆ V(b). A fundamental's value set is
+// exactly itself, so for a fundamental a this is membership of a in
+// V(b).
 func (h *Hierarchy) LE(a, b *Type) bool {
 	h.mustFinal()
-	return h.le[a.index][b.index]
+	return subset(h.set(a), h.set(b))
 }
 
 // StrictSupertypes returns all types whose value set strictly contains
 // t's.
 func (h *Hierarchy) StrictSupertypes(t *Type) []*Type {
 	h.mustFinal()
+	v := h.set(t)
 	var out []*Type
 	for _, u := range h.types {
-		if u != t && h.le[t.index][u.index] && !h.le[u.index][t.index] {
+		if strictSubset(v, h.set(u)) {
 			out = append(out, u)
 		}
 	}
@@ -241,13 +258,13 @@ func (h *Hierarchy) StrictSupertypes(t *Type) []*Type {
 }
 
 // Fundamentals returns the fundamental types whose value sets compose
-// V(t) — t itself if fundamental.
+// V(t) — t itself if fundamental — in declaration order.
 func (h *Hierarchy) Fundamentals(t *Type) []*Type {
 	h.mustFinal()
 	var out []*Type
-	for _, u := range h.types {
-		if u.fundamental && h.le[u.index][t.index] {
-			out = append(out, u)
+	for k, w := range h.set(t) {
+		for ; w != 0; w &= w - 1 {
+			out = append(out, h.funds[k*64+bits.TrailingZeros64(w)])
 		}
 	}
 	return out
@@ -271,24 +288,29 @@ const (
 )
 
 // Case is one labelled experiment for a single argument position.
+// Fund is the fundamental type the test case was generated from;
+// RobustType rejects a unified label with ErrUnifiedCase.
 type Case struct {
 	Fund    *Type
 	Outcome CaseOutcome
 }
 
-// strongerFirst orders types strongest-first: a stronger type has a
-// smaller value set (fewer fundamentals); ties break by name for
+// candidate is a unified type covering every required case, with the
+// size of its value set.
+type candidate struct {
+	t    *Type
+	size int
+}
+
+// strongerFirst orders candidates strongest-first: a stronger type has
+// a smaller value set (fewer fundamentals); ties break by name for
 // determinism.
-func (h *Hierarchy) strongerFirst(ts []*Type) {
-	counts := make(map[*Type]int, len(ts))
-	for _, t := range ts {
-		counts[t] = len(h.Fundamentals(t))
-	}
-	sort.Slice(ts, func(i, j int) bool {
-		if counts[ts[i]] != counts[ts[j]] {
-			return counts[ts[i]] < counts[ts[j]]
+func strongerFirst(cs []candidate) {
+	slices.SortFunc(cs, func(a, b candidate) int {
+		if a.size != b.size {
+			return a.size - b.size
 		}
-		return ts[i].name < ts[j].name
+		return strings.Compare(a.t.name, b.t.name)
 	})
 }
 
@@ -313,41 +335,35 @@ type RobustOptions struct {
 // the safe type.
 func (h *Hierarchy) RobustType(cases []Case, opts RobustOptions) (*Type, error) {
 	h.mustFinal()
-	mustCover := func(c Case) bool {
-		if c.Outcome == Success {
-			return true
+	// Fold the cases into two value sets: need, the cases every
+	// candidate must cover, and crash, the crash cases. A type then
+	// covers the required cases iff need ⊆ V(T), and contains a crash
+	// iff V(T) ∩ crash ≠ ∅.
+	masks := make([]uint64, 2*h.words)
+	need, crash := masks[:h.words], masks[h.words:]
+	for _, c := range cases {
+		f := c.Fund
+		if !f.fundamental {
+			return nil, fmt.Errorf("%w: %s", ErrUnifiedCase, f.name)
 		}
-		return opts.Conservative && c.Outcome == ErrorReturn
+		switch {
+		case c.Outcome == Crash:
+			crash[f.bit/64] |= 1 << (f.bit % 64)
+		case c.Outcome == Success, opts.Conservative && c.Outcome == ErrorReturn:
+			need[f.bit/64] |= 1 << (f.bit % 64)
+		}
 	}
 
-	// Candidates: types covering all required cases.
-	var candidates []*Type
+	// Candidates: unified types (robust types are checkable) covering
+	// all required cases.
+	var candidates []candidate
 	for _, t := range h.types {
-		if t.fundamental {
-			continue // robust types are checkable unified types
-		}
-		ok := true
-		for _, c := range cases {
-			if mustCover(c) && !h.Contains(t, c.Fund) {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			candidates = append(candidates, t)
+		if v := h.set(t); !t.fundamental && subset(need, v) {
+			candidates = append(candidates, candidate{t, size(v)})
 		}
 	}
 	if len(candidates) == 0 {
 		return nil, errors.New("typesys: no unified type covers the success cases (missing UNCONSTRAINED?)")
-	}
-
-	crashIn := func(t *Type) bool {
-		for _, c := range cases {
-			if c.Outcome == Crash && h.Contains(t, c.Fund) {
-				return true
-			}
-		}
-		return false
 	}
 
 	// Among candidates, qualified types are those whose every strict
@@ -356,24 +372,20 @@ func (h *Hierarchy) RobustType(cases []Case, opts RobustOptions) (*Type, error) 
 	// qualified candidate whose own value set contains no crash case is
 	// preferred; only if none exists does the strongest qualified
 	// candidate win regardless of admitted crashes (robust, not safe).
-	h.strongerFirst(candidates)
+	// A candidate containing a crash qualifies outright: every superset
+	// of its value set contains that crash too.
+	strongerFirst(candidates)
 	var fallback *Type
-	for _, t := range candidates {
-		qualified := true
-		for _, st := range h.StrictSupertypes(t) {
-			if !crashIn(st) {
-				qualified = false
-				break
+	for _, c := range candidates {
+		v := h.set(c.t)
+		if meets(v, crash) {
+			if fallback == nil {
+				fallback = c.t
 			}
-		}
-		if !qualified {
 			continue
 		}
-		if !crashIn(t) {
-			return t, nil
-		}
-		if fallback == nil {
-			fallback = t
+		if h.crashAbove(v, crash) {
+			return c.t, nil
 		}
 	}
 	if fallback != nil {
@@ -381,6 +393,17 @@ func (h *Hierarchy) RobustType(cases []Case, opts RobustOptions) (*Type, error) 
 	}
 	// Unreachable with a proper top element, but fail loudly.
 	return nil, errors.New("typesys: no robust type found")
+}
+
+// crashAbove reports whether every type whose value set strictly
+// contains v meets crash.
+func (h *Hierarchy) crashAbove(v, crash []uint64) bool {
+	for _, u := range h.types {
+		if uv := h.set(u); !meets(uv, crash) && strictSubset(v, uv) {
+			return false
+		}
+	}
+	return true
 }
 
 // IsSafe reports whether t is a *safe* argument type for the cases:
@@ -398,11 +421,21 @@ func (h *Hierarchy) IsSafe(t *Type, cases []Case) bool {
 	return true
 }
 
+// EveryArg is the VectorCase.Explored value that makes a non-crash
+// outcome coverage evidence for every coordinate.
+const EveryArg = -2
+
 // VectorCase is one experiment of an n-ary function: the fundamental
 // type of each argument plus the joint outcome.
 type VectorCase struct {
 	Funds   []*Type
 	Outcome CaseOutcome
+	// Explored is the argument whose exploration produced the case. A
+	// non-crash outcome is coverage evidence for that coordinate only,
+	// where the sibling arguments held benign defaults; EveryArg makes
+	// it evidence for all coordinates, and any other value outside
+	// [0, n) for none. Crash evidence is never restricted by Explored.
+	Explored int
 }
 
 // RobustVector computes the robust type vector for an n-ary function
@@ -414,45 +447,44 @@ type VectorCase struct {
 func RobustVector(hier []*Hierarchy, cases []VectorCase, opts RobustOptions) ([]*Type, error) {
 	n := len(hier)
 	result := make([]*Type, n)
-
-	// Initial pass: per-argument robust types using all evidence.
-	for i := 0; i < n; i++ {
-		proj := make([]Case, 0, len(cases))
+	proj := make([]Case, 0, len(cases))
+	// project runs the selection for coordinate i over the cases that
+	// are evidence for it; with filterCrash, crash evidence only counts
+	// if the other coordinates are within the current robust vector.
+	project := func(i int, filterCrash bool) (*Type, error) {
+		proj = proj[:0]
 		for _, vc := range cases {
+			if vc.Outcome != Crash {
+				if vc.Explored != i && vc.Explored != EveryArg {
+					continue
+				}
+			} else if filterCrash && !inVector(hier, result, vc.Funds, i) {
+				continue // not evidence against weakening coord i
+			}
 			proj = append(proj, Case{Fund: vc.Funds[i], Outcome: vc.Outcome})
 		}
 		t, err := hier[i].RobustType(proj, opts)
 		if err != nil {
 			return nil, fmt.Errorf("argument %d: %w", i, err)
 		}
-		result[i] = t
+		return t, nil
 	}
 
-	// Refine: crash evidence for coordinate i only counts if the other
-	// coordinates are within the current robust vector.
+	// Initial pass: per-argument robust types using all crash evidence.
+	for i := 0; i < n; i++ {
+		t, err := project(i, false)
+		if err != nil {
+			return nil, err
+		}
+		result[i] = t
+	}
+	// Refine with the supertype-vector condition.
 	for iter := 0; iter < 5; iter++ {
 		changed := false
 		for i := 0; i < n; i++ {
-			proj := make([]Case, 0, len(cases))
-			for _, vc := range cases {
-				c := Case{Fund: vc.Funds[i], Outcome: vc.Outcome}
-				if vc.Outcome == Crash {
-					inVector := true
-					for j := 0; j < n; j++ {
-						if j != i && !hier[j].Contains(result[j], vc.Funds[j]) {
-							inVector = false
-							break
-						}
-					}
-					if !inVector {
-						continue // not evidence against weakening coord i
-					}
-				}
-				proj = append(proj, c)
-			}
-			t, err := hier[i].RobustType(proj, opts)
+			t, err := project(i, true)
 			if err != nil {
-				return nil, fmt.Errorf("argument %d: %w", i, err)
+				return nil, err
 			}
 			if t != result[i] {
 				result[i] = t
@@ -464,6 +496,17 @@ func RobustVector(hier []*Hierarchy, cases []VectorCase, opts RobustOptions) ([]
 		}
 	}
 	return result, nil
+}
+
+// inVector reports whether every coordinate of funds except skip lies
+// inside the robust vector.
+func inVector(hier []*Hierarchy, vec, funds []*Type, skip int) bool {
+	for j, f := range funds {
+		if j != skip && !hier[j].Contains(vec[j], f) {
+			return false
+		}
+	}
+	return true
 }
 
 // FormatVector renders a type vector for logs and declarations.

@@ -301,6 +301,9 @@ func TestRobustVectorTwoArguments(t *testing.T) {
 		{Funds: []*Type{g(hd, NameRWFixed(0)), g(hs, NameROnlyFixed(16))}, Outcome: Crash},
 		{Funds: []*Type{g(hd, NameRWFixed(16)), g(hs, NameROnlyFixed(0))}, Outcome: Crash},
 	}
+	for i := range cases {
+		cases[i].Explored = EveryArg
+	}
 	vec, err := RobustVector([]*Hierarchy{hd, hs}, cases, RobustOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -337,6 +340,9 @@ func TestRobustVectorIgnoresForeignCrashes(t *testing.T) {
 		{Funds: []*Type{g(h0, NameROnlyFixed(8)), g(h1, NameRWFixed(8))}, Outcome: Crash},
 		{Funds: []*Type{g(h0, NameWOnlyFixed(8)), g(h1, NameRWFixed(8))}, Outcome: Success},
 		{Funds: []*Type{g(h0, NameRWFixed(0)), g(h1, NameRWFixed(8))}, Outcome: Crash},
+	}
+	for i := range cases {
+		cases[i].Explored = EveryArg
 	}
 	vec, err := RobustVector([]*Hierarchy{h0, h1}, cases, RobustOptions{})
 	if err != nil {
