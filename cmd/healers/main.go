@@ -386,7 +386,7 @@ func run(args []string) error {
 		}
 		fmt.Print(wrapgen.ChecksHeader())
 		fmt.Println()
-		fmt.Print(wrapgen.File(campaign.Decls(), wrapgen.Options{LogViolations: true, Mode: *modeFlag}))
+		fmt.Print(wrapgen.File(campaign.Decls(), wrapgen.Options{Mode: *modeFlag}))
 		return nil
 
 	case "table1":

@@ -36,8 +36,5 @@ func main() {
 	if *semi {
 		decls = healers.SemiAuto(decls)
 	}
-	fmt.Print(wrapgen.File(decls, wrapgen.Options{
-		LogViolations:    true,
-		AbortOnViolation: *abort,
-	}))
+	fmt.Print(wrapgen.File(decls, wrapgen.Options{AbortOnViolation: *abort}))
 }

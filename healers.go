@@ -251,7 +251,7 @@ func (s *System) WrapWith(p *Process, decls *DeclSet, opts WrapperOptions) *Inte
 // WrapperSource emits the generated wrapper as C source in the shape of
 // the paper's Figure 5.
 func (s *System) WrapperSource(decls *DeclSet) string {
-	return wrapgen.File(decls, wrapgen.Options{LogViolations: true})
+	return wrapgen.File(decls, wrapgen.Options{})
 }
 
 // GenerateSuite builds the deterministic Ballista-style suite over the

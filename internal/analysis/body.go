@@ -323,7 +323,7 @@ func RunBodies(lib *clib.Library, ext *extract.Result, sums map[string]*bodyscan
 	}
 
 	set := cold.Decls()
-	opts := wrapgen.Options{LogViolations: true}
+	opts := wrapgen.Options{}
 	src := wrapgen.File(set, opts)
 	rep.Summary.WrapperIssues = CheckWrappers(src, set, opts)
 	for _, d := range set.ByName {

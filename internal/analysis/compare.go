@@ -129,7 +129,7 @@ func LE(a, b decl.RobustType) bool {
 	}
 
 	aFixed, bFixed := a.Size.Kind == decl.SizeFixed, b.Size.Kind == decl.SizeFixed
-	aParam, bParam := parameterizedBase(a.Base), parameterizedBase(b.Base)
+	aParam, bParam := a.Parameterized(), b.Parameterized()
 	switch {
 	case aParam && bParam && !aFixed && !bFixed:
 		// Same expression on both sides: substitute a common size and
@@ -149,29 +149,14 @@ func LE(a, b decl.RobustType) bool {
 		// A fixed type never implies an expression-sized bound.
 		return false
 	default:
-		return latticeLE(instName(a), instName(b), a.Size.N, b.Size.N)
+		return latticeLE(fixedName(a.Base, a.Size.N), fixedName(b.Base, b.Size.N), a.Size.N, b.Size.N)
 	}
 }
 
-// parameterizedBase mirrors decl.RobustType.Parameterized.
-func parameterizedBase(base string) bool {
-	switch base {
-	case "R_ARRAY", "RW_ARRAY", "W_ARRAY",
-		"R_ARRAY_NULL", "RW_ARRAY_NULL", "W_ARRAY_NULL", "R_BOUNDED":
-		return true
-	}
-	return false
-}
-
+// fixedName names base instantiated at size n; a base without a size
+// parameter names itself.
 func fixedName(base string, n int) string {
 	return decl.RobustType{Base: base, Size: decl.SizeExpr{Kind: decl.SizeFixed, N: n}}.String()
-}
-
-func instName(t decl.RobustType) string {
-	if parameterizedBase(t.Base) {
-		return fixedName(t.Base, t.Size.N)
-	}
-	return t.Base
 }
 
 // latticeLE decides name-level subtyping inside a composite hierarchy

@@ -156,7 +156,7 @@ func Run(lib *clib.Library, ext *extract.Result, names []string, cfg injector.Co
 	}
 
 	set := cold.Decls()
-	opts := wrapgen.Options{LogViolations: true}
+	opts := wrapgen.Options{}
 	src := wrapgen.File(set, opts)
 	rep.Summary.WrapperIssues = CheckWrappers(src, set, opts)
 	for _, d := range set.ByName {

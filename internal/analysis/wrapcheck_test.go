@@ -67,6 +67,7 @@ func TestWrapcheckCatchesCheckAfterCall(t *testing.T) {
 	opts := wrapgen.Options{}
 	src := wrapgen.File(set, opts)
 	block := "\tif (!check_R_ARRAY_NULL(a1, 44)) {\n" +
+		"\t\thealers_log_violation(\"asctime\");\n" +
 		"\t\terrno = EINVAL;\n" +
 		"\t\tret = (char*)NULL;\n" +
 		"\t\tgoto PostProcessing;\n" +

@@ -179,11 +179,8 @@ type RobustType struct {
 // terminator or n bytes, whichever comes first — the contract of
 // strncpy's source.
 func (r RobustType) Parameterized() bool {
-	switch r.Base {
-	case "R_ARRAY", "RW_ARRAY", "W_ARRAY", "R_ARRAY_NULL", "RW_ARRAY_NULL", "W_ARRAY_NULL", "R_BOUNDED":
-		return true
-	}
-	return false
+	f := r.Kind().Family
+	return f == FamilyArray || f == FamilyBounded
 }
 
 func (r RobustType) String() string {

@@ -1,7 +1,5 @@
 package decl
 
-import "strings"
-
 // ApplySemiAutoEdits returns a copy of the declaration set with the
 // paper's §6 manual edits applied: executable assertions that track
 // directory structures statefully and validate the integrity of FILE
@@ -16,10 +14,10 @@ func ApplySemiAutoEdits(s *DeclSet) *DeclSet {
 		}
 		var hasDir, hasFile bool
 		for _, a := range d.Args {
-			if strings.Contains(a.CType, "__dirstream") {
+			if a.PointsToDIR() {
 				hasDir = true
 			}
-			if strings.Contains(a.CType, "_IO_FILE") {
+			if a.PointsToFILE() {
 				hasFile = true
 			}
 		}

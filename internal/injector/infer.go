@@ -20,18 +20,6 @@ import (
 // wrapper evaluates per call. This automates what the paper otherwise
 // leaves to manual declaration editing.
 
-// chainArrayGen extracts the adaptive array generator backing argument
-// i, if any.
-func chainArrayGen(g gens.Generator) *gens.ArrayGen {
-	switch t := g.(type) {
-	case *gens.ArrayGen:
-		return t
-	case *gens.CharBufGen:
-		return t.Array()
-	}
-	return nil
-}
-
 // measureMinimal runs a fresh growth chain for argument target with the
 // given probe overrides on the other arguments and returns the minimal
 // region size that lets the function return, or ok=false if the chain
@@ -148,7 +136,7 @@ func (c *campaign) runChild(probes []*gens.Probe) (out csim.Outcome, errnoSet bo
 }
 
 func (c *campaign) measureMinimal(target int, prot cmem.Prot, overrides map[int]*gens.Probe, hint int) (int, bool) {
-	ag := chainArrayGen(c.gens[target])
+	ag := seedableArray(c.gens[target])
 	if ag == nil {
 		return 0, false
 	}
@@ -296,7 +284,7 @@ func (c inferCtx) Value(i int) int64 { return c.vals[i] }
 // perturbing sibling arguments confirms the dependency.
 func (c *campaign) inferSize(target int, rt decl.RobustType) decl.SizeExpr {
 	fixed := rt.Size
-	prot := protOfBase(rt.Base)
+	prot := protOf(rt.Kind())
 
 	baseline, ok := c.measureMinimal(target, prot, nil, c.seedHint(target))
 	if !ok || baseline == 0 {

@@ -831,7 +831,7 @@ func (c *campaign) buildDecl(robust []string) {
 		if rt.Parameterized() && rt.Size.Kind == decl.SizeFixed && rt.Size.N > 0 {
 			rt.Size = c.inferSize(i, rt)
 		}
-		if strings.HasPrefix(rt.Base, "R_ARRAY") && rt.Size.Kind == decl.SizeFixed {
+		if k := rt.Kind(); k.Family == decl.FamilyArray && !k.Write && rt.Size.Kind == decl.SizeFixed {
 			if upgraded, ok := c.inferBoundedRead(i, rt); ok {
 				rt = upgraded
 			}
@@ -858,11 +858,11 @@ func pickErrorValue(vals map[uint64]int) uint64 {
 	return best
 }
 
-// protOfBase maps a robust array base to the protection used when
+// protOf maps a robust array type to the protection used when
 // re-measuring minimal sizes (writes are measured with RW regions so
 // read-modify-write functions still succeed).
-func protOfBase(base string) cmem.Prot {
-	if strings.HasPrefix(base, "R_ARRAY") {
+func protOf(k decl.Kind) cmem.Prot {
+	if k.Family == decl.FamilyArray && !k.Write {
 		return cmem.ProtRead
 	}
 	return cmem.ProtRW

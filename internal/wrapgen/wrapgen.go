@@ -17,8 +17,6 @@ import (
 
 // Options tune emission.
 type Options struct {
-	// LogViolations emits the logging call on the rejection path.
-	LogViolations bool
 	// AbortOnViolation emits abort() instead of the error return (the
 	// debugging-phase wrapper of §2).
 	AbortOnViolation bool
@@ -92,9 +90,7 @@ func Function(d *decl.FuncDecl, opts Options) string {
 	fmt.Fprintf(&b, "\t}\n\tin_flag = 1;\n")
 
 	reject := func(indent string) {
-		if opts.LogViolations {
-			fmt.Fprintf(&b, "%shealers_log_violation(\"%s\");\n", indent, d.Name)
-		}
+		fmt.Fprintf(&b, "%shealers_log_violation(\"%s\");\n", indent, d.Name)
 		if opts.AbortOnViolation {
 			fmt.Fprintf(&b, "%sabort();\n", indent)
 		} else {
@@ -107,16 +103,17 @@ func Function(d *decl.FuncDecl, opts Options) string {
 	}
 
 	for i, a := range d.Args {
-		check := checkExpr(a.Robust, names[i], names)
+		check := CheckExpr(a.Robust, names[i], names)
 		if check == "" {
 			continue
 		}
 		switch opts.Mode {
 		case "heal":
-			if clamp := clampExpr(a, names[i]); clamp != "" {
-				// Integer repairs cannot fail: the clamp replaces the
-				// rejection path outright.
-				fmt.Fprintf(&b, "\tif (!%s) {\n\t\t%s\n\t}\n", check, clamp)
+			if a.RepairFamily() == decl.FamilyInt {
+				// Integer repairs cannot fail: assigning the nearest
+				// value inside the set replaces the rejection path.
+				fmt.Fprintf(&b, "\tif (!%s) {\n\t\t%s = (%s)%d;\n\t}\n",
+					check, names[i], a.CType, a.Robust.Kind().Signs.Clamp())
 				continue
 			}
 			if heal := healExpr(a, names[i], names); heal != "" {
@@ -126,7 +123,7 @@ func Function(d *decl.FuncDecl, opts Options) string {
 				continue
 			}
 		case "introspect":
-			if strings.Contains(a.Robust.Base, "ARRAY") {
+			if a.Robust.Kind().Family == decl.FamilyArray {
 				fmt.Fprintf(&b, "\tif (!%s && !healers_introspect((const void *)%s)) {\n", check, names[i])
 				reject("\t\t")
 				fmt.Fprintf(&b, "\t}\n")
@@ -170,108 +167,56 @@ func Function(d *decl.FuncDecl, opts Options) string {
 	return b.String()
 }
 
-// CheckExpr exposes the exact per-argument check expression the
-// wrapper emits for a robust type. The static wrapper verifier in
-// internal/analysis uses it to assert each emitted wrapper contains
-// exactly one check per constrained argument; keeping a single source
-// of truth means the verifier can never drift from the generator.
-// Empty means the type needs no check.
+// CheckExpr renders the C expression validating one argument against
+// its robust type; empty means the type needs no check. Integers
+// compare inline against zero; every other constrained family calls
+// check_<Base>, passing the size when the type is parameterized. The
+// static wrapper verifier in internal/analysis uses it to assert each
+// emitted wrapper contains exactly one check per constrained argument;
+// keeping a single source of truth means the verifier can never drift
+// from the generator.
 func CheckExpr(rt decl.RobustType, arg string, names []string) string {
-	return checkExpr(rt, arg, names)
+	k := rt.Kind()
+	switch {
+	case k.Family == decl.FamilyUnconstrained:
+		return ""
+	case k.Family == decl.FamilyInt:
+		if op := signOps[k.Signs]; op != "" {
+			return fmt.Sprintf("((long)%s %s 0)", arg, op)
+		}
+		return ""
+	case rt.Parameterized():
+		return fmt.Sprintf("check_%s(%s, %s)", rt.Base, arg, sizeExprC(rt.Size, names))
+	}
+	return fmt.Sprintf("check_%s(%s)", rt.Base, arg)
 }
 
-// checkExpr renders the C call validating one argument; empty string
-// means no check is needed.
-func checkExpr(rt decl.RobustType, arg string, names []string) string {
-	size := func() string { return sizeExprC(rt.Size, names) }
-	switch rt.Base {
-	case "UNCONSTRAINED", "INT_ANY", "FD_ANY", "DBL_ANY":
-		return ""
-	case "R_ARRAY":
-		return fmt.Sprintf("check_R_ARRAY(%s, %s)", arg, size())
-	case "RW_ARRAY":
-		return fmt.Sprintf("check_RW_ARRAY(%s, %s)", arg, size())
-	case "W_ARRAY":
-		return fmt.Sprintf("check_W_ARRAY(%s, %s)", arg, size())
-	case "R_ARRAY_NULL":
-		return fmt.Sprintf("check_R_ARRAY_NULL(%s, %s)", arg, size())
-	case "RW_ARRAY_NULL":
-		return fmt.Sprintf("check_RW_ARRAY_NULL(%s, %s)", arg, size())
-	case "W_ARRAY_NULL":
-		return fmt.Sprintf("check_W_ARRAY_NULL(%s, %s)", arg, size())
-	case "R_BOUNDED":
-		return fmt.Sprintf("check_R_BOUNDED(%s, %s)", arg, size())
-	case "CSTR":
-		return fmt.Sprintf("check_CSTR(%s)", arg)
-	case "W_CSTR":
-		return fmt.Sprintf("check_W_CSTR(%s)", arg)
-	case "CSTR_NULL":
-		return fmt.Sprintf("check_CSTR_NULL(%s)", arg)
-	case "W_CSTR_NULL":
-		return fmt.Sprintf("check_W_CSTR_NULL(%s)", arg)
-	case "OPEN_FILE", "OPEN_FILE_NULL", "R_FILE", "W_FILE":
-		return fmt.Sprintf("check_%s(%s)", rt.Base, arg)
-	case "OPEN_DIR", "OPEN_DIR_NULL":
-		return fmt.Sprintf("check_%s(%s)", rt.Base, arg)
-	case "INT_POSITIVE":
-		return fmt.Sprintf("((long)%s > 0)", arg)
-	case "INT_NONNEG":
-		return fmt.Sprintf("((long)%s >= 0)", arg)
-	case "INT_NONPOS":
-		return fmt.Sprintf("((long)%s <= 0)", arg)
-	case "INT_NEGATIVE":
-		return fmt.Sprintf("((long)%s < 0)", arg)
-	case "FD_VALID":
-		return fmt.Sprintf("check_FD_VALID(%s)", arg)
-	case "VALID_FUNC":
-		return fmt.Sprintf("check_VALID_FUNC(%s)", arg)
-	}
-	return ""
-}
-
-// clampExpr renders the in-place integer repair for heal mode: the
-// nearest value inside the robust type's set, assigned directly. Empty
-// for non-integer types.
-func clampExpr(a decl.ArgDecl, name string) string {
-	var v string
-	switch a.Robust.Base {
-	case "INT_POSITIVE":
-		v = "1"
-	case "INT_NONNEG", "INT_NONPOS":
-		v = "0"
-	case "INT_NEGATIVE":
-		v = "-1"
-	default:
-		return ""
-	}
-	return fmt.Sprintf("%s = (%s)%s;", name, a.CType, v)
+// signOps renders a sign set as the comparison against zero that
+// admits it; every sign allowed needs no comparison.
+var signOps = [...]string{
+	decl.SignPos:                 ">",
+	decl.SignZero | decl.SignPos: ">=",
+	decl.SignNeg | decl.SignZero: "<=",
+	decl.SignNeg:                 "<",
+	decl.SignsAll:                "",
 }
 
 // healExpr renders the repair call for heal mode; empty means the type
 // is unrepairable and the wrapper keeps the rejection path (DIR streams
 // and anything the runtime refuses to conjure).
 func healExpr(a decl.ArgDecl, name string, names []string) string {
-	rt := a.Robust
-	switch rt.Base {
-	case "R_ARRAY", "RW_ARRAY", "W_ARRAY", "R_ARRAY_NULL", "RW_ARRAY_NULL", "W_ARRAY_NULL":
-		if strings.Contains(a.CType, "_IO_FILE") || strings.Contains(a.CType, "FILE") {
-			return fmt.Sprintf("healers_heal_file((FILE **)&%s)", name)
-		}
-		if strings.Contains(a.CType, "__dirstream") || strings.Contains(a.CType, "DIR") {
-			return ""
-		}
-		return fmt.Sprintf("healers_heal_array((void **)&%s, %s)", name, sizeExprC(rt.Size, names))
-	case "R_BOUNDED":
-		return fmt.Sprintf("healers_heal_string((char **)&%s, %s)", name, sizeExprC(rt.Size, names))
-	case "CSTR", "W_CSTR", "CSTR_NULL", "W_CSTR_NULL":
+	switch a.RepairFamily() {
+	case decl.FamilyArray:
+		return fmt.Sprintf("healers_heal_array((void **)&%s, %s)", name, sizeExprC(a.Robust.Size, names))
+	case decl.FamilyBounded:
+		return fmt.Sprintf("healers_heal_string((char **)&%s, %s)", name, sizeExprC(a.Robust.Size, names))
+	case decl.FamilyCString:
 		return fmt.Sprintf("healers_heal_string((char **)&%s, HEALERS_MAX_STRLEN)", name)
-	case "OPEN_FILE", "OPEN_FILE_NULL", "R_FILE", "W_FILE":
+	case decl.FamilyFILE:
 		return fmt.Sprintf("healers_heal_file((FILE **)&%s)", name)
-	case "OPEN_DIR", "OPEN_DIR_NULL":
-		return ""
-	case "FD_VALID":
+	case decl.FamilyFD:
 		return fmt.Sprintf("healers_heal_fd(&%s)", name)
-	case "VALID_FUNC":
+	case decl.FamilyFunc:
 		return fmt.Sprintf("healers_heal_func((void **)&%s)", name)
 	}
 	return ""
@@ -308,11 +253,11 @@ func sizeExprC(e decl.SizeExpr, names []string) string {
 func assertionExpr(a decl.Assertion, arg decl.ArgDecl, name string) string {
 	switch a {
 	case decl.AssertValidDir:
-		if strings.Contains(arg.CType, "__dirstream") || strings.Contains(arg.CType, "DIR") {
+		if arg.PointsToDIR() {
 			return fmt.Sprintf("healers_valid_dir(%s)", name)
 		}
 	case decl.AssertFileIntegrity:
-		if strings.Contains(arg.CType, "_IO_FILE") || strings.Contains(arg.CType, "FILE") {
+		if arg.PointsToFILE() {
 			return fmt.Sprintf("healers_file_integrity(%s)", name)
 		}
 	}

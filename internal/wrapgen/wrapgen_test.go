@@ -1,6 +1,9 @@
 package wrapgen
 
 import (
+	"flag"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -11,6 +14,10 @@ import (
 	"healers/internal/extract"
 	"healers/internal/injector"
 )
+
+// -update rewrites the committed wrapper sources under testdata from a
+// fresh campaign.
+var updateGolden = flag.Bool("update", false, "rewrite testdata golden files")
 
 // asctimeDecl reproduces the Figure 2 declaration.
 func asctimeDecl() *decl.FuncDecl {
@@ -104,7 +111,7 @@ func TestCodegenAssertions(t *testing.T) {
 		Attribute:     decl.AttrUnsafe,
 		Assertions:    []decl.Assertion{decl.AssertValidDir},
 	}
-	src := Function(d, Options{LogViolations: true})
+	src := Function(d, Options{})
 	if !strings.Contains(src, "healers_valid_dir(a1)") {
 		t.Errorf("missing dir assertion:\n%s", src)
 	}
@@ -183,7 +190,26 @@ func TestFullLibraryEmission(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	src := File(decl.ApplySemiAutoEdits(campaign.Decls()), Options{LogViolations: true})
+	semi := decl.ApplySemiAutoEdits(campaign.Decls())
+	// The emitted C of every strategy is pinned byte for byte.
+	for _, mode := range []string{"reject", "heal", "introspect"} {
+		got := File(semi, Options{Mode: mode})
+		path := filepath.Join("testdata", "semiauto_"+mode+".c")
+		if *updateGolden {
+			if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		want, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatalf("missing golden (run go test -run TestFullLibraryEmission -update): %v", err)
+		}
+		if got != string(want) {
+			t.Errorf("%s emission differs from %s", mode, path)
+		}
+	}
+	src := File(semi, Options{})
 	for _, name := range lib.CrashProne86() {
 		d := campaign.Results[name].Decl
 		if !d.Unsafe() {
@@ -225,13 +251,10 @@ func TestChecksHeader(t *testing.T) {
 			t.Errorf("checks header missing %q", want)
 		}
 	}
-	// Every check the generator can emit is declared in the header.
-	bases := []string{"R_ARRAY", "RW_ARRAY", "W_ARRAY", "R_ARRAY_NULL", "RW_ARRAY_NULL",
-		"W_ARRAY_NULL", "R_BOUNDED", "CSTR", "W_CSTR", "CSTR_NULL", "W_CSTR_NULL",
-		"OPEN_FILE", "OPEN_FILE_NULL", "R_FILE", "W_FILE", "OPEN_DIR", "OPEN_DIR_NULL",
-		"FD_VALID", "VALID_FUNC"}
-	for _, b := range bases {
-		expr := checkExpr(decl.RobustType{Base: b, Size: decl.Fixed(8)}, "a1", []string{"a1"})
+	// Every check the generator can emit for a base of the decl
+	// vocabulary is declared in the header.
+	for _, b := range decl.Bases() {
+		expr := CheckExpr(decl.RobustType{Base: b, Size: decl.Fixed(8)}, "a1", []string{"a1"})
 		if expr == "" {
 			continue
 		}
@@ -249,8 +272,8 @@ func TestChecksHeader(t *testing.T) {
 // static wrapper verifier depends on: an unset Mode (and the explicit
 // "reject") emit exactly the pre-mode Figure 5 wrapper.
 func TestCodegenModeDefaultUnchanged(t *testing.T) {
-	base := Function(asctimeDecl(), Options{LogViolations: true})
-	if got := Function(asctimeDecl(), Options{LogViolations: true, Mode: "reject"}); got != base {
+	base := Function(asctimeDecl(), Options{})
+	if got := Function(asctimeDecl(), Options{Mode: "reject"}); got != base {
 		t.Errorf("Mode reject diverges from default emission:\n%s", got)
 	}
 	for _, bad := range []string{"healers_heal", "healers_introspect"} {
@@ -349,7 +372,7 @@ func TestCodegenIntrospectMode(t *testing.T) {
 		"if (!check_W_ARRAY(a1, 8) && !healers_introspect((const void *)a1)) {",
 		"if (!check_R_ARRAY(a2, 8) && !healers_introspect((const void *)a2)) {",
 		// Non-array checks keep the plain rejection path.
-		"if (!((long)a3 >= 0)) {\n\t\terrno",
+		"if (!((long)a3 >= 0)) {\n\t\thealers_log_violation(\"memcpy\");\n\t\terrno",
 	} {
 		if !strings.Contains(src, want) {
 			t.Errorf("introspect emission missing %q:\n%s", want, src)

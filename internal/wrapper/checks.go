@@ -3,6 +3,7 @@ package wrapper
 import (
 	"healers/internal/cmem"
 	"healers/internal/csim"
+	"healers/internal/decl"
 )
 
 // Memory checking functions (§5.1). The wrapper never *touches* memory
@@ -195,20 +196,20 @@ func (ip *Interposer) strlen(addr cmem.Addr) (int, bool) {
 // deliberately incomplete: a corrupted FILE that retains a valid
 // descriptor passes, which is exactly the residual failure class of the
 // paper's fully automatic wrapper.
-func (ip *Interposer) checkFILE(addr cmem.Addr, base string) bool {
+func (ip *Interposer) checkFILE(addr cmem.Addr, k decl.Kind) bool {
 	if ip.fileCache != nil {
-		if ok, seen := ip.fileCache[fileCacheKey{addr, base}]; seen {
+		if ok, seen := ip.fileCache[fileCacheKey{addr, k}]; seen {
 			return ok
 		}
 	}
-	ok := ip.checkFILESlow(addr, base)
+	ok := ip.checkFILESlow(addr, k)
 	if ip.fileCache != nil {
-		ip.fileCache[fileCacheKey{addr, base}] = ok
+		ip.fileCache[fileCacheKey{addr, k}] = ok
 	}
 	return ok
 }
 
-func (ip *Interposer) checkFILESlow(addr cmem.Addr, base string) bool {
+func (ip *Interposer) checkFILESlow(addr cmem.Addr, k decl.Kind) bool {
 	// The fileno+fstat round trip dominates the cost of FILE checks.
 	ip.work += 8
 	if !ip.checkMemory(addr, csim.SizeofFILE, true, true) {
@@ -233,13 +234,10 @@ func (ip *Interposer) checkFILESlow(addr cmem.Addr, base string) bool {
 	if f != nil {
 		return false
 	}
-	switch base {
-	case "R_FILE":
-		return flags&csim.FILEFlagRead != 0
-	case "W_FILE":
-		return flags&csim.FILEFlagWrite != 0
+	if k.Read && flags&csim.FILEFlagRead == 0 {
+		return false
 	}
-	return true
+	return !k.Write || flags&csim.FILEFlagWrite != 0
 }
 
 // checkFILEIntegrity is the manually added executable assertion of the
@@ -247,7 +245,7 @@ func (ip *Interposer) checkFILESlow(addr cmem.Addr, base string) bool {
 // and internal buffer must be coherent. This closes the corrupted-FILE
 // hole that survives the fully automatic wrapper.
 func (ip *Interposer) checkFILEIntegrity(addr cmem.Addr) bool {
-	if !ip.checkFILE(addr, "OPEN_FILE") {
+	if !ip.checkFILE(addr, decl.OpenFILE) {
 		return false
 	}
 	magic, f := ip.p.Mem.ReadU32(addr + csim.FILEOffMagic)

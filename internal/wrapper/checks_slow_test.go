@@ -5,6 +5,7 @@ import (
 
 	"healers/internal/cmem"
 	"healers/internal/csim"
+	"healers/internal/decl"
 )
 
 // Unit tests for the slow paths behind the memory and FILE checks: the
@@ -156,36 +157,36 @@ func TestCheckFILESlow(t *testing.T) {
 	if rd == 0 {
 		t.Fatal("fopen failed")
 	}
-	if !ip.checkFILESlow(rd, "OPEN_FILE") {
+	if !ip.checkFILESlow(rd, decl.OpenFILE) {
 		t.Error("live read stream refused as OPEN_FILE")
 	}
 	// Access-mode refinement from the flag word.
-	if !ip.checkFILESlow(rd, "R_FILE") {
+	if !ip.checkFILESlow(rd, decl.RobustType{Base: "R_FILE"}.Kind()) {
 		t.Error("read stream refused as R_FILE")
 	}
-	if ip.checkFILESlow(rd, "W_FILE") {
+	if ip.checkFILESlow(rd, decl.RobustType{Base: "W_FILE"}.Kind()) {
 		t.Error("read-only stream accepted as W_FILE")
 	}
 	wr := p.Fopen("/data/file.txt", "r+")
-	if !ip.checkFILESlow(wr, "W_FILE") {
+	if !ip.checkFILESlow(wr, decl.RobustType{Base: "W_FILE"}.Kind()) {
 		t.Error("read-write stream refused as W_FILE")
 	}
 
 	// A zeroed region of FILE size fails the fileno round trip: the
 	// descriptor inside is not live.
 	fake := region(t, p, csim.SizeofFILE, cmem.ProtRW)
-	if ip.checkFILESlow(fake, "OPEN_FILE") {
+	if ip.checkFILESlow(fake, decl.OpenFILE) {
 		t.Error("zeroed pseudo-FILE accepted")
 	}
 	// Unmapped memory fails before any library call.
-	if ip.checkFILESlow(0xdead0000, "OPEN_FILE") {
+	if ip.checkFILESlow(0xdead0000, decl.OpenFILE) {
 		t.Error("wild FILE pointer accepted")
 	}
 	// A FILE whose descriptor was closed behind it fails fstat.
 	closed := p.Fopen("/data/file.txt", "r")
 	fd := int64(ip.lib.Call(p, "fileno", uint64(closed)))
 	p.CloseFD(int(fd))
-	if ip.checkFILESlow(closed, "OPEN_FILE") {
+	if ip.checkFILESlow(closed, decl.OpenFILE) {
 		t.Error("stream with closed descriptor accepted")
 	}
 }

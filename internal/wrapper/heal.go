@@ -1,8 +1,6 @@
 package wrapper
 
 import (
-	"strings"
-
 	"healers/internal/cmem"
 	"healers/internal/csim"
 	"healers/internal/decl"
@@ -162,54 +160,34 @@ func (ip *Interposer) recordHeal(rec healRecord) {
 	}
 }
 
-// repairArg dispatches on the robust type of the failing argument and
-// performs the repair, returning the action name applied.
+// repairArg repairs the failing argument as its repair family,
+// returning the action applied. DIR streams are unrepairable: a DIR
+// cannot be conjured from opendir state the process never created.
 func (ip *Interposer) repairArg(d *decl.FuncDecl, i int, arg decl.ArgDecl, args []uint64) (string, bool) {
 	rt := arg.Robust
-	switch rt.Base {
-	case "R_ARRAY", "RW_ARRAY", "W_ARRAY", "R_ARRAY_NULL", "RW_ARRAY_NULL", "W_ARRAY_NULL":
-		// Structures holding internal pointers cannot be replaced by
-		// raw sink bytes: the library would dereference zeros. A
-		// FILE-typed buffer gets a real substitute stream instead; a
-		// DIR-typed one is unrepairable.
-		if strings.Contains(arg.CType, "_IO_FILE") || strings.Contains(arg.CType, "FILE") {
-			return ip.substituteFILE(args, i)
-		}
-		if strings.Contains(arg.CType, "__dirstream") || strings.Contains(arg.CType, "DIR") {
-			return "", false
-		}
+	switch arg.RepairFamily() {
+	case decl.FamilyArray:
 		size, ok := ip.evalSize(rt.Size, args)
 		if !ok || size < 0 {
 			return "", false
 		}
 		return ip.redirectToSink(d, args, i, size)
-	case "R_BOUNDED":
+	case decl.FamilyBounded:
 		bound, ok := ip.evalSize(rt.Size, args)
 		if !ok {
 			return "", false
 		}
 		return ip.healString(args, i, bound, false)
-	case "CSTR", "W_CSTR", "CSTR_NULL", "W_CSTR_NULL":
-		return ip.healString(args, i, ip.opts.MaxStrlen, strings.HasPrefix(rt.Base, "W_"))
-	case "OPEN_FILE", "R_FILE", "W_FILE", "OPEN_FILE_NULL":
+	case decl.FamilyCString:
+		return ip.healString(args, i, ip.opts.MaxStrlen, rt.Kind().Write)
+	case decl.FamilyInt:
+		args[i] = uint64(rt.Kind().Signs.Clamp())
+		return "clamp-int", true
+	case decl.FamilyFILE:
 		return ip.substituteFILE(args, i)
-	case "OPEN_DIR", "OPEN_DIR_NULL":
-		return "", false
-	case "INT_POSITIVE":
-		args[i] = 1
-		return "clamp-int", true
-	case "INT_NONNEG":
-		args[i] = 0
-		return "clamp-int", true
-	case "INT_NONPOS":
-		args[i] = 0
-		return "clamp-int", true
-	case "INT_NEGATIVE":
-		args[i] = ^uint64(0)
-		return "clamp-int", true
-	case "FD_VALID":
+	case decl.FamilyFD:
 		return ip.substituteFD(args, i)
-	case "VALID_FUNC":
+	case decl.FamilyFunc:
 		return ip.substituteCallback(args, i)
 	}
 	return "", false
@@ -228,21 +206,21 @@ func (ip *Interposer) redirectToSink(d *decl.FuncDecl, args []uint64, i int, nee
 		if j >= len(args) {
 			break
 		}
-		switch a.Robust.Base {
-		case "INT_ANY", "INT_POSITIVE", "INT_NONNEG", "INT_NONPOS", "INT_NEGATIVE":
-			v := int64(args[j])
-			if v < 0 || v > sinkCap {
+		if a.Robust.Kind().Family != decl.FamilyInt {
+			continue
+		}
+		v := int64(args[j])
+		if v < 0 || v > sinkCap {
+			return "", false
+		}
+		if v > 0 {
+			product *= int(v)
+			if product > sinkCap {
 				return "", false
 			}
-			if v > 0 {
-				product *= int(v)
-				if product > sinkCap {
-					return "", false
-				}
-			}
-			if int(v) > extent {
-				extent = int(v)
-			}
+		}
+		if int(v) > extent {
+			extent = int(v)
 		}
 	}
 	if product > extent {
@@ -381,7 +359,7 @@ func (ip *Interposer) substituteFILE(args []uint64, i int) (string, bool) {
 	// A healed fclose consumes the cached stream: the sink FILE must be
 	// re-validated before reuse, or the fixpoint re-check would fail on
 	// a stale pointer.
-	if ip.sinkFILE == 0 || !ip.checkFILE(ip.sinkFILE, "OPEN_FILE") {
+	if ip.sinkFILE == 0 || !ip.checkFILE(ip.sinkFILE, decl.OpenFILE) {
 		fp := ip.p.Fopen(sinkPath, "w+")
 		if fp == 0 {
 			return "", false

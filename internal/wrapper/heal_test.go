@@ -297,7 +297,7 @@ func TestHealSubstituteFILEStaleness(t *testing.T) {
 		t.Fatal("substituteFILE failed")
 	}
 	first := args[0]
-	if !ip.checkFILE(cmem.Addr(first), "OPEN_FILE") {
+	if !ip.checkFILE(cmem.Addr(first), decl.OpenFILE) {
 		t.Fatal("substituted stream fails validation")
 	}
 
@@ -312,7 +312,7 @@ func TestHealSubstituteFILEStaleness(t *testing.T) {
 	if _, ok := ip.substituteFILE(args, 0); !ok {
 		t.Fatal("substituteFILE failed after the sink stream was consumed")
 	}
-	if !ip.checkFILE(cmem.Addr(args[0]), "OPEN_FILE") {
+	if !ip.checkFILE(cmem.Addr(args[0]), decl.OpenFILE) {
 		t.Error("stale sink stream handed out after fclose")
 	}
 }
@@ -458,7 +458,7 @@ func TestRepairArgDispatch(t *testing.T) {
 					t.Errorf("repaired string at %#x fails its own check", args[0])
 				}
 			case "RW_ARRAY":
-				if !ip.checkFILE(cmem.Addr(args[0]), "OPEN_FILE") {
+				if !ip.checkFILE(cmem.Addr(args[0]), decl.OpenFILE) {
 					t.Errorf("substituted FILE at %#x fails the stream check", args[0])
 				}
 			case "FD_VALID":

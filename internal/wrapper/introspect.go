@@ -1,8 +1,6 @@
 package wrapper
 
 import (
-	"strings"
-
 	"healers/internal/cmem"
 	"healers/internal/decl"
 	"healers/internal/obs"
@@ -66,7 +64,7 @@ func (r introspection) render() Introspection {
 // proving the pointer lies inside a live heap allocation.
 func (ip *Interposer) introspectArg(d *decl.FuncDecl, i int, arg decl.ArgDecl, args []uint64) bool {
 	rt := arg.Robust
-	if !strings.Contains(rt.Base, "ARRAY") {
+	if rt.Kind().Family != decl.FamilyArray {
 		return false
 	}
 	if ip.opts.Stateless {

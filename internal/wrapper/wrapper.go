@@ -16,7 +16,6 @@ package wrapper
 
 import (
 	"fmt"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -348,7 +347,7 @@ func (ip *Interposer) register(reg *obs.Registry) {
 // matters: R_FILE and W_FILE check different flag bits).
 type fileCacheKey struct {
 	addr cmem.Addr
-	base string
+	kind decl.Kind
 }
 
 // Stats returns a snapshot of the wrapper counters. Every counter is
@@ -660,119 +659,56 @@ func (ip *Interposer) checkArg(arg decl.ArgDecl, args []uint64, i int) (bool, st
 	ip.stats.checksRun.Add(1)
 	ip.mChecksRun.Inc()
 	rt := arg.Robust
+	k := rt.Kind()
 	val := args[i]
 	addr := cmem.Addr(val)
 
-	switch rt.Base {
-	case "UNCONSTRAINED", "INT_ANY", "FD_ANY", "DBL_ANY", "CSTR_W_NULL":
-		return true, ""
-
-	case "R_ARRAY", "RW_ARRAY", "W_ARRAY", "R_ARRAY_NULL", "RW_ARRAY_NULL", "W_ARRAY_NULL":
-		nullOK := strings.HasSuffix(rt.Base, "_NULL")
-		if addr == 0 {
-			if nullOK {
-				return true, ""
-			}
-			return false, "null pointer"
+	if addr == 0 && k.NullReason != "" {
+		if k.NullOK {
+			return true, ""
 		}
+		return false, k.NullReason
+	}
+	switch k.Family {
+	case decl.FamilyArray, decl.FamilyBounded:
 		size, ok := ip.evalSize(rt.Size, args)
-		if !ok {
+		switch {
+		case !ok:
 			return false, "size expression unsatisfiable"
-		}
-		needRead := strings.HasPrefix(rt.Base, "R") || strings.HasPrefix(rt.Base, "RW")
-		needWrite := strings.Contains(rt.Base, "W_ARRAY") || strings.HasPrefix(rt.Base, "RW")
-		if !ip.checkMemory(addr, size, needRead, needWrite) {
+		case k.Family == decl.FamilyBounded && !ip.checkBoundedString(addr, size):
+			return false, reasonUnbounded
+		case k.Family == decl.FamilyArray && !ip.checkMemory(addr, size, k.Read, k.Write):
 			return false, reasonInaccessible
 		}
-		return true, ""
-
-	case "R_BOUNDED":
-		if addr == 0 {
-			return false, "null pointer"
-		}
-		size, ok := ip.evalSize(rt.Size, args)
-		if !ok {
-			return false, "size expression unsatisfiable"
-		}
-		if !ip.checkBoundedString(addr, size) {
-			return false, reasonUnbounded
-		}
-		return true, ""
-
-	case "CSTR", "W_CSTR", "CSTR_NULL", "W_CSTR_NULL":
-		nullOK := strings.HasSuffix(rt.Base, "_NULL")
-		if addr == 0 {
-			if nullOK {
-				return true, ""
-			}
-			return false, "null string"
-		}
-		writable := strings.HasPrefix(rt.Base, "W_")
-		if !ip.checkCString(addr, writable) {
+	case decl.FamilyCString:
+		if !ip.checkCString(addr, k.Write) {
 			return false, "invalid C string"
 		}
-		return true, ""
-
-	case "OPEN_FILE", "R_FILE", "W_FILE", "OPEN_FILE_NULL":
-		if addr == 0 {
-			if rt.Base == "OPEN_FILE_NULL" {
-				return true, ""
-			}
-			return false, "null FILE pointer"
-		}
-		if !ip.checkFILE(addr, rt.Base) {
+	case decl.FamilyFILE:
+		if !ip.checkFILE(addr, k) {
 			return false, "invalid FILE pointer"
 		}
-		return true, ""
-
-	case "OPEN_DIR", "OPEN_DIR_NULL":
-		if addr == 0 {
-			if rt.Base == "OPEN_DIR_NULL" {
-				return true, ""
-			}
-			return false, "null DIR pointer"
-		}
+	case decl.FamilyDIR:
 		// §5.2: POSIX defines no checker for DIR*; without the manual
 		// executable assertion all the wrapper can verify is that the
 		// memory is accessible.
-		if !ip.checkMemory(addr, csim.SizeofDIR, true, true) {
+		if !ip.checkMemory(addr, csim.SizeofDIR, k.Read, k.Write) {
 			return false, "DIR memory not accessible"
 		}
-		return true, ""
-
-	case "INT_POSITIVE":
-		if int64(val) <= 0 {
-			return false, "non-positive value"
+	case decl.FamilyInt:
+		if !k.Signs.Allows(int64(val)) {
+			return false, k.Signs.Reason()
 		}
-		return true, ""
-	case "INT_NONNEG":
-		if int64(val) < 0 {
-			return false, "negative value"
-		}
-		return true, ""
-	case "INT_NONPOS":
-		if int64(val) > 0 {
-			return false, "positive value"
-		}
-		return true, ""
-	case "INT_NEGATIVE":
-		if int64(val) >= 0 {
-			return false, "non-negative value"
-		}
-		return true, ""
-	case "FD_VALID":
+	case decl.FamilyFD:
 		if ip.p.FD(int(int32(uint32(val)))) == nil {
 			return false, "bad file descriptor"
 		}
-		return true, ""
-	case "VALID_FUNC":
+	case decl.FamilyFunc:
 		if !ip.p.IsCode(addr) {
 			return false, "not a function address"
 		}
-		return true, ""
 	}
-	// Unknown robust type: fail open (the wrapper must never make a
-	// function less available than the paper's safe-by-default stance).
+	// The unconstrained family, unknown bases included, fails open.
 	return true, ""
 }
 
@@ -782,7 +718,7 @@ func (ip *Interposer) checkAssertion(a decl.Assertion, d *decl.FuncDecl, args []
 	switch a {
 	case decl.AssertValidDir:
 		for i, arg := range d.Args {
-			if !strings.Contains(arg.CType, "__dirstream") || i >= len(args) {
+			if !arg.PointsToDIR() || i >= len(args) {
 				continue
 			}
 			addr := cmem.Addr(args[i])
@@ -796,7 +732,7 @@ func (ip *Interposer) checkAssertion(a decl.Assertion, d *decl.FuncDecl, args []
 		return true, 0, ""
 	case decl.AssertFileIntegrity:
 		for i, arg := range d.Args {
-			if !strings.Contains(arg.CType, "_IO_FILE") || i >= len(args) {
+			if !arg.PointsToFILE() || i >= len(args) {
 				continue
 			}
 			addr := cmem.Addr(args[i])
