@@ -7,26 +7,33 @@
 //	healers extract                      # §3 extraction statistics
 //	healers inject [flags] [func...]     # robust argument types (all 86 by default)
 //	healers analyze [flags] [func...]    # static prediction vs dynamic agreement table
-//	healers decl <func>                  # Figure 2 XML declaration for one function
-//	healers wrap [func...]               # Figure 5 C wrapper source
+//	healers decl <func>...               # Figure 2 XML declarations, in campaign order
+//	healers wrap [flags] [func...]       # Figure 5 C wrapper source
 //	healers table1 [flags]               # Table 1 error-return classification
-//	healers figure6 [flags]              # Figure 6 robustness evaluation
+//	healers figure6 [flags]              # Figure 6 robustness evaluation + crash lists
 //	healers strategy [flags]             # differential wrapper-strategy matrix
 //	healers table2                       # Table 2 performance overhead
 //	healers stats [flags]                # full campaign with metrics + phase profile
 //	healers bitflip [func...]            # §9 future work: bit-flip injection
 //	healers serve [flags]                # long-running HTTP campaign service
 //
-// Observability flags (inject, table1, figure6, stats):
+// Every command accepts every flag; flags precede the function names.
+//
+// Observability and campaign flags:
 //
 //	-trace out.jsonl       write every structured event as JSON lines
 //	-trace-out out.json    write the campaign as Chrome trace-event JSON
 //	                       (open in Perfetto / chrome://tracing)
+//	-v                     print every structured event as one text line
+//	                       on stdout: each probe, outcome, and adjustment
 //	-metrics               print the metrics exposition after the report
 //	-progress              stream campaign progress to stderr
 //	-workers N             shard the campaign across N workers (0 = one
 //	                       per CPU, 1 = sequential); results are
 //	                       byte-identical to the sequential run
+//	-conservative          inject with the stricter §4.3 robust-type variant
+//
+// A trace that cannot be written fails the command with exit status 1.
 //
 // Command-specific flags:
 //
@@ -36,7 +43,11 @@
 //	                           (repair failing arguments and forward), or
 //	                           introspect (allocation-table rescue of
 //	                           false rejections)
-//	analyze -json              emit the agreement report as JSON
+//	wrap -semi                 apply the §6 semi-automatic manual edits
+//	wrap -abort                emit the debugging-phase abort policy
+//	figure6 -stateless         add the stateless-wrapper ablation run
+//	analyze -json              emit the agreement report as JSON (per
+//	                           argument: predicted type, confidence, reason)
 //	analyze -bodies            agreement table for the body-level bodyscan
 //	                           pass instead of the prototype pass
 //	serve -addr :8080          listen address for the campaign service
@@ -47,12 +58,16 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"os"
 	"os/signal"
+	"slices"
+	"strings"
 	"syscall"
 	"time"
 
@@ -68,7 +83,7 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "healers:", err)
 		os.Exit(1)
 	}
@@ -77,15 +92,19 @@ func main() {
 // obsFlags is the per-command observability configuration assembled
 // from command-line flags.
 type obsFlags struct {
-	tracePath *string
-	traceOut  *string
-	metrics   *bool
-	progress  *bool
-	workers   *int
+	tracePath    *string
+	traceOut     *string
+	metrics      *bool
+	progress     *bool
+	verbose      *bool
+	workers      *int
+	conservative *bool
 
+	out      io.Writer
 	tracer   *obs.Tracer
 	registry *obs.Registry
 	file     *os.File
+	jsonl    *obs.JSONLSink
 	collect  *obs.CollectSink
 	// roots are the trace's root spans, the top-level phases the stats
 	// command profiles.
@@ -94,18 +113,21 @@ type obsFlags struct {
 
 func registerObsFlags(fs *flag.FlagSet) *obsFlags {
 	return &obsFlags{
-		tracePath: fs.String("trace", "", "write structured JSONL trace events to `file`"),
-		traceOut:  fs.String("trace-out", "", "write the campaign as Chrome trace-event JSON to `file` (Perfetto-loadable)"),
-		metrics:   fs.Bool("metrics", false, "print the metrics exposition after the report"),
-		progress:  fs.Bool("progress", false, "stream campaign progress events to stderr"),
-		workers:   fs.Int("workers", 1, "parallel campaign workers (`N`; 0 = one per CPU, 1 = sequential)"),
+		tracePath:    fs.String("trace", "", "write structured JSONL trace events to `file`"),
+		traceOut:     fs.String("trace-out", "", "write the campaign as Chrome trace-event JSON to `file` (Perfetto-loadable)"),
+		metrics:      fs.Bool("metrics", false, "print the metrics exposition after the report"),
+		progress:     fs.Bool("progress", false, "stream campaign progress events to stderr"),
+		verbose:      fs.Bool("v", false, "print every structured event as one text line on stdout"),
+		workers:      fs.Int("workers", 1, "parallel campaign workers (`N`; 0 = one per CPU, 1 = sequential)"),
+		conservative: fs.Bool("conservative", false, "use the stricter §4.3 robust-type variant"),
 	}
 }
 
-// open builds the tracer and registry after flag parsing. The stats
-// and serve commands always get a registry; stats also records the
-// trace's root spans for its campaign profile.
-func (of *obsFlags) open(cmd string) error {
+// open builds the tracer and registry after flag parsing; reports go
+// to out. The stats and serve commands always get a registry; stats
+// also records the trace's root spans for its campaign profile.
+func (of *obsFlags) open(cmd string, out io.Writer) error {
+	of.out = out
 	var sinks []obs.Sink
 	if *of.tracePath != "" {
 		f, err := os.Create(*of.tracePath)
@@ -113,7 +135,11 @@ func (of *obsFlags) open(cmd string) error {
 			return err
 		}
 		of.file = f
-		sinks = append(sinks, obs.NewJSONLSink(f))
+		of.jsonl = obs.NewJSONLSink(f)
+		sinks = append(sinks, of.jsonl)
+	}
+	if *of.verbose {
+		sinks = append(sinks, obs.NewTextSink(out))
 	}
 	if *of.traceOut != "" {
 		of.collect = obs.NewCollectSink(0)
@@ -141,28 +167,34 @@ func (of *obsFlags) open(cmd string) error {
 	return nil
 }
 
-func (of *obsFlags) close() {
+// close writes the Chrome trace and closes the JSONL file. Every write
+// failure of either comes back, so a lost trace fails the command.
+func (of *obsFlags) close() error {
+	var errs []error
 	if of.collect != nil {
 		data, err := obs.MarshalChromeTrace(of.collect.Events())
 		if err == nil {
 			err = os.WriteFile(*of.traceOut, data, 0o644)
 		}
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "healers: writing trace:", err)
+			errs = append(errs, fmt.Errorf("writing trace: %w", err))
 		} else if dropped := of.collect.Dropped(); dropped > 0 {
 			fmt.Fprintf(os.Stderr, "healers: trace truncated, %d events dropped at capacity\n", dropped)
 		}
 	}
 	if of.file != nil {
-		of.file.Close()
+		if err := errors.Join(of.jsonl.Err(), of.file.Close()); err != nil {
+			errs = append(errs, fmt.Errorf("writing %s: %w", *of.tracePath, err))
+		}
 	}
+	return errors.Join(errs...)
 }
 
 // finish prints the exposition when -metrics was requested.
 func (of *obsFlags) finish() {
 	if of.registry != nil {
-		fmt.Println()
-		fmt.Print(report.Stats(of.registry, nil))
+		fmt.Fprintln(of.out)
+		fmt.Fprint(of.out, report.Stats(of.registry, nil))
 	}
 }
 
@@ -171,7 +203,13 @@ func (of *obsFlags) injectorConfig() healers.InjectorConfig {
 	cfg.Obs = of.tracer
 	cfg.Metrics = of.registry
 	cfg.Workers = injector.ResolveWorkers(*of.workers)
+	cfg.Conservative = *of.conservative
 	return cfg
+}
+
+// observability threads the tracer, registry and workers into a suite run.
+func (of *obsFlags) observability() healers.Observability {
+	return healers.Observability{Tracer: of.tracer, Metrics: of.registry, Workers: injector.ResolveWorkers(*of.workers)}
 }
 
 // generateSuite builds the Ballista suite under its own root span, the
@@ -258,33 +296,57 @@ func runServe(addr, cachePath string, workers int, reg *obs.Registry, withPprof 
 	return nil
 }
 
-func run(args []string) error {
-	if len(args) == 0 {
-		return fmt.Errorf("usage: healers extract|inject|analyze|decl|wrap|table1|figure6|strategy|table2|stats|bitflip|serve")
-	}
-	cmd, rest := args[0], args[1:]
+// commands are the subcommands in usage order. run rejects any other
+// name before it opens a trace file or builds the System.
+var commands = []string{"extract", "inject", "analyze", "decl", "wrap", "table1", "figure6", "strategy", "table2", "stats", "bitflip", "serve"}
 
+// cmdFlags are the command-specific flags. They share one FlagSet with
+// the observability flags.
+type cmdFlags struct {
+	stateless, jsonOut, bodies, pprof, semi, abort *bool
+	mode, seed, addr, cache                        *string
+}
+
+// newFlagSet registers every flag healers accepts.
+func newFlagSet(cmd string) (*flag.FlagSet, *obsFlags, *cmdFlags) {
 	fs := flag.NewFlagSet(cmd, flag.ExitOnError)
 	of := registerObsFlags(fs)
-	stateless := fs.Bool("stateless", false, "figure6: add the stateless-wrapper ablation run")
-	modeFlag := fs.String("mode", "", "wrap/figure6/stats: wrapper strategy (reject|heal|introspect)")
-	seedMode := fs.String("seed", "none", "inject: seed adaptive growth from a static pass (static|body|none)")
-	jsonOut := fs.Bool("json", false, "analyze: emit the agreement report as JSON")
-	useBodies := fs.Bool("bodies", false, "analyze: use the body-level bodyscan facts instead of the prototype pass")
-	addr := fs.String("addr", ":8080", "serve: listen `address` for the campaign service")
-	cachePath := fs.String("cache", "", "serve: persistent result cache `file` (JSONL; empty = in-memory)")
-	withPprof := fs.Bool("pprof", false, "serve: mount net/http/pprof under /debug/pprof/")
+	return fs, of, &cmdFlags{
+		stateless: fs.Bool("stateless", false, "figure6: add the stateless-wrapper ablation run"),
+		mode:      fs.String("mode", "", "wrap/figure6/stats: wrapper strategy (reject|heal|introspect)"),
+		seed:      fs.String("seed", "none", "inject: seed adaptive growth from a static pass (static|body|none)"),
+		jsonOut:   fs.Bool("json", false, "analyze: emit the agreement report as JSON"),
+		bodies:    fs.Bool("bodies", false, "analyze: use the body-level bodyscan facts instead of the prototype pass"),
+		semi:      fs.Bool("semi", false, "wrap: apply the §6 semi-automatic manual edits"),
+		abort:     fs.Bool("abort", false, "wrap: emit the debugging-phase abort policy"),
+		addr:      fs.String("addr", ":8080", "serve: listen `address` for the campaign service"),
+		cache:     fs.String("cache", "", "serve: persistent result cache `file` (JSONL; empty = in-memory)"),
+		pprof:     fs.Bool("pprof", false, "serve: mount net/http/pprof under /debug/pprof/"),
+	}
+}
+
+// run executes one subcommand, writing its report to w.
+func run(args []string, w io.Writer) (err error) {
+	if len(args) == 0 {
+		return fmt.Errorf("usage: healers %s", strings.Join(commands, "|"))
+	}
+	cmd, rest := args[0], args[1:]
+	if !slices.Contains(commands, cmd) {
+		return fmt.Errorf("unknown command %q", cmd)
+	}
+
+	fs, of, cf := newFlagSet(cmd)
 	if err := fs.Parse(rest); err != nil {
 		return err
 	}
 	rest = fs.Args()
-	if err := of.open(cmd); err != nil {
+	if err := of.open(cmd, w); err != nil {
 		return err
 	}
-	defer of.close()
+	defer func() { err = errors.Join(err, of.close()) }()
 
 	if cmd == "serve" {
-		return runServe(*addr, *cachePath, *of.workers, of.registry, *withPprof)
+		return runServe(*cf.addr, *cf.cache, *of.workers, of.registry, *cf.pprof)
 	}
 
 	sys, err := healers.NewSystem()
@@ -292,48 +354,43 @@ func run(args []string) error {
 		return err
 	}
 
-	inject := func(names []string) (*healers.Campaign, error) {
+	// orAll86 defaults an empty function list to the paper's 86.
+	orAll86 := func(names []string) []string {
 		if len(names) == 0 {
-			names = sys.CrashProne86()
+			return sys.CrashProne86()
 		}
-		return sys.InjectWith(names, of.injectorConfig())
+		return names
+	}
+	inject := func(names []string) (*healers.Campaign, error) {
+		return sys.InjectWith(orAll86(names), of.injectorConfig())
 	}
 
 	switch cmd {
 	case "extract":
-		fmt.Print(report.Extraction(sys.Extraction.Stats))
-		return nil
+		fmt.Fprint(w, report.Extraction(sys.Extraction.Stats))
 
 	case "inject":
-		names := rest
-		if len(names) == 0 {
-			names = sys.CrashProne86()
-		}
+		names := orAll86(rest)
 		cfg := of.injectorConfig()
-		switch *seedMode {
-		case "static":
-			pred, err := sys.Predict(names)
+		if *cf.seed != "none" {
+			predict, ok := map[string]func([]string) (*healers.Prediction, error){
+				"static": sys.Predict, "body": sys.PredictBodies,
+			}[*cf.seed]
+			if !ok {
+				return fmt.Errorf("inject: -seed must be static, body, or none, got %q", *cf.seed)
+			}
+			pred, err := predict(names)
 			if err != nil {
 				return err
 			}
 			cfg.Seeds = pred.Seeds()
-		case "body":
-			pred, err := sys.PredictBodies(names)
-			if err != nil {
-				return err
-			}
-			cfg.Seeds = pred.Seeds()
-		case "none":
-		default:
-			return fmt.Errorf("inject: -seed must be static, body, or none, got %q", *seedMode)
 		}
 		campaign, err := sys.InjectWith(names, cfg)
 		if err != nil {
 			return err
 		}
-		fmt.Print(report.Declarations(campaign))
+		fmt.Fprint(w, report.Declarations(campaign))
 		of.finish()
-		return nil
 
 	case "analyze":
 		var names []string
@@ -341,65 +398,66 @@ func run(args []string) error {
 			names = rest
 		}
 		analyze := sys.Analyze
-		if *useBodies {
+		if *cf.bodies {
 			analyze = sys.AnalyzeBodies
 		}
 		rep, err := analyze(names, of.injectorConfig())
 		if err != nil {
 			return err
 		}
-		if *jsonOut {
-			enc := json.NewEncoder(os.Stdout)
+		if *cf.jsonOut {
+			enc := json.NewEncoder(w)
 			enc.SetIndent("", "  ")
 			if err := enc.Encode(rep); err != nil {
 				return err
 			}
 		} else {
-			fmt.Print(report.Analysis(rep))
+			fmt.Fprint(w, report.Analysis(rep))
 		}
 		of.finish()
-		return nil
 
 	case "decl":
-		if len(rest) != 1 {
-			return fmt.Errorf("usage: healers decl <function>")
+		if len(rest) == 0 {
+			return fmt.Errorf("usage: healers decl <function>...")
 		}
 		campaign, err := inject(rest)
 		if err != nil {
 			return err
 		}
-		d := campaign.Results[rest[0]].Decl
-		xml, err := d.EncodeXML()
-		if err != nil {
-			return err
+		for _, name := range campaign.Order {
+			xml, err := campaign.Results[name].Decl.EncodeXML()
+			if err != nil {
+				return err
+			}
+			fmt.Fprintln(w, string(xml))
 		}
-		fmt.Println(string(xml))
-		return nil
 
 	case "wrap":
-		if _, err := healers.ParseMode(*modeFlag); err != nil {
+		if _, err := healers.ParseMode(*cf.mode); err != nil {
 			return fmt.Errorf("wrap: %v", err)
 		}
 		campaign, err := inject(rest)
 		if err != nil {
 			return err
 		}
-		fmt.Print(wrapgen.ChecksHeader())
-		fmt.Println()
-		fmt.Print(wrapgen.File(campaign.Decls(), wrapgen.Options{Mode: *modeFlag}))
-		return nil
+		decls := campaign.Decls()
+		if *cf.semi {
+			decls = healers.SemiAuto(decls)
+		}
+		fmt.Fprint(w, wrapgen.ChecksHeader())
+		fmt.Fprintln(w)
+		fmt.Fprint(w, wrapgen.File(decls, wrapgen.Options{Mode: *cf.mode, AbortOnViolation: *cf.abort}))
 
 	case "table1":
 		campaign, err := inject(nil)
 		if err != nil {
 			return err
 		}
-		fmt.Print(report.Table1(campaign))
+		fmt.Fprint(w, report.Table1(campaign))
 		of.finish()
-		return nil
 
 	case "figure6", "stats":
-		mode, err := healers.ParseMode(*modeFlag)
+		mode, err := healers.ParseMode(*cf.mode)
 		if err != nil {
 			return fmt.Errorf("%s: %v", cmd, err)
 		}
@@ -412,19 +470,16 @@ func run(args []string) error {
 		if err != nil {
 			return err
 		}
-		fig := sys.RunFigure6WithMode(suite, decls, healers.SemiAuto(decls), healers.Observability{
-			Tracer:  of.tracer,
-			Metrics: of.registry,
-			Workers: injector.ResolveWorkers(*of.workers),
-		}, mode)
-		fmt.Print(fig.Format())
+		fig := sys.RunFigure6WithMode(suite, decls, healers.SemiAuto(decls), of.observability(), mode)
+		fmt.Fprint(w, fig.Format())
 		if cmd == "stats" {
-			fmt.Println()
-			fmt.Print(report.Stats(of.registry, of.roots))
+			fmt.Fprintln(w)
+			fmt.Fprint(w, report.Stats(of.registry, of.roots))
 		} else {
+			fmt.Fprint(w, fig.FormatCrashes())
 			of.finish()
 		}
-		if *stateless {
+		if *cf.stateless {
 			// Ablation: the full-auto wrapper without its stateful
 			// tables — page probing and stack bounds only (§5.1's
 			// comparison against the signal-handler approach of [2]).
@@ -435,9 +490,8 @@ func run(args []string) error {
 				func(p *healers.Process) ballista.Caller {
 					return wrapper.Attach(p, sys.Library, decls, opts)
 				}, 0)
-			fmt.Printf("\nablation: %s\n", rep)
+			fmt.Fprintf(w, "\nablation: %s\n", rep)
 		}
-		return nil
 
 	case "strategy":
 		campaign, err := inject(nil)
@@ -449,29 +503,21 @@ func run(args []string) error {
 		if err != nil {
 			return err
 		}
-		m, err := sys.RunStrategyMatrix(suite, semi, healers.Observability{
-			Tracer:  of.tracer,
-			Metrics: of.registry,
-			Workers: injector.ResolveWorkers(*of.workers),
-		})
+		m, err := sys.RunStrategyMatrix(suite, semi, of.observability())
 		if err != nil {
 			return err
 		}
-		fmt.Print(m.Format())
+		fmt.Fprint(w, m.Format())
 		if violations := m.InvariantViolations(suite); len(violations) > 0 {
-			fmt.Printf("\n%d mode-invariant violations:\n", len(violations))
+			fmt.Fprintf(w, "\n%d mode-invariant violations:\n", len(violations))
 			for _, v := range violations {
-				fmt.Println(" ", v)
+				fmt.Fprintln(w, " ", v)
 			}
 		}
 		of.finish()
-		return nil
 
 	case "bitflip":
-		names := rest
-		if len(names) == 0 {
-			names = sys.CrashProne86()
-		}
+		names := orAll86(rest)
 		campaign, err := inject(names)
 		if err != nil {
 			return err
@@ -481,17 +527,14 @@ func run(args []string) error {
 		if err != nil {
 			return err
 		}
-		fmt.Print(bf.Format())
-		return nil
+		fmt.Fprint(w, bf.Format())
 
 	case "table2":
 		campaign, err := inject(nil)
 		if err != nil {
 			return err
 		}
-		ms := sys.MeasureTable2(healers.SemiAuto(campaign.Decls()))
-		fmt.Print(healers.FormatTable2(ms))
-		return nil
+		fmt.Fprint(w, healers.FormatTable2(sys.MeasureTable2(healers.SemiAuto(campaign.Decls()))))
 	}
-	return fmt.Errorf("unknown command %q", cmd)
+	return nil
 }

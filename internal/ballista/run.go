@@ -497,3 +497,23 @@ func (f *Figure6) Format() string {
 	}
 	return b.String()
 }
+
+// FormatCrashes lists each configuration's crashing functions, then
+// the per-function detail of the full-auto residuals.
+func (f *Figure6) FormatCrashes() string {
+	var b strings.Builder
+	b.WriteString("\n")
+	for _, r := range []*Report{f.Unwrapped, f.FullAuto, f.SemiAuto} {
+		crashing := r.CrashingFuncs()
+		fmt.Fprintf(&b, "crashing functions, %s (%d):\n  %v\n", r.Config, len(crashing), crashing)
+	}
+	if residual := f.FullAuto.CrashingFuncs(); len(residual) > 0 {
+		b.WriteString("\nfull-auto residual detail (the corrupted-structure class):\n")
+		for _, name := range residual {
+			fr := f.FullAuto.PerFunc[name]
+			fmt.Fprintf(&b, "  %-12s crash=%3d (segv %d, hang %d, abort %d) of %d tests\n",
+				name, fr.Crash, fr.Segfault, fr.Hang, fr.Abort, fr.Tests())
+		}
+	}
+	return b.String()
+}

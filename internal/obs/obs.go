@@ -160,7 +160,7 @@ type Event struct {
 }
 
 // String renders the event as one human-readable line (the TextSink
-// format, also what `faultinject -v` prints).
+// format, also what `healers -v` prints).
 func (e Event) String() string {
 	switch e.Kind {
 	case KindInjectionProbe:

@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"reflect"
 	"strings"
 	"testing"
@@ -141,6 +142,42 @@ func TestJSONLRoundTrip(t *testing.T) {
 		if !reflect.DeepEqual(parsed[i], e) {
 			t.Errorf("event %d round trip:\n got %+v\nwant %+v", i, parsed[i], e)
 		}
+	}
+}
+
+// failingWriter accepts limit bytes, then fails every write.
+type failingWriter struct {
+	limit, writes int
+}
+
+var errDiskFull = errors.New("disk full")
+
+func (w *failingWriter) Write(p []byte) (int, error) {
+	w.writes++
+	if w.limit < len(p) {
+		return 0, errDiskFull
+	}
+	w.limit -= len(p)
+	return len(p), nil
+}
+
+// TestJSONLSinkKeepsFirstWriteError: a failed write never reaches the
+// emitter, stops the sink, and stays available from Err.
+func TestJSONLSinkKeepsFirstWriteError(t *testing.T) {
+	w := &failingWriter{limit: 100} // room for one event line
+	sink := NewJSONLSink(w)
+	tr := New(sink)
+	for i := 0; i < 10; i++ {
+		tr.Emit(Event{Kind: KindWrapperCall, Func: "fclose", Outcome: "checked"})
+	}
+	if !errors.Is(sink.Err(), errDiskFull) {
+		t.Fatalf("Err() = %v, want the write error", sink.Err())
+	}
+	if w.writes != 2 {
+		t.Errorf("%d writes, want 2: the sink must stop at the first failure", w.writes)
+	}
+	if err := NewJSONLSink(&bytes.Buffer{}).Err(); err != nil {
+		t.Errorf("fresh sink Err() = %v", err)
 	}
 }
 

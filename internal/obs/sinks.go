@@ -12,6 +12,7 @@ import (
 // writes it, ParseJSONL reads it back.
 type JSONLSink struct {
 	enc *json.Encoder
+	err error
 }
 
 // NewJSONLSink returns a sink writing JSON lines to w. The caller owns
@@ -20,9 +21,17 @@ func NewJSONLSink(w io.Writer) *JSONLSink {
 	return &JSONLSink{enc: json.NewEncoder(w)}
 }
 
-// Emit implements Sink. Encoding errors are swallowed: tracing must
-// never turn an experiment outcome into a harness failure.
-func (s *JSONLSink) Emit(e Event) { _ = s.enc.Encode(e) }
+// Emit implements Sink. Tracing must never turn an experiment outcome
+// into a harness failure, so a write error stops the sink and is kept
+// for Err instead of reaching the emitter.
+func (s *JSONLSink) Emit(e Event) {
+	if s.err == nil {
+		s.err = s.enc.Encode(e)
+	}
+}
+
+// Err returns the first write error, or nil, once the traced work is done.
+func (s *JSONLSink) Err() error { return s.err }
 
 // ParseJSONL decodes a JSONL trace back into events, in stream order.
 // Blank lines are skipped; a malformed line is an error.
