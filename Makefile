@@ -16,9 +16,8 @@
 #                        under the race detector
 #   make verify        — all tiers (the pre-commit gate)
 #   make bench         — wrapper call-path overhead benchmarks
-#   make bench-campaign — campaign benchmarks + BENCH_campaign.json refresh
-#   make bench-gate    — perf-regression gate against the committed history
-#   make bench-smoke   — one-iteration benchmark + COW differential audit
+#   make bench-smoke   — one-iteration benchmarks (incl. the checkpoint
+#                        and scaling ratio gates) + COW differential audit
 #   make bench-module  — vet + smoke-test the nested bench/ module, which
 #                        the root `go test ./...` does not compile
 #   make fuzz          — 30s each of prototype-parser and cache-line
@@ -35,7 +34,7 @@ GO ?= go
 # noise, not untested subsystems).
 COVER_BASELINE ?= 79.2
 
-.PHONY: all check race race-parallel serve-test lint soundness bodyfacts bodyfacts-check cover strategy-matrix verify bench bench-campaign bench-gate bench-profile bench-smoke bench-module fuzz test-e2e-crash table1 figure6 stats analyze clean
+.PHONY: all check race race-parallel serve-test lint soundness bodyfacts bodyfacts-check cover strategy-matrix verify bench bench-profile bench-smoke bench-module fuzz test-e2e-crash table1 figure6 stats analyze clean
 
 all: check
 
@@ -102,22 +101,6 @@ verify: check race serve-test lint cover strategy-matrix test-e2e-crash
 bench:
 	$(GO) test -run '^$$' -bench BenchmarkWrapperCallOverhead -benchmem ./internal/wrapper/
 
-# Campaign performance trajectory: fork microbenchmarks (eager vs COW),
-# the sequential/sharded campaign benchmarks, and a refresh of the
-# committed BENCH_campaign.json so perf regressions show up as a diff.
-bench-campaign:
-	$(GO) test -run '^$$' -bench 'BenchmarkFork' -benchmem -benchtime 1000x ./internal/cmem/
-	$(GO) test -run '^$$' -bench BenchmarkCampaign -benchtime 3x ./internal/injector/
-	BENCH_JSON=$(CURDIR)/BENCH_campaign.json $(GO) test -count=1 -run TestBenchTrajectory -v ./internal/injector/
-
-# The perf-regression gate: re-measure the campaign trajectory, compare
-# against the last committed BENCH_campaign.json entry under benchgate
-# tolerances (override per category with BENCH_GATE_*_PCT; soften noisy
-# timing categories with BENCH_GATE_SOFT=cold_sequential,...), and
-# append a git-SHA-stamped entry to the history on a clean pass.
-bench-gate:
-	BENCH_JSON=$(CURDIR)/BENCH_campaign.json BENCH_GATE=1 $(GO) test -count=1 -run TestBenchTrajectory -v ./internal/injector/
-
 # Contention capture for the multicore work: run the 8-worker golden
 # campaign with the cpu, mutex, and block profilers armed, leaving
 # pprof files plus the test binary (symbol source) in ./profiles.
@@ -134,8 +117,11 @@ bench-profile:
 
 # CI's cheap perf gate: every campaign benchmark and the page-cache
 # byte scan run one iteration (so a hang or a golden-vector divergence
-# fails fast), the wrapper nop path, the forked-memory accessors and the
-# per-test Ballista budget prove their allocation contracts, and the
+# fails fast), BenchmarkCampaignCheckpointRatio holds checkpointed setup
+# at or below 0.70x the uncheckpointed and BenchmarkCampaignScaling (on
+# 4+ procs) the 8-worker wall at or below 0.50x the sequential, the
+# wrapper nop path, the forked-memory accessors and the per-test
+# Ballista budget prove their allocation contracts, and the
 # COW and page-cache differentials + aliasing + purity audits run under
 # the race detector.
 bench-smoke:

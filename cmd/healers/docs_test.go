@@ -17,15 +17,26 @@ var docFiles = []string{"README.md", "DESIGN.md", "EXPERIMENTS.md", ".claude/ski
 var (
 	goRunCmd   = regexp.MustCompile(`go run \./cmd/([\w-]+)`)
 	healersCmd = regexp.MustCompile("(?:go run \\./cmd/healers|/tmp/healers)[ \t]+([^`#\n]*)")
+	makeCmd    = regexp.MustCompile("`make ([\\w-]+)")
+	makeTarget = regexp.MustCompile(`(?m)^([\w-]+):`)
 )
 
 // TestDocCommandsExist keeps the documented command lines runnable:
-// every `go run ./cmd/<name>` names a main package, and every healers
+// every `go run ./cmd/<name>` names a main package, every backticked
+// `make <target>` names a Makefile target, and every healers
 // invocation names a known subcommand and only flags healers
 // registers.
 func TestDocCommandsExist(t *testing.T) {
 	root := filepath.Join("..", "..")
 	fs, _, _ := newFlagSet("doc")
+	makefile, err := os.ReadFile(filepath.Join(root, "Makefile"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	targets := map[string]bool{}
+	for _, m := range makeTarget.FindAllStringSubmatch(string(makefile), -1) {
+		targets[m[1]] = true
+	}
 	for _, doc := range docFiles {
 		data, err := os.ReadFile(filepath.Join(root, doc))
 		if err != nil {
@@ -36,6 +47,11 @@ func TestDocCommandsExist(t *testing.T) {
 			pkg, err := build.ImportDir(filepath.Join(root, "cmd", m[1]), 0)
 			if err != nil || pkg.Name != "main" {
 				t.Errorf("%s: %q names no main package", doc, m[0])
+			}
+		}
+		for _, m := range makeCmd.FindAllStringSubmatch(text, -1) {
+			if !targets[m[1]] {
+				t.Errorf("%s: %q names no Makefile target", doc, m[0][1:])
 			}
 		}
 		for _, loc := range healersCmd.FindAllStringSubmatchIndex(text, -1) {

@@ -1,33 +1,51 @@
 package injector
 
 import (
+	"runtime"
 	"testing"
+	"time"
 
 	"healers/internal/clib"
 	"healers/internal/corpus"
 	"healers/internal/extract"
+	"healers/internal/obs"
 )
 
 // benchCampaign runs one full 86-function campaign and returns its
 // signature so the benchmark doubles as a determinism check — the
 // parallel benchmark must produce the same bytes as the sequential one.
 func benchCampaign(b *testing.B, workers int) string {
+	sig, _ := timedCampaign(b, workersConfig(workers))
+	return sig
+}
+
+// workersConfig is the default config sharded over workers goroutines,
+// each with its own library instance.
+func workersConfig(workers int) Config {
+	cfg := DefaultConfig()
+	cfg.Workers = workers
+	if workers > 1 {
+		cfg.LibFactory = clib.New
+	}
+	return cfg
+}
+
+// timedCampaign runs one full 86-function campaign under cfg and
+// returns its signature with the wall time of the injection alone.
+func timedCampaign(b *testing.B, cfg Config) (string, time.Duration) {
 	b.Helper()
 	lib := clib.New()
 	ext, err := extract.Run(corpus.Build(lib))
 	if err != nil {
 		b.Fatal(err)
 	}
-	cfg := DefaultConfig()
-	cfg.Workers = workers
-	if workers > 1 {
-		cfg.LibFactory = clib.New
-	}
+	start := time.Now()
 	campaign, err := New(lib, cfg).InjectAll(ext, lib.CrashProne86())
+	elapsed := time.Since(start)
 	if err != nil {
 		b.Fatal(err)
 	}
-	return campaign.VectorSignature()
+	return campaign.VectorSignature(), elapsed
 }
 
 // BenchmarkCampaignSequential is the baseline: all 86 functions on one
@@ -76,5 +94,61 @@ func benchSig(b *testing.B, sig string) {
 	}
 	if sig != string(data) {
 		b.Fatal("benchmark campaign diverged from golden vectors")
+	}
+}
+
+// BenchmarkCampaignCheckpointRatio gates the checkpoint fork tree: the
+// cold campaign's setup phase (the summed fork and materialize
+// histograms) must stay at or below 0.70× the same campaign's with
+// checkpoints off. Both sides carry the same instrumentation, and each
+// takes the best of two runs to filter scheduler noise alike.
+func BenchmarkCampaignCheckpointRatio(b *testing.B) {
+	setupMS := func(noCkpt bool) float64 {
+		reg := obs.NewRegistry()
+		cfg := DefaultConfig()
+		cfg.Metrics = reg
+		cfg.NoCheckpoints = noCkpt
+		sig, _ := timedCampaign(b, cfg)
+		benchSig(b, sig)
+		us := reg.Histogram("healers_phase_fork_us", phaseBuckets).Sum() +
+			reg.Histogram("healers_phase_materialize_us", phaseBuckets).Sum()
+		return float64(us) / 1e3
+	}
+	for i := 0; i < b.N; i++ {
+		on := min(setupMS(false), setupMS(false))
+		off := min(setupMS(true), setupMS(true))
+		gateRatio(b, "ckpt-setup-ms", on, "nockpt-setup-ms", off, 0.70)
+	}
+}
+
+// BenchmarkCampaignScaling gates the sharded scheduler: with at least
+// four schedulable CPUs, the 8-worker cold campaign's wall must stay at
+// or below 0.50× the sequential one's, each the best of two runs.
+func BenchmarkCampaignScaling(b *testing.B) {
+	if procs := min(runtime.NumCPU(), runtime.GOMAXPROCS(0)); procs < 4 {
+		b.Skipf("parallel speedup needs 4 effective procs, have %d", procs)
+	}
+	wallMS := func(workers int) float64 {
+		sig, d := timedCampaign(b, workersConfig(workers))
+		benchSig(b, sig)
+		return float64(d.Microseconds()) / 1e3
+	}
+	for i := 0; i < b.N; i++ {
+		par := min(wallMS(8), wallMS(8))
+		seq := min(wallMS(1), wallMS(1))
+		gateRatio(b, "par8-ms", par, "seq-ms", seq, 0.50)
+	}
+}
+
+// gateRatio reports a measured pair of milliseconds and their ratio,
+// and fails the benchmark when num/den exceeds ceiling.
+func gateRatio(b *testing.B, numUnit string, num float64, denUnit string, den, ceiling float64) {
+	b.Helper()
+	ratio := num / den
+	b.ReportMetric(num, numUnit)
+	b.ReportMetric(den, denUnit)
+	b.ReportMetric(ratio, "ratio")
+	if ratio > ceiling {
+		b.Fatalf("%s %.1f is %.2f× %s %.1f, ceiling %.2f×", numUnit, num, ratio, denUnit, den, ceiling)
 	}
 }

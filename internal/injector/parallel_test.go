@@ -157,8 +157,8 @@ func TestParallelCheckpointDifferential(t *testing.T) {
 }
 
 // TestResultCacheSkipsRepeatInjection re-runs a campaign with a shared
-// ResultCache: the second run must be all cache hits, perform no new
-// injection calls, and still produce the identical signature.
+// ResultCache: the second run must be all cache hits, run no
+// experiments, fork nothing, and still produce the identical signature.
 func TestResultCacheSkipsRepeatInjection(t *testing.T) {
 	if testing.Short() {
 		t.Skip("two campaigns")
@@ -184,6 +184,12 @@ func TestResultCacheSkipsRepeatInjection(t *testing.T) {
 	if cache.Len() != len(names) {
 		t.Errorf("cache holds %d entries, want %d", cache.Len(), len(names))
 	}
+	work := []string{"healers_injector_experiments_total", "healers_injector_forks_total"}
+	for _, name := range work {
+		if reg.Counter(name).Value() == 0 {
+			t.Errorf("cold run: %s = 0", name)
+		}
+	}
 
 	// Second run, same cache: all hits, byte-identical vectors. Run it
 	// parallel to cover the cache's concurrent path too.
@@ -202,6 +208,13 @@ func TestResultCacheSkipsRepeatInjection(t *testing.T) {
 	}
 	if misses := reg2.Counter("healers_injector_cache_misses_total").Value(); misses != 0 {
 		t.Errorf("warm run reported %d cache misses", misses)
+	}
+	// The warm speedup's cause, pinned deterministically: a hit injects
+	// nothing and forks nothing.
+	for _, name := range work {
+		if n := reg2.Counter(name).Value(); n != 0 {
+			t.Errorf("warm run: %s = %d, want 0", name, n)
+		}
 	}
 	if s1, s2 := c1.VectorSignature(), c2.VectorSignature(); s1 != s2 {
 		t.Errorf("cached campaign diverged:\n%s", diffLines(s1, s2))

@@ -5,6 +5,7 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -146,8 +147,17 @@ func (s *Server) resolveFunctions(names []string) ([]string, []string, error) {
 	return out, protos, nil
 }
 
+// maxSubmitBody caps a POST /v1/campaigns body; a larger one is
+// refused with 413 rather than silently truncated.
+const maxSubmitBody = 1 << 20
+
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxSubmitBody))
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		writeError(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", tooBig.Limit)
+		return
+	}
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "reading body: %v", err)
 		return

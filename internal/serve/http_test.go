@@ -41,6 +41,28 @@ func TestHTTPBadRequests(t *testing.T) {
 	}
 }
 
+// TestHTTPOversizedBody pins the 1 MiB submit limit: a body one byte
+// past it is refused with 413 whether or not its prefix is valid JSON,
+// and a body of exactly the limit is accepted.
+func TestHTTPOversizedBody(t *testing.T) {
+	_, ts := newTestServer(t, Options{Workers: 1})
+	valid := `{"functions":["strcpy"]}`
+	pad := func(n int) string { return strings.Repeat(" ", n-len(valid)) }
+
+	if code, msg := postRaw(t, ts.URL, valid+pad(2<<20)); code != http.StatusRequestEntityTooLarge {
+		t.Errorf("valid JSON padded to 2 MiB: code %d (%s), want 413", code, msg)
+	}
+	if code, msg := postRaw(t, ts.URL, strings.Repeat("x", 2<<20)); code != http.StatusRequestEntityTooLarge {
+		t.Errorf("2 MiB non-JSON: code %d (%s), want 413", code, msg)
+	}
+	if code, msg := postRaw(t, ts.URL, valid+pad(maxSubmitBody+1)); code != http.StatusRequestEntityTooLarge {
+		t.Errorf("limit+1 bytes: code %d (%s), want 413", code, msg)
+	}
+	if code, msg := postRaw(t, ts.URL, valid+pad(maxSubmitBody)); code != http.StatusAccepted {
+		t.Errorf("exactly the limit: code %d (%s), want 202", code, msg)
+	}
+}
+
 func TestHTTPUnknownCampaign(t *testing.T) {
 	_, ts := newTestServer(t, Options{Workers: 1})
 	for _, path := range []string{
