@@ -70,9 +70,12 @@ lint:
 # robust type must be no stronger than the dynamically measured one
 # (zero "wrong" rows across the 86), the body-seeded campaign must
 # reproduce the cold campaign's vectors byte-for-byte, and the
-# committed facts must regenerate as a no-op.
+# committed facts must regenerate as a no-op. It also runs what the
+# pass rests on: the csim accessor footprint table is complete and
+# matches each accessor, the shared size fitter, and parameter classes
+# that match the generators the injector selects.
 soundness:
-	$(GO) test -count=1 -run 'TestBodySoundness|TestBodyVectorsIdentical|TestBodySeedingBeatsPrototype' ./internal/analysis/
+	$(GO) test -count=1 -run 'TestBodySoundness|TestBodyVectorsIdentical|TestBodySeedingBeatsPrototype|TestFootprintsCoverEveryMethod|TestFootprintOracle|TestFitSize|TestClassMatchesGenerator' ./internal/analysis/ ./internal/analysis/bodyscan/ ./internal/csim/ ./internal/decl/
 	$(GO) run ./cmd/bodyscan -check
 
 bodyfacts:

@@ -204,7 +204,20 @@ func (s *System) Predict(names []string) (*Prediction, error) {
 // and a seeded injection campaign, per-argument agreement
 // classification, and static verification of the generated wrapper C.
 func (s *System) Analyze(names []string, cfg InjectorConfig) (*AnalysisReport, error) {
-	return analysis.Run(s.Library, s.Extraction, names, cfg)
+	pred, err := analysis.Predict(s.Extraction, s.analyzed(names))
+	if err != nil {
+		return nil, err
+	}
+	return analysis.Run(s.Library, s.Extraction, pred, cfg)
+}
+
+// analyzed resolves the function list of an analysis (nil means the
+// crash-prone 86).
+func (s *System) analyzed(names []string) []string {
+	if names == nil {
+		return s.Library.CrashProne86()
+	}
+	return names
 }
 
 // PredictBodies runs the body-level static pass: robust types lowered
@@ -219,7 +232,11 @@ func (s *System) PredictBodies(names []string) (*Prediction, error) {
 // prototype pass: the seeded campaign and the agreement table both use
 // predictions lowered from the committed bodyscan summaries.
 func (s *System) AnalyzeBodies(names []string, cfg InjectorConfig) (*AnalysisReport, error) {
-	return analysis.RunBodies(s.Library, s.Extraction, bodyfacts.Facts(), names, cfg)
+	pred, err := analysis.BodyPredict(bodyfacts.Facts(), s.analyzed(names))
+	if err != nil {
+		return nil, err
+	}
+	return analysis.Run(s.Library, s.Extraction, pred, cfg)
 }
 
 // UnmarshalDecls parses an archived <functions> declaration document

@@ -23,7 +23,11 @@ func fullReport(t *testing.T) *Report {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := Run(lib, ext, nil, injector.DefaultConfig())
+	pred, err := Predict(ext, lib.CrashProne86())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := Run(lib, ext, pred, injector.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

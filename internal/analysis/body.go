@@ -5,12 +5,8 @@ import (
 	"strings"
 
 	"healers/internal/analysis/bodyscan"
-	"healers/internal/clib"
 	"healers/internal/decl"
-	"healers/internal/extract"
-	"healers/internal/injector"
 	"healers/internal/typesys"
-	"healers/internal/wrapgen"
 )
 
 // BodyPredict lowers body-level access summaries (from the bodyscan
@@ -243,93 +239,4 @@ func nullable(base string, n int, nullOK bool) decl.RobustType {
 		base += "_NULL"
 	}
 	return fixed(base, n)
-}
-
-// RunBodies executes the analysis pipeline with the body-level pass in
-// place of the prototype predictor: lower summaries, inject cold,
-// inject seeded from the body hints, classify agreement per argument,
-// and statically check the generated wrappers. It mirrors Run so the
-// two layers' reports are column-compatible.
-func RunBodies(lib *clib.Library, ext *extract.Result, sums map[string]*bodyscan.FuncSummary, names []string, cfg injector.Config) (*Report, error) {
-	if names == nil {
-		names = lib.CrashProne86()
-	}
-	pred, err := BodyPredict(sums, names)
-	if err != nil {
-		return nil, err
-	}
-
-	coldCfg := cfg
-	coldCfg.Seeds = nil
-	cold, err := injector.New(lib, coldCfg).InjectAll(ext, names)
-	if err != nil {
-		return nil, err
-	}
-
-	seededCfg := cfg
-	seededCfg.Seeds = pred.Seeds()
-	seeded, err := injector.New(lib, seededCfg).InjectAll(ext, names)
-	if err != nil {
-		return nil, err
-	}
-
-	rep := &Report{Summary: Summary{AllVectorsIdentical: true}}
-	for _, name := range pred.Order {
-		fp := pred.Funcs[name]
-		cr := cold.Results[name]
-		sr := seeded.Results[name]
-		fr := &FuncReport{
-			Name:            name,
-			ColdCalls:       cr.Calls,
-			SeededCalls:     sr.Calls,
-			Seed:            sr.Seed,
-			VectorIdentical: sameVector(cr.Decl, sr.Decl),
-		}
-		for i, a := range fp.Args {
-			dyn := cr.Decl.Args[i].Robust
-			ag := Compare(a, dyn)
-			fr.Args = append(fr.Args, ArgReport{
-				Index:      i,
-				Param:      a.Param,
-				CType:      a.CType,
-				Predicted:  a.Predicted(),
-				Confidence: a.Confidence,
-				Reason:     a.Reason,
-				Dynamic:    dyn.String(),
-				Agreement:  ag,
-			})
-			rep.Summary.Args++
-			switch ag {
-			case AgreeExact:
-				rep.Summary.Exact++
-			case AgreeWeaker:
-				rep.Summary.Weaker++
-			case AgreeWrong:
-				rep.Summary.Wrong++
-			case AgreeUnknown:
-				rep.Summary.Unknown++
-			}
-		}
-		rep.Summary.Funcs++
-		rep.Summary.ColdCalls += cr.Calls
-		rep.Summary.SeededCalls += sr.Calls
-		rep.Summary.SeedJumps += sr.Seed.Jumps
-		rep.Summary.SeedConfirms += sr.Seed.Confirms
-		rep.Summary.SeedMisses += sr.Seed.Misses
-		if !fr.VectorIdentical {
-			rep.Summary.AllVectorsIdentical = false
-		}
-		rep.Funcs = append(rep.Funcs, fr)
-	}
-
-	set := cold.Decls()
-	opts := wrapgen.Options{}
-	src := wrapgen.File(set, opts)
-	rep.Summary.WrapperIssues = CheckWrappers(src, set, opts)
-	for _, d := range set.ByName {
-		if d.Unsafe() {
-			rep.Summary.WrappersChecked++
-		}
-	}
-	return rep, nil
 }

@@ -32,7 +32,11 @@ func fullBodyReport(t *testing.T) *Report {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := RunBodies(lib, ext, sums, nil, injector.DefaultConfig())
+	pred, err := BodyPredict(sums, lib.CrashProne86())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := Run(lib, ext, pred, injector.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,7 +10,10 @@ import (
 	"testing"
 
 	"healers/internal/clib"
+	"healers/internal/corpus"
 	"healers/internal/decl"
+	"healers/internal/extract"
+	"healers/internal/gens"
 )
 
 // clibScanner loads the real clib source once for every test that
@@ -84,6 +87,44 @@ func TestGeneratedFactsMatchScan(t *testing.T) {
 	}
 	if !bytes.Equal(got, want) {
 		t.Fatalf("committed bodyfacts drifted from the clib scan: regenerate with `go run ./cmd/bodyscan -out internal/analysis/bodyfacts/facts.go`")
+	}
+}
+
+// TestClassMatchesGenerator holds parseProto's class of every parameter
+// of the 86 to the generator gens.ForParam selects for the same
+// parameter of the extracted prototype: the static probes then build
+// the same benign sibling the dynamic campaign's Default probe does.
+func TestClassMatchesGenerator(t *testing.T) {
+	s := mustScanner(t)
+	lib := clib.New()
+	ext, err := extract.Run(corpus.Build(lib))
+	if err != nil {
+		t.Fatal(err)
+	}
+	checked := 0
+	for _, name := range lib.CrashProne86() {
+		fi, ok := ext.Lookup(name)
+		if !ok || fi.Proto == nil {
+			t.Fatalf("%s: no extracted prototype", name)
+		}
+		params := parseProto(s.prog.registry[name].Proto)
+		if len(params) != len(fi.Proto.Params) {
+			t.Errorf("%s: %d parsed parameters, %d extracted", name, len(params), len(fi.Proto.Params))
+			continue
+		}
+		for i, param := range fi.Proto.Params {
+			want := gens.ForParam(param, ext.Table).Name()
+			if want == "array" {
+				want = ClassPtr
+			}
+			if got := params[i].Class; got != want {
+				t.Errorf("%s arg %d (%s): class %s, generator %s", name, i, params[i].CType, got, want)
+			}
+			checked++
+		}
+	}
+	if checked < 150 {
+		t.Errorf("checked %d parameters, want every parameter of the 86", checked)
 	}
 }
 

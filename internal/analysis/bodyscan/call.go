@@ -5,6 +5,7 @@ import (
 	"reflect"
 
 	"healers/internal/cmem"
+	"healers/internal/csim"
 )
 
 // evalCall dispatches a call expression: builtins, type conversions,
@@ -259,89 +260,58 @@ func (ip *interp) callLibrary(l *libHandle, name string, x *ast.CallExpr, env *e
 	return ip.invoke(fv, ip.evalArgs(x, env))
 }
 
-// callProcess invokes a real *csim.Process method, logging memory
-// accesses that land inside the tracked argument's region and flow of
-// tracked values into the descriptor table or the callback trampoline.
+// callProcess invokes a real *csim.Process method and logs what its
+// csim.Footprints row says it touches: accesses that land inside the
+// tracked argument's region, and flow of the tracked value into the
+// descriptor table or the callback trampoline. Accesses are noted
+// before the call, so an attempted access that faults still counts
+// (covers() includes the trailing guard page); a scan whose extent is
+// the returned string is noted after it.
 func (ip *interp) callProcess(recv reflect.Value, name string, x *ast.CallExpr, env *env) []val {
 	args := ip.evalArgs(x, env)
-	lg := ip.log
-
-	addrOf := func(i int) cmem.Addr {
-		return cmem.Addr(toUint64(args[i]))
+	fp, hasRow := csim.Footprints[name]
+	if !hasRow && !csim.NoArgMemory[name] {
+		unknown("Process.%s has no footprint row", name)
 	}
-	tracked := func(i int) bool {
-		return lg != nil && lg.trkTag != 0 && i < len(args) && args[i].tag == lg.trkTag
-	}
-
-	// Pre-call notes record the *attempted* access even if the real
-	// operation faults (covers() includes the trailing guard page).
-	switch name {
-	case "Load":
-		lg.note(addrOf(0), toInt(args[1]), false)
-	case "Store":
-		n := 0
-		if args[1].rv.IsValid() && args[1].rv.Kind() == reflect.Slice {
-			n = args[1].rv.Len()
-		} else if args[1].rv.IsValid() && args[1].rv.Kind() == reflect.String {
-			n = args[1].rv.Len()
-		}
-		lg.note(addrOf(0), n, true)
-	case "LoadByte":
-		lg.note(addrOf(0), 1, false)
-	case "StoreByte":
-		lg.note(addrOf(0), 1, true)
-	case "LoadU32":
-		lg.note(addrOf(0), 4, false)
-	case "StoreU32":
-		lg.note(addrOf(0), 4, true)
-	case "LoadU64":
-		lg.note(addrOf(0), 8, false)
-	case "StoreU64":
-		lg.note(addrOf(0), 8, true)
-	case "StoreCString":
-		if args[1].rv.IsValid() && args[1].rv.Kind() == reflect.String {
-			lg.note(addrOf(0), args[1].rv.Len()+1, true)
-		}
-	case "LoadCString":
-		if lg != nil && lg.covers(addrOf(0)) {
-			lg.cstr = true
-		}
-	case "CopyFromUser":
-		lg.noteKernel(addrOf(0), toInt(args[1]), false)
-	case "CopyToUser":
-		if args[1].rv.IsValid() && args[1].rv.Kind() == reflect.Slice {
-			lg.noteKernel(addrOf(0), args[1].rv.Len(), true)
-		}
-	case "StrFromUser":
-		if lg != nil && lg.covers(addrOf(0)) {
-			lg.kernelCStr = true
-		}
-	case "FD", "CloseFD":
-		if tracked(0) {
-			lg.fdUse = true
-		}
-	case "CallPtr":
-		if tracked(0) {
-			lg.funcPtr = true
-		}
-	}
-
 	m := recv.MethodByName(name)
 	if !m.IsValid() {
 		unknown("no Process method %s", name)
 	}
-	res := ip.realCall(m, args)
+	lg := ip.log
+	if !hasRow || lg == nil {
+		return ip.realCall(m, args)
+	}
 
-	// Post-call notes for scans whose extent is the returned string.
-	switch name {
-	case "LoadCString":
-		if len(res) == 1 && res[0].rv.Kind() == reflect.String {
-			lg.note(addrOf(0), res[0].rv.Len()+1, false)
+	var addr cmem.Addr
+	if fp.Src != csim.LenNone || fp.CStr {
+		addr = cmem.Addr(toUint64(args[fp.Arg])) + cmem.Addr(fp.Off)
+	}
+	if fp.CStr && lg.covers(addr) {
+		if fp.Kernel {
+			lg.kernelCStr = true
+		} else {
+			lg.cstr = true
 		}
-	case "StrFromUser":
-		if len(res) == 2 && res[0].rv.Kind() == reflect.String {
-			lg.noteKernel(addrOf(0), res[0].rv.Len()+1, false)
+	}
+	if lg.trkTag != 0 && fp.Arg < len(args) && args[fp.Arg].tag == lg.trkTag {
+		lg.fdUse = lg.fdUse || fp.FD
+		lg.funcPtr = lg.funcPtr || fp.Code
+	}
+	switch fp.Src {
+	case csim.LenFixed:
+		lg.note(addr, fp.N, fp.Write, fp.Kernel)
+	case csim.LenArg:
+		lg.note(addr, toInt(args[fp.Len]), fp.Write, fp.Kernel)
+	case csim.LenOf:
+		n := 0
+		if rv := args[fp.Len].rv; rv.IsValid() && (rv.Kind() == reflect.Slice || rv.Kind() == reflect.String) {
+			n = rv.Len()
 		}
+		lg.note(addr, n+fp.N, fp.Write, fp.Kernel)
+	}
+	res := ip.realCall(m, args)
+	if fp.Src == csim.LenResult {
+		lg.note(addr, res[0].rv.Len()+fp.N, fp.Write, fp.Kernel)
 	}
 	return res
 }

@@ -6,43 +6,20 @@ import (
 	"healers/internal/cmem"
 	"healers/internal/csim"
 	"healers/internal/decl"
+	"healers/internal/gens"
 )
 
-// Dependent-extent fitting: the static analogue of the injector's
-// inferSize. Where the dynamic campaign re-grows a fresh region chain
-// under perturbed sibling arguments and fits the minimal size to a
-// candidate expression, the static pass re-interprets the body with the
-// same perturbations and reads the extent straight off the access log.
-// The candidate family and the perturbation moves mirror the dynamic
-// inference exactly, so a correct fit lowers to a byte-identical
-// expression-sized robust type — and a divergent fit is caught by the
-// static↔dynamic soundness gate.
+// Dependent-extent fitting: the static side of decl.FitSize. Where
+// the injector re-grows a fresh region chain under each sibling move,
+// the static pass re-interprets the body under the same move and reads
+// the extent straight off the access log. A divergent fit is caught by
+// the static↔dynamic soundness gate.
 
 // fitRegion is the tracked-region size for fitting probes: large enough
 // that every perturbed extent stays inside the region (the largest move
 // is a doubled count times a doubled count; 4 KiB covers the corpus
 // with an order of magnitude to spare).
 const fitRegion = 4096
-
-// fitCtx implements decl.ArgsView over a static sibling environment.
-type fitCtx struct {
-	strlens map[int]int
-	vals    map[int]int64
-}
-
-func (c fitCtx) Strlen(i int) (int, bool) { l, ok := c.strlens[i]; return l, ok }
-func (c fitCtx) Value(i int) int64        { return c.vals[i] }
-
-func (c fitCtx) clone() fitCtx {
-	out := fitCtx{strlens: make(map[int]int, len(c.strlens)), vals: make(map[int]int64, len(c.vals))}
-	for k, v := range c.strlens {
-		out.strlens[k] = v
-	}
-	for k, v := range c.vals {
-		out.vals[k] = v
-	}
-	return out
-}
 
 // measureExtent interprets one probe with sibling overrides and a large
 // zeroed tracked region, returning the access extent. ok is false when
@@ -64,29 +41,21 @@ func (s *Scanner) measureExtent(name string, params []protoParam, i int, strOv m
 	return r.extent(), true, ""
 }
 
-// fitSizeExpr tries the dependent-size candidates against the measured
-// extents. A candidate is accepted when it explains the baseline, every
-// perturbation of every referenced argument (both directions — the
-// min-shaped candidates saturate in one), and at least one perturbation
-// actually moved the extent. Candidates are ordered most specific
-// first, exactly as the dynamic inference orders them.
+// fitSizeExpr fits the tracked argument's extent to a dependent-size
+// expression over its C-string and integer siblings, whose benign
+// values are the generators' defaults.
 func (s *Scanner) fitSizeExpr(name string, params []protoParam, i int) (*decl.SizeExpr, string) {
-	base := fitCtx{strlens: map[int]int{}, vals: map[int]int64{}}
-	var strArgs, intArgs []int
+	base := decl.FitArgs{Strlens: map[int]int{}, Vals: map[int]int64{}}
 	for j, q := range params {
-		if j == i {
-			continue
-		}
-		switch q.Class {
-		case ClassCString:
-			base.strlens[j] = len(benignString(q.Name))
-			strArgs = append(strArgs, j)
-		case ClassInt:
-			base.vals[j] = benignInt(q.Name)
-			intArgs = append(intArgs, j)
+		switch {
+		case j == i:
+		case q.Class == ClassCString:
+			base.Strlens[j] = len(gens.BenignStringDefault(q.Name))
+		case q.Class == ClassInt:
+			base.Vals[j] = gens.BenignIntDefault(q.Name)
 		}
 	}
-	if len(strArgs) == 0 && len(intArgs) == 0 {
+	if len(base.Strlens) == 0 && len(base.Vals) == 0 {
 		return nil, ""
 	}
 
@@ -97,108 +66,45 @@ func (s *Scanner) fitSizeExpr(name string, params []protoParam, i int) (*decl.Si
 	if !ok || baseline == 0 {
 		return nil, ""
 	}
-
-	var candidates []decl.SizeExpr
-	for a := 0; a < len(intArgs); a++ {
-		for b := a + 1; b < len(intArgs); b++ {
-			candidates = append(candidates, decl.SizeExpr{Kind: decl.SizeArgProduct, A: intArgs[a], B: intArgs[b]})
+	measure := func(j int, env decl.FitArgs, _ int) (int, bool, error) {
+		var strOv map[int]string
+		var intOv map[int]int64
+		if l, isStr := env.Strlens[j]; isStr {
+			strOv = map[int]string{j: strings.Repeat("A", l)}
+		} else {
+			intOv = map[int]int64{j: env.Vals[j]}
 		}
+		ext, ok, unk := s.measureExtent(name, params, i, strOv, intOv)
+		if unk != "" {
+			return 0, false, unknownf{unk}
+		}
+		return ext, ok, nil
 	}
-	for _, sj := range strArgs {
-		for _, ij := range intArgs {
-			candidates = append(candidates,
-				decl.SizeExpr{Kind: decl.SizeMinStrlenP1N, A: sj, B: ij},
-				decl.SizeExpr{Kind: decl.SizeMinStrlenNP1, A: sj, B: ij},
-			)
-		}
+	expr, err := decl.FitSize(base, baseline, measure)
+	if err != nil {
+		return nil, err.Error()
 	}
-	for _, sj := range strArgs {
-		candidates = append(candidates, decl.SizeExpr{Kind: decl.SizeStrlenPlus1, A: sj})
-	}
-	for _, ij := range intArgs {
-		candidates = append(candidates, decl.SizeExpr{Kind: decl.SizeArgValue, A: ij})
-	}
-
-	// perturb mirrors the dynamic inference's move set: strings to
-	// length 2 or 2l+7, integers to 2 or 2v+3.
-	perturb := func(j int, up bool, ctx fitCtx) (map[int]string, map[int]int64, fitCtx) {
-		out := ctx.clone()
-		if l, isStr := ctx.strlens[j]; isStr {
-			nl := 2
-			if up {
-				nl = l*2 + 7
-			}
-			out.strlens[j] = nl
-			return map[int]string{j: strings.Repeat("A", nl)}, nil, out
-		}
-		v := int64(2)
-		if up {
-			v = ctx.vals[j]*2 + 3
-		}
-		out.vals[j] = v
-		return nil, map[int]int64{j: v}, out
-	}
-	refs := func(e decl.SizeExpr) []int {
-		switch e.Kind {
-		case decl.SizeStrlenPlus1, decl.SizeArgValue:
-			return []int{e.A}
-		}
-		return []int{e.A, e.B}
-	}
-
-next:
-	for _, cand := range candidates {
-		want, ok := cand.Eval(base)
-		if !ok || want != baseline {
-			continue
-		}
-		anyChanged := false
-		for _, j := range refs(cand) {
-			for _, up := range []bool{true, false} {
-				strOv, intOv, ctx2 := perturb(j, up, base)
-				want2, ok := cand.Eval(ctx2)
-				if !ok {
-					continue next
-				}
-				got, ok2, unk := s.measureExtent(name, params, i, strOv, intOv)
-				if unk != "" {
-					return nil, unk
-				}
-				if !ok2 || got != want2 {
-					continue next
-				}
-				if got != baseline {
-					anyChanged = true
-				}
-			}
-		}
-		if !anyChanged {
-			continue
-		}
-		c := cand
-		return &c, ""
-	}
-	return nil, ""
+	return expr, ""
 }
 
 // boundedReadArg detects the R_BOUNDED contract on a const char*
-// argument, mirroring the injector's inferBoundedRead experiment: an
-// unterminated region larger than an integer sibling's count returns
-// cleanly, while one smaller than the count faults. Returns the bounding
-// argument index, or -1.
+// argument with the injector's inferBoundedRead experiment (the
+// decl.BoundedRead* constants): an unterminated region larger than an
+// integer sibling's count returns cleanly, while one smaller than the
+// count faults. Returns the bounding argument index, or -1.
 func (s *Scanner) boundedReadArg(name string, params []protoParam, i int) (int, string) {
 	for j, q := range params {
 		if j == i || q.Class != ClassInt {
 			continue
 		}
 		small := s.runProbe(name, params, probeSpec{
-			tracked: i, build: trkUnterm(untermSize), intOv: map[int]int64{j: 8},
+			tracked: i, build: trkUnterm(decl.BoundedReadRegion), intOv: map[int]int64{j: decl.BoundedReadWithin},
 		})
 		if small.unk != "" {
 			return -1, small.unk
 		}
 		big := s.runProbe(name, params, probeSpec{
-			tracked: i, build: trkUnterm(untermSize), intOv: map[int]int64{j: 64},
+			tracked: i, build: trkUnterm(decl.BoundedReadRegion), intOv: map[int]int64{j: decl.BoundedReadPast},
 		})
 		if big.unk != "" {
 			return -1, big.unk

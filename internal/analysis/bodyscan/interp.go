@@ -19,6 +19,8 @@ import (
 // unknownf aborts interpretation of one function body.
 type unknownf struct{ msg string }
 
+func (u unknownf) Error() string { return u.msg }
+
 func unknown(format string, args ...any) {
 	panic(unknownf{fmt.Sprintf(format, args...)})
 }
@@ -118,32 +120,21 @@ func (lg *accessLog) covers(addr cmem.Addr) bool {
 	return lg.size > 0 && addr >= lg.base && addr < lg.base+cmem.Addr(lg.size)+cmem.PageSize
 }
 
-func (lg *accessLog) note(addr cmem.Addr, n int, write bool) {
-	if lg == nil || !lg.covers(addr) {
+// note records an n-byte access at addr, user or kernel side.
+func (lg *accessLog) note(addr cmem.Addr, n int, write, kernel bool) {
+	if !lg.covers(addr) {
 		return
 	}
-	ext := int(addr-lg.base) + n
-	if write {
-		if ext > lg.writeExt {
-			lg.writeExt = ext
-		}
-	} else if ext > lg.readExt {
-		lg.readExt = ext
+	ext := &lg.readExt
+	switch {
+	case kernel && write:
+		ext = &lg.kernelWr
+	case kernel:
+		ext = &lg.kernelRead
+	case write:
+		ext = &lg.writeExt
 	}
-}
-
-func (lg *accessLog) noteKernel(addr cmem.Addr, n int, write bool) {
-	if lg == nil || !lg.covers(addr) {
-		return
-	}
-	ext := int(addr-lg.base) + n
-	if write {
-		if ext > lg.kernelWr {
-			lg.kernelWr = ext
-		}
-	} else if ext > lg.kernelRead {
-		lg.kernelRead = ext
-	}
+	*ext = max(*ext, int(addr-lg.base)+n)
 }
 
 // interp executes one probe run.

@@ -6,14 +6,10 @@ import (
 	"healers/internal/gens"
 )
 
-// defaultFixturePath is the scratch path the benign environment points
-// path-like string arguments at (same file the dynamic generators use).
-const defaultFixturePath = gens.DefaultFixturePath
-
-// Param classes, mirroring the generator selection the dynamic
-// injector performs in gens.ForParam. The static probe schedule keys
-// off the same classification so the two campaigns see the same
-// benign environment.
+// Param classes: one per generator gens.ForParam selects (ClassPtr is
+// its ArrayGen). The static probe schedule keys off the class, so the
+// two campaigns see the same benign environment;
+// TestClassMatchesGenerator holds classify to ForParam's choice.
 const (
 	ClassCString = "cstring" // const char *
 	ClassCharBuf = "charbuf" // char * (writable)
@@ -130,51 +126,9 @@ func classify(decl string) string {
 	case strings.Contains(decl, "double") || strings.Contains(decl, "float"):
 		return ClassDouble
 	default:
-		if isFdParam(paramName(decl, 0)) {
+		if gens.IsFdParam(paramName(decl, 0)) {
 			return ClassFd
 		}
 		return ClassInt
-	}
-}
-
-// isFdParam mirrors gens.isFdParam: integer parameters that name a
-// file descriptor.
-func isFdParam(name string) bool {
-	switch name {
-	case "fd", "oldfd", "newfd", "fildes":
-		return true
-	}
-	return false
-}
-
-// benignString mirrors gens.benignStringDefault.
-func benignString(name string) string {
-	switch name {
-	case "mode":
-		return "r"
-	case "path", "pathname", "name", "filename":
-		return defaultFixturePath
-	case "delim":
-		return ","
-	default:
-		return "hello"
-	}
-}
-
-// benignInt mirrors gens.benignIntDefault.
-func benignInt(name string) int64 {
-	switch name {
-	case "whence", "flags", "optional_actions", "mode":
-		return 0
-	case "base":
-		return 10
-	case "speed":
-		return 13 // B9600
-	case "c":
-		return 'x'
-	case "loc", "offset":
-		return 0
-	default:
-		return 8
 	}
 }

@@ -10,17 +10,8 @@ import (
 	"healers/internal/csim"
 	"healers/internal/decl"
 	"healers/internal/gens"
+	"healers/internal/injector"
 )
-
-// probeStepBudget mirrors injector.DefaultConfig().StepBudget so the
-// static probes classify hangs at the same threshold the dynamic
-// campaign does.
-const probeStepBudget = 200_000
-
-// untermSize is the unterminated-string probe length (mirrors
-// gens.UntermProbe's 16-byte region; the fill byte is a fixed 'B'
-// here — deterministic regardless of where the region lands).
-const untermSize = 16
 
 // Scanner analyzes one loaded clib source tree.
 type Scanner struct {
@@ -54,69 +45,25 @@ func (s *Scanner) Names() []string {
 // Has reports whether name is registered.
 func (s *Scanner) Has(name string) bool { return s.prog.registry[name] != nil }
 
-// newTemplate replicates injector.NewTemplateProcess: the benign
-// environment the dynamic campaign probes inside, so static and
-// dynamic extents are directly comparable.
-func newTemplate() *csim.Process {
-	fs := csim.NewFS()
-	fs.Create(gens.DefaultFixturePath, gens.FixtureFileContents())
-	fs.Create(gens.DefaultFixtureDir+"/a.txt", []byte("x"))
-	fs.Create(gens.DefaultFixtureDir+"/b.txt", []byte("y"))
-	p := csim.NewProcess(fs)
-	p.Stdin = []byte(gens.FixtureStdinLine() + "\nsecond line\n")
-	p.SetStepBudget(probeStepBudget)
-	return p
-}
-
-// region is a mounted probe region (local replica of gens.Region; the
-// generators' mount helpers are unexported).
-type region struct {
-	base cmem.Addr
-	size int
-}
-
-// mountData maps data flush against a guard page with the given final
-// protection, mirroring gens.mountFlushData.
-func mountData(p *csim.Process, data []byte, prot cmem.Prot) region {
-	size := len(data)
-	pages := (size + cmem.PageSize - 1) / cmem.PageSize
-	if pages == 0 {
-		pages = 1
-	}
-	mapped, err := p.Mem.MmapRegion(pages*cmem.PageSize, cmem.ProtRW)
-	if err != nil {
-		return region{}
-	}
-	end := mapped + cmem.Addr(pages*cmem.PageSize)
-	base := end - cmem.Addr(size)
-	if size > 0 {
-		if f := p.Mem.Write(base, data); f != nil {
-			return region{}
-		}
-	}
-	if prot != cmem.ProtRW {
-		p.Mem.Protect(base.PageBase(), int(end-base.PageBase()), prot)
-	}
-	return region{base: base, size: size}
-}
-
 // trackedBuild materializes the argument under analysis in p and
 // returns its value plus the region to log accesses against.
-type trackedBuild func(p *csim.Process) (uint64, region)
+type trackedBuild func(p *csim.Process) (uint64, gens.Region)
 
 func trkRaw(v uint64) trackedBuild {
-	return func(*csim.Process) (uint64, region) { return v, region{} }
+	return func(*csim.Process) (uint64, gens.Region) { return v, gens.Region{} }
 }
 
 func trkData(data []byte, prot cmem.Prot) trackedBuild {
-	return func(p *csim.Process) (uint64, region) {
-		r := mountData(p, data, prot)
-		return uint64(r.base), r
+	return func(p *csim.Process) (uint64, gens.Region) {
+		r := gens.MountFlushData(p, data, prot)
+		return uint64(r.Base), r
 	}
 }
 
 // trkUnterm is the unterminated-string probe: n fill bytes, readable,
-// no NUL before the guard page.
+// no NUL before the guard page. It differs from gens.UntermProbe on
+// purpose: the fill is a fixed 'B', not derived from the region's
+// address, so a static extent never depends on where the region lands.
 func trkUnterm(n int) trackedBuild {
 	data := make([]byte, n)
 	for i := range data {
@@ -126,52 +73,44 @@ func trkUnterm(n int) trackedBuild {
 }
 
 func trkFile() trackedBuild {
-	return func(p *csim.Process) (uint64, region) {
+	return func(p *csim.Process) (uint64, gens.Region) {
 		addr := p.Fopen(gens.DefaultFixturePath, "r+")
-		return uint64(addr), region{base: addr, size: csim.SizeofFILE}
+		return uint64(addr), gens.Region{Base: addr, Size: csim.SizeofFILE}
 	}
 }
 
 func trkDir() trackedBuild {
-	return func(p *csim.Process) (uint64, region) {
+	return func(p *csim.Process) (uint64, gens.Region) {
 		fd := p.OpenDir(gens.DefaultFixtureDir)
 		if fd < 0 {
-			return 0, region{}
+			return 0, gens.Region{}
 		}
 		addr := p.NewDIR(fd)
-		return uint64(addr), region{base: addr, size: csim.SizeofDIR}
+		return uint64(addr), gens.Region{Base: addr, Size: csim.SizeofDIR}
 	}
 }
 
 func trkFd() trackedBuild {
-	return func(p *csim.Process) (uint64, region) {
+	return func(p *csim.Process) (uint64, gens.Region) {
 		fd := p.OpenFile(gens.DefaultFixturePath, csim.ReadWrite, false)
-		return uint64(uint32(fd)), region{}
+		return uint64(uint32(fd)), gens.Region{}
 	}
-}
-
-// benignCmp mirrors the dynamic FuncPtrGen's valid callback: compare
-// the first 4 bytes of each operand as little-endian signed ints.
-func benignCmp(p *csim.Process, args []uint64) uint64 {
-	a := int32(p.LoadU32(cmem.Addr(args[0])))
-	b := int32(p.LoadU32(cmem.Addr(args[1])))
-	return uint64(int64(a - b))
 }
 
 func trkFunc() trackedBuild {
-	return func(p *csim.Process) (uint64, region) {
-		return uint64(p.RegisterCallback(benignCmp)), region{}
+	return func(p *csim.Process) (uint64, gens.Region) {
+		return uint64(p.RegisterCallback(gens.ValidCallback)), gens.Region{}
 	}
 }
 
-// benignBuild returns the benign materialization for a parameter,
-// mirroring the dynamic generators' Default probes exactly (so the
-// sibling environment of every static probe matches the dynamic
-// campaign's).
+// benignBuild returns the benign materialization for a parameter: the
+// generators' Default probe content (gens.BenignStringDefault,
+// gens.BenignIntDefault, gens.ValidCallback), so the sibling
+// environment of every static probe is the dynamic campaign's.
 func benignBuild(pp protoParam, strOv string, intOv *int64, region int) trackedBuild {
 	switch pp.Class {
 	case ClassCString:
-		s := benignString(pp.Name)
+		s := gens.BenignStringDefault(pp.Name)
 		if strOv != "" {
 			s = strOv
 		}
@@ -189,7 +128,7 @@ func benignBuild(pp protoParam, strOv string, intOv *int64, region int) trackedB
 	case ClassDouble:
 		return trkRaw(math.Float64bits(1.0))
 	default: // ClassInt
-		n := benignInt(pp.Name)
+		n := gens.BenignIntDefault(pp.Name)
 		if intOv != nil {
 			n = *intOv
 		}
@@ -213,12 +152,6 @@ type probeSpec struct {
 	sibSize map[int]int
 }
 
-// siblingDefault / siblingMax mirror gens.NewArrayGen(8192, 256).
-const (
-	siblingDefault = 256
-	siblingMax     = 8192
-)
-
 // probeRun is the outcome of one probe.
 type probeRun struct {
 	kind    csim.OutcomeKind
@@ -226,8 +159,8 @@ type probeRun struct {
 	errno   int
 	fault   *cmem.Fault
 	log     accessLog
-	regions []region // per-argument mounted regions (zero if unmounted)
-	unk     string   // non-empty: interpretation hit an unmodeled construct
+	regions []gens.Region // per-argument mounted regions (zero if unmounted)
+	unk     string        // non-empty: interpretation hit an unmodeled construct
 }
 
 func (r probeRun) crashed() bool {
@@ -245,16 +178,16 @@ func (r probeRun) extent() int {
 }
 
 // buildArgs materializes every argument in p per the spec.
-func buildArgs(p *csim.Process, params []protoParam, spec probeSpec) ([]val, *accessLog, []region) {
+func buildArgs(p *csim.Process, params []protoParam, spec probeSpec) ([]val, *accessLog, []gens.Region) {
 	lg := &accessLog{}
 	args := make([]val, len(params))
-	regions := make([]region, len(params))
+	regions := make([]gens.Region, len(params))
 	for j, pp := range params {
 		var v uint64
 		if j == spec.tracked && spec.build != nil {
-			var r region
+			var r gens.Region
 			v, r = spec.build(p)
-			lg.base, lg.size = r.base, r.size
+			lg.base, lg.size = r.Base, r.Size
 			lg.trkTag = j + 1
 			regions[j] = r
 		} else {
@@ -262,7 +195,7 @@ func buildArgs(p *csim.Process, params []protoParam, spec probeSpec) ([]val, *ac
 			if n, ok := spec.intOv[j]; ok {
 				iov = &n
 			}
-			size := siblingDefault
+			size := gens.ArrayDefaultSize
 			if n, ok := spec.sibSize[j]; ok {
 				size = n
 			}
@@ -276,8 +209,9 @@ func buildArgs(p *csim.Process, params []protoParam, spec probeSpec) ([]val, *ac
 
 // runProbe executes one interpreted probe in a fresh template process.
 func (s *Scanner) runProbe(name string, params []protoParam, spec probeSpec) (res probeRun) {
-	p := newTemplate()
+	p := injector.NewTemplateProcess()
 	defer p.Release()
+	p.SetStepBudget(injector.DefaultConfig().StepBudget)
 	args, lg, regions := buildArgs(p, params, spec)
 	res.regions = regions
 	ip := newInterp(s.prog, p)
@@ -382,12 +316,11 @@ func (s *Scanner) intProbe(name string, params []protoParam, i int, v uint64) (c
 				continue
 			}
 			rg := r.regions[j]
-			if rg.size == 0 || r.fault.Addr < rg.base ||
-				r.fault.Addr >= rg.base+cmem.Addr(rg.size)+cmem.PageSize {
+			if rg.Size == 0 || !rg.Owns(r.fault.Addr) {
 				continue
 			}
-			cur := rg.size
-			if cur >= siblingMax {
+			cur := rg.Size
+			if cur >= gens.ArrayMaxSize {
 				continue
 			}
 			sizes[j] = cur * 2
@@ -460,7 +393,7 @@ func (s *Scanner) analyzeArg(name string, params []protoParam, i int) (ArgSummar
 	}
 	as.NullOK = nullRun.clean()
 
-	benign := probe(probeSpec{build: benignBuild(pp, "", nil, siblingDefault)})
+	benign := probe(probeSpec{build: benignBuild(pp, "", nil, gens.ArrayDefaultSize)})
 	if benign.unk != "" {
 		return as, benign.unk
 	}
@@ -478,11 +411,11 @@ func (s *Scanner) analyzeArg(name string, params []protoParam, i int) (ArgSummar
 	}
 
 	if pp.Class == ClassCString {
-		u1 := probe(probeSpec{build: trkUnterm(untermSize)})
+		u1 := probe(probeSpec{build: trkUnterm(gens.UntermSize)})
 		if u1.unk != "" {
 			return as, u1.unk
 		}
-		if u1.crashed() && u1.log.readExt > untermSize {
+		if u1.crashed() && u1.log.readExt > gens.UntermSize {
 			as.CStr = true // scan ran off the unterminated region
 		}
 		// Content dependence: rerun the unterminated probe with every
@@ -492,11 +425,11 @@ func (s *Scanner) analyzeArg(name string, params []protoParam, i int) (ArgSummar
 		ov := map[int]string{}
 		for j, q := range params {
 			if j != i && q.Class == ClassCString {
-				ov[j] = strings.Repeat("B", untermSize)
+				ov[j] = strings.Repeat("B", gens.UntermSize)
 			}
 		}
 		if len(ov) > 0 {
-			u2 := probe(probeSpec{build: trkUnterm(untermSize), strOv: ov})
+			u2 := probe(probeSpec{build: trkUnterm(gens.UntermSize), strOv: ov})
 			if u2.unk != "" {
 				return as, u2.unk
 			}

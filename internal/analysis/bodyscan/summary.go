@@ -10,11 +10,14 @@
 // abstract interpretation of each function body over a real
 // csim.Process: the interpreter walks the AST directly (the compiled
 // implementations are never invoked) and every memory operation is
-// routed through an intrinsics table that records which bytes of the
-// argument under analysis were touched. A schedule of static probes —
+// logged from its accessor's csim.Footprints row, recording which bytes
+// of the argument under analysis were touched. A schedule of static probes —
 // zeroed region, unterminated string, empty string, NULL, boundary
-// integers — mirrors the dynamic generators, so the resulting extents
-// are directly comparable with the dynamically inferred robust types.
+// integers — runs in the injector's template process with the
+// generators' benign siblings (package gens), and dependent sizes are
+// fitted by the injector's own fitter (decl.FitSize), so the resulting
+// extents are directly comparable with the dynamically inferred robust
+// types.
 //
 // Anything the interpreter does not model causes the whole function to
 // be summarized as Unknown with a reason: the pass never guesses.

@@ -12,10 +12,10 @@ import (
 	"healers/internal/csim"
 )
 
-// Impl mirrors clib.Impl: flattened 64-bit C calling convention.
+// Impl has clib.Impl's shape: flattened 64-bit C calling convention.
 type Impl func(p *csim.Process, args []uint64) uint64
 
-// Func mirrors the registration record of clib.Func.
+// Func has the shape of clib.Func, the registration record.
 type Func struct {
 	Name     string
 	Internal bool

@@ -78,20 +78,13 @@ type Report struct {
 	Summary Summary
 }
 
-// Run executes the complete analysis pipeline over the named functions
-// (nil means the crash-prone 86): predict statically, inject cold,
-// inject seeded, classify agreement per argument, verify the seeded
-// vectors are identical, and statically check the wrapper C generated
-// from the cold declarations.
-func Run(lib *clib.Library, ext *extract.Result, names []string, cfg injector.Config) (*Report, error) {
-	if names == nil {
-		names = lib.CrashProne86()
-	}
-	pred, err := Predict(ext, names)
-	if err != nil {
-		return nil, err
-	}
-
+// Run executes the complete analysis pipeline over the functions of a
+// static prediction (from Predict or BodyPredict): inject cold, inject
+// seeded from the prediction's hints, classify agreement per argument,
+// verify the seeded vectors are identical, and statically check the
+// wrapper C generated from the cold declarations.
+func Run(lib *clib.Library, ext *extract.Result, pred *Prediction, cfg injector.Config) (*Report, error) {
+	names := pred.Order
 	coldCfg := cfg
 	coldCfg.Seeds = nil
 	cold, err := injector.New(lib, coldCfg).InjectAll(ext, names)

@@ -75,6 +75,13 @@ type SeedStats struct {
 
 var _ Generator = (*ArrayGen)(nil)
 
+// The growth cap and benign default size of the pointer generators
+// ForParam selects (generic pointers and char buffers).
+const (
+	ArrayMaxSize     = 8192
+	ArrayDefaultSize = 256
+)
+
 // NewArrayGen returns an array generator with the given growth cap and
 // default (benign) size.
 func NewArrayGen(maxSize, defaultSize int) *ArrayGen {
@@ -98,7 +105,7 @@ func (g *ArrayGen) protProbe(size int, prot cmem.Prot, fund func(int) string) *P
 		for i := range data {
 			data[i] = fill
 		}
-		pr.Region = mountFlushData(p, data, prot)
+		pr.Region = MountFlushData(p, data, prot)
 		return uint64(pr.Region.Base)
 	}
 	return pr

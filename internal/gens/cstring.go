@@ -43,13 +43,16 @@ func DefaultStringContents() []string {
 	}
 }
 
+// UntermSize is the length of the unterminated region CStringGen probes.
+const UntermSize = 16
+
 // NewCStringGen returns a string generator with the given payloads
 // (DefaultStringContents if nil).
 func NewCStringGen(contents []string) *CStringGen {
 	if contents == nil {
 		contents = DefaultStringContents()
 	}
-	return &CStringGen{Contents: contents, DefaultContent: "hello", untermSizes: []int{16}}
+	return &CStringGen{Contents: contents, DefaultContent: "hello", untermSizes: []int{UntermSize}}
 }
 
 // Name implements Generator.
@@ -64,7 +67,7 @@ func StringProbe(s string, prot cmem.Prot) *Probe {
 	}
 	pr := &Probe{Fund: fund, Size: len(s) + 1}
 	pr.Build = func(p *csim.Process) uint64 {
-		pr.Region = mountFlushData(p, append([]byte(s), 0), prot)
+		pr.Region = MountFlushData(p, append([]byte(s), 0), prot)
 		return uint64(pr.Region.Base)
 	}
 	return pr

@@ -89,9 +89,9 @@ func mountFlush(p *csim.Process, size int, prot cmem.Prot) Region {
 	}
 }
 
-// mountFlushData maps a region holding data with the given protection
-// (written before protection is applied).
-func mountFlushData(p *csim.Process, data []byte, prot cmem.Prot) Region {
+// MountFlushData maps a region holding data with the given protection
+// (written before protection is applied), flush against its guard page.
+func MountFlushData(p *csim.Process, data []byte, prot cmem.Prot) Region {
 	r := mountFlush(p, len(data), cmem.ProtRW)
 	if r.Base == 0 {
 		return r

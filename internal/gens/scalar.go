@@ -158,9 +158,9 @@ func NewFuncPtrGen() *FuncPtrGen { return &FuncPtrGen{} }
 // Name implements Generator.
 func (g *FuncPtrGen) Name() string { return "funcptr" }
 
-// validCallback is a standard comparator: compare the first 4 bytes of
+// ValidCallback is a standard comparator: compare the first 4 bytes of
 // each operand as little-endian signed ints.
-func validCallback(p *csim.Process, args []uint64) uint64 {
+func ValidCallback(p *csim.Process, args []uint64) uint64 {
 	a := int32(p.LoadU32(cmem.Addr(args[0])))
 	b := int32(p.LoadU32(cmem.Addr(args[1])))
 	return uint64(int64(a - b))
@@ -170,7 +170,7 @@ func callbackProbe() *Probe {
 	return &Probe{
 		Fund: typesys.TypeFuncPtr,
 		Build: func(p *csim.Process) uint64 {
-			return uint64(p.RegisterCallback(validCallback))
+			return uint64(p.RegisterCallback(ValidCallback))
 		},
 	}
 }

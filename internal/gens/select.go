@@ -24,7 +24,7 @@ var _ Generator = (*CharBufGen)(nil)
 
 // NewCharBufGen returns a generator for char* buffer arguments.
 func NewCharBufGen() *CharBufGen {
-	g := &CharBufGen{arr: NewArrayGen(8192, 256)}
+	g := &CharBufGen{arr: NewArrayGen(ArrayMaxSize, ArrayDefaultSize)}
 	for _, s := range DefaultStringContents() {
 		g.strs = append(g.strs, StringProbe(s, cmem.ProtRW), StringProbe(s, cmem.ProtRead))
 		g.lens = append(g.lens, len(s))
@@ -161,10 +161,10 @@ func (g *FdGen) Hierarchy() *typesys.Hierarchy {
 	return h
 }
 
-// benignStringDefault picks a benign default payload for a string
+// BenignStringDefault picks a benign default payload for a string
 // parameter from its declared name, so that exploring the *other*
 // arguments exercises the function's success path.
-func benignStringDefault(name string) string {
+func BenignStringDefault(name string) string {
 	switch name {
 	case "mode":
 		return "r"
@@ -177,10 +177,10 @@ func benignStringDefault(name string) string {
 	}
 }
 
-// benignIntDefault picks a benign default value for an integer
+// BenignIntDefault picks a benign default value for an integer
 // parameter from its declared name, so that exploration of the *other*
 // arguments runs the function's success path.
-func benignIntDefault(name string) int64 {
+func BenignIntDefault(name string) int64 {
 	switch name {
 	case "whence", "flags", "optional_actions", "mode":
 		return 0
@@ -197,8 +197,8 @@ func benignIntDefault(name string) int64 {
 	}
 }
 
-// isFdParam reports whether an int parameter is a file descriptor.
-func isFdParam(name string) bool {
+// IsFdParam reports whether an int parameter is a file descriptor.
+func IsFdParam(name string) bool {
 	switch name {
 	case "fd", "oldfd", "newfd", "fildes":
 		return true
@@ -225,7 +225,7 @@ func ForParam(param cparse.Param, table *cparse.TypeTable) Generator {
 			return NewDirGen("")
 		case elem.Kind == cparse.KindInt && strings.Contains(elem.Name, "char") && elem.Const:
 			g := NewCStringGen(nil)
-			g.DefaultContent = benignStringDefault(param.Name)
+			g.DefaultContent = BenignStringDefault(param.Name)
 			return g
 		case elem.Kind == cparse.KindInt && strings.Contains(elem.Name, "char"):
 			return NewCharBufGen()
@@ -233,25 +233,25 @@ func ForParam(param cparse.Param, table *cparse.TypeTable) Generator {
 			// Scalar time pointers: besides the zeroed growth chains, add
 			// 0x7F-filled variants whose astronomically large value
 			// exercises the out-of-range errno paths of gmtime/localtime.
-			g := NewArrayGen(8192, 256)
+			g := NewArrayGen(ArrayMaxSize, ArrayDefaultSize)
 			g.VariantFills = []byte{0x7F}
 			return g
 		default:
 			// Generic pointer: structs (adaptively sized), scalar out
 			// parameters, void*, char**.
-			return NewArrayGen(8192, 256)
+			return NewArrayGen(ArrayMaxSize, ArrayDefaultSize)
 		}
 	case cparse.KindInt:
-		if isFdParam(param.Name) {
+		if IsFdParam(param.Name) {
 			return NewFdGen()
 		}
-		return NewIntGen(benignIntDefault(param.Name))
+		return NewIntGen(BenignIntDefault(param.Name))
 	case cparse.KindDouble, cparse.KindFloat:
 		return NewDoubleGen()
 	case cparse.KindStruct:
 		// By-value structs do not occur in the library; treat like int.
 		return NewIntGen(0)
 	default:
-		return NewIntGen(benignIntDefault(param.Name))
+		return NewIntGen(BenignIntDefault(param.Name))
 	}
 }

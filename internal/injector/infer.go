@@ -252,10 +252,8 @@ func (c *campaign) inferBoundedRead(target int, rt decl.RobustType) (decl.Robust
 		if _, isInt := g.(*gens.IntGen); !isInt {
 			continue
 		}
-		// Unterminated 16-byte region: success when the count stays
-		// within it, crash when the count exceeds it.
-		small, ok1 := run(gens.UntermProbe(16), j, 8)
-		big, ok2 := run(gens.UntermProbe(16), j, 64)
+		small, ok1 := run(gens.UntermProbe(decl.BoundedReadRegion), j, decl.BoundedReadWithin)
+		big, ok2 := run(gens.UntermProbe(decl.BoundedReadRegion), j, decl.BoundedReadPast)
 		if ok1 && ok2 && small == csim.OutcomeReturn && big == csim.OutcomeSegfault {
 			return decl.RobustType{
 				Base: "R_BOUNDED",
@@ -265,20 +263,6 @@ func (c *campaign) inferBoundedRead(target int, rt decl.RobustType) (decl.Robust
 	}
 	return rt, false
 }
-
-// inferCtx supplies Strlen/Value to SizeExpr.Eval from the injector's
-// knowledge of the probes in play.
-type inferCtx struct {
-	strlens map[int]int
-	vals    map[int]int64
-}
-
-func (c inferCtx) Strlen(i int) (int, bool) {
-	l, ok := c.strlens[i]
-	return l, ok
-}
-
-func (c inferCtx) Value(i int) int64 { return c.vals[i] }
 
 // inferSize upgrades a fixed array size to a dependent expression when
 // perturbing sibling arguments confirms the dependency.
@@ -290,125 +274,37 @@ func (c *campaign) inferSize(target int, rt decl.RobustType) decl.SizeExpr {
 	if !ok || baseline == 0 {
 		return fixed
 	}
-	fixed = decl.Fixed(baseline)
 
 	// Sibling metadata under defaults.
-	baseCtx := inferCtx{strlens: map[int]int{}, vals: map[int]int64{}}
-	var strArgs, intArgs []int
+	base := decl.FitArgs{Strlens: map[int]int{}, Vals: map[int]int64{}}
 	for j, g := range c.gens {
 		if j == target {
 			continue
 		}
 		switch t := g.(type) {
 		case *gens.CStringGen:
-			baseCtx.strlens[j] = len("hello") // Default() payload
-			strArgs = append(strArgs, j)
+			base.Strlens[j] = len(t.DefaultContent)
 		case *gens.IntGen:
-			baseCtx.vals[j] = t.DefaultValue
-			intArgs = append(intArgs, j)
+			base.Vals[j] = t.DefaultValue
 		}
 	}
-
-	// Candidate expressions, most specific first.
-	var candidates []decl.SizeExpr
-	for i := 0; i < len(intArgs); i++ {
-		for k := 0; k < len(intArgs); k++ {
-			if i < k {
-				candidates = append(candidates, decl.SizeExpr{Kind: decl.SizeArgProduct, A: intArgs[i], B: intArgs[k]})
-			}
-		}
-	}
-	for _, sj := range strArgs {
-		for _, ij := range intArgs {
-			candidates = append(candidates,
-				decl.SizeExpr{Kind: decl.SizeMinStrlenP1N, A: sj, B: ij},
-				decl.SizeExpr{Kind: decl.SizeMinStrlenNP1, A: sj, B: ij},
-			)
-		}
-	}
-	for _, sj := range strArgs {
-		candidates = append(candidates, decl.SizeExpr{Kind: decl.SizeStrlenPlus1, A: sj})
-	}
-	for _, ij := range intArgs {
-		candidates = append(candidates, decl.SizeExpr{Kind: decl.SizeArgValue, A: ij})
-	}
-
-	// perturb returns a probe + updated context for argument j moved
-	// either up (roughly doubled) or down (to a small value). Min-shaped
-	// expressions saturate in one direction, so both are needed.
-	perturb := func(j int, up bool, ctx inferCtx) (*gens.Probe, inferCtx) {
-		out := inferCtx{strlens: map[int]int{}, vals: map[int]int64{}}
-		for k, v := range ctx.strlens {
-			out.strlens[k] = v
-		}
-		for k, v := range ctx.vals {
-			out.vals[k] = v
-		}
+	measure := func(j int, env decl.FitArgs, want int) (int, bool, error) {
+		var pr *gens.Probe
 		switch t := c.gens[j].(type) {
 		case *gens.CStringGen:
-			l := 2
-			if up {
-				l = ctx.strlens[j]*2 + 7
-			}
-			out.strlens[j] = l
-			return t.VariantWithLen(l), out
+			pr = t.VariantWithLen(env.Strlens[j])
 		case *gens.IntGen:
-			v := int64(2)
-			if up {
-				v = ctx.vals[j]*2 + 3
-			}
-			out.vals[j] = v
-			return t.ValueProbe(v), out
+			pr = t.ValueProbe(env.Vals[j])
 		}
-		return nil, out
+		hint := 0
+		if len(c.hintSeeds) > 0 {
+			hint = want
+		}
+		m, ok := c.measureMinimal(target, prot, map[int]*gens.Probe{j: pr}, hint)
+		return m, ok, nil
 	}
-
-	refs := func(e decl.SizeExpr) []int {
-		switch e.Kind {
-		case decl.SizeStrlenPlus1, decl.SizeArgValue:
-			return []int{e.A}
-		default:
-			return []int{e.A, e.B}
-		}
+	if expr, _ := decl.FitSize(base, baseline, measure); expr != nil {
+		return *expr
 	}
-
-next:
-	for _, cand := range candidates {
-		want, ok := cand.Eval(baseCtx)
-		if !ok || want != baseline {
-			continue
-		}
-		// Confirm by perturbing each referenced argument in both
-		// directions: every measured minimum must match the expression,
-		// and at least one perturbation must actually move it.
-		anyChanged := false
-		for _, j := range refs(cand) {
-			for _, up := range []bool{true, false} {
-				pr, ctx2 := perturb(j, up, baseCtx)
-				if pr == nil {
-					continue next
-				}
-				want2, ok := cand.Eval(ctx2)
-				if !ok {
-					continue next
-				}
-				hint := 0
-				if len(c.hintSeeds) > 0 {
-					hint = want2
-				}
-				m2, ok := c.measureMinimal(target, prot, map[int]*gens.Probe{j: pr}, hint)
-				if !ok || m2 != want2 {
-					continue next
-				}
-				if m2 != baseline {
-					anyChanged = true
-				}
-			}
-		}
-		if !anyChanged {
-			continue
-		}
-		return cand
-	}
-	return fixed
+	return decl.Fixed(baseline)
 }
