@@ -118,18 +118,19 @@ bench-profile:
 		./internal/injector/
 	@echo "wrote profiles/{cpu,mutex,block}.pprof — go tool pprof profiles/injector.test profiles/<which>.pprof"
 
-# CI's cheap perf gate: every campaign benchmark and the page-cache
-# byte scan run one iteration (so a hang or a golden-vector divergence
-# fails fast), BenchmarkCampaignCheckpointRatio holds checkpointed setup
-# at or below 0.70x the uncheckpointed and BenchmarkCampaignScaling (on
-# 4+ procs) the 8-worker wall at or below 0.50x the sequential, the
-# wrapper nop path, the forked-memory accessors and the per-test
-# Ballista budget prove their allocation contracts, and the
+# CI's cheap perf gate: every campaign benchmark, the page-cache byte
+# scan and the bulk stdio paths run one iteration (so a hang or a
+# golden-vector divergence fails fast), BenchmarkCampaignCheckpointRatio
+# holds checkpointed setup at or below 0.70x the uncheckpointed and
+# BenchmarkCampaignScaling (on 4+ procs) the 8-worker wall at or below
+# 0.50x the sequential, the
+# wrapper nop path, the forked-memory accessors, the per-test Ballista
+# budget and the stdio loops prove their allocation contracts, and the
 # COW and page-cache differentials + aliasing + purity audits run under
 # the race detector.
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'BenchmarkCampaign|BenchmarkFork|BenchmarkByteScanForked|BenchmarkBuildArrayHierarchy|BenchmarkRobustType' -benchtime 1x ./internal/injector/ ./internal/cmem/ ./internal/typesys/
-	$(GO) test -count=1 -run 'TestNopObservabilityAddsNoAllocations|TestForkedAccessorsAllocateNothing|TestPerTestAllocationBudget|TestKernelAllocations' ./internal/wrapper/ ./internal/cmem/ ./internal/ballista/ ./internal/typesys/
+	$(GO) test -run '^$$' -bench 'BenchmarkCampaign|BenchmarkFork|BenchmarkByteScanForked|BenchmarkBuildArrayHierarchy|BenchmarkRobustType|BenchmarkStdio' -benchtime 1x ./internal/injector/ ./internal/cmem/ ./internal/typesys/ ./internal/clib/
+	$(GO) test -count=1 -run 'TestNopObservabilityAddsNoAllocations|TestForkedAccessorsAllocateNothing|TestPerTestAllocationBudget|TestKernelAllocations|TestStdioAllocations' ./internal/wrapper/ ./internal/cmem/ ./internal/ballista/ ./internal/typesys/ ./internal/clib/
 	$(GO) test -race -count=1 -run 'TestDifferentialCOWvsEager|TestPageCacheDifferential|TestReleasedMemoryFaultsThroughCache|TestConcurrentTemplateForks|TestReadPathsLeaveSnapshotFrozen|TestFork|TestProtectAfterFork|TestWriteOnlyPagesSurviveFork|TestChildFree|TestMapResetAfterFork|TestRelease|TestSharedPageRelease' ./internal/cmem/
 
 # The end-to-end benchmark lives in a nested module (bench/go.mod), so

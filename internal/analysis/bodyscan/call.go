@@ -31,7 +31,7 @@ func (ip *interp) evalCall(x *ast.CallExpr, env *env) []val {
 		case "len":
 			v := ip.evalExpr(x.Args[0], env)
 			if !v.rv.IsValid() {
-				unknown("len of nil")
+				return []val{goval(0)} // a nil slice or map; nothing else compiles
 			}
 			switch v.rv.Kind() {
 			case reflect.String, reflect.Slice, reflect.Array, reflect.Map:
@@ -46,6 +46,22 @@ func (ip *interp) evalCall(x *ast.CallExpr, env *env) []val {
 			unknown("cap of non-slice")
 		case "append":
 			return []val{ip.evalAppend(x, env)}
+		case "make":
+			rt, _ := ip.resolveType(x.Args[0])
+			if rt == nil || rt.Kind() != reflect.Slice || len(x.Args) != 2 {
+				unknown("unsupported make")
+			}
+			n := toInt(ip.evalExpr(x.Args[1], env))
+			if n < 0 {
+				unknown("make with negative length")
+			}
+			return []val{{rv: reflect.MakeSlice(rt, n, n)}}
+		case "copy":
+			dst, src := ip.evalExpr(x.Args[0], env), ip.evalExpr(x.Args[1], env)
+			if !dst.rv.IsValid() || !src.rv.IsValid() || dst.rv.Kind() != reflect.Slice {
+				unknown("unsupported copy")
+			}
+			return []val{goval(reflect.Copy(dst.rv, src.rv))}
 		case "panic":
 			unknown("interpreted panic")
 		}

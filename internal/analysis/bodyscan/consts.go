@@ -1,6 +1,7 @@
 package bodyscan
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"reflect"
@@ -10,7 +11,7 @@ import (
 )
 
 // pkgVals resolves selector expressions on the clib imports (csim.X,
-// cmem.X, fmt.X, math.X) to real values from the real packages. The
+// cmem.X, bytes.X, fmt.X, math.X) to real values from the real packages. The
 // table is compiler-checked: a renamed constant fails this build
 // rather than silently folding to a stale number. A loader test walks
 // every selector in the clib source and asserts coverage.
@@ -92,6 +93,9 @@ var pkgVals = map[string]map[string]reflect.Value{
 		"ProtNone": reflect.ValueOf(cmem.ProtNone),
 		"ProtRead": reflect.ValueOf(cmem.ProtRead),
 		"ProtRW":   reflect.ValueOf(cmem.ProtRW),
+	},
+	"bytes": {
+		"IndexByte": reflect.ValueOf(bytes.IndexByte),
 	},
 	"fmt": {
 		"Sprintf": reflect.ValueOf(fmt.Sprintf),

@@ -158,6 +158,11 @@ func (ip *interp) evalSlice(x *ast.SliceExpr, env *env) val {
 		hi = rv.Len()
 	case reflect.Slice:
 		hi = rv.Len()
+	case reflect.Array:
+		if !rv.CanAddr() {
+			unknown("slice of unaddressable array")
+		}
+		hi = rv.Len()
 	default:
 		unknown("unsupported slice on %v", rv.Kind())
 	}

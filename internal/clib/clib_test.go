@@ -527,17 +527,18 @@ func TestCorruptedFILECrashesDespiteValidFd(t *testing.T) {
 
 func TestFgetsHangsOnNonPositiveSize(t *testing.T) {
 	lib, p := fixture(t)
-	p.SetStepBudget(10000)
 	fp := openFILE(t, lib, p, "r")
 	s := buf(t, p, 64)
+	// The spin spends the whole default budget at once: the hang lands
+	// on the first over-budget step, as a loop of Step calls would.
 	o := call(lib, p, "fgets", uint64(s), uint64(uint32(0)), uint64(fp))
-	if o.Kind != csim.OutcomeHang {
-		t.Fatalf("fgets(size=0) = %v, want hang", o)
+	if o.Kind != csim.OutcomeHang || o.Steps != csim.DefaultStepBudget+1 {
+		t.Fatalf("fgets(size=0) = %v after %d steps, want hang after %d", o, o.Steps, csim.DefaultStepBudget+1)
 	}
 	neg := uint64(0xFFFFFFFFFFFFFFFF) // -1
 	o = call(lib, p, "fgets", uint64(s), neg, uint64(fp))
-	if o.Kind != csim.OutcomeHang {
-		t.Fatalf("fgets(size=-1) = %v, want hang", o)
+	if o.Kind != csim.OutcomeHang || o.Steps != csim.DefaultStepBudget+1 {
+		t.Fatalf("fgets(size=-1) = %v after %d steps, want hang after %d", o, o.Steps, csim.DefaultStepBudget+1)
 	}
 	// And the happy path still works.
 	o = call(lib, p, "fgets", uint64(s), 64, uint64(fp))

@@ -1,6 +1,8 @@
 package clib
 
 import (
+	"bytes"
+
 	"healers/internal/cmem"
 	"healers/internal/csim"
 )
@@ -35,21 +37,112 @@ func loadFILE(p *csim.Process, fp cmem.Addr) fileFields {
 	}
 }
 
-// stage pushes one byte through the stdio buffer, exactly as buffered
-// I/O does: it dereferences the buffer pointer stored in the FILE.
-func stage(p *csim.Process, fp cmem.Addr, ff *fileFields, b byte) {
+// Bulk stdio. Where glibc moves one byte per iteration, every stdio
+// loop here advances a segment at a time, and a segment ends at
+// whichever comes first: the next page boundary of the ring cursor or
+// of the user cursor, the ring's wrap point, EOF or a newline, or the
+// step budget. It shrinks to one byte when any two of the ring range,
+// the 8-byte bufPos field and the user range overlap. Inside a segment
+// each stream therefore stays within one page, whose protection is
+// uniform, so the segment either faults on its first byte or not at
+// all; doing its accesses in the byte loop's own order (ring, bufPos,
+// user for a read; user, ring, bufPos, file for a write) then faults at
+// the same address, with the same errno, as the byte loop would.
+// Charging one step before a segment's accesses and the other L-1
+// after them keeps the step count, and so the hang, where the byte
+// loop puts it. The adaptive injector grows arrays from the fault
+// address (§4.1), so the first fault is what must not move; memory
+// written before a fault is not observed.
+
+// atMost returns n bounded by limit.
+func atMost(n, limit uint64) uint64 {
+	if n > limit {
+		return limit
+	}
+	return n
+}
+
+// pageRoom returns how many bytes lie from addr to the end of its page.
+func pageRoom(addr cmem.Addr) uint64 {
+	return cmem.PageSize - uint64(addr&(cmem.PageSize-1))
+}
+
+// overlap reports whether [a, a+an) and [b, b+bn) share a byte, with
+// addresses wrapping at the top of the address space as the byte loop's
+// do.
+func overlap(a cmem.Addr, an uint64, b cmem.Addr, bn uint64) bool {
+	return uint64(b-a) < an || uint64(a-b) < bn
+}
+
+// ringCell returns the ring cell the next staged byte lands in and how
+// many bytes fit before the ring wraps, either at the end of the
+// buffer or where the position counter itself wraps.
+func ringCell(ff *fileFields) (cmem.Addr, uint64) {
 	sz := ff.bufSize
 	if sz == 0 {
 		sz = 1
 	}
-	cell := ff.bufPtr + cmem.Addr(ff.bufPos%sz)
-	p.StoreByte(cell, b)
-	ff.bufPos++
+	off := ff.bufPos % sz
+	room := sz - off
+	if ff.bufPos != 0 {
+		room = atMost(room, -ff.bufPos)
+	}
+	return ff.bufPtr + cmem.Addr(off), room
+}
+
+// segment bounds the next segment of a run of n bytes staged through
+// the FILE at fp whose user cursor, when user is set, is at u.
+func segment(p *csim.Process, fp cmem.Addr, ff *fileFields, u cmem.Addr, user bool, n uint64) uint64 {
+	cell, room := ringCell(ff)
+	n = atMost(atMost(n, room), pageRoom(cell))
+	pos := fp + csim.FILEOffBufPos
+	if user {
+		n = atMost(n, pageRoom(u))
+		if overlap(cell, n, u, n) || overlap(u, n, pos, 8) {
+			n = 1
+		}
+	}
+	if overlap(cell, n, pos, 8) {
+		n = 1
+	}
+	return withinBudget(p, n)
+}
+
+// withinBudget bounds a run of n steps by the steps left. With none
+// left it leaves n alone: the Step before the run raises the hang.
+func withinBudget(p *csim.Process, n uint64) uint64 {
+	if left := p.StepsLeft(); left > 0 {
+		return atMost(n, uint64(left))
+	}
+	return n
+}
+
+// stage pushes data through the stdio buffer, exactly as buffered I/O
+// does: it dereferences the buffer pointer stored in the FILE, then
+// advances bufPos. data is one segment or a single byte.
+func stage(p *csim.Process, fp cmem.Addr, ff *fileFields, data []byte) {
+	cell, _ := ringCell(ff)
+	p.Store(cell, data)
+	ff.bufPos += uint64(len(data))
 	p.StoreU64(fp+csim.FILEOffBufPos, ff.bufPos)
 }
 
+// readSegment moves the first segment of src, bytes the descriptor has
+// not yet read, through the ring into user memory at u, in the byte
+// loop's order: ring, bufPos, user. It returns the bytes moved.
+func readSegment(p *csim.Process, fp cmem.Addr, ff *fileFields, of *csim.OpenFD, u cmem.Addr, src []byte) []byte {
+	data := src[:segment(p, fp, ff, u, true, uint64(len(src)))]
+	p.Step()
+	of.Pos += len(data)
+	stage(p, fp, ff, data)
+	p.Store(u, data)
+	p.StepN(len(data) - 1)
+	return data
+}
+
 // drain touches the buffered region on flush-like paths; with a corrupt
-// buffer pointer this is where the crash happens.
+// buffer pointer this is where the crash happens. It reads a segment at
+// a time into a stack buffer.
 func drain(p *csim.Process, ff *fileFields) {
 	if ff.bufPos == 0 {
 		return
@@ -58,13 +151,15 @@ func drain(p *csim.Process, ff *fileFields) {
 	if sz == 0 {
 		sz = 1
 	}
-	n := ff.bufPos
-	if n > sz {
-		n = sz
-	}
-	for i := uint64(0); i < n; i++ {
+	n := atMost(ff.bufPos, sz)
+	var buf [cmem.PageSize]byte
+	for i := uint64(0); i < n; {
+		at := ff.bufPtr + cmem.Addr(i)
+		k := withinBudget(p, atMost(n-i, pageRoom(at)))
 		p.Step()
-		p.LoadByte(ff.bufPtr + cmem.Addr(i))
+		p.LoadInto(at, buf[:k])
+		p.StepN(int(k) - 1)
+		i += k
 	}
 }
 
@@ -72,40 +167,31 @@ func setFlag(p *csim.Process, fp cmem.Addr, off int, v uint32) {
 	p.StoreU32(fp+cmem.Addr(off), v)
 }
 
-func fdReadByte(of *csim.OpenFD) (byte, bool) {
-	if of == nil || !of.Mode.Readable() || of.File == nil {
-		return 0, false
-	}
+// fdUnread returns the bytes a readable descriptor has left before EOF.
+func fdUnread(of *csim.OpenFD) []byte {
 	if of.Pos >= len(of.File.Data) {
-		return 0, false
+		return nil
 	}
-	b := of.File.Data[of.Pos]
-	of.Pos++
-	return b, true
+	return of.File.Data[of.Pos:]
 }
 
-// fdWriteByte appends or overwrites one byte at the descriptor's
-// position. The file may still be fork-shared (writable opens and
-// forks no longer copy eagerly), so every mutation privatizes first —
-// an atomic load per byte on the already-private fast path.
-func fdWriteByte(p *csim.Process, of *csim.OpenFD, b byte) bool {
-	if of == nil || !of.Mode.Writable() || of.File == nil {
-		return false
-	}
+// fdWrite returns the n file bytes at a writable descriptor's position
+// for the caller to fill and advances the position past them. The file
+// may still be fork-shared (writable opens and forks no longer copy
+// eagerly), so it is privatized first; a gap past the end of the file
+// reads as zeros, as after a seek past EOF.
+func fdWrite(p *csim.Process, of *csim.OpenFD, n int) []byte {
 	p.PrivatizeForWrite(of)
 	if of.Append {
 		of.Pos = len(of.File.Data)
 	}
-	for len(of.File.Data) < of.Pos {
-		of.File.Data = append(of.File.Data, 0)
+	end := of.Pos + n
+	if grow := end - len(of.File.Data); grow > 0 {
+		of.File.Data = append(of.File.Data, make([]byte, grow)...)
 	}
-	if of.Pos == len(of.File.Data) {
-		of.File.Data = append(of.File.Data, b)
-	} else {
-		of.File.Data[of.Pos] = b
-	}
-	of.Pos++
-	return true
+	out := of.File.Data[of.Pos:end]
+	of.Pos = end
+	return out
 }
 
 func (l *Library) registerStdio() {
@@ -248,15 +334,15 @@ func (l *Library) registerStdio() {
 			}
 			total := size * nmemb
 			var got uint64
-			for ; got < total; got++ {
-				p.Step()
-				b, ok := fdReadByte(of)
-				if !ok {
+			for got < total {
+				src := fdUnread(of)
+				if len(src) == 0 {
+					p.Step()
 					setFlag(p, fp, csim.FILEOffEOF, 1)
 					break
 				}
-				stage(p, fp, &ff, b)
-				p.StoreByte(ptr+cmem.Addr(got), b)
+				src = src[:atMost(total-got, uint64(len(src)))]
+				got += uint64(len(readSegment(p, fp, &ff, of, ptr+cmem.Addr(got), src)))
 			}
 			return got / size
 		},
@@ -275,12 +361,17 @@ func (l *Library) registerStdio() {
 			if size == 0 || nmemb == 0 {
 				return 0
 			}
+			// The user bytes land straight in the file; on a fault the
+			// file may keep the zeros it grew by, which no caller sees.
 			total := size * nmemb
-			for i := uint64(0); i < total; i++ {
+			for i := uint64(0); i < total; {
+				n := segment(p, fp, &ff, ptr+cmem.Addr(i), true, total-i)
 				p.Step()
-				b := p.LoadByte(ptr + cmem.Addr(i))
-				stage(p, fp, &ff, b)
-				fdWriteByte(p, of, b)
+				data := fdWrite(p, of, int(n))
+				p.LoadInto(ptr+cmem.Addr(i), data)
+				stage(p, fp, &ff, data)
+				p.StepN(int(n) - 1)
+				i += n
 			}
 			return nmemb
 		},
@@ -295,9 +386,7 @@ func (l *Library) registerStdio() {
 				// Reproduces the classic `while (--n > 0)` wraparound
 				// bug: a non-positive size spins the read loop, which
 				// the paper's methodology observes as a hang.
-				for {
-					p.Step()
-				}
+				p.Hang()
 			}
 			of := p.FD(ff.fd)
 			if of == nil || !of.Mode.Readable() {
@@ -305,17 +394,20 @@ func (l *Library) registerStdio() {
 				return 0
 			}
 			var i int
-			for i = 0; i < size-1; i++ {
-				p.Step()
-				b, ok := fdReadByte(of)
-				if !ok {
+			for i < size-1 {
+				src := fdUnread(of)
+				if len(src) == 0 {
+					p.Step()
 					setFlag(p, fp, csim.FILEOffEOF, 1)
 					break
 				}
-				stage(p, fp, &ff, b)
-				p.StoreByte(s+cmem.Addr(i), b)
-				if b == '\n' {
-					i++
+				src = src[:atMost(uint64(size-1-i), uint64(len(src)))]
+				if nl := bytes.IndexByte(src, '\n'); nl >= 0 {
+					src = src[:nl+1]
+				}
+				data := readSegment(p, fp, &ff, of, s+cmem.Addr(i), src)
+				i += len(data)
+				if data[len(data)-1] == '\n' {
 					break
 				}
 			}
@@ -338,10 +430,16 @@ func (l *Library) registerStdio() {
 				setFlag(p, fp, csim.FILEOffError, 1)
 				return cEOF
 			}
-			for i := 0; i < len(str); i++ {
+			var buf [cmem.PageSize]byte
+			for i := 0; i < len(str); {
+				n := int(segment(p, fp, &ff, 0, false, uint64(len(str)-i)))
+				data := buf[:n]
+				copy(data, str[i:])
 				p.Step()
-				stage(p, fp, &ff, str[i])
-				fdWriteByte(p, of, str[i])
+				stage(p, fp, &ff, data)
+				copy(fdWrite(p, of, n), data)
+				p.StepN(n - 1)
+				i += n
 			}
 			return retInt(len(str))
 		},
@@ -361,13 +459,14 @@ func (l *Library) registerStdio() {
 				p.SetErrno(csim.EBADF)
 				return cEOF
 			}
-			b, ok := fdReadByte(of)
-			if !ok {
+			src := fdUnread(of)
+			if len(src) == 0 {
 				setFlag(p, fp, csim.FILEOffEOF, 1)
 				return cEOF
 			}
-			stage(p, fp, &ff, b)
-			return uint64(b)
+			of.Pos++
+			stage(p, fp, &ff, src[:1])
+			return uint64(src[0])
 		},
 	})
 	l.add(&Func{
@@ -381,8 +480,8 @@ func (l *Library) registerStdio() {
 				p.SetErrno(csim.EBADF)
 				return cEOF
 			}
-			stage(p, fp, &ff, c)
-			fdWriteByte(p, of, c)
+			stage(p, fp, &ff, []byte{c})
+			fdWrite(p, of, 1)[0] = c
 			return uint64(c)
 		},
 	})
@@ -401,7 +500,7 @@ func (l *Library) registerStdio() {
 				return cEOF
 			}
 			// The pushed-back byte is parked in the stdio buffer too.
-			stage(p, fp, &ff, byte(c))
+			stage(p, fp, &ff, []byte{byte(c)})
 			p.StoreU32(fp+csim.FILEOffUngetc, uint32(c))
 			return uint64(uint32(c))
 		},
@@ -415,19 +514,29 @@ func (l *Library) registerStdio() {
 			s := argPtr(a, 0)
 			var i cmem.Addr
 			for {
-				p.Step()
-				b, ok := p.StdinReadByte()
-				if !ok {
-					if i == 0 {
-						return 0
+				src := p.StdinUnread()
+				n := bytes.IndexByte(src, '\n')
+				if n < 0 {
+					n = len(src)
+				}
+				if n == 0 {
+					// EOF, or the newline, which is consumed but not stored.
+					p.Step()
+					if len(src) == 0 {
+						if i == 0 {
+							return 0
+						}
+						break
 					}
+					p.StdinSkip(1)
 					break
 				}
-				if b == '\n' {
-					break
-				}
-				p.StoreByte(s+i, b)
-				i++
+				k := withinBudget(p, atMost(uint64(n), pageRoom(s+i)))
+				p.Step()
+				p.StdinSkip(int(k))
+				p.Store(s+i, src[:k])
+				p.StepN(int(k) - 1)
+				i += cmem.Addr(k)
 			}
 			p.StoreByte(s+i, 0)
 			return uint64(s)

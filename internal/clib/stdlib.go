@@ -174,20 +174,29 @@ func (l *Library) registerStdlib() {
 			if size > 256 {
 				size = 256 // clamp: the simulated ABI caps element size
 			}
+			// One element buffer and one argument vector serve every
+			// move and every comparison of the call.
+			var tmp [256]byte
+			el := tmp[:size]
+			args := []uint64{0, uint64(scratch)}
 			for i := int64(1); i < nmemb; i++ {
 				p.Step()
-				p.Store(scratch, p.Load(elem(i), int(size)))
+				p.LoadInto(elem(i), el)
+				p.Store(scratch, el)
 				j := i - 1
 				for j >= 0 {
 					p.Step()
-					r := int32(p.CallPtr(compar, []uint64{uint64(elem(j)), uint64(scratch)}))
+					args[0] = uint64(elem(j))
+					r := int32(p.CallPtr(compar, args))
 					if r <= 0 {
 						break
 					}
-					p.Store(elem(j+1), p.Load(elem(j), int(size)))
+					p.LoadInto(elem(j), el)
+					p.Store(elem(j+1), el)
 					j--
 				}
-				p.Store(elem(j+1), p.Load(scratch, int(size)))
+				p.LoadInto(scratch, el)
+				p.Store(elem(j+1), el)
 			}
 			return 0
 		},
@@ -198,11 +207,13 @@ func (l *Library) registerStdlib() {
 		Impl: func(p *csim.Process, a []uint64) uint64 {
 			key, base, nmemb, size, compar := argPtr(a, 0), argPtr(a, 1), argLong(a, 2), argLong(a, 3), argPtr(a, 4)
 			lo, hi := int64(0), nmemb
+			args := []uint64{uint64(key), 0}
 			for lo < hi {
 				p.Step()
 				mid := (lo + hi) / 2
 				at := base + cmem.Addr(mid*size)
-				r := int32(p.CallPtr(compar, []uint64{uint64(key), uint64(at)}))
+				args[1] = uint64(at)
+				r := int32(p.CallPtr(compar, args))
 				switch {
 				case r == 0:
 					return uint64(at)

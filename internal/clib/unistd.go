@@ -131,9 +131,12 @@ func (l *Library) registerUnistd() {
 				p.SetErrno(csim.EFAULT)
 				return cEOF
 			}
-			for _, b := range data {
+			for i := 0; i < len(data); {
+				n := int(withinBudget(p, uint64(len(data)-i)))
 				p.Step()
-				fdWriteByte(p, of, b)
+				copy(fdWrite(p, of, n), data[i:i+n])
+				p.StepN(n - 1)
+				i += n
 			}
 			return uint64(count)
 		},

@@ -39,6 +39,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -850,10 +851,10 @@ func (m *Memory) inPage(addr Addr, n int, access Access) (pg *page, off int, f *
 	return pg, off, nil, true
 }
 
-// readInto fills out from addr without allocating: in place when the
+// ReadInto fills out from addr without allocating: in place when the
 // range lies inside one page, through check+copyOut when it spans
 // several — with exactly the faults Read reports either way.
-func (m *Memory) readInto(addr Addr, out []byte) *Fault {
+func (m *Memory) ReadInto(addr Addr, out []byte) *Fault {
 	if len(out) == 0 {
 		return nil
 	}
@@ -873,7 +874,7 @@ func (m *Memory) readInto(addr Addr, out []byte) *Fault {
 // ReadU16 reads a little-endian 16-bit value.
 func (m *Memory) ReadU16(addr Addr) (uint16, *Fault) {
 	var b [2]byte
-	if f := m.readInto(addr, b[:]); f != nil {
+	if f := m.ReadInto(addr, b[:]); f != nil {
 		return 0, f
 	}
 	return binary.LittleEndian.Uint16(b[:]), nil
@@ -882,7 +883,7 @@ func (m *Memory) ReadU16(addr Addr) (uint16, *Fault) {
 // ReadU32 reads a little-endian 32-bit value.
 func (m *Memory) ReadU32(addr Addr) (uint32, *Fault) {
 	var b [4]byte
-	if f := m.readInto(addr, b[:]); f != nil {
+	if f := m.ReadInto(addr, b[:]); f != nil {
 		return 0, f
 	}
 	return binary.LittleEndian.Uint32(b[:]), nil
@@ -891,7 +892,7 @@ func (m *Memory) ReadU32(addr Addr) (uint32, *Fault) {
 // ReadU64 reads a little-endian 64-bit value.
 func (m *Memory) ReadU64(addr Addr) (uint64, *Fault) {
 	var b [8]byte
-	if f := m.readInto(addr, b[:]); f != nil {
+	if f := m.ReadInto(addr, b[:]); f != nil {
 		return 0, f
 	}
 	return binary.LittleEndian.Uint64(b[:]), nil
@@ -927,11 +928,11 @@ const maxCString = 1 << 20
 // CString reads a NUL-terminated string starting at addr. The scan
 // observes protection page by page, so an unterminated string in a
 // bounded region faults at exactly the first inaccessible byte — the
-// behaviour real C string functions exhibit.
+// behaviour real C string functions exhibit. The string is allocated
+// once, however many pages it spans.
 func (m *Memory) CString(addr Addr) (string, *Fault) {
-	var buf []byte
-	a := addr
-	for {
+	n := 0
+	for a := addr; ; {
 		pg := m.lookup(a.PageBase())
 		if pg == nil {
 			return "", &Fault{Addr: a, Access: AccessRead}
@@ -944,15 +945,27 @@ func (m *Memory) CString(addr Addr) (string, *Fault) {
 		if i < 0 {
 			i = len(chunk)
 		}
-		if len(buf)+i > maxCString {
-			return "", &Fault{Addr: a + Addr(maxCString-len(buf)), Access: AccessRead, Mapped: true}
+		if n+i > maxCString {
+			return "", &Fault{Addr: a + Addr(maxCString-n), Access: AccessRead, Mapped: true}
 		}
 		if i < len(chunk) {
-			return string(append(buf, chunk[:i]...)), nil
+			if n == 0 {
+				return string(chunk[:i]), nil
+			}
+			n += i
+			break
 		}
-		buf = append(buf, chunk...)
+		n += len(chunk)
 		a += Addr(len(chunk))
 	}
+	var b strings.Builder
+	b.Grow(n)
+	for a := addr; b.Len() < n; {
+		chunk := m.lookup(a.PageBase()).data[a&(PageSize-1):]
+		k, _ := b.Write(chunk[:min(len(chunk), n-b.Len())])
+		a += Addr(k)
+	}
+	return b.String(), nil
 }
 
 // WriteCString writes s followed by a NUL terminator at addr.

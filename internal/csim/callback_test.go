@@ -64,20 +64,20 @@ func TestStaticAreasArePerOwnerAndStable(t *testing.T) {
 
 func TestStdinConsumption(t *testing.T) {
 	p := NewProcess(nil)
-	p.Stdin = []byte("ab")
-	if b, ok := p.StdinReadByte(); !ok || b != 'a' {
-		t.Errorf("first = %c %v", b, ok)
-	}
+	p.Stdin = []byte("abc")
+	p.StdinSkip(1)
 	c := p.Fork() // child inherits the read position
-	if b, ok := c.StdinReadByte(); !ok || b != 'b' {
-		t.Errorf("forked second = %c %v", b, ok)
+	if got := string(c.StdinUnread()); got != "bc" {
+		t.Errorf("forked unread = %q", got)
 	}
+	c.StdinSkip(1)
 	// Parent position unaffected by the child.
-	if b, ok := p.StdinReadByte(); !ok || b != 'b' {
-		t.Errorf("parent second = %c %v", b, ok)
+	if got := string(p.StdinUnread()); got != "bc" {
+		t.Errorf("parent unread = %q", got)
 	}
-	if _, ok := p.StdinReadByte(); ok {
-		t.Error("EOF not reported")
+	p.StdinSkip(5) // past EOF stops at EOF
+	if got := p.StdinUnread(); len(got) != 0 {
+		t.Errorf("unread at EOF = %q", got)
 	}
 }
 

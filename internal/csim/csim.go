@@ -308,6 +308,33 @@ func (p *Process) Step() {
 	}
 }
 
+// StepN consumes n units of the step budget at once: exactly what n
+// calls of Step do, including where the hang is raised (with the
+// counter at the first over-budget step).
+func (p *Process) StepN(n int) {
+	if n <= 0 {
+		return
+	}
+	if n > p.StepsLeft() {
+		p.Hang()
+	}
+	p.steps += n
+}
+
+// StepsLeft returns how many more steps the budget admits. A loop that
+// advances in runs bounds each run by it, so the hang still lands on
+// the step it would land on byte by byte.
+func (p *Process) StepsLeft() int { return p.stepBudget - p.steps }
+
+// Hang spends the rest of the step budget at once and raises the hang,
+// leaving the counter where a loop of Step calls would first exceed
+// the budget. Simulated code that loops forever calls it instead of
+// spinning through the budget.
+func (p *Process) Hang() {
+	p.steps = max(p.steps, p.stepBudget) + 1
+	panic(hangSignal{})
+}
+
 // Abort raises a simulated SIGABRT (an assertion failure in the library).
 func (p *Process) Abort() { panic(abrtSignal{}) }
 
@@ -353,6 +380,14 @@ func (p *Process) Load(addr cmem.Addr, n int) []byte {
 // Store writes data at addr or raises SIGSEGV.
 func (p *Process) Store(addr cmem.Addr, data []byte) {
 	if f := p.Mem.Write(addr, data); f != nil {
+		panic(segvSignal{fault: f})
+	}
+}
+
+// LoadInto fills dst from addr or raises SIGSEGV at the first
+// unreadable byte, as Load does, without allocating.
+func (p *Process) LoadInto(addr cmem.Addr, dst []byte) {
+	if f := p.Mem.ReadInto(addr, dst); f != nil {
 		panic(segvSignal{fault: f})
 	}
 }
@@ -440,15 +475,17 @@ func (p *Process) Static(name string, size int) cmem.Addr {
 	return a
 }
 
-// StdinReadByte consumes one byte of standard input; ok is false at EOF.
-func (p *Process) StdinReadByte() (byte, bool) {
+// StdinUnread returns the standard input not yet consumed, empty at
+// EOF. The bytes are the process's own: read them, never write them.
+func (p *Process) StdinUnread() []byte {
 	if p.stdinPos >= len(p.Stdin) {
-		return 0, false
+		return nil
 	}
-	b := p.Stdin[p.stdinPos]
-	p.stdinPos++
-	return b, true
+	return p.Stdin[p.stdinPos:]
 }
+
+// StdinSkip consumes n bytes of standard input (at most what is left).
+func (p *Process) StdinSkip(n int) { p.stdinPos = min(p.stdinPos+n, len(p.Stdin)) }
 
 // --- EFAULT-style user-pointer probing (syscall boundary) ---
 //

@@ -40,6 +40,7 @@ type Footprint struct {
 var Footprints = map[string]Footprint{
 	"Load":         {Src: LenArg, Len: 1},
 	"Store":        {Src: LenOf, Len: 1, Write: true},
+	"LoadInto":     {Src: LenOf, Len: 1},
 	"LoadByte":     {Src: LenFixed, N: 1},
 	"StoreByte":    {Src: LenFixed, N: 1, Write: true},
 	"LoadU32":      {Src: LenFixed, N: 4},
@@ -62,10 +63,11 @@ var Footprints = map[string]Footprint{
 // table by description, and the sandbox itself.
 var NoArgMemory = map[string]bool{
 	"Abort": true, "ClearErrno": true, "DupFD": true, "Errno": true,
-	"ErrnoSet": true, "Fopen": true, "Fork": true, "IsCode": true,
+	"ErrnoSet": true, "Fopen": true, "Fork": true, "Hang": true, "IsCode": true,
 	"Malloc": true, "NewDIR": true, "NewFILE": true, "OpenDir": true,
 	"OpenFDCount": true, "OpenFile": true, "PrivatizeForWrite": true,
 	"RaiseSegv": true, "RegisterCallback": true, "Release": true,
 	"Run": true, "SetErrno": true, "SetStepBudget": true, "Static": true,
-	"StdinReadByte": true, "Step": true, "StepCount": true,
+	"StdinSkip": true, "StdinUnread": true, "Step": true, "StepCount": true,
+	"StepN": true, "StepsLeft": true,
 }

@@ -15,38 +15,53 @@ import (
 
 func TestStepBudgetBoundary(t *testing.T) {
 	const budget = 100
+	steps := func(n int) func(p *Process) {
+		return func(p *Process) {
+			for i := 0; i < n; i++ {
+				p.Step()
+			}
+		}
+	}
+	hangAfter := func(n int) func(p *Process) {
+		return func(p *Process) { steps(n)(p); p.Hang() }
+	}
 	cases := []struct {
 		name  string
-		steps int
+		run   func(p *Process)
 		want  OutcomeKind
+		steps int
 	}{
-		{"one under budget", budget - 1, OutcomeReturn},
-		{"exactly at budget", budget, OutcomeReturn},
-		{"one past budget", budget + 1, OutcomeHang},
+		{"one under budget", steps(budget - 1), OutcomeReturn, budget - 1},
+		{"exactly at budget", steps(budget), OutcomeReturn, budget},
+		{"one past budget", steps(budget + 1), OutcomeHang, budget + 1},
+		{"StepN to the budget", func(p *Process) { p.StepN(1); p.StepN(budget - 1) }, OutcomeReturn, budget},
+		{"StepN one past budget", func(p *Process) { p.StepN(1); p.StepN(budget) }, OutcomeHang, budget + 1},
+		// Hang spends the rest of the budget at once, wherever the
+		// counter stands.
+		{"Hang after 0 steps", hangAfter(0), OutcomeHang, budget + 1},
+		{"Hang after budget-1 steps", hangAfter(budget - 1), OutcomeHang, budget + 1},
+		{"Hang after budget steps", hangAfter(budget), OutcomeHang, budget + 1},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			p := NewProcess(nil)
 			p.SetStepBudget(budget)
 			out := p.Run(func() uint64 {
-				for i := 0; i < c.steps; i++ {
-					p.Step()
-				}
+				c.run(p)
 				return 7
 			})
 			if out.Kind != c.want {
-				t.Fatalf("%d steps under budget %d: %s, want %s", c.steps, budget, out.Kind, c.want)
+				t.Fatalf("%s under budget %d: %s, want %s", c.name, budget, out.Kind, c.want)
 			}
-			switch c.want {
-			case OutcomeReturn:
-				if out.Ret != 7 || out.Steps != c.steps {
-					t.Errorf("ret=%d steps=%d, want ret=7 steps=%d", out.Ret, out.Steps, c.steps)
-				}
-			case OutcomeHang:
-				// The hang is detected on the first over-budget step.
-				if out.Steps != budget+1 {
-					t.Errorf("hang detected at step %d, want %d", out.Steps, budget+1)
-				}
+			// A hang is detected on the first over-budget step.
+			if out.Steps != c.steps {
+				t.Errorf("steps=%d, want %d", out.Steps, c.steps)
+			}
+			if c.want == OutcomeReturn && out.Ret != 7 {
+				t.Errorf("ret=%d, want 7", out.Ret)
+			}
+			if c.want == OutcomeReturn && p.StepsLeft() != budget-c.steps {
+				t.Errorf("StepsLeft=%d, want %d", p.StepsLeft(), budget-c.steps)
 			}
 		})
 	}
