@@ -55,7 +55,7 @@ race-parallel:
 # audit — all under the race detector.
 serve-test:
 	$(GO) test -race -count=1 ./internal/serve/
-	$(GO) test -race -count=1 -run 'TestFlight|TestDiskCache|TestConcurrentCampaigns|TestCacheStats' ./internal/injector/
+	$(GO) test -race -count=1 -run 'TestFlight|TestDiskCache|TestConcurrentCampaigns|TestCacheStats|TestResultCache' ./internal/injector/
 
 lint:
 	@unformatted=$$(gofmt -l .); \

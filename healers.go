@@ -84,12 +84,10 @@ type (
 	AnalysisReport = analysis.Report
 	// InjectorSeeds carries static size/read-only hints into a campaign.
 	InjectorSeeds = injector.Seeds
-	// InjectorCache memoizes per-function campaign results across runs
-	// (in memory; see InjectorDiskCache for persistence).
+	// InjectorCache memoizes per-function campaign results across runs:
+	// in memory (NewInjectorCache), or persisted across restarts as a
+	// checksummed, corruption-tolerant JSONL file (OpenInjectorCache).
 	InjectorCache = injector.ResultCache
-	// InjectorDiskCache persists campaign results across restarts as a
-	// checksummed, corruption-tolerant JSONL file.
-	InjectorDiskCache = injector.DiskCache
 	// InjectorFlight deduplicates concurrent computations of one cache
 	// key across campaigns (single-flight).
 	InjectorFlight = injector.Flight
@@ -132,7 +130,7 @@ func NewInjectorCache() *InjectorCache { return injector.NewResultCache() }
 // OpenInjectorCache opens (creating if absent) a persistent result
 // cache: campaign results put through it survive process restarts, and
 // corrupt entries are dropped and recomputed rather than served.
-func OpenInjectorCache(path string) (*InjectorDiskCache, error) {
+func OpenInjectorCache(path string) (*InjectorCache, error) {
 	return injector.OpenDiskCache(path)
 }
 

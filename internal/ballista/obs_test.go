@@ -18,9 +18,8 @@ func TestRunWithEventsReconcile(t *testing.T) {
 	var buf bytes.Buffer
 	reg := obs.NewRegistry()
 	opts := RunOptions{
-		Obs:           obs.New(obs.NewJSONLSink(&buf)),
-		Metrics:       reg,
-		ProgressEvery: 500,
+		Obs:     obs.New(obs.NewJSONLSink(&buf)),
+		Metrics: reg,
 	}
 	template := NewTemplate()
 	rep := f.suite.RunWith("full-auto", template, func(p *csim.Process) Caller {
@@ -64,8 +63,8 @@ func TestRunWithEventsReconcile(t *testing.T) {
 			t.Errorf("%s: %d outcome events, report ran %d tests", name, perFunc[name], fr.Tests())
 		}
 	}
-	// 11995 tests at one progress event per 500 plus the final test.
-	wantProgress := len(f.suite.Tests)/500 + 1
+	// 11995 tests at one progress event per 1000 plus the final test.
+	wantProgress := len(f.suite.Tests)/1000 + 1
 	if progress != wantProgress {
 		t.Errorf("progress events = %d, want %d", progress, wantProgress)
 	}

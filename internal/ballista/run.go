@@ -159,15 +159,12 @@ type RunOptions struct {
 	// StepBudget is the per-call hang budget (0 = 100k steps).
 	StepBudget int
 	// Obs, when enabled, receives one TestOutcome event per test
-	// (streaming, in suite order when Workers <= 1) and CampaignPhase
-	// progress events.
+	// (streaming, in suite order when Workers <= 1) and a CampaignPhase
+	// progress event every progressEvery tests and after the last.
 	Obs *obs.Tracer
 	// Metrics, when non-nil, registers per-bucket outcome counters
 	// labeled by configuration, plus the sandbox boundary counters.
 	Metrics *obs.Registry
-	// ProgressEvery emits a CampaignPhase progress event every N tests
-	// (0 = every 1000); the final test always emits one.
-	ProgressEvery int
 	// Workers shards the suite across a goroutine pool. Each worker
 	// forks its own private template, every test forks a private child
 	// from it, and classifications merge back in suite order, so the
@@ -175,12 +172,10 @@ type RunOptions struct {
 	// sequentially. With Workers > 1 trace events interleave by
 	// completion; counters and the report stay deterministic.
 	Workers int
-	// Span, when valid, parents the suite's span to an enclosing trace
-	// (a figure-wide or CLI-origin span); otherwise the suite roots its
-	// own trace. Worker and per-test events parent back to the suite
-	// span either way.
-	Span obs.SpanContext
 }
+
+// progressEvery is the number of tests between two progress events.
+const progressEvery = 1000
 
 // Run executes the suite under one configuration.
 func (s *Suite) Run(config string, template *csim.Process, factory CallerFactory, stepBudget int) *Report {
@@ -208,7 +203,6 @@ type suiteRunner struct {
 	tr                      *obs.Tracer
 	cErrno, cSilent, cCrash *obs.Counter
 	sandbox                 *csim.Metrics
-	every                   int
 	done                    atomic.Int64
 }
 
@@ -302,8 +296,8 @@ func (r *suiteRunner) deliver(child *csim.Process, caller Caller, test *Test) (t
 	return testResult{bucket: bucket, strat: strat}, out
 }
 
-// emit sends the test's outcome event and, every r.every tests and at
-// the last one, the progress event.
+// emit sends the test's outcome event and, every progressEvery tests
+// and at the last one, the progress event.
 func (r *suiteRunner) emit(test *Test, sc obs.SpanContext, testStart time.Time, res testResult, out csim.Outcome) {
 	names := make([]string, len(test.Entries))
 	for i, e := range test.Entries {
@@ -320,7 +314,7 @@ func (r *suiteRunner) emit(test *Test, sc obs.SpanContext, testStart time.Time, 
 		TS:      testStart.UnixMicro(),
 		DurUS:   time.Since(testStart).Microseconds(),
 	}))
-	if n := int(r.done.Add(1)); n%r.every == 0 || n == len(r.suite.Tests) {
+	if n := int(r.done.Add(1)); n%progressEvery == 0 || n == len(r.suite.Tests) {
 		r.tr.Emit(sc.Tag(obs.Event{
 			Kind:  obs.KindCampaignPhase,
 			Phase: "ballista:" + r.config,
@@ -348,10 +342,6 @@ func (s *Suite) RunWith(config string, template *csim.Process, factory CallerFac
 	if reg != nil {
 		sandbox = csim.NewMetrics(reg)
 	}
-	every := opt.ProgressEvery
-	if every <= 0 {
-		every = 1000
-	}
 	runner := &suiteRunner{
 		suite:      s,
 		config:     config,
@@ -362,10 +352,9 @@ func (s *Suite) RunWith(config string, template *csim.Process, factory CallerFac
 		cSilent:    outcomeCounter("silent"),
 		cCrash:     outcomeCounter("crash"),
 		sandbox:    sandbox,
-		every:      every,
 	}
 
-	suiteSC := opt.Span.Child()
+	suiteSC := obs.NewTrace()
 	suiteStart := time.Now()
 
 	results := make([]testResult, len(s.Tests))

@@ -1,6 +1,6 @@
 // Package crashpoint is the whitebox killpoint registry for the
 // crash-safety harness (cmd/crashtest). A killpoint is a named seam in
-// a durability-critical code path — around DiskCache's fsync, inside
+// a durability-critical code path — around the disk cache's fsync, inside
 // its line append, at the serve layer's campaign commit — where a test
 // build can make the process die by SIGKILL, exactly there, to prove
 // recovery works from that state.
@@ -31,11 +31,11 @@ const (
 	// DiskCachePutMidline fires mid-append: only the first half of the
 	// line reaches the kernel, forcing the truncated-tail load path.
 	DiskCachePutMidline = "diskcache.put.midline"
-	// DiskCacheSyncBefore fires inside DiskCache.Sync before the
+	// DiskCacheSyncBefore fires inside a disk cache's Sync before the
 	// fsync: every completed write is in the page cache but not yet
 	// durable against power loss (process death loses nothing).
 	DiskCacheSyncBefore = "diskcache.sync.before"
-	// DiskCacheSyncAfter fires inside DiskCache.Sync after the fsync.
+	// DiskCacheSyncAfter fires inside a disk cache's Sync after the fsync.
 	DiskCacheSyncAfter = "diskcache.sync.after"
 	// ServeCommitBefore fires at campaign commit in internal/serve,
 	// before the commit sync: the campaign finished computing but was

@@ -11,36 +11,10 @@ import (
 	"healers/internal/obs"
 )
 
-// Cache is the campaign result store consulted before every function
-// injection. Implementations memoize per-function campaign results
-// keyed by the (prototype, config fingerprint) content address — a
-// re-run skips exactly the functions whose inputs are unchanged.
-// Cached Results are shared, not copied; callers must treat them as
-// immutable, which every consumer of Campaign already does.
-//
-// Counting contract: Get records a hit when (and only when) it finds
-// the key; Put records a miss and stores the freshly computed result.
-// Both updates happen under the cache's own lock together with the map
-// mutation, so a Stats snapshot taken concurrently from a metrics
-// endpoint is cross-field consistent — it can never observe an entry
-// whose miss has not been counted yet, or vice versa.
-//
-// A cache is scoped to one library implementation: it has no way to
-// observe library code, so callers evaluating a modified library must
-// use a fresh cache.
-type Cache interface {
-	// Get returns the cached result for key, recording a hit when found.
-	Get(key string) (*Result, bool)
-	// Put stores a computed result under key, recording a miss.
-	Put(key string, r *Result)
-	// Stats returns a consistent point-in-time snapshot of the cache.
-	Stats() CacheStats
-}
-
-// CacheStats is a consistent snapshot of a cache's counters: all
-// fields are read under one lock, so Hits+Misses always agrees with
-// the lookups that have fully completed and Entries never runs ahead
-// of Misses+Loaded.
+// CacheStats is a snapshot of a ResultCache's counters. Hits+Misses
+// agrees with the lookups that have fully completed, and Entries never
+// runs ahead of Misses+Loaded. Loaded, Dropped and Truncated are the
+// log's and stay zero without one.
 type CacheStats struct {
 	// Hits counts lookups served from the cache.
 	Hits int64
@@ -48,16 +22,17 @@ type CacheStats struct {
 	Misses int64
 	// Entries is the number of results currently held.
 	Entries int64
-	// Loaded counts entries restored from disk at open (DiskCache only).
+	// Loaded counts entries restored from the log at open.
 	Loaded int64
 	// Dropped counts persisted entries rejected at load time —
 	// checksum-corrupt, garbage, or version-skewed lines — plus entries
-	// that failed to serialize at Put time (DiskCache only).
+	// that never reached the log: unserializable, put after Close, or
+	// put after a failed write poisoned it.
 	Dropped int64
 	// Truncated counts a partial final line with no trailing newline,
-	// the expected residue of a process killed mid-append (DiskCache
-	// only). Distinct from Dropped so crash recovery is observable
-	// separately from genuine corruption.
+	// the expected residue of a process killed mid-append. Distinct
+	// from Dropped so crash recovery is observable separately from
+	// genuine corruption.
 	Truncated int64
 }
 
@@ -76,17 +51,22 @@ type cacheShard struct {
 	_      [64]byte
 }
 
-// ResultCache is the in-memory Cache: process-lifetime memoization
-// with no persistence. Keys are sharded by hash; the counting contract
-// holds per shard (a shard's entry and its miss are recorded under one
-// lock), so a summed Stats snapshot still never reports an entry whose
-// miss is missing — summation only interleaves already-consistent
-// shard states.
+// ResultCache memoizes per-function campaign results keyed by the
+// (prototype, config fingerprint) content address, so a re-run skips
+// exactly the functions whose inputs are unchanged. Cached Results are
+// shared; callers treat them as immutable. A cache is scoped to one
+// library implementation, which it cannot observe.
+//
+// Get counts a hit when it finds the key; Put counts a miss and
+// stores. Keys are sharded by hash and a shard's entry and miss move
+// under one lock, so a summed Stats snapshot never reports an entry
+// whose miss is missing. A cache from OpenDiskCache also has a log
+// (cacheLog) persisting its entries; without one, Sync and Close do
+// nothing.
 type ResultCache struct {
 	shards [cacheShardCount]cacheShard
+	log    *cacheLog // nil: memory only
 }
-
-var _ Cache = (*ResultCache)(nil)
 
 // NewResultCache returns an empty in-memory campaign result cache.
 func NewResultCache() *ResultCache {
@@ -120,8 +100,18 @@ func (c *ResultCache) Get(key string) (*Result, bool) {
 	return r, ok
 }
 
-// Put stores a computed result under key, counting a miss.
+// Put stores a computed result under key, counting a miss. With a log,
+// the entry's line is appended first and the entry becomes visible to
+// Get only then, still under the log lock: a hit never serves an entry
+// whose line was not yet written, and memory and file agree on which
+// of two racing Puts of one key came last.
 func (c *ResultCache) Put(key string, r *Result) {
+	if c.log != nil {
+		line, err := encodeLine(key, r)
+		c.log.mu.Lock()
+		defer c.log.mu.Unlock()
+		c.log.append(line, err)
+	}
 	s := c.shard(key)
 	s.mu.Lock()
 	s.m[key] = r
@@ -129,20 +119,43 @@ func (c *ResultCache) Put(key string, r *Result) {
 	s.mu.Unlock()
 }
 
-// Len returns the number of cached functions.
-func (c *ResultCache) Len() int {
-	n := 0
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		n += len(s.m)
-		s.mu.Unlock()
-	}
-	return n
+// restore stores an entry replayed from the log, counting nothing, and
+// reports whether its key was new.
+func (c *ResultCache) restore(key string, r *Result) bool {
+	s := c.shard(key)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	_, dup := s.m[key]
+	s.m[key] = r
+	return !dup
 }
 
+// Persistent reports whether the cache has a log for Sync to make durable.
+func (c *ResultCache) Persistent() bool { return c.log != nil }
+
+// Sync forces every appended entry to stable storage; serve calls it
+// at campaign commit. It returns the write error of a poisoned log.
+func (c *ResultCache) Sync() error {
+	if c.log == nil {
+		return nil
+	}
+	return c.log.sync()
+}
+
+// Close syncs and closes the log, releasing its lock, and returns the
+// write error of a poisoned log. Puts after Close stay memory-only.
+func (c *ResultCache) Close() error {
+	if c.log == nil {
+		return nil
+	}
+	return c.log.close()
+}
+
+// Len returns the number of cached functions.
+func (c *ResultCache) Len() int { return int(c.Stats().Entries) }
+
 // Stats returns a snapshot of the cache counters, summed over
-// per-shard-consistent states.
+// per-shard-consistent states, plus the log's counts.
 func (c *ResultCache) Stats() CacheStats {
 	var st CacheStats
 	for i := range c.shards {
@@ -152,6 +165,11 @@ func (c *ResultCache) Stats() CacheStats {
 		st.Misses += s.misses
 		st.Entries += int64(len(s.m))
 		s.mu.Unlock()
+	}
+	if l := c.log; l != nil {
+		l.mu.Lock()
+		st.Loaded, st.Dropped, st.Truncated = l.loaded, l.dropped, l.truncated
+		l.mu.Unlock()
 	}
 	return st
 }
@@ -202,7 +220,6 @@ func (inj *Injector) injectOne(fi *extract.FuncInfo, table *cparse.TypeTable, pa
 	r, ok := cache.Get(key)
 	inj.hPhaseCache.ObserveEx(time.Since(lookupStart).Microseconds(), parent.Trace)
 	if ok {
-		inj.mCacheHits.Inc()
 		inj.emitRecallSpan(fi, parent, lookupStart, "cached")
 		return r, true, nil
 	}
@@ -210,7 +227,6 @@ func (inj *Injector) injectOne(fi *extract.FuncInfo, table *cparse.TypeTable, pa
 		// Re-check under flight leadership: a previous leader may have
 		// stored this key between our miss and winning the flight.
 		if r, ok := cache.Get(key); ok {
-			inj.mCacheHits.Inc()
 			return r, nil
 		}
 		r, err := inj.injectFunction(fi, table, parent)
@@ -218,13 +234,11 @@ func (inj *Injector) injectOne(fi *extract.FuncInfo, table *cparse.TypeTable, pa
 			return nil, err
 		}
 		cache.Put(key, r)
-		inj.mCacheMisses.Inc()
 		return r, nil
 	}
 	if fl := inj.cfg.Flight; fl != nil {
 		r, shared, err := fl.Do(key, compute)
 		if shared {
-			inj.mFlightJoins.Inc()
 			inj.emitRecallSpan(fi, parent, lookupStart, "flight-join")
 		}
 		return r, shared, err

@@ -14,8 +14,8 @@ import (
 	"healers/internal/gens"
 )
 
-// DiskCache is the persistent Cache: an in-memory map backed by an
-// append-only JSONL file, so campaign results survive process
+// cacheLog is the append-only JSONL file behind a disk-backed
+// ResultCache (OpenDiskCache), so campaign results survive process
 // restarts. Each line is one self-validating entry — a version tag, the
 // content-address key, an fnv64a checksum, and the serialized result —
 // and the load path is corruption-tolerant: truncated tails, bit-flipped
@@ -26,7 +26,7 @@ import (
 // as-is, which is sound because the key embeds everything that
 // determines the result (prototype text + config fingerprint).
 //
-// Writes are appended under the cache lock, so the file is a serialized
+// Lines are appended under the log lock, so the file is a serialized
 // log even with concurrent campaigns, and the file itself carries a
 // non-blocking exclusive flock for its open lifetime: a second process
 // opening the same path gets a clear error instead of interleaving
@@ -40,22 +40,27 @@ import (
 // (exported as its own metric by the serve layer) and recomputed,
 // while Dropped stays reserved for genuine corruption — garbage,
 // bit-rot, version skew — anywhere in the file.
-type DiskCache struct {
-	mu     sync.Mutex
-	m      map[string]*Result
-	f      *os.File
-	hits   int64
-	misses int64
+//
+// A failed or short write poisons the log: the file may now end in a
+// torn fragment, and appending behind it would weld the next entry
+// onto it. Every later append is skipped (the entry stays memory-only
+// and counts as dropped), so the fragment stays the tail the next open
+// repairs, and Sync and Close report the write error — a commit never
+// acknowledges an entry that did not reach the file.
+type cacheLog struct {
+	mu sync.Mutex
+	f  *os.File // nil after close
+	// err is the first failed append; once set, the log is poisoned.
+	err    error
 	loaded int64
-	// dropped counts rejected persisted lines (load-time corruption) and
-	// entries that failed to serialize at Put time (kept in memory only).
+	// dropped counts rejected persisted lines (load-time corruption)
+	// and entries that never reached the file: unserializable, put
+	// after close, or put after the log was poisoned.
 	dropped int64
 	// truncated counts a partial final line (no trailing newline) that
 	// failed to decode — the signature of a process killed mid-append.
 	truncated int64
 }
-
-var _ Cache = (*DiskCache)(nil)
 
 // diskCacheVersion tags each persisted line; bump it when diskResult's
 // shape — or what the line checksum covers — changes, so skewed
@@ -175,13 +180,41 @@ func decodeDiskLine(line []byte) (key string, r *Result, err error) {
 	return e.Key, r, nil
 }
 
+// encodeLine serializes one cache entry as its JSONL line, newline
+// included.
+func encodeLine(key string, r *Result) ([]byte, error) {
+	payload, err := encodeResult(r)
+	if err != nil {
+		return nil, err
+	}
+	line, err := json.Marshal(diskEntry{
+		V:      diskCacheVersion,
+		Key:    key,
+		Sum:    payloadSum(key, payload),
+		Result: payload,
+	})
+	return append(line, '\n'), err
+}
+
 // OpenDiskCache opens (creating if absent) the persistent cache at
-// path, taking the single-writer lock and loading every entry that
-// passes version and checksum validation. It never fails on a corrupt
-// file — only on I/O errors opening or creating it, or when another
-// live process already holds the file's lock.
-func OpenDiskCache(path string) (*DiskCache, error) {
-	c := &DiskCache{m: make(map[string]*Result)}
+// path: a ResultCache with the file as its log. It takes the
+// single-writer lock and loads every entry that passes version and
+// checksum validation. It never fails on a corrupt file — only on I/O
+// errors opening or creating it, or when another live process already
+// holds the file's lock.
+func OpenDiskCache(path string) (*ResultCache, error) {
+	c := NewResultCache()
+	log, err := openCacheLog(path, c.restore)
+	if err != nil {
+		return nil, err
+	}
+	c.log = log
+	return c, nil
+}
+
+// openCacheLog opens the log at path and replays it through restore,
+// which reports whether the key was new.
+func openCacheLog(path string, restore func(key string, r *Result) bool) (*cacheLog, error) {
 	_, statErr := os.Stat(path)
 	created := os.IsNotExist(statErr)
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
@@ -207,13 +240,15 @@ func OpenDiskCache(path string) (*DiskCache, error) {
 		f.Close()
 		return nil, fmt.Errorf("injector: open disk cache: %w", err)
 	}
-	c.load(data)
+	l := &cacheLog{}
+	l.load(data, restore)
 	// Tail repair: a file that does not end in a newline was torn by a
-	// kill mid-append. Appending behind the fragment would weld the
-	// next entry onto it and corrupt both, so the opener — which holds
-	// the exclusive lock — fixes the tail first: a fragment that is a
-	// complete, checksummed entry just gets its newline back; a torn
-	// fragment is chopped at the last clean line boundary.
+	// kill mid-append (or a failed write). Appending behind the
+	// fragment would weld the next entry onto it and corrupt both, so
+	// the opener — which holds the exclusive lock — fixes the tail
+	// first: a fragment that is a complete, checksummed entry just gets
+	// its newline back; a torn fragment is chopped at the last clean
+	// line boundary.
 	if n := len(data); n > 0 && data[n-1] != '\n' {
 		tailStart := bytes.LastIndexByte(data[:n-1], '\n') + 1
 		if _, _, err := decodeDiskLine(data[tailStart:]); err != nil {
@@ -226,8 +261,8 @@ func OpenDiskCache(path string) (*DiskCache, error) {
 			return nil, fmt.Errorf("injector: open disk cache: completing tail line: %w", werr)
 		}
 	}
-	c.f = f
-	return c, nil
+	l.f = f
+	return l, nil
 }
 
 // load replays the JSONL log. Lines are split manually (not
@@ -236,7 +271,7 @@ func OpenDiskCache(path string) (*DiskCache, error) {
 // (truncated — the normal residue of a kill mid-append). A fragment
 // that decodes and checksums cleanly is a complete entry that lost
 // only its newline to the crash, and is loaded.
-func (c *DiskCache) load(data []byte) {
+func (l *cacheLog) load(data []byte, restore func(key string, r *Result) bool) {
 	for len(data) > 0 {
 		var line []byte
 		nl := bytes.IndexByte(data, '\n')
@@ -252,123 +287,71 @@ func (c *DiskCache) load(data []byte) {
 		key, r, err := decodeDiskLine(line)
 		if err != nil {
 			if complete {
-				c.dropped++ // garbage, bit rot, or version skew
+				l.dropped++ // garbage, bit rot, or version skew
 			} else {
-				c.truncated++ // mid-append kill tore the tail
+				l.truncated++ // mid-append kill tore the tail
 			}
 			continue
 		}
-		if _, dup := c.m[key]; !dup {
-			c.loaded++
+		if restore(key, r) {
+			l.loaded++
 		}
-		c.m[key] = r
 	}
 }
 
-// Get returns the cached result for key, if present, counting a hit
-// when it is.
-func (c *DiskCache) Get(key string) (*Result, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	r, ok := c.m[key]
-	if ok {
-		c.hits++
-	}
-	return r, ok
-}
-
-// Put stores a computed result under key, counting a miss, and appends
-// the entry to the backing file. A result that cannot be serialized
-// (or a write that fails after Close) stays memory-only for this
-// process and counts as dropped; the campaign itself is unaffected.
-func (c *DiskCache) Put(key string, r *Result) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.m[key] = r
-	c.misses++
-	payload, err := encodeResult(r)
-	if err != nil {
-		c.dropped++
+// append writes one encoded line (or counts the entry that could not
+// be encoded, encErr) with l.mu held. An entry that does not reach the
+// file counts as dropped; the first failed write poisons the log.
+func (l *cacheLog) append(line []byte, encErr error) {
+	if encErr != nil || l.f == nil || l.err != nil {
+		l.dropped++
 		return
 	}
-	line, err := json.Marshal(diskEntry{
-		V:      diskCacheVersion,
-		Key:    key,
-		Sum:    payloadSum(key, payload),
-		Result: payload,
-	})
-	if err != nil {
-		c.dropped++
-		return
-	}
-	if c.f == nil {
-		c.dropped++
-		return
-	}
-	line = append(line, '\n')
 	if crashpoint.Armed(crashpoint.DiskCachePutMidline) {
 		if crashpoint.Firing(crashpoint.DiskCachePutMidline) {
 			// Whitebox crash: push half the line through write(2), then
 			// die mid-append (the Hit below). The surviving prefix is
 			// exactly the truncated tail the loader must tolerate.
-			c.f.Write(line[:len(line)/2]) //nolint:errcheck // about to SIGKILL
+			l.f.Write(line[:len(line)/2]) //nolint:errcheck // about to SIGKILL
 		}
 		crashpoint.Hit(crashpoint.DiskCachePutMidline)
 	}
 	crashpoint.Hit(crashpoint.DiskCachePutBefore)
-	if _, err := c.f.Write(line); err != nil {
-		c.dropped++
+	if _, err := l.f.Write(line); err != nil {
+		l.err = fmt.Errorf("injector: disk cache append: %w", err)
+		l.dropped++
 	}
 }
 
-// Sync forces every appended entry through to stable storage. The
-// serve layer calls it at campaign commit so a campaign acknowledged
-// as done has all of its results durable, not just written.
-func (c *DiskCache) Sync() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.f == nil {
-		return nil
+// sync forces every appended line through to stable storage, or
+// reports the write error that poisoned the log.
+func (l *cacheLog) sync() error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.err != nil || l.f == nil {
+		return l.err
 	}
 	crashpoint.Hit(crashpoint.DiskCacheSyncBefore)
-	err := c.f.Sync()
+	err := l.f.Sync()
 	crashpoint.Hit(crashpoint.DiskCacheSyncAfter)
 	return err
 }
 
-// Len returns the number of cached functions.
-func (c *DiskCache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.m)
-}
-
-// Stats returns a consistent snapshot of the cache counters.
-func (c *DiskCache) Stats() CacheStats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return CacheStats{
-		Hits:      c.hits,
-		Misses:    c.misses,
-		Entries:   int64(len(c.m)),
-		Loaded:    c.loaded,
-		Dropped:   c.dropped,
-		Truncated: c.truncated,
+// close syncs and closes the file, releasing its lock; a poisoned log
+// skips the sync and reports its write error.
+func (l *cacheLog) close() error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.f == nil {
+		return l.err
 	}
-}
-
-// Close syncs and closes the backing file. The in-memory map keeps
-// serving Gets; Puts after Close stay memory-only.
-func (c *DiskCache) Close() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.f == nil {
-		return nil
+	err := l.err
+	if err == nil {
+		err = l.f.Sync()
 	}
-	err := c.f.Sync()
-	if cerr := c.f.Close(); err == nil {
+	if cerr := l.f.Close(); err == nil {
 		err = cerr
 	}
-	c.f = nil
+	l.f = nil
 	return err
 }

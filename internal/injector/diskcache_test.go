@@ -1,6 +1,7 @@
 package injector
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -18,7 +19,7 @@ var cacheTestNames = []string{"strcpy", "memcpy", "fopen", "asctime", "qsort"}
 
 // runCampaignWithCache runs one campaign over names with the given
 // cache and returns its signature plus the registry used.
-func runCampaignWithCache(t *testing.T, cache Cache, names []string) (string, *obs.Registry) {
+func runCampaignWithCache(t *testing.T, cache *ResultCache, names []string) (string, *obs.Registry) {
 	t.Helper()
 	lib, ext := freshExtraction(t)
 	reg := obs.NewRegistry()
@@ -33,7 +34,7 @@ func runCampaignWithCache(t *testing.T, cache Cache, names []string) (string, *o
 }
 
 // TestDiskCacheWarmRestart is the persistence contract: a campaign run
-// against a fresh DiskCache, closed, and reopened must serve the same
+// against a fresh disk cache, closed, and reopened must serve the same
 // campaign entirely from disk hits with a byte-identical signature.
 func TestDiskCacheWarmRestart(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "cache.jsonl")
@@ -59,13 +60,10 @@ func TestDiskCacheWarmRestart(t *testing.T) {
 	if st := dc2.Stats(); st.Loaded != int64(len(cacheTestNames)) || st.Dropped != 0 {
 		t.Fatalf("reopen stats = %+v, want %d loaded and 0 dropped", st, len(cacheTestNames))
 	}
-	warmSig, reg := runCampaignWithCache(t, dc2, cacheTestNames)
+	warmSig, _ := runCampaignWithCache(t, dc2, cacheTestNames)
 	st = dc2.Stats()
 	if st.Hits != int64(len(cacheTestNames)) || st.Misses != 0 {
 		t.Errorf("warm stats = %+v, want all hits", st)
-	}
-	if got := reg.Counter("healers_injector_cache_hits_total").Value(); got != int64(len(cacheTestNames)) {
-		t.Errorf("warm registry hits = %d, want %d", got, len(cacheTestNames))
 	}
 	if warmSig != coldSig {
 		t.Errorf("warm restart diverged:\n%s", diffLines(coldSig, warmSig))
@@ -257,7 +255,7 @@ func TestCacheStatsConsistentUnderConcurrentReads(t *testing.T) {
 }
 
 // TestDiskCacheSingleWriterLock is the two-process guard: while one
-// DiskCache holds the file, a second open must fail with a clear
+// disk cache holds the file, a second open must fail with a clear
 // error, and a close must release the lock for the next opener.
 func TestDiskCacheSingleWriterLock(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "cache.jsonl")
@@ -368,5 +366,76 @@ func TestDiskCacheSync(t *testing.T) {
 	}
 	if err := dc.Sync(); err != nil {
 		t.Fatalf("Sync after Close: %v", err)
+	}
+}
+
+// TestDiskCachePoisonedAfterFailedWrite pins the write-error contract.
+// The log's file is closed underneath the open cache, so the next
+// append fails. That entry is still served from memory and counts as
+// dropped, and the log is poisoned: even once a healthy handle is back
+// in place, later puts stay memory-only (nothing is appended behind
+// what may be a torn fragment), and Sync and Close report the failed
+// write instead of acknowledging entries that never reached the file.
+func TestDiskCachePoisonedAfterFailedWrite(t *testing.T) {
+	lib, ext := freshExtraction(t)
+	camp, err := New(lib, DefaultConfig()).InjectAll(ext, cacheTestNames[:1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := camp.Results[cacheTestNames[0]]
+
+	path := filepath.Join(t.TempDir(), "cache.jsonl")
+	dc, err := OpenDiskCache(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dc.Put("before", r)
+	if err := dc.Sync(); err != nil {
+		t.Fatalf("Sync before the failure: %v", err)
+	}
+
+	dc.log.f.Close()
+	dc.Put("failed", r)
+	if got, ok := dc.Get("failed"); !ok || got != r {
+		t.Errorf("entry whose append failed is not served from memory: %v %t", got, ok)
+	}
+	if st := dc.Stats(); st.Dropped != 1 || st.Misses != 2 {
+		t.Errorf("after the failed append: stats %+v, want 1 dropped of 2 misses", st)
+	}
+
+	healthy, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dc.log.f = healthy
+	dc.Put("after", r)
+	if _, ok := dc.Get("after"); !ok {
+		t.Error("put after the failure is not served from memory")
+	}
+	if st := dc.Stats(); st.Dropped != 2 {
+		t.Errorf("put after the failure: %d dropped, want 2 (memory-only)", st.Dropped)
+	}
+	if err := dc.Sync(); !errors.Is(err, os.ErrClosed) {
+		t.Errorf("Sync on a poisoned log = %v, want the failed write's error", err)
+	}
+	if err := dc.Close(); !errors.Is(err, os.ErrClosed) {
+		t.Errorf("Close on a poisoned log = %v, want the failed write's error", err)
+	}
+	if err := dc.Sync(); err == nil {
+		t.Error("Sync after closing a poisoned log succeeded")
+	}
+
+	dc2, err := OpenDiskCache(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dc2.Close()
+	if st := dc2.Stats(); st.Loaded != 1 || st.Dropped != 0 || st.Truncated != 0 {
+		t.Errorf("reopen: stats %+v, want only the entry written before the failure", st)
+	}
+	for key, want := range map[string]bool{"before": true, "failed": false, "after": false} {
+		if _, ok := dc2.Get(key); ok != want {
+			t.Errorf("reopened cache has %q = %t, want %t", key, ok, want)
+		}
 	}
 }

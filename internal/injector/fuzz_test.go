@@ -18,7 +18,7 @@ import (
 // cache line — the ground truth the fuzz mutations start from. It
 // runs the actual pipeline (extraction + injection over one small
 // function) so the DeclXML payload, checksum, and version are exactly
-// what a live DiskCache writes.
+// what a live disk cache writes.
 func validDiskLine(t testing.TB, name string) []byte {
 	lib := clib.New()
 	ext, err := extract.Run(corpus.Build(lib))

@@ -79,8 +79,9 @@ type Config struct {
 	// campaign over an unchanged function skips its injection entirely
 	// and returns the cached Result. NewResultCache gives process-scoped
 	// memoization; OpenDiskCache persists results across restarts. Safe
-	// for concurrent use.
-	Cache Cache
+	// for concurrent use. Its Stats, not the metrics registry, count the
+	// hits and misses (and Flight's Stats the joins).
+	Cache *ResultCache
 	// Flight, when non-nil (and Cache is set), deduplicates concurrent
 	// computations of the same cache key across campaigns: a burst of
 	// identical requests runs one injection and shares the result. The
@@ -160,12 +161,6 @@ type Injector struct {
 	mSeedJumps    *obs.Counter
 	mSeedConfirms *obs.Counter
 	mSeedMisses   *obs.Counter
-	// Result-cache counters: functions served from Config.Cache versus
-	// injected and newly stored, plus lookups that attached to another
-	// campaign's in-flight computation of the same key.
-	mCacheHits   *obs.Counter
-	mCacheMisses *obs.Counter
-	mFlightJoins *obs.Counter
 	// Copy-on-write fork counters: child forks performed, pages shared
 	// at fork time, pages copied when a fork diverged, and the copying
 	// (in bytes) the lazy fork avoided versus an eager clone.
@@ -218,9 +213,6 @@ func New(lib *clib.Library, cfg Config) *Injector {
 	inj.mSeedJumps = reg.Counter("healers_injector_seed_jumps_total")
 	inj.mSeedConfirms = reg.Counter("healers_injector_seed_confirms_total")
 	inj.mSeedMisses = reg.Counter("healers_injector_seed_misses_total")
-	inj.mCacheHits = reg.Counter("healers_injector_cache_hits_total")
-	inj.mCacheMisses = reg.Counter("healers_injector_cache_misses_total")
-	inj.mFlightJoins = reg.Counter("healers_injector_flight_joins_total")
 	inj.mForks = reg.Counter("healers_injector_forks_total")
 	inj.mForkPagesShared = reg.Counter("healers_injector_fork_pages_shared_total")
 	inj.mForkPagesCopied = reg.Counter("healers_injector_fork_pages_copied_total")

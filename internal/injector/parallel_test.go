@@ -167,6 +167,11 @@ func TestResultCacheSkipsRepeatInjection(t *testing.T) {
 	names := []string{"strcpy", "memcpy", "fopen", "asctime", "qsort"}
 
 	cache := NewResultCache()
+	// delta returns the hits and misses the cache counted since prev.
+	delta := func(prev CacheStats) (hits, misses int64) {
+		st := cache.Stats()
+		return st.Hits - prev.Hits, st.Misses - prev.Misses
+	}
 	reg := obs.NewRegistry()
 	cfg := DefaultConfig()
 	cfg.Cache = cache
@@ -175,10 +180,11 @@ func TestResultCacheSkipsRepeatInjection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if hits := reg.Counter("healers_injector_cache_hits_total").Value(); hits != 0 {
+	hits, misses := delta(CacheStats{})
+	if hits != 0 {
 		t.Errorf("cold run reported %d cache hits", hits)
 	}
-	if misses := reg.Counter("healers_injector_cache_misses_total").Value(); misses != int64(len(names)) {
+	if misses != int64(len(names)) {
 		t.Errorf("cold run misses = %d, want %d", misses, len(names))
 	}
 	if cache.Len() != len(names) {
@@ -193,6 +199,7 @@ func TestResultCacheSkipsRepeatInjection(t *testing.T) {
 
 	// Second run, same cache: all hits, byte-identical vectors. Run it
 	// parallel to cover the cache's concurrent path too.
+	prev := cache.Stats()
 	reg2 := obs.NewRegistry()
 	cfg2 := DefaultConfig()
 	cfg2.Cache = cache
@@ -203,11 +210,8 @@ func TestResultCacheSkipsRepeatInjection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if hits := reg2.Counter("healers_injector_cache_hits_total").Value(); hits != int64(len(names)) {
-		t.Errorf("warm run hits = %d, want %d", hits, len(names))
-	}
-	if misses := reg2.Counter("healers_injector_cache_misses_total").Value(); misses != 0 {
-		t.Errorf("warm run reported %d cache misses", misses)
+	if hits, misses := delta(prev); hits != int64(len(names)) || misses != 0 {
+		t.Errorf("warm run: %d hits and %d misses, want %d hits and none", hits, misses, len(names))
 	}
 	// The warm speedup's cause, pinned deterministically: a hit injects
 	// nothing and forks nothing.
@@ -221,16 +225,15 @@ func TestResultCacheSkipsRepeatInjection(t *testing.T) {
 	}
 
 	// A different config fingerprint must not hit the same entries.
+	prev = cache.Stats()
 	cfg3 := DefaultConfig()
 	cfg3.Cache = cache
 	cfg3.Conservative = true
-	reg3 := obs.NewRegistry()
-	cfg3.Metrics = reg3
 	if _, err := New(lib, cfg3).InjectAll(ext, names[:1]); err != nil {
 		t.Fatal(err)
 	}
-	if hits := reg3.Counter("healers_injector_cache_hits_total").Value(); hits != 0 {
-		t.Errorf("conservative run hit the non-conservative cache (%d hits)", hits)
+	if hits, misses := delta(prev); hits != 0 || misses != 1 {
+		t.Errorf("conservative run: %d hits and %d misses on the non-conservative cache, want 0 and 1", hits, misses)
 	}
 }
 

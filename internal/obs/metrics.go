@@ -13,23 +13,30 @@ import (
 // is the disabled counter: Inc and Add do nothing and Value is 0, so a
 // hot path that builds its instruments per object can skip building
 // them when nobody will read them.
+//
+// A counter may have a parent (SetParent): every increment then also
+// lands in the parent, and in its parent in turn. Many short-lived
+// per-object counters can so feed one registry family, which is their
+// sum by construction, while each object still reads its own count.
 type Counter struct {
-	v atomic.Int64
+	v      atomic.Int64
+	parent *Counter
 }
 
 // Inc adds one.
-func (c *Counter) Inc() {
-	if c != nil {
-		c.v.Add(1)
-	}
-}
+func (c *Counter) Inc() { c.Add(1) }
 
-// Add adds n.
+// Add adds n to c and to every ancestor.
 func (c *Counter) Add(n int64) {
-	if c != nil {
+	for ; c != nil; c = c.parent {
 		c.v.Add(n)
 	}
 }
+
+// SetParent makes every later increment of c also increment p (nil
+// detaches). Set it before c is shared between goroutines: the link
+// itself is not synchronized.
+func (c *Counter) SetParent(p *Counter) { c.parent = p }
 
 // Value returns the current count.
 func (c *Counter) Value() int64 {

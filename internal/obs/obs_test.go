@@ -6,6 +6,7 @@ import (
 	"errors"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -85,6 +86,59 @@ func TestNilRegistryInstrumentsAllocateNothingPerOp(t *testing.T) {
 	}
 	if c.Value() == 0 || h.Count() == 0 {
 		t.Fatal("detached instruments must still function")
+	}
+}
+
+// TestCounterParentLink covers the parent link: each child keeps its
+// own count, the parent holds the sum across children incremented
+// concurrently (run under -race), a nil parent is a plain counter, and
+// an increment allocates nothing either way.
+func TestCounterParentLink(t *testing.T) {
+	reg := NewRegistry()
+	parent := reg.Counter("healers_test_events_total")
+	const children, perChild = 8, 1000
+	kids := make([]Counter, children)
+	var wg sync.WaitGroup
+	for i := range kids {
+		kids[i].SetParent(parent)
+		wg.Add(1)
+		go func(c *Counter, n int) {
+			defer wg.Done()
+			for j := 0; j < n; j++ {
+				c.Inc()
+			}
+			c.Add(int64(n))
+		}(&kids[i], perChild+i)
+	}
+	wg.Wait()
+	var sum int64
+	for i := range kids {
+		if got, want := kids[i].Value(), int64(2*(perChild+i)); got != want {
+			t.Errorf("child %d = %d, want its own %d", i, got, want)
+		}
+		sum += kids[i].Value()
+	}
+	if got := reg.Counter("healers_test_events_total").Value(); got != sum {
+		t.Errorf("parent = %d, want the children's sum %d", got, sum)
+	}
+
+	var lone Counter
+	lone.SetParent(nil)
+	lone.Inc()
+	if lone.Value() != 1 {
+		t.Errorf("counter without a parent = %d, want 1", lone.Value())
+	}
+
+	var linked Counter
+	linked.SetParent(parent)
+	before := parent.Value()
+	for _, c := range []*Counter{&lone, &linked} {
+		if allocs := testing.AllocsPerRun(100, c.Inc); allocs != 0 {
+			t.Errorf("Inc allocates %v per run, want 0", allocs)
+		}
+	}
+	if got := parent.Value() - before; got != linked.Value() {
+		t.Errorf("parent gained %d, linked child counted %d", got, linked.Value())
 	}
 }
 

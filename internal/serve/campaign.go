@@ -291,12 +291,13 @@ func (s *Server) run(c *campaign) {
 	// so an acknowledged campaign survives not just process death (the
 	// writes already did) but power loss. The crashpoints bracketing
 	// the sync are the whitebox seams cmd/crashtest kills at.
-	if err == nil && s.disk != nil {
+	if err == nil && s.cache.Persistent() {
 		crashpoint.Hit(crashpoint.ServeCommitBefore)
-		if serr := s.disk.Sync(); serr != nil {
-			// A failed fsync must not pretend durability: the campaign
-			// still completes (results are correct and in memory), but the
-			// commit counter stays put and the failure is logged.
+		if serr := s.cache.Sync(); serr != nil {
+			// A failed fsync, or a failed append that poisoned the log,
+			// must not pretend durability: the campaign still completes
+			// (results are correct and in memory), but the commit counter
+			// stays put and the failure is counted.
 			s.reg.Counter("healers_serve_commit_errors_total").Inc()
 		} else {
 			s.mCommits.Inc()

@@ -6,7 +6,7 @@
 // (GET /v1/campaigns/{id}/vectors). Results are memoized at two
 // levels: identical submissions content-address to the same campaign
 // record (a burst of duplicates runs once), and per-function results
-// live in a shared injector.Cache — persistent across restarts when
+// live in a shared injector.ResultCache — persistent across restarts when
 // the server is opened over a disk cache — deduplicated in flight by a
 // shared injector.Flight. The obs registry backs GET /metrics in the
 // Prometheus text exposition.
@@ -57,8 +57,7 @@ type Options struct {
 type Server struct {
 	lib     *clib.Library
 	ext     *extract.Result
-	cache   injector.Cache
-	disk    *injector.DiskCache // non-nil iff CachePath was set
+	cache   *injector.ResultCache // persistent iff CachePath was set
 	flight  *injector.Flight
 	reg     *obs.Registry
 	workers int
@@ -109,11 +108,9 @@ func New(opts Options) (*Server, error) {
 		campaigns: make(map[string]*campaign),
 	}
 	if opts.CachePath != "" {
-		dc, err := injector.OpenDiskCache(opts.CachePath)
-		if err != nil {
+		if s.cache, err = injector.OpenDiskCache(opts.CachePath); err != nil {
 			return nil, err
 		}
-		s.cache, s.disk = dc, dc
 	} else {
 		s.cache = injector.NewResultCache()
 	}
@@ -182,10 +179,7 @@ func (s *Server) Close(ctx context.Context) error {
 	case <-ctx.Done():
 		return fmt.Errorf("serve: drain: %w", ctx.Err())
 	}
-	if s.disk != nil {
-		return s.disk.Close()
-	}
-	return nil
+	return s.cache.Close()
 }
 
 // statusRecorder captures the response code for the request counter

@@ -83,8 +83,6 @@ func (ip *Interposer) introspectArg(d *decl.FuncDecl, i int, arg decl.ArgDecl, a
 	if !ok {
 		return false
 	}
-	ip.stats.falseRejects.Add(1)
-	ip.mFalseReject.Inc()
 	rec := introspection{Introspection: Introspection{
 		Func:      d.Name,
 		Arg:       i,
@@ -94,6 +92,7 @@ func (ip *Interposer) introspectArg(d *decl.FuncDecl, i int, arg decl.ArgDecl, a
 		AllocSize: info.Size,
 	}, d: d}
 	ip.vmu.Lock()
+	ip.falseRejects.Inc()
 	ip.introspections = append(ip.introspections, rec)
 	ip.vmu.Unlock()
 	if ip.tr.Enabled() {

@@ -61,17 +61,19 @@ func TestStatsSnapshotDuringCalls(t *testing.T) {
 // TestConcurrentInterposersSharedObs attaches one interposer per
 // goroutine (each with its own forked process — the simulated process
 // is single-threaded) and drives them all through one shared tracer and
-// registry. Under -race this proves the shared instrumentation is safe
-// for concurrent wrapped calls, and the registry totals must equal the
-// sum of the per-interposer snapshots.
+// registry, the workers spread over the three modes. Under -race this
+// proves the shared instrumentation is safe for concurrent wrapped
+// calls, and each of the eight event families must equal the sum of the
+// per-interposer snapshots of its Stats counter.
 func TestConcurrentInterposersSharedObs(t *testing.T) {
 	lib, decls := fullAutoDecls(t)
 	collect := obs.NewCollectSink(128)
 	tr := obs.New(collect)
 	reg := obs.NewRegistry()
 
-	const workers = 8
-	const perWorker = 300
+	const workers = 9
+	const perWorker = 100
+	modes := []Mode{ModeReject, ModeHeal, ModeIntrospect}
 	stats := make([]Stats, workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -82,6 +84,7 @@ func TestConcurrentInterposersSharedObs(t *testing.T) {
 			opts := DefaultOptions()
 			opts.Obs = tr
 			opts.Metrics = reg
+			opts.Mode = modes[w%len(modes)]
 			ip := Attach(p, lib, decls, opts)
 			s, err := p.Mem.MmapRegion(16, cmem.ProtRW)
 			if err != nil {
@@ -92,28 +95,49 @@ func TestConcurrentInterposersSharedObs(t *testing.T) {
 				t.Error(f)
 				return
 			}
+			arr, err := p.Mem.MmapRegion(8, cmem.ProtRW)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			// A comparator that calls back through the wrapper: the
+			// inner call is a reentrant one.
+			cmp := p.RegisterCallback(func(pp *csim.Process, args []uint64) uint64 {
+				ip.Call(pp, "strlen", uint64(s))
+				return 0
+			})
+			tm := ip.Call(p, "malloc", 8) // passthru; smaller than asctime's 44
 			for i := 0; i < perWorker; i++ {
-				ip.Call(p, "strlen", uint64(s))
-				ip.Call(p, "strlen", 0xdead0000)
+				p.Run(func() uint64 { return ip.Call(p, "strlen", uint64(s)) })
+				p.Run(func() uint64 { return ip.Call(p, "strlen", 0xdead0000) })
+				p.Run(func() uint64 { return ip.Call(p, "asctime", tm) })
+				p.Run(func() uint64 { return ip.Call(p, "qsort", uint64(arr), 2, 4, uint64(cmp)) })
 			}
 			stats[w] = ip.Stats()
 		}(w)
 	}
 	wg.Wait()
 
-	var calls, rejected int64
+	var sum [8]int64
 	for _, st := range stats {
-		calls += int64(st.Calls)
-		rejected += int64(st.Rejected)
+		for i, v := range []int{st.Calls, st.Checked, st.Rejected, st.Passthru,
+			st.Reentrant, st.ChecksRun, st.Healed, st.FalseRejectAvoided} {
+			sum[i] += int64(v)
+		}
 	}
-	if calls != workers*perWorker*2 {
-		t.Fatalf("summed calls = %d, want %d", calls, workers*perWorker*2)
+	families := []string{"calls", "checked", "rejected", "passthru",
+		"reentrant", "checks_run", "healed", "false_reject_avoided"}
+	for i, fam := range families {
+		name := "healers_wrapper_" + fam + "_total"
+		if sum[i] == 0 {
+			t.Errorf("no interposer counted %s; the workload exercises nothing", fam)
+		}
+		if got := reg.Counter(name).Value(); got != sum[i] {
+			t.Errorf("%s = %d, per-interposer sum = %d", name, got, sum[i])
+		}
 	}
-	if got := reg.Counter("healers_wrapper_calls_total").Value(); got != calls {
-		t.Errorf("registry calls = %d, per-interposer sum = %d", got, calls)
-	}
-	if got := reg.Counter("healers_wrapper_rejected_total").Value(); got != rejected {
-		t.Errorf("registry rejected = %d, per-interposer sum = %d", got, rejected)
+	if want := int64(1+5*perWorker) * workers; sum[0] != want {
+		t.Errorf("summed calls = %d, want %d", sum[0], want)
 	}
 	if seen := uint64(len(collect.Events())) + collect.Dropped(); seen != tr.Seq() {
 		t.Errorf("sink saw %d events, tracer emitted %d", seen, tr.Seq())

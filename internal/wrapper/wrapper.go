@@ -17,7 +17,6 @@ package wrapper
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"healers/internal/clib"
 	"healers/internal/cmem"
@@ -58,9 +57,9 @@ type Options struct {
 	// discussion); an obs.TextSink renders it one line per rejection.
 	// A nil (or sink-less) tracer costs nothing on the call path.
 	Obs *obs.Tracer
-	// Metrics, when non-nil, registers the wrapper call counters and
-	// the per-call check-work histogram for exposition. Counters for
-	// Stats are kept per-interposer regardless.
+	// Metrics, when non-nil, makes each event counter Stats reads feed
+	// its registry family, and registers the heal counters and the
+	// per-call check-work histogram.
 	Metrics *obs.Registry
 	// CacheChecks enables the pointer-validity cache of DeVale &
 	// Koopman [3] that §7 cites as the route to lower overhead: a
@@ -131,7 +130,7 @@ func ParseMode(s string) (Mode, error) {
 }
 
 // Stats is a race-free snapshot of wrapper activity, taken by
-// Interposer.Stats from atomic counters.
+// Interposer.Stats from the interposer's event counters.
 type Stats struct {
 	Calls     int // calls that entered the wrapper
 	Checked   int // calls that went through argument checking
@@ -147,20 +146,6 @@ type Stats struct {
 	Violations         []Violation
 	Heals              []Heal
 	Introspections     []Introspection
-}
-
-// counters is the interposer's live counter set. Updates are atomic so
-// a monitor goroutine can snapshot Stats while calls are in flight
-// (and so concurrent interposers can be driven under -race).
-type counters struct {
-	calls        atomic.Int64
-	checked      atomic.Int64
-	rejected     atomic.Int64
-	passthru     atomic.Int64
-	reentrant    atomic.Int64
-	checksRun    atomic.Int64
-	healed       atomic.Int64
-	falseRejects atomic.Int64
 }
 
 // Violation records one rejected call for later failure diagnosis
@@ -244,7 +229,16 @@ type Interposer struct {
 	// fileCache memoizes FILE validations (fileno+fstat round trips).
 	fileCache map[fileCacheKey]bool
 
-	stats counters
+	// One atomic counter per wrapper event, read by Stats (also while
+	// calls are in flight) and linked to its family by register.
+	calls        obs.Counter
+	checked      obs.Counter
+	rejected     obs.Counter
+	passthru     obs.Counter
+	reentrant    obs.Counter
+	checksRun    obs.Counter
+	healed       obs.Counter
+	falseRejects obs.Counter
 	// vmu guards the violation, heal, and introspection logs so Stats
 	// can copy them while another goroutine is rejecting or repairing
 	// calls. The matching counters are updated inside the same critical
@@ -283,17 +277,8 @@ type Interposer struct {
 	view argsView
 
 	tr *obs.Tracer
-	// Registry instruments; all nil (disabled) when Options.Metrics is
-	// nil, so an interposer attached per test allocates none of them.
-	mCalls            *obs.Counter
-	mChecked          *obs.Counter
-	mRejected         *obs.Counter
-	mPassthru         *obs.Counter
-	mReentrant        *obs.Counter
-	mChecksRun        *obs.Counter
-	mHealed           *obs.Counter
+	// Registry-only instruments; nil (disabled) without Options.Metrics.
 	mHealRepairs      *obs.Counter
-	mFalseReject      *obs.Counter
 	mHealFixpointFail *obs.Counter
 	hCheckWork        *obs.Histogram
 }
@@ -327,18 +312,18 @@ func Attach(p *csim.Process, lib *clib.Library, decls *decl.DeclSet, opts Option
 	return ip
 }
 
-// register binds the interposer's instruments to reg. Without a
-// registry they stay nil, which obs treats as disabled.
+// register links the event counters to their families in reg and
+// binds the registry-only instruments.
 func (ip *Interposer) register(reg *obs.Registry) {
-	ip.mCalls = reg.Counter("healers_wrapper_calls_total")
-	ip.mChecked = reg.Counter("healers_wrapper_checked_total")
-	ip.mRejected = reg.Counter("healers_wrapper_rejected_total")
-	ip.mPassthru = reg.Counter("healers_wrapper_passthru_total")
-	ip.mReentrant = reg.Counter("healers_wrapper_reentrant_total")
-	ip.mChecksRun = reg.Counter("healers_wrapper_checks_run_total")
-	ip.mHealed = reg.Counter("healers_wrapper_healed_total")
+	ip.calls.SetParent(reg.Counter("healers_wrapper_calls_total"))
+	ip.checked.SetParent(reg.Counter("healers_wrapper_checked_total"))
+	ip.rejected.SetParent(reg.Counter("healers_wrapper_rejected_total"))
+	ip.passthru.SetParent(reg.Counter("healers_wrapper_passthru_total"))
+	ip.reentrant.SetParent(reg.Counter("healers_wrapper_reentrant_total"))
+	ip.checksRun.SetParent(reg.Counter("healers_wrapper_checks_run_total"))
+	ip.healed.SetParent(reg.Counter("healers_wrapper_healed_total"))
+	ip.falseRejects.SetParent(reg.Counter("healers_wrapper_false_reject_avoided_total"))
 	ip.mHealRepairs = reg.Counter("healers_wrapper_heal_repairs_total")
-	ip.mFalseReject = reg.Counter("healers_wrapper_false_reject_avoided_total")
 	ip.mHealFixpointFail = reg.Counter("healers_wrapper_heal_fixpoint_failures_total")
 	ip.hCheckWork = reg.Histogram("healers_wrapper_check_work", checkWorkBuckets)
 }
@@ -364,20 +349,20 @@ func (ip *Interposer) Stats() Stats {
 	violations := renderAll[Violation](ip.violations)
 	heals := renderAll[Heal](ip.heals)
 	introspections := renderAll[Introspection](ip.introspections)
-	rejected := ip.stats.rejected.Load()
-	falseRejects := ip.stats.falseRejects.Load()
+	rejected := ip.rejected.Value()
+	falseRejects := ip.falseRejects.Value()
 	ip.vmu.Unlock()
 	// A call bumps calls before checked, so loading checked first keeps
 	// Checked <= Calls in every snapshot taken mid-call.
-	checked := ip.stats.checked.Load()
+	checked := ip.checked.Value()
 	return Stats{
-		Calls:              int(ip.stats.calls.Load()),
+		Calls:              int(ip.calls.Value()),
 		Checked:            int(checked),
 		Rejected:           int(rejected),
-		Passthru:           int(ip.stats.passthru.Load()),
-		Reentrant:          int(ip.stats.reentrant.Load()),
-		ChecksRun:          int(ip.stats.checksRun.Load()),
-		Healed:             int(ip.stats.healed.Load()),
+		Passthru:           int(ip.passthru.Value()),
+		Reentrant:          int(ip.reentrant.Value()),
+		ChecksRun:          int(ip.checksRun.Value()),
+		Healed:             int(ip.healed.Value()),
 		FalseRejectAvoided: int(falseRejects),
 		Violations:         violations,
 		Heals:              heals,
@@ -389,7 +374,7 @@ func (ip *Interposer) Stats() Stats {
 // Differential strategy runs snapshot them around a call to classify
 // its outcome (reject / heal / pass) without a full Stats copy.
 func (ip *Interposer) StrategyCounts() (rejected, healed int64) {
-	return ip.stats.rejected.Load(), ip.stats.healed.Load()
+	return ip.rejected.Value(), ip.healed.Value()
 }
 
 // HeapTableSize returns the number of tracked live allocations.
@@ -416,16 +401,14 @@ func (ip *Interposer) Call(p *csim.Process, name string, args ...uint64) uint64 
 	ip.argDepth++
 	defer func() { ip.argDepth-- }()
 
-	ip.stats.calls.Add(1)
-	ip.mCalls.Inc()
+	ip.calls.Inc()
 	fn := ip.lib.MustLookup(name)
 
 	// Recursion guard: when the wrapper itself calls the library
 	// (fileno during FILE validation), the inner call must bypass
 	// checking or the resolution could recurse forever.
 	if ip.inFlag {
-		ip.stats.reentrant.Add(1)
-		ip.mReentrant.Inc()
+		ip.reentrant.Inc()
 		return fn.Impl(p, held)
 	}
 	ip.inFlag = true
@@ -436,8 +419,7 @@ func (ip *Interposer) Call(p *csim.Process, name string, args ...uint64) uint64 
 		declared = false
 	}
 	if !declared || !d.Unsafe() {
-		ip.stats.passthru.Add(1)
-		ip.mPassthru.Inc()
+		ip.passthru.Inc()
 		if ip.tr.Enabled() {
 			ip.tr.Emit(obs.Event{Kind: obs.KindWrapperCall, Func: name, Outcome: "passthru"})
 		}
@@ -446,49 +428,19 @@ func (ip *Interposer) Call(p *csim.Process, name string, args ...uint64) uint64 
 		return ret
 	}
 
-	ip.stats.checked.Add(1)
-	ip.mChecked.Inc()
+	ip.checked.Inc()
 	ip.work = 0
 	if ip.opts.Mode == ModeHeal {
 		ip.healedThis = false
 		ip.sinkCursor = 0
 	}
-	for i, arg := range d.Args {
-		if i >= len(held) {
-			break
-		}
-		ok, reason := ip.checkArg(arg, held, i)
-		if !ok {
-			// A failed check is where the strategies diverge: Reject
-			// falls straight through, Introspect may prove the access
-			// backed by a live allocation, Heal may repair the
-			// argument. Both rescues leave the pass path untouched.
-			switch ip.opts.Mode {
-			case ModeIntrospect:
-				ok = ip.introspectArg(d, i, arg, held)
-			case ModeHeal:
-				ok = ip.healArg(d, i, arg, held)
-			}
-		}
-		if !ok {
-			ip.hCheckWork.Observe(int64(ip.work))
-			return ip.reject(d, i, reason)
-		}
-	}
-	for _, assertion := range d.Assertions {
-		ok, ai, reason := ip.checkAssertion(assertion, d, held)
-		if !ok && ip.opts.Mode == ModeHeal {
-			ok, ai, reason = ip.healAssertion(assertion, d, ai, held)
-		}
-		if !ok {
-			ip.hCheckWork.Observe(int64(ip.work))
-			return ip.reject(d, ai, reason)
-		}
-	}
+	ok, ai, reason := ip.check(d, held, true)
 	ip.hCheckWork.Observe(int64(ip.work))
+	if !ok {
+		return ip.reject(d, ai, reason)
+	}
 	if ip.healedThis {
-		ip.stats.healed.Add(1)
-		ip.mHealed.Inc()
+		ip.healed.Inc()
 	}
 	if ip.tr.Enabled() {
 		ip.tr.Emit(obs.Event{Kind: obs.KindWrapperCall, Func: name, Outcome: "checked", Steps: ip.work})
@@ -510,28 +462,52 @@ func (ip *Interposer) CheckOnly(name string, args ...uint64) (bool, string) {
 		return true, ""
 	}
 	held := append([]uint64(nil), args...)
-	for i, arg := range d.Args {
-		if i >= len(held) {
-			break
-		}
-		if ok, reason := ip.checkArg(arg, held, i); !ok {
-			return false, fmt.Sprintf("arg%d: %s", i, describe(reason, arg.Robust))
-		}
-	}
-	for _, assertion := range d.Assertions {
-		if ok, i, reason := ip.checkAssertion(assertion, d, held); !ok {
-			return false, fmt.Sprintf("arg%d: %s", i, reason)
-		}
+	if ok, i, reason := ip.check(d, held, false); !ok {
+		return false, fmt.Sprintf("arg%d: %s", i, describe(reason, d.Args[i].Robust))
 	}
 	return true, ""
 }
 
+// check runs d's argument checks, then its assertions, over args and
+// reports the first failure: its argument and reason. With rescue, a
+// failed check is where the strategies diverge: Introspect may prove
+// the access backed by a live allocation, Heal may repair it; without,
+// every verdict is Reject's.
+func (ip *Interposer) check(d *decl.FuncDecl, args []uint64, rescue bool) (bool, int, string) {
+	for i, arg := range d.Args {
+		if i >= len(args) {
+			break
+		}
+		ok, reason := ip.checkArg(arg, args, i)
+		if !ok && rescue {
+			switch ip.opts.Mode {
+			case ModeIntrospect:
+				ok = ip.introspectArg(d, i, arg, args)
+			case ModeHeal:
+				ok = ip.healArg(d, i, arg, args)
+			}
+		}
+		if !ok {
+			return false, i, reason
+		}
+	}
+	for _, assertion := range d.Assertions {
+		ok, ai, reason := ip.checkAssertion(assertion, d, args)
+		if !ok && rescue && ip.opts.Mode == ModeHeal {
+			ok, ai, reason = ip.healAssertion(assertion, d, ai, args)
+		}
+		if !ok {
+			return false, ai, reason
+		}
+	}
+	return true, 0, ""
+}
+
 // reject implements the violation policy.
 func (ip *Interposer) reject(d *decl.FuncDecl, argIdx int, reason string) uint64 {
-	ip.mRejected.Inc()
 	rec := violation{d: d, arg: argIdx, reason: reason}
 	ip.vmu.Lock()
-	ip.stats.rejected.Add(1)
+	ip.rejected.Inc()
 	ip.violations = append(ip.violations, rec)
 	ip.vmu.Unlock()
 	if ip.tr.Enabled() {
@@ -656,8 +632,7 @@ func (v argsView) Value(i int) int64 {
 
 // checkArg validates one argument against its robust type.
 func (ip *Interposer) checkArg(arg decl.ArgDecl, args []uint64, i int) (bool, string) {
-	ip.stats.checksRun.Add(1)
-	ip.mChecksRun.Inc()
+	ip.checksRun.Inc()
 	rt := arg.Robust
 	k := rt.Kind()
 	val := args[i]
