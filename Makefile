@@ -72,10 +72,10 @@ lint:
 # reproduce the cold campaign's vectors byte-for-byte, and the
 # committed facts must regenerate as a no-op. It also runs what the
 # pass rests on: the csim accessor footprint table is complete and
-# matches each accessor, the shared size fitter, and parameter classes
-# that match the generators the injector selects.
+# matches each accessor, the shared size fitter, parameter classes that
+# match gens.Classify, and Classify's pinned generator selection.
 soundness:
-	$(GO) test -count=1 -run 'TestBodySoundness|TestBodyVectorsIdentical|TestBodySeedingBeatsPrototype|TestFootprintsCoverEveryMethod|TestFootprintOracle|TestFitSize|TestClassMatchesGenerator' ./internal/analysis/ ./internal/analysis/bodyscan/ ./internal/csim/ ./internal/decl/
+	$(GO) test -count=1 -run 'TestBodySoundness|TestBodyVectorsIdentical|TestBodySeedingBeatsPrototype|TestFootprintsCoverEveryMethod|TestFootprintOracle|TestFitSize|TestClassMatchesGenerator|TestClassifyPinsSelection' ./internal/analysis/ ./internal/analysis/bodyscan/ ./internal/csim/ ./internal/decl/ ./internal/gens/
 	$(GO) run ./cmd/bodyscan -check
 
 bodyfacts:

@@ -124,7 +124,7 @@ func figure6Config(b *testing.B, config string, decls *healers.DeclSet) {
 			}
 			return wrapper.Attach(p, sys.Library, decls, wrapper.DefaultOptions())
 		}
-		rep = suite.Run(config, template, factory, 0)
+		rep = suite.RunWith(config, template, factory, ballista.RunOptions{})
 	}
 	_, _, crashPct := rep.Rates()
 	b.ReportMetric(crashPct, "crash-%")

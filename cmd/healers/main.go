@@ -486,10 +486,10 @@ func run(args []string, w io.Writer) (err error) {
 			template := ballista.NewTemplate()
 			opts := wrapper.DefaultOptions()
 			opts.Stateless = true
-			rep := suite.Run("full-auto-stateless", template,
+			rep := suite.RunWith("full-auto-stateless", template,
 				func(p *healers.Process) ballista.Caller {
 					return wrapper.Attach(p, sys.Library, decls, opts)
-				}, 0)
+				}, ballista.RunOptions{})
 			fmt.Fprintf(w, "\nablation: %s\n", rep)
 		}
 

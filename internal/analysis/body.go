@@ -6,6 +6,7 @@ import (
 
 	"healers/internal/analysis/bodyscan"
 	"healers/internal/decl"
+	"healers/internal/gens"
 	"healers/internal/typesys"
 )
 
@@ -57,7 +58,7 @@ func lowerArg(fs *bodyscan.FuncSummary, a *bodyscan.ArgSummary) ArgPrediction {
 	constPointee := strings.Contains(a.CType, "const")
 
 	switch a.Class {
-	case bodyscan.ClassFuncPtr:
+	case gens.ClassFuncPtr:
 		if a.NullOK {
 			// No null-tolerant function-pointer type exists in the
 			// hierarchy; decline rather than invent one.
@@ -68,15 +69,15 @@ func lowerArg(fs *bodyscan.FuncSummary, a *bodyscan.ArgSummary) ArgPrediction {
 			Confidence: 0.95,
 			Reason:     "body dispatches the callee via CallPtr",
 		}
-	case bodyscan.ClassFd:
+	case gens.ClassFd:
 		return ArgPrediction{
 			Robust:     decl.RobustType{Base: typesys.TypeFdAny},
 			Confidence: 0.95,
 			Reason:     "value flows into the descriptor table; errors, never faults",
 		}
-	case bodyscan.ClassInt:
+	case gens.ClassInt:
 		return lowerInt(a)
-	case bodyscan.ClassDouble:
+	case gens.ClassDouble:
 		return ArgPrediction{
 			Robust:     decl.RobustType{Base: typesys.TypeDoubleAny},
 			Confidence: 0.95,
@@ -101,7 +102,7 @@ func lowerArg(fs *bodyscan.FuncSummary, a *bodyscan.ArgSummary) ArgPrediction {
 	}
 
 	switch a.Class {
-	case bodyscan.ClassFile, bodyscan.ClassDir:
+	case gens.ClassFile, gens.ClassDir:
 		// The body walks the stream header, but how much of the object a
 		// call needs (header peek vs full buffered I/O vs open-stream
 		// state) is call-path-dependent; the floor every path implies is
@@ -112,9 +113,9 @@ func lowerArg(fs *bodyscan.FuncSummary, a *bodyscan.ArgSummary) ArgPrediction {
 			Reason:       "stream header accessed; open-stream strength is call-dependent",
 			SeedReadOnly: constPointee,
 		}
-	case bodyscan.ClassCString:
+	case gens.ClassCString:
 		return lowerCString(a)
-	case bodyscan.ClassCharBuf:
+	case gens.ClassCharBuf:
 		if a.CStr {
 			// A NUL scan over a *writable* buffer: the dynamic campaign
 			// may discover a bounded non-terminated region instead

@@ -91,9 +91,10 @@ func TestGeneratedFactsMatchScan(t *testing.T) {
 }
 
 // TestClassMatchesGenerator holds parseProto's class of every parameter
-// of the 86 to the generator gens.ForParam selects for the same
-// parameter of the extracted prototype: the static probes then build
-// the same benign sibling the dynamic campaign's Default probe does.
+// of the 86 to gens.Classify of the same parameter of the extracted
+// prototype, the class gens.ForParam selects the generator by: the
+// static probes then build the same benign sibling the dynamic
+// campaign's Default probe does.
 func TestClassMatchesGenerator(t *testing.T) {
 	s := mustScanner(t)
 	lib := clib.New()
@@ -113,12 +114,8 @@ func TestClassMatchesGenerator(t *testing.T) {
 			continue
 		}
 		for i, param := range fi.Proto.Params {
-			want := gens.ForParam(param, ext.Table).Name()
-			if want == "array" {
-				want = ClassPtr
-			}
-			if got := params[i].Class; got != want {
-				t.Errorf("%s arg %d (%s): class %s, generator %s", name, i, params[i].CType, got, want)
+			if got, want := params[i].Class, gens.Classify(param); got != want {
+				t.Errorf("%s arg %d (%s): class %s, gens.Classify %s", name, i, params[i].CType, got, want)
 			}
 			checked++
 		}

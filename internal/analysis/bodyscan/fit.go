@@ -49,9 +49,9 @@ func (s *Scanner) fitSizeExpr(name string, params []protoParam, i int) (*decl.Si
 	for j, q := range params {
 		switch {
 		case j == i:
-		case q.Class == ClassCString:
+		case q.Class == gens.ClassCString:
 			base.Strlens[j] = len(gens.BenignStringDefault(q.Name))
-		case q.Class == ClassInt:
+		case q.Class == gens.ClassInt:
 			base.Vals[j] = gens.BenignIntDefault(q.Name)
 		}
 	}
@@ -94,7 +94,7 @@ func (s *Scanner) fitSizeExpr(name string, params []protoParam, i int) (*decl.Si
 // count faults. Returns the bounding argument index, or -1.
 func (s *Scanner) boundedReadArg(name string, params []protoParam, i int) (int, string) {
 	for j, q := range params {
-		if j == i || q.Class != ClassInt {
+		if j == i || q.Class != gens.ClassInt {
 			continue
 		}
 		small := s.runProbe(name, params, probeSpec{

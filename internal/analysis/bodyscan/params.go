@@ -6,28 +6,14 @@ import (
 	"healers/internal/gens"
 )
 
-// Param classes: one per generator gens.ForParam selects (ClassPtr is
-// its ArrayGen). The static probe schedule keys off the class, so the
-// two campaigns see the same benign environment;
-// TestClassMatchesGenerator holds classify to ForParam's choice.
-const (
-	ClassCString = "cstring" // const char *
-	ClassCharBuf = "charbuf" // char * (writable)
-	ClassPtr     = "ptr"     // generic pointer (struct*, void*, scalar out-params, char**)
-	ClassFile    = "file"    // FILE *
-	ClassDir     = "dir"     // DIR *
-	ClassFd      = "fd"      // int descriptor
-	ClassInt     = "int"     // other integer
-	ClassDouble  = "double"
-	ClassFuncPtr = "funcptr"
-	ClassVoid    = "void" // no parameters
-)
-
-// protoParam is one parsed parameter of a C prototype string.
+// protoParam is one parsed parameter of a C prototype string. Its
+// class is gens.Classify's for the same parameter of the extracted
+// prototype (TestClassMatchesGenerator), so the static probe schedule
+// builds the same benign environment as the dynamic campaign.
 type protoParam struct {
 	Name  string
 	CType string
-	Class string
+	Class gens.Class
 }
 
 // parseProto extracts the parameter list from a prototype string such
@@ -101,34 +87,33 @@ func paramName(decl string, idx int) string {
 	return last
 }
 
-// classify maps a parameter declaration to the generator class used by
-// gens.ForParam for the same C type.
-func classify(decl string) string {
+// classify reads a parameter declaration's class off its spelling.
+func classify(decl string) gens.Class {
 	stars := strings.Count(decl, "*")
 	switch {
 	case strings.Contains(decl, "(*"):
-		return ClassFuncPtr
+		return gens.ClassFuncPtr
 	case stars >= 2:
-		return ClassPtr // char **endptr and friends: generic pointer
+		return gens.ClassPtr // char **endptr and friends: generic pointer
 	case stars == 1:
 		switch {
 		case strings.Contains(decl, "FILE"):
-			return ClassFile
+			return gens.ClassFile
 		case strings.Contains(decl, "DIR"):
-			return ClassDir
+			return gens.ClassDir
 		case strings.Contains(decl, "char") && strings.Contains(decl, "const"):
-			return ClassCString
+			return gens.ClassCString
 		case strings.Contains(decl, "char"):
-			return ClassCharBuf
+			return gens.ClassCharBuf
 		default:
-			return ClassPtr
+			return gens.ClassPtr
 		}
 	case strings.Contains(decl, "double") || strings.Contains(decl, "float"):
-		return ClassDouble
+		return gens.ClassDouble
 	default:
 		if gens.IsFdParam(paramName(decl, 0)) {
-			return ClassFd
+			return gens.ClassFd
 		}
-		return ClassInt
+		return gens.ClassInt
 	}
 }

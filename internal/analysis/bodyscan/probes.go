@@ -109,25 +109,25 @@ func trkFunc() trackedBuild {
 // environment of every static probe is the dynamic campaign's.
 func benignBuild(pp protoParam, strOv string, intOv *int64, region int) trackedBuild {
 	switch pp.Class {
-	case ClassCString:
+	case gens.ClassCString:
 		s := gens.BenignStringDefault(pp.Name)
 		if strOv != "" {
 			s = strOv
 		}
 		return trkData(append([]byte(s), 0), cmem.ProtRW)
-	case ClassCharBuf, ClassPtr:
+	case gens.ClassCharBuf, gens.ClassPtr:
 		return trkData(make([]byte, region), cmem.ProtRW)
-	case ClassFile:
+	case gens.ClassFile:
 		return trkFile()
-	case ClassDir:
+	case gens.ClassDir:
 		return trkDir()
-	case ClassFd:
+	case gens.ClassFd:
 		return trkFd()
-	case ClassFuncPtr:
+	case gens.ClassFuncPtr:
 		return trkFunc()
-	case ClassDouble:
+	case gens.ClassDouble:
 		return trkRaw(math.Float64bits(1.0))
-	default: // ClassInt
+	default: // gens.ClassInt
 		n := gens.BenignIntDefault(pp.Name)
 		if intOv != nil {
 			n = *intOv
@@ -312,7 +312,7 @@ func (s *Scanner) intProbe(name string, params []protoParam, i int, v uint64) (c
 		}
 		grown := false
 		for j, pp := range params {
-			if j == i || (pp.Class != ClassCharBuf && pp.Class != ClassPtr) {
+			if j == i || (pp.Class != gens.ClassCharBuf && pp.Class != gens.ClassPtr) {
 				continue
 			}
 			rg := r.regions[j]
@@ -344,7 +344,7 @@ func (s *Scanner) analyzeArg(name string, params []protoParam, i int) (ArgSummar
 	}
 
 	switch pp.Class {
-	case ClassInt:
+	case gens.ClassInt:
 		m1, unk := s.intProbe(name, params, i, ^uint64(0))
 		if unk != "" {
 			return as, unk
@@ -362,9 +362,9 @@ func (s *Scanner) analyzeArg(name string, params []protoParam, i int) (ArgSummar
 			as.Int = IntAny
 		}
 		return as, ""
-	case ClassDouble:
+	case gens.ClassDouble:
 		return as, ""
-	case ClassFd:
+	case gens.ClassFd:
 		as.FD = true
 		b := probe(probeSpec{build: trkFd()})
 		if b.unk != "" {
@@ -372,7 +372,7 @@ func (s *Scanner) analyzeArg(name string, params []protoParam, i int) (ArgSummar
 		}
 		as.FD = as.FD || b.log.fdUse
 		return as, ""
-	case ClassFuncPtr:
+	case gens.ClassFuncPtr:
 		as.FuncPtr = true
 		b := probe(probeSpec{build: trkFunc()})
 		if b.unk != "" {
@@ -410,7 +410,7 @@ func (s *Scanner) analyzeArg(name string, params []protoParam, i int) (ArgSummar
 		as.KernelOnly = true
 	}
 
-	if pp.Class == ClassCString {
+	if pp.Class == gens.ClassCString {
 		u1 := probe(probeSpec{build: trkUnterm(gens.UntermSize)})
 		if u1.unk != "" {
 			return as, u1.unk
@@ -424,7 +424,7 @@ func (s *Scanner) analyzeArg(name string, params []protoParam, i int) (ArgSummar
 		// (strcmp/strspn-style), not by the argument alone.
 		ov := map[int]string{}
 		for j, q := range params {
-			if j != i && q.Class == ClassCString {
+			if j != i && q.Class == gens.ClassCString {
 				ov[j] = strings.Repeat("B", gens.UntermSize)
 			}
 		}
@@ -469,7 +469,7 @@ func (s *Scanner) analyzeArg(name string, params []protoParam, i int) (ArgSummar
 
 	// Bounds shape.
 	switch {
-	case pp.Class == ClassFile || pp.Class == ClassDir:
+	case pp.Class == gens.ClassFile || pp.Class == gens.ClassDir:
 		as.Shape = ShapeStruct
 	case as.CStr:
 		as.Shape = ShapeScan

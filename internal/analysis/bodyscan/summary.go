@@ -29,6 +29,7 @@ import (
 	"strings"
 
 	"healers/internal/decl"
+	"healers/internal/gens"
 )
 
 // AccessKind classifies how a pointer argument's pointee is accessed.
@@ -110,10 +111,10 @@ func (c IntClass) String() string {
 
 // ArgSummary is the inferred access summary for one argument.
 type ArgSummary struct {
-	Index int    `json:"index"`
-	Param string `json:"param"`
-	CType string `json:"ctype"`
-	Class string `json:"class"` // generator class: cstring, charbuf, ptr, file, dir, fd, int, funcptr
+	Index int        `json:"index"`
+	Param string     `json:"param"`
+	CType string     `json:"ctype"`
+	Class gens.Class `json:"class"` // the parameter's class (gens.Classify)
 
 	Kind       AccessKind `json:"kind"`
 	Shape      BoundShape `json:"shape"`

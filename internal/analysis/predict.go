@@ -17,6 +17,7 @@ import (
 	"healers/internal/cparse"
 	"healers/internal/decl"
 	"healers/internal/extract"
+	"healers/internal/gens"
 	"healers/internal/injector"
 	"healers/internal/typesys"
 )
@@ -215,44 +216,35 @@ func predictArg(proto *cparse.Prototype, idx int, param cparse.Param, table *cpa
 	if a, ok := manPageOverride(proto.Name, idx); ok {
 		return a
 	}
-	t := param.Type
-	switch t.Kind {
-	case cparse.KindFuncPtr:
+	switch gens.Classify(param) {
+	case gens.ClassFuncPtr:
 		return ArgPrediction{
 			Robust:     decl.RobustType{Base: typesys.TypeFuncPtrU},
 			Confidence: 0.7,
 			Reason:     "function pointer: callee will be invoked",
 		}
-	case cparse.KindInt:
-		if isFdParam(param.Name) {
-			return ArgPrediction{
-				Robust:     decl.RobustType{Base: typesys.TypeFdAny},
-				Confidence: 0.9,
-				Reason:     "descriptor-named int: errors, never crashes",
-			}
+	case gens.ClassFd:
+		return ArgPrediction{
+			Robust:     decl.RobustType{Base: typesys.TypeFdAny},
+			Confidence: 0.9,
+			Reason:     "descriptor-named int: errors, never crashes",
+		}
+	case gens.ClassInt:
+		if param.Type.Kind != cparse.KindInt {
+			return unknown("unhandled parameter kind")
 		}
 		return ArgPrediction{
 			Robust:     decl.RobustType{Base: typesys.TypeIntAny},
 			Confidence: 0.9,
 			Reason:     "plain integer: weakest int type is always sound",
 		}
-	case cparse.KindDouble, cparse.KindFloat:
+	case gens.ClassDouble:
 		return ArgPrediction{
 			Robust:     decl.RobustType{Base: typesys.TypeDoubleAny},
 			Confidence: 0.9,
 			Reason:     "floating point: no value can fault",
 		}
-	case cparse.KindPointer:
-		return predictPointer(proto, idx, param, table, returnFed)
-	}
-	return unknown("unhandled parameter kind")
-}
-
-// predictPointer is the pointer-shaped half of the rule table.
-func predictPointer(proto *cparse.Prototype, idx int, param cparse.Param, table *cparse.TypeTable, returnFed map[string]bool) ArgPrediction {
-	elem := param.Type.Elem
-	switch {
-	case elem.Kind == cparse.KindStruct && elem.Struct == "_IO_FILE":
+	case gens.ClassFile:
 		// Query functions (feof, ftell...) read only the stream header
 		// and reject garbage via the magic word, so the strongest claim
 		// every FILE* argument supports is "readable memory".
@@ -261,13 +253,25 @@ func predictPointer(proto *cparse.Prototype, idx int, param cparse.Param, table 
 			Confidence: 0.6,
 			Reason:     "FILE*: header at least readable; open-stream strength is call-dependent",
 		}
-	case elem.Kind == cparse.KindStruct && elem.Struct == "__dirstream":
+	case gens.ClassDir:
+		size := table.Sizeof(param.Type.Elem)
 		return ArgPrediction{
-			Robust:     fixed("RW_ARRAY_NULL", table.Sizeof(elem)),
+			Robust:     fixed("RW_ARRAY_NULL", size),
 			Confidence: 0.8,
 			Reason:     "DIR*: stream object accessed in place",
-			SeedSize:   table.Sizeof(elem),
+			SeedSize:   size,
 		}
+	case gens.ClassCString, gens.ClassCharBuf:
+		return predictString(proto, idx, param, param.Type.Elem)
+	default: // gens.ClassPtr
+		return predictPointer(param.Type.Elem, table, returnFed)
+	}
+}
+
+// predictPointer is the rule table for the generic pointer class: a
+// struct, void, or one scalar element.
+func predictPointer(elem *cparse.CType, table *cparse.TypeTable, returnFed map[string]bool) ArgPrediction {
+	switch {
 	case elem.Kind == cparse.KindStruct:
 		size := table.Sizeof(elem)
 		if elem.Const {
@@ -295,8 +299,6 @@ func predictPointer(proto *cparse.Prototype, idx int, param cparse.Param, table 
 			Confidence: 0.5,
 			Reason:     fmt.Sprintf("struct %s*: writable, partial access possible", elem.Struct),
 		}
-	case elem.Kind == cparse.KindInt && strings.Contains(elem.Name, "char"):
-		return predictString(proto, idx, param, elem)
 	case elem.Kind == cparse.KindVoid:
 		if elem.Const {
 			return ArgPrediction{
@@ -368,13 +370,4 @@ func predictString(proto *cparse.Prototype, idx int, param cparse.Param, elem *c
 // is R_BOUNDED[argN], which no fixed static type soundly under-claims.
 func boundedReadFunc(name string) bool {
 	return strings.HasPrefix(name, "strn") || strings.HasPrefix(name, "mem")
-}
-
-// isFdParam mirrors the generator dispatch in gens.ForParam.
-func isFdParam(name string) bool {
-	switch name {
-	case "fd", "oldfd", "newfd", "fildes":
-		return true
-	}
-	return false
 }

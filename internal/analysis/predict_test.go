@@ -5,6 +5,7 @@ import (
 
 	"healers/internal/clib"
 	"healers/internal/corpus"
+	"healers/internal/cparse"
 	"healers/internal/extract"
 )
 
@@ -105,6 +106,19 @@ func TestPredictDeclinesUndecidableArgs(t *testing.T) {
 		a := arg(t, p, c.fn, c.i)
 		if !a.Unknown {
 			t.Errorf("%s arg%d: predicted %s, want unknown", c.fn, c.i, a.Robust.String())
+		}
+	}
+	// By-value kinds no corpus prototype has but a submitted one may,
+	// named like a descriptor so the fd rule cannot claim them either.
+	proto := &cparse.Prototype{Name: "f"}
+	for _, typ := range []*cparse.CType{
+		{Kind: cparse.KindStruct, Name: "struct tm", Struct: "tm"},
+		{Kind: cparse.KindArray, Name: "char", Len: 4},
+		{Kind: cparse.KindVoid, Name: "void"},
+	} {
+		param := cparse.Param{Name: "fd", Type: typ}
+		if a := predictArg(proto, 0, param, cparse.NewTypeTable(), nil); !a.Unknown {
+			t.Errorf("by-value %s: predicted %s, want unknown", typ.Name, a.Robust.String())
 		}
 	}
 }

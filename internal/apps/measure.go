@@ -62,18 +62,18 @@ func Measure(lib *clib.Library, decls *decl.DeclSet, profile *Profile) Measureme
 	// Three runs each, keeping the fastest, to damp scheduler and
 	// frequency-scaling jitter — compute-dominated profiles like gzip
 	// make so few calls that noise would otherwise swamp the overhead.
-	best := func(wrapped bool) (time.Duration, time.Duration, int) {
-		bt, bl, bc := run(wrapped)
-		for i := 0; i < 2; i++ {
-			t, l, c := run(wrapped)
-			if t < bt {
-				bt, bl, bc = t, l, c
-			}
+	// The sides alternate (plain, wrapped, plain, ...), so load that
+	// drifts during the runs lands on both.
+	var plainTotal, plainLib, wrapTotal, wrapLib time.Duration
+	var calls int
+	for i := 0; i < 3; i++ {
+		if t, l, _ := run(false); i == 0 || t < plainTotal {
+			plainTotal, plainLib = t, l
 		}
-		return bt, bl, bc
+		if t, l, c := run(true); i == 0 || t < wrapTotal {
+			wrapTotal, wrapLib, calls = t, l, c
+		}
 	}
-	plainTotal, plainLib, _ := best(false)
-	wrapTotal, wrapLib, calls := best(true)
 
 	m := Measurement{
 		Name:  profile.Name,

@@ -191,21 +191,11 @@ func filePool() []*PoolEntry {
 				if real == 0 {
 					return 0
 				}
-				// Copy the FILE elsewhere and smash its buffer pointer,
-				// keeping the valid descriptor: the struct-integrity
-				// attack that defeats fileno+fstat validation.
 				region, err := p.Mem.MmapRegion(csim.SizeofFILE, cmem.ProtRW)
 				if err != nil {
 					return 0
 				}
-				data, f := p.Mem.Read(cmem.Addr(real), csim.SizeofFILE)
-				if f != nil {
-					return 0
-				}
-				p.Mem.Write(region, data)
-				p.Mem.WriteU64(region+csim.FILEOffBufPtr, 0xdead0000)
-				p.Mem.WriteU64(region+csim.FILEOffBufPos, 4)
-				return uint64(region)
+				return gens.CorruptFILE(p, cmem.Addr(real), region)
 			},
 		},
 		{
@@ -260,13 +250,7 @@ func dirPool() []*PoolEntry {
 				if err != nil {
 					return 0
 				}
-				data, f := p.Mem.Read(cmem.Addr(real), csim.SizeofDIR)
-				if f != nil {
-					return 0
-				}
-				p.Mem.Write(region, data)
-				p.Mem.WriteU64(region+csim.DIROffBuf, 0xdead0000)
-				return uint64(region)
+				return gens.CorruptDIR(p, cmem.Addr(real), region)
 			},
 		},
 		{
@@ -320,11 +304,7 @@ func funcPtrPool() []*PoolEntry {
 		{
 			Name: "func-valid",
 			Build: func(p *csim.Process, c Caller) uint64 {
-				return uint64(p.RegisterCallback(func(pp *csim.Process, args []uint64) uint64 {
-					a := int32(pp.LoadU32(cmem.Addr(args[0])))
-					b := int32(pp.LoadU32(cmem.Addr(args[1])))
-					return uint64(int64(a - b))
-				}))
+				return uint64(p.RegisterCallback(gens.ValidCallback))
 			},
 		},
 		valueEntry("null", true, 0),
@@ -370,40 +350,29 @@ func structPool(size int) []*PoolEntry {
 	}
 }
 
-// poolFor selects the value pool for one parameter, mirroring the
-// generator selection logic (Ballista generates by type).
+// poolFor selects the value pool for one parameter (Ballista generates
+// by type). The type's class is the injector's; the pools are
+// Ballista's own, so Figure 6 stays an independent check.
 func poolFor(param cparse.Param, table *cparse.TypeTable) []*PoolEntry {
-	t := param.Type
-	switch t.Kind {
-	case cparse.KindFuncPtr:
+	switch gens.Classify(param) {
+	case gens.ClassFuncPtr:
 		return funcPtrPool()
-	case cparse.KindPointer:
-		elem := t.Elem
-		switch {
-		case elem.Kind == cparse.KindStruct && elem.Struct == "_IO_FILE":
-			return filePool()
-		case elem.Kind == cparse.KindStruct && elem.Struct == "__dirstream":
-			return dirPool()
-		case elem.Kind == cparse.KindInt && strings.Contains(elem.Name, "char") && elem.Const:
-			return stringPool()
-		case elem.Kind == cparse.KindInt && strings.Contains(elem.Name, "char"):
-			return bufferPool()
-		case elem.Kind == cparse.KindStruct:
-			return structPool(table.Sizeof(elem))
-		default:
-			return structPool(table.Sizeof(elem))
-		}
-	case cparse.KindInt:
-		switch param.Name {
-		case "fd", "oldfd", "newfd", "fildes":
-			return fdPool()
-		}
-		return intPool()
-	case cparse.KindDouble, cparse.KindFloat:
+	case gens.ClassFile:
+		return filePool()
+	case gens.ClassDir:
+		return dirPool()
+	case gens.ClassCString:
+		return stringPool()
+	case gens.ClassCharBuf:
+		return bufferPool()
+	case gens.ClassPtr:
+		return structPool(table.Sizeof(param.Type.Elem))
+	case gens.ClassFd:
+		return fdPool()
+	case gens.ClassDouble:
 		return doublePool()
-	default:
-		return intPool()
 	}
+	return intPool()
 }
 
 // Generate builds the deterministic suite over the 86 crash-prone

@@ -1,6 +1,8 @@
 package ballista
 
 import (
+	"crypto/sha256"
+	"fmt"
 	"testing"
 
 	"healers/internal/clib"
@@ -55,15 +57,15 @@ func setup(t *testing.T) *fixture {
 func (f *fixture) runAll(t *testing.T) *Figure6 {
 	t.Helper()
 	template := NewTemplate()
-	unwrapped := f.suite.Run("unwrapped", template, func(p *csim.Process) Caller {
+	unwrapped := f.suite.RunWith("unwrapped", template, func(p *csim.Process) Caller {
 		return f.lib
-	}, 0)
-	fullAuto := f.suite.Run("full-auto", template, func(p *csim.Process) Caller {
+	}, RunOptions{})
+	fullAuto := f.suite.RunWith("full-auto", template, func(p *csim.Process) Caller {
 		return wrapper.Attach(p, f.lib, f.decls, wrapper.DefaultOptions())
-	}, 0)
-	semiAuto := f.suite.Run("semi-auto", template, func(p *csim.Process) Caller {
+	}, RunOptions{})
+	semiAuto := f.suite.RunWith("semi-auto", template, func(p *csim.Process) Caller {
 		return wrapper.Attach(p, f.lib, f.semi, wrapper.DefaultOptions())
-	}, 0)
+	}, RunOptions{})
 	return &Figure6{
 		Unwrapped: unwrapped,
 		FullAuto:  fullAuto,
@@ -85,6 +87,17 @@ func TestSuiteShape(t *testing.T) {
 		if n == 0 {
 			t.Errorf("%s has no tests", name)
 		}
+	}
+	// The suite's identity: every test's function and entry names, in
+	// order. A reorder or a renamed pool entry changes it even where the
+	// per-function counts stay put.
+	h := sha256.New()
+	for _, test := range f.suite.Tests {
+		fmt.Fprintf(h, "%s(%s)\n", test.Func, testKey(test))
+	}
+	const want = "7183e89df5e6663191291f96b3982ee4607ed5fa8085118ef7405fff8772575b"
+	if got := fmt.Sprintf("%x", h.Sum(nil)); got != want {
+		t.Errorf("suite hash = %s, want %s", got, want)
 	}
 }
 

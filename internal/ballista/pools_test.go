@@ -5,6 +5,7 @@ import (
 
 	"healers/internal/cmem"
 	"healers/internal/csim"
+	"healers/internal/gens"
 )
 
 // bareLib adapts the raw library for pool materialization in tests.
@@ -54,29 +55,69 @@ func TestPoolEntriesMaterialize(t *testing.T) {
 	}
 }
 
+// TestFileCorruptEntryKeepsValidFd checks every corrupted stream, the
+// Ballista entries and the injector's probes alike: the magic word and
+// a live descriptor survive (fileno+fstat would otherwise reject it and
+// the residual class would vanish), while the buffer pointer is
+// unmapped garbage.
 func TestFileCorruptEntryKeepsValidFd(t *testing.T) {
 	f := setup(t)
-	template := NewTemplate()
-	child := template.Fork()
-	var entry *PoolEntry
-	for _, e := range filePool() {
-		if e.Name == "file-corrupt" {
-			entry = e
+	entry := func(pool []*PoolEntry, name string) func(*csim.Process) uint64 {
+		for _, e := range pool {
+			if e.Name == name {
+				return func(p *csim.Process) uint64 { return e.Build(p, passCaller{f}) }
+			}
+		}
+		t.Fatalf("no %s entry", name)
+		return nil
+	}
+	// The corrupted FILE follows three open streams and the garbage
+	// FILE; the corrupted DIR follows the open DIR and the garbage DIR.
+	fileProbe := drainGen(gens.NewFileGen(""))[4]
+	dirProbe := drainGen(gens.NewDirGen(""))[2]
+	for _, c := range []struct {
+		name                 string
+		build                func(*csim.Process) uint64
+		dir                  bool
+		magic                uint32
+		offMagic, offFD, buf cmem.Addr
+	}{
+		{"ballista file-corrupt", entry(filePool(), "file-corrupt"), false, csim.FILEMagic, csim.FILEOffMagic, csim.FILEOffFD, csim.FILEOffBufPtr},
+		{"ballista dir-corrupt", entry(dirPool(), "dir-corrupt"), true, csim.DIRMagic, csim.DIROffMagic, csim.DIROffFD, csim.DIROffBuf},
+		{"gens corrupted FILE", fileProbe.Build, false, csim.FILEMagic, csim.FILEOffMagic, csim.FILEOffFD, csim.FILEOffBufPtr},
+		{"gens corrupted DIR", dirProbe.Build, true, csim.DIRMagic, csim.DIROffMagic, csim.DIROffFD, csim.DIROffBuf},
+	} {
+		child := NewTemplate().Fork()
+		var addr uint64
+		child.Run(func() uint64 { addr = c.build(child); return 0 })
+		if addr == 0 {
+			t.Errorf("%s: failed to build", c.name)
+			continue
+		}
+		obj := cmem.Addr(addr)
+		if got := child.LoadU32(obj + c.offMagic); got != c.magic {
+			t.Errorf("%s: magic %#x, want %#x", c.name, got, c.magic)
+		}
+		if fd := int(int32(child.LoadU32(obj + c.offFD))); child.FD(fd) == nil {
+			t.Errorf("%s: descriptor %d is not live", c.name, fd)
+		}
+		if _, mapped := child.Mem.ProtAt(cmem.Addr(child.LoadU64(obj + c.buf))); mapped {
+			t.Errorf("%s: buffer pointer is mapped, want garbage", c.name)
+		}
+		if !c.dir {
+			if pos := child.LoadU64(obj + csim.FILEOffBufPos); pos != 4 {
+				t.Errorf("%s: buffer position %d, want 4", c.name, pos)
+			}
 		}
 	}
-	var fp uint64
-	child.Run(func() uint64 { fp = entry.Build(child, passCaller{f}); return 0 })
-	if fp == 0 {
-		t.Fatal("corrupt entry failed to build")
+}
+
+func drainGen(g gens.Generator) []*gens.Probe {
+	var out []*gens.Probe
+	for pr := g.Next(); pr != nil; pr = g.Next() {
+		out = append(out, pr)
 	}
-	fd := int(int32(child.LoadU32(cmem.Addr(fp) + csim.FILEOffFD)))
-	if child.FD(fd) == nil {
-		t.Error("corrupt FILE's descriptor is not live — fileno+fstat would reject it and the residual class would vanish")
-	}
-	buf := child.LoadU64(cmem.Addr(fp) + csim.FILEOffBufPtr)
-	if _, mapped := child.Mem.ProtAt(cmem.Addr(buf)); mapped {
-		t.Error("corrupt FILE's buffer pointer is mapped — it must be garbage")
-	}
+	return out
 }
 
 func TestSingleFaultVectors(t *testing.T) {

@@ -177,11 +177,6 @@ type RunOptions struct {
 // progressEvery is the number of tests between two progress events.
 const progressEvery = 1000
 
-// Run executes the suite under one configuration.
-func (s *Suite) Run(config string, template *csim.Process, factory CallerFactory, stepBudget int) *Report {
-	return s.RunWith(config, template, factory, RunOptions{StepBudget: stepBudget})
-}
-
 // testResult is one executed test's classification, recorded at the
 // test's suite index so parallel runs merge deterministically.
 type testResult struct {

@@ -21,8 +21,7 @@ type CStringGen struct {
 	DefaultContent string
 
 	untermSizes []int
-	queue       []*Probe
-	started     bool
+	fixedSeq
 }
 
 var _ Generator = (*CStringGen)(nil)
@@ -52,7 +51,9 @@ func NewCStringGen(contents []string) *CStringGen {
 	if contents == nil {
 		contents = DefaultStringContents()
 	}
-	return &CStringGen{Contents: contents, DefaultContent: "hello", untermSizes: []int{UntermSize}}
+	g := &CStringGen{Contents: contents, DefaultContent: "hello", untermSizes: []int{UntermSize}}
+	g.build = g.probes
+	return g
 }
 
 // Name implements Generator.
@@ -100,36 +101,19 @@ func UntermProbe(size int) *Probe {
 	return pr
 }
 
-func (g *CStringGen) start() {
-	g.started = true
+func (g *CStringGen) probes() []*Probe {
+	var out []*Probe
 	for _, s := range g.Contents {
-		g.queue = append(g.queue, StringProbe(s, cmem.ProtRW))
 		// Read-only variants: functions that secretly write their
 		// "const char *" argument crash on these.
-		g.queue = append(g.queue, StringProbe(s, cmem.ProtRead))
+		out = append(out, StringProbe(s, cmem.ProtRW), StringProbe(s, cmem.ProtRead))
 	}
 	for _, s := range g.untermSizes {
-		g.queue = append(g.queue, UntermProbe(s))
+		out = append(out, UntermProbe(s))
 	}
-	g.queue = append(g.queue, nullProbe())
-	g.queue = append(g.queue, invalidProbes()...)
+	out = append(out, nullProbe())
+	return append(out, invalidProbes()...)
 }
-
-// Next implements Generator.
-func (g *CStringGen) Next() *Probe {
-	if !g.started {
-		g.start()
-	}
-	if len(g.queue) == 0 {
-		return nil
-	}
-	pr := g.queue[0]
-	g.queue = g.queue[1:]
-	return pr
-}
-
-// Adjust implements Generator: strings are not adaptive.
-func (g *CStringGen) Adjust(pr *Probe, faultAddr cmem.Addr) *Probe { return nil }
 
 // Default implements Generator.
 func (g *CStringGen) Default() *Probe { return StringProbe(g.DefaultContent, cmem.ProtRW) }

@@ -17,8 +17,7 @@ type FileGen struct {
 	// generator (re)creates it in the child before opening.
 	FixturePath string
 
-	queue   []*Probe
-	started bool
+	fixedSeq
 }
 
 var _ Generator = (*FileGen)(nil)
@@ -31,7 +30,9 @@ func NewFileGen(path string) *FileGen {
 	if path == "" {
 		path = DefaultFixturePath
 	}
-	return &FileGen{FixturePath: path}
+	g := &FileGen{FixturePath: path}
+	g.build = g.probes
+	return g
 }
 
 // Name implements Generator.
@@ -59,9 +60,36 @@ func garbageProbe() *Probe {
 	return pr
 }
 
-// corruptedProbe clones a real open FILE and smashes its buffer
-// pointer while keeping the valid descriptor: the struct-integrity
-// failure class.
+// CorruptFILE copies the open FILE at real to dst and smashes the
+// copy's buffer pointer while keeping its valid descriptor: the
+// struct-integrity failure class that defeats fileno+fstat checking.
+// It returns dst, or 0 if any access faults. The caller opens the
+// stream and maps dst, so each suite keeps its own placement and its
+// own route to fopen.
+func CorruptFILE(p *csim.Process, real, dst cmem.Addr) uint64 {
+	if !copyStruct(p, real, dst, csim.SizeofFILE) ||
+		p.Mem.WriteU64(dst+csim.FILEOffBufPtr, 0xdead0000) != nil ||
+		p.Mem.WriteU64(dst+csim.FILEOffBufPos, 4) != nil {
+		return 0
+	}
+	return uint64(dst)
+}
+
+// CorruptDIR is CorruptFILE for a DIR: the copy keeps the descriptor
+// and points its entry buffer at unmapped memory.
+func CorruptDIR(p *csim.Process, real, dst cmem.Addr) uint64 {
+	if !copyStruct(p, real, dst, csim.SizeofDIR) ||
+		p.Mem.WriteU64(dst+csim.DIROffBuf, 0xdead0000) != nil {
+		return 0
+	}
+	return uint64(dst)
+}
+
+func copyStruct(p *csim.Process, src, dst cmem.Addr, size int) bool {
+	data, f := p.Mem.Read(src, size)
+	return f == nil && p.Mem.Write(dst, data) == nil
+}
+
 func (g *FileGen) corruptedProbe() *Probe {
 	pr := &Probe{Fund: typesys.NameRWFixed(csim.SizeofFILE), Size: csim.SizeofFILE}
 	pr.Build = func(p *csim.Process) uint64 {
@@ -71,21 +99,7 @@ func (g *FileGen) corruptedProbe() *Probe {
 			return 0
 		}
 		pr.Region = mountFlush(p, csim.SizeofFILE, cmem.ProtRW)
-		data, f := p.Mem.Read(real, csim.SizeofFILE)
-		if f != nil {
-			return 0
-		}
-		if f := p.Mem.Write(pr.Region.Base, data); f != nil {
-			return 0
-		}
-		fp := pr.Region.Base
-		if f := p.Mem.WriteU64(fp+csim.FILEOffBufPtr, 0xdead0000); f != nil {
-			return 0
-		}
-		if f := p.Mem.WriteU64(fp+csim.FILEOffBufPos, 4); f != nil {
-			return 0
-		}
-		return uint64(fp)
+		return CorruptFILE(p, real, pr.Region.Base)
 	}
 	return pr
 }
@@ -106,31 +120,17 @@ func (g *FileGen) staleProbe() *Probe {
 	}
 }
 
-// Next implements Generator.
-func (g *FileGen) Next() *Probe {
-	if !g.started {
-		g.started = true
-		g.queue = append(g.queue,
-			g.openProbe(typesys.TypeROnlyFile, "r"),
-			g.openProbe(typesys.TypeRWFile, "r+"),
-			g.openProbe(typesys.TypeWOnlyFile, "w"),
-			garbageProbe(),
-			g.corruptedProbe(),
-			g.staleProbe(),
-			nullProbe(),
-		)
-		g.queue = append(g.queue, invalidProbes()...)
-	}
-	if len(g.queue) == 0 {
-		return nil
-	}
-	pr := g.queue[0]
-	g.queue = g.queue[1:]
-	return pr
+func (g *FileGen) probes() []*Probe {
+	return append([]*Probe{
+		g.openProbe(typesys.TypeROnlyFile, "r"),
+		g.openProbe(typesys.TypeRWFile, "r+"),
+		g.openProbe(typesys.TypeWOnlyFile, "w"),
+		garbageProbe(),
+		g.corruptedProbe(),
+		g.staleProbe(),
+		nullProbe(),
+	}, invalidProbes()...)
 }
-
-// Adjust implements Generator.
-func (g *FileGen) Adjust(pr *Probe, faultAddr cmem.Addr) *Probe { return nil }
 
 // Default implements Generator: an open read-write stream.
 func (g *FileGen) Default() *Probe { return g.openProbe(typesys.TypeRWFile, "r+") }
@@ -154,8 +154,7 @@ type DirGen struct {
 	// FixtureDir is the directory opened for the genuine cases.
 	FixtureDir string
 
-	queue   []*Probe
-	started bool
+	fixedSeq
 }
 
 var _ Generator = (*DirGen)(nil)
@@ -168,7 +167,9 @@ func NewDirGen(dir string) *DirGen {
 	if dir == "" {
 		dir = DefaultFixtureDir
 	}
-	return &DirGen{FixtureDir: dir}
+	g := &DirGen{FixtureDir: dir}
+	g.build = g.probes
+	return g
 }
 
 // Name implements Generator.
@@ -211,17 +212,7 @@ func (g *DirGen) corruptedProbe() *Probe {
 			return 0
 		}
 		pr.Region = mountFlush(p, csim.SizeofDIR, cmem.ProtRW)
-		data, f := p.Mem.Read(real, csim.SizeofDIR)
-		if f != nil {
-			return 0
-		}
-		if f := p.Mem.Write(pr.Region.Base, data); f != nil {
-			return 0
-		}
-		if f := p.Mem.WriteU64(pr.Region.Base+csim.DIROffBuf, 0xdead0000); f != nil {
-			return 0
-		}
-		return uint64(pr.Region.Base)
+		return CorruptDIR(p, real, pr.Region.Base)
 	}
 	return pr
 }
@@ -245,29 +236,15 @@ func (g *DirGen) staleProbe() *Probe {
 	}
 }
 
-// Next implements Generator.
-func (g *DirGen) Next() *Probe {
-	if !g.started {
-		g.started = true
-		g.queue = append(g.queue,
-			g.openProbe(),
-			g.garbageProbe(),
-			g.corruptedProbe(),
-			g.staleProbe(),
-			nullProbe(),
-		)
-		g.queue = append(g.queue, invalidProbes()...)
-	}
-	if len(g.queue) == 0 {
-		return nil
-	}
-	pr := g.queue[0]
-	g.queue = g.queue[1:]
-	return pr
+func (g *DirGen) probes() []*Probe {
+	return append([]*Probe{
+		g.openProbe(),
+		g.garbageProbe(),
+		g.corruptedProbe(),
+		g.staleProbe(),
+		nullProbe(),
+	}, invalidProbes()...)
 }
-
-// Adjust implements Generator.
-func (g *DirGen) Adjust(pr *Probe, faultAddr cmem.Addr) *Probe { return nil }
 
 // Default implements Generator.
 func (g *DirGen) Default() *Probe { return g.openProbe() }

@@ -69,6 +69,33 @@ type Generator interface {
 	Hierarchy() *typesys.Hierarchy
 }
 
+// fixedSeq is the shared core of the non-adaptive generators: build
+// makes the probe sequence on the first Next (so fields written after
+// construction, such as Contents or FixturePath, still count), Next
+// hands it out in order, and Adjust never adapts.
+type fixedSeq struct {
+	build   func() []*Probe
+	queue   []*Probe
+	started bool
+}
+
+// Next implements Generator.
+func (s *fixedSeq) Next() *Probe {
+	if !s.started {
+		s.started = true
+		s.queue = s.build()
+	}
+	if len(s.queue) == 0 {
+		return nil
+	}
+	pr := s.queue[0]
+	s.queue = s.queue[1:]
+	return pr
+}
+
+// Adjust implements Generator: fixed sequences are not adaptive.
+func (s *fixedSeq) Adjust(pr *Probe, faultAddr cmem.Addr) *Probe { return nil }
+
 // mountFlush maps a region of the given size and protection with its
 // last byte flush against an unmapped guard page, so the first access
 // past the region faults at exactly Base+Size.

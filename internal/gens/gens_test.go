@@ -1,12 +1,17 @@
 package gens
 
 import (
+	"crypto/sha256"
+	"fmt"
 	"strings"
 	"testing"
 
+	"healers/internal/clib"
 	"healers/internal/cmem"
+	"healers/internal/corpus"
 	"healers/internal/cparse"
 	"healers/internal/csim"
+	"healers/internal/extract"
 	"healers/internal/typesys"
 )
 
@@ -331,6 +336,92 @@ func TestForParamSelection(t *testing.T) {
 		if g.Name() != tt.want {
 			t.Errorf("%s -> %s, want %s", tt.proto, g.Name(), tt.want)
 		}
+	}
+}
+
+// selection renders what ForParam picks for a parameter: the
+// generator, its Default probe built in a fresh process, and the
+// length of its probe sequence.
+func selection(param cparse.Param, table *cparse.TypeTable) string {
+	g := ForParam(param, table)
+	d := g.Default()
+	v := d.Build(newProc())
+	return fmt.Sprintf("%s default=%s/%d/%#x probes=%d", g.Name(), d.Fund, d.Size, v, len(drain(g)))
+}
+
+// TestClassifyPinsSelection pins Classify and ForParam for one
+// synthetic parameter per cparse.Kind and pointee shape, including
+// kinds no prototype of the corpus has (by-value struct, array, void,
+// float) but a user prototype may, and then the selection for every
+// parameter of every extracted prototype as one digest.
+func TestClassifyPinsSelection(t *testing.T) {
+	file := &cparse.CType{Kind: cparse.KindStruct, Name: "struct _IO_FILE", Struct: "_IO_FILE"}
+	dir := &cparse.CType{Kind: cparse.KindStruct, Name: "struct __dirstream", Struct: "__dirstream"}
+	tm := &cparse.CType{Kind: cparse.KindStruct, Name: "struct tm", Struct: "tm"}
+	cchar := &cparse.CType{Kind: cparse.KindInt, Name: "char", Size: 1, Const: true}
+	char := &cparse.CType{Kind: cparse.KindInt, Name: "char", Size: 1}
+	timeT := &cparse.CType{Kind: cparse.KindInt, Name: "time_t", Size: 8}
+	void := &cparse.CType{Kind: cparse.KindVoid, Name: "void"}
+	integer := &cparse.CType{Kind: cparse.KindInt, Name: "int", Size: 4}
+	ptr := func(e *cparse.CType) *cparse.CType {
+		return &cparse.CType{Kind: cparse.KindPointer, Name: e.Name + "*", Elem: e}
+	}
+	tests := []struct {
+		name  string
+		typ   *cparse.CType
+		class Class
+		want  string
+	}{
+		{"stream", ptr(file), ClassFile, "file default=RW_FILE/0/0x10001000 probes=10"},
+		{"dirp", ptr(dir), ClassDir, "dir default=OPEN_DIR_F/0/0x10001000 probes=8"},
+		{"s", ptr(cchar), ClassCString, "cstring default=CSTR_RW[5]/6/0x200000001ffa probes=19"},
+		{"mode", ptr(cchar), ClassCString, "cstring default=CSTR_RW[1]/2/0x200000001ffe probes=19"},
+		{"buf", ptr(char), ClassCharBuf, "charbuf default=RW_FIXED[256]/256/0x200000001f00 probes=21"},
+		{"timep", ptr(timeT), ClassPtr, "array default=RW_FIXED[256]/256/0x200000001f00 probes=9"},
+		{"tm", ptr(tm), ClassPtr, "array default=RW_FIXED[256]/256/0x200000001f00 probes=7"},
+		{"p", ptr(void), ClassPtr, "array default=RW_FIXED[256]/256/0x200000001f00 probes=7"},
+		{"endptr", ptr(ptr(char)), ClassPtr, "array default=RW_FIXED[256]/256/0x200000001f00 probes=7"},
+		{"tv", tm, ClassInt, "int default=INT_ZERO/0/0x0 probes=9"},
+		{"cmp", &cparse.CType{Kind: cparse.KindFuncPtr, Name: "(*)()"}, ClassFuncPtr, "funcptr default=FUNC_PTR/0/0x400010 probes=5"},
+		{"x", &cparse.CType{Kind: cparse.KindDouble, Name: "double", Size: 8}, ClassDouble, "double default=DBL/0/0x3ff0000000000000 probes=5"},
+		{"y", &cparse.CType{Kind: cparse.KindFloat, Name: "float", Size: 4}, ClassDouble, "double default=DBL/0/0x3ff0000000000000 probes=5"},
+		{"fd", integer, ClassFd, "fd default=FD_OPEN/0/0x3 probes=6"},
+		{"base", integer, ClassInt, "int default=INT_POS/0/0xa probes=9"},
+		{"n", &cparse.CType{Kind: cparse.KindInt, Name: "size_t", Size: 8, Unsigned: true}, ClassInt, "int default=INT_POS/0/0x8 probes=9"},
+		{"fd", tm, ClassInt, "int default=INT_ZERO/0/0x0 probes=9"},
+		{"arr", &cparse.CType{Kind: cparse.KindArray, Name: "char", Elem: char, Len: 4}, ClassInt, "int default=INT_POS/0/0x8 probes=9"},
+		{"v", void, ClassInt, "int default=INT_POS/0/0x8 probes=9"},
+		{"fd", void, ClassInt, "int default=INT_POS/0/0x8 probes=9"},
+	}
+	table := cparse.NewTypeTable()
+	for _, tt := range tests {
+		param := cparse.Param{Name: tt.name, Type: tt.typ}
+		if got := Classify(param); got != tt.class {
+			t.Errorf("%s %s: class %s, want %s", tt.typ.Name, tt.name, got, tt.class)
+		}
+		if got := selection(param, table); got != tt.want {
+			t.Errorf("%s %s: %s, want %s", tt.typ.Name, tt.name, got, tt.want)
+		}
+	}
+
+	ext, err := extract.Run(corpus.Build(clib.New()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := sha256.New()
+	n := 0
+	for _, fi := range ext.Funcs {
+		if fi.Proto == nil {
+			continue
+		}
+		for i, param := range fi.Proto.Params {
+			fmt.Fprintf(h, "%s/%d %s\n", fi.Symbol.Name, i, selection(param, ext.Table))
+			n++
+		}
+	}
+	const want = "720af6944050990b7304234441af92b39bf7d28d30c1bb4e3f83f6f1d76a7bb7"
+	if got := fmt.Sprintf("%x", h.Sum(nil)); n != 297 || got != want {
+		t.Errorf("corpus selection over %d parameters = %s, want 297 parameters, %s", n, got, want)
 	}
 }
 

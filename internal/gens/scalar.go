@@ -16,15 +16,14 @@ type IntGen struct {
 	// being explored.
 	DefaultValue int64
 
-	queue   []*Probe
-	started bool
+	fixedSeq
 }
 
 var _ Generator = (*IntGen)(nil)
 
 // NewIntGen returns an integer generator with the given benign default.
 func NewIntGen(defaultValue int64) *IntGen {
-	return &IntGen{DefaultValue: defaultValue}
+	return &IntGen{DefaultValue: defaultValue, fixedSeq: fixedSeq{build: intProbes}}
 }
 
 // Name implements Generator.
@@ -48,28 +47,13 @@ func intProbe(v int64) *Probe {
 // IntProbeValues are the integers every IntGen tries.
 var IntProbeValues = []int64{0, 1, 2, 8, 64, math.MaxInt32, -1, -2, math.MinInt32}
 
-func (g *IntGen) start() {
-	g.started = true
-	for _, v := range IntProbeValues {
-		g.queue = append(g.queue, intProbe(v))
+func intProbes() []*Probe {
+	out := make([]*Probe, len(IntProbeValues))
+	for i, v := range IntProbeValues {
+		out[i] = intProbe(v)
 	}
+	return out
 }
-
-// Next implements Generator.
-func (g *IntGen) Next() *Probe {
-	if !g.started {
-		g.start()
-	}
-	if len(g.queue) == 0 {
-		return nil
-	}
-	pr := g.queue[0]
-	g.queue = g.queue[1:]
-	return pr
-}
-
-// Adjust implements Generator: integers are not adaptive.
-func (g *IntGen) Adjust(pr *Probe, faultAddr cmem.Addr) *Probe { return nil }
 
 // Default implements Generator.
 func (g *IntGen) Default() *Probe { return intProbe(g.DefaultValue) }
@@ -84,15 +68,12 @@ func (g *IntGen) Hierarchy() *typesys.Hierarchy { return typesys.BuildIntHierarc
 // DoubleGen generates floating point test cases. Values cannot cause
 // memory violations, so the expected robust type is the top of its
 // (tiny) hierarchy.
-type DoubleGen struct {
-	queue   []*Probe
-	started bool
-}
+type DoubleGen struct{ fixedSeq }
 
 var _ Generator = (*DoubleGen)(nil)
 
 // NewDoubleGen returns a double generator.
-func NewDoubleGen() *DoubleGen { return &DoubleGen{} }
+func NewDoubleGen() *DoubleGen { return &DoubleGen{fixedSeq{build: doubleProbes}} }
 
 // Name implements Generator.
 func (g *DoubleGen) Name() string { return "double" }
@@ -110,24 +91,13 @@ func doubleProbe(v float64) *Probe {
 	}
 }
 
-// Next implements Generator.
-func (g *DoubleGen) Next() *Probe {
-	if !g.started {
-		g.started = true
-		for _, v := range []float64{0, 1.5, -1.5, math.Inf(1), math.NaN()} {
-			g.queue = append(g.queue, doubleProbe(v))
-		}
+func doubleProbes() []*Probe {
+	var out []*Probe
+	for _, v := range []float64{0, 1.5, -1.5, math.Inf(1), math.NaN()} {
+		out = append(out, doubleProbe(v))
 	}
-	if len(g.queue) == 0 {
-		return nil
-	}
-	pr := g.queue[0]
-	g.queue = g.queue[1:]
-	return pr
+	return out
 }
-
-// Adjust implements Generator.
-func (g *DoubleGen) Adjust(pr *Probe, faultAddr cmem.Addr) *Probe { return nil }
 
 // Default implements Generator.
 func (g *DoubleGen) Default() *Probe { return doubleProbe(1) }
@@ -145,15 +115,12 @@ func (g *DoubleGen) Hierarchy() *typesys.Hierarchy {
 // FuncPtrGen generates function pointer test cases: a registered
 // simulated code address, NULL, and garbage addresses. Calling through
 // anything but the registered address raises SIGSEGV.
-type FuncPtrGen struct {
-	queue   []*Probe
-	started bool
-}
+type FuncPtrGen struct{ fixedSeq }
 
 var _ Generator = (*FuncPtrGen)(nil)
 
 // NewFuncPtrGen returns a function pointer generator.
-func NewFuncPtrGen() *FuncPtrGen { return &FuncPtrGen{} }
+func NewFuncPtrGen() *FuncPtrGen { return &FuncPtrGen{fixedSeq{build: funcPtrProbes}} }
 
 // Name implements Generator.
 func (g *FuncPtrGen) Name() string { return "funcptr" }
@@ -175,23 +142,9 @@ func callbackProbe() *Probe {
 	}
 }
 
-// Next implements Generator.
-func (g *FuncPtrGen) Next() *Probe {
-	if !g.started {
-		g.started = true
-		g.queue = append(g.queue, callbackProbe(), nullProbe())
-		g.queue = append(g.queue, invalidProbes()...)
-	}
-	if len(g.queue) == 0 {
-		return nil
-	}
-	pr := g.queue[0]
-	g.queue = g.queue[1:]
-	return pr
+func funcPtrProbes() []*Probe {
+	return append([]*Probe{callbackProbe(), nullProbe()}, invalidProbes()...)
 }
-
-// Adjust implements Generator.
-func (g *FuncPtrGen) Adjust(pr *Probe, faultAddr cmem.Addr) *Probe { return nil }
 
 // Default implements Generator.
 func (g *FuncPtrGen) Default() *Probe { return callbackProbe() }

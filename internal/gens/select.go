@@ -97,14 +97,17 @@ type FdGen struct {
 	// FixturePath is (re)created and opened for the valid case.
 	FixturePath string
 
-	queue   []*Probe
-	started bool
+	fixedSeq
 }
 
 var _ Generator = (*FdGen)(nil)
 
 // NewFdGen returns a descriptor generator.
-func NewFdGen() *FdGen { return &FdGen{FixturePath: DefaultFixturePath} }
+func NewFdGen() *FdGen {
+	g := &FdGen{FixturePath: DefaultFixturePath}
+	g.build = g.probes
+	return g
+}
 
 // Name implements Generator.
 func (g *FdGen) Name() string { return "fd" }
@@ -128,25 +131,13 @@ func badFdProbe(v int64) *Probe {
 	}
 }
 
-// Next implements Generator.
-func (g *FdGen) Next() *Probe {
-	if !g.started {
-		g.started = true
-		g.queue = append(g.queue, g.openFdProbe())
-		for _, v := range []int64{-1, 0, 2, 999, 1 << 30} {
-			g.queue = append(g.queue, badFdProbe(v))
-		}
+func (g *FdGen) probes() []*Probe {
+	out := []*Probe{g.openFdProbe()}
+	for _, v := range []int64{-1, 0, 2, 999, 1 << 30} {
+		out = append(out, badFdProbe(v))
 	}
-	if len(g.queue) == 0 {
-		return nil
-	}
-	pr := g.queue[0]
-	g.queue = g.queue[1:]
-	return pr
+	return out
 }
-
-// Adjust implements Generator.
-func (g *FdGen) Adjust(pr *Probe, faultAddr cmem.Addr) *Probe { return nil }
 
 // Default implements Generator.
 func (g *FdGen) Default() *Probe { return g.openFdProbe() }
@@ -206,52 +197,94 @@ func IsFdParam(name string) bool {
 	return false
 }
 
+// Class is what a parameter's C type is, as far as choosing its test
+// values goes. The injector's generators, the Ballista pools, the
+// static predictor and the body scan all key off it.
+type Class string
+
+// The parameter classes. The spellings are committed in the body facts.
+const (
+	ClassCString Class = "cstring" // const char *
+	ClassCharBuf Class = "charbuf" // char * (writable)
+	ClassPtr     Class = "ptr"     // any other pointer: struct*, void*, scalar out-params, char**
+	ClassFile    Class = "file"    // FILE *
+	ClassDir     Class = "dir"     // DIR *
+	ClassFd      Class = "fd"      // descriptor-named int
+	ClassInt     Class = "int"     // any other integer, and kinds with no class of their own
+	ClassDouble  Class = "double"  // double, float
+	ClassFuncPtr Class = "funcptr" // function pointer
+)
+
+// Classify decides a parameter's class from its C type (paper §4.1:
+// generators are selected "using the C argument type"). A by-value
+// struct, an array, or void falls to ClassInt; callers that treat
+// those apart test the kind themselves.
+func Classify(param cparse.Param) Class {
+	t := param.Type
+	switch t.Kind {
+	case cparse.KindFuncPtr:
+		return ClassFuncPtr
+	case cparse.KindPointer:
+		elem := t.Elem
+		switch {
+		case elem.Kind == cparse.KindStruct && elem.Struct == "_IO_FILE":
+			return ClassFile
+		case elem.Kind == cparse.KindStruct && elem.Struct == "__dirstream":
+			return ClassDir
+		case elem.Kind == cparse.KindInt && strings.Contains(elem.Name, "char") && elem.Const:
+			return ClassCString
+		case elem.Kind == cparse.KindInt && strings.Contains(elem.Name, "char"):
+			return ClassCharBuf
+		}
+		return ClassPtr
+	case cparse.KindInt:
+		if IsFdParam(param.Name) {
+			return ClassFd
+		}
+	case cparse.KindDouble, cparse.KindFloat:
+		return ClassDouble
+	}
+	return ClassInt
+}
+
 // ForParam selects the test-case generator for one function parameter
 // (paper §4.1: "uses the C argument type to select at least one test
 // case generator for each argument"). Specific generators exist for
 // FILE*, DIR* and descriptors; everything else falls back to the
 // generic pointer, string, integer and double generators.
 func ForParam(param cparse.Param, table *cparse.TypeTable) Generator {
-	t := param.Type
-	switch t.Kind {
-	case cparse.KindFuncPtr:
+	switch Classify(param) {
+	case ClassFuncPtr:
 		return NewFuncPtrGen()
-	case cparse.KindPointer:
-		elem := t.Elem
-		switch {
-		case elem.Kind == cparse.KindStruct && elem.Struct == "_IO_FILE":
-			return NewFileGen("")
-		case elem.Kind == cparse.KindStruct && elem.Struct == "__dirstream":
-			return NewDirGen("")
-		case elem.Kind == cparse.KindInt && strings.Contains(elem.Name, "char") && elem.Const:
-			g := NewCStringGen(nil)
-			g.DefaultContent = BenignStringDefault(param.Name)
-			return g
-		case elem.Kind == cparse.KindInt && strings.Contains(elem.Name, "char"):
-			return NewCharBufGen()
-		case elem.Kind == cparse.KindInt && elem.Name == "time_t":
+	case ClassFile:
+		return NewFileGen("")
+	case ClassDir:
+		return NewDirGen("")
+	case ClassCString:
+		g := NewCStringGen(nil)
+		g.DefaultContent = BenignStringDefault(param.Name)
+		return g
+	case ClassCharBuf:
+		return NewCharBufGen()
+	case ClassPtr:
+		// Generic pointer: structs (adaptively sized), scalar out
+		// parameters, void*, char**.
+		g := NewArrayGen(ArrayMaxSize, ArrayDefaultSize)
+		if elem := param.Type.Elem; elem.Kind == cparse.KindInt && elem.Name == "time_t" {
 			// Scalar time pointers: besides the zeroed growth chains, add
 			// 0x7F-filled variants whose astronomically large value
 			// exercises the out-of-range errno paths of gmtime/localtime.
-			g := NewArrayGen(ArrayMaxSize, ArrayDefaultSize)
 			g.VariantFills = []byte{0x7F}
-			return g
-		default:
-			// Generic pointer: structs (adaptively sized), scalar out
-			// parameters, void*, char**.
-			return NewArrayGen(ArrayMaxSize, ArrayDefaultSize)
 		}
-	case cparse.KindInt:
-		if IsFdParam(param.Name) {
-			return NewFdGen()
-		}
-		return NewIntGen(BenignIntDefault(param.Name))
-	case cparse.KindDouble, cparse.KindFloat:
+		return g
+	case ClassFd:
+		return NewFdGen()
+	case ClassDouble:
 		return NewDoubleGen()
-	case cparse.KindStruct:
+	}
+	if param.Type.Kind == cparse.KindStruct {
 		// By-value structs do not occur in the library; treat like int.
 		return NewIntGen(0)
-	default:
-		return NewIntGen(BenignIntDefault(param.Name))
 	}
+	return NewIntGen(BenignIntDefault(param.Name))
 }
