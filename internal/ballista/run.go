@@ -151,6 +151,9 @@ func (r *Report) String() string {
 
 // CallerFactory builds the call path for one child process: the bare
 // library for the unwrapped run, a fresh wrapper interposer otherwise.
+// The caller is the test's own: one with a Release method is released
+// after the test, so a factory must not hand one such caller to two
+// tests.
 type CallerFactory func(p *csim.Process) Caller
 
 // RunOptions configures an observed suite run. The zero value runs
@@ -201,17 +204,26 @@ type suiteRunner struct {
 	done                    atomic.Int64
 }
 
+// releaser is a Caller holding per-test state (the wrapper
+// interposer) that it hands back for reuse once the test is done.
+type releaser interface{ Release() }
+
 // runTest forks a child from template, delivers one test, and
 // classifies the outcome. It emits the per-test outcome event and the
 // periodic progress event, both parented to sc (the suite span when
 // sequential, the worker span when sharded); with tracing off it
-// builds no event and reads no clock.
+// builds no event and reads no clock. The child, and the caller when
+// it is a releaser, are released once the test is classified, so the
+// next test's fork and factory call reuse them.
 func (r *suiteRunner) runTest(template *csim.Process, test *Test, sc obs.SpanContext) testResult {
 	child := template.Fork()
 	defer child.Release()
 	child.SetStepBudget(r.stepBudget)
 	child.Metrics = r.sandbox
 	caller := r.factory(child)
+	if rel, ok := caller.(releaser); ok {
+		defer rel.Release()
+	}
 	var testStart time.Time
 	if r.tr.Enabled() {
 		testStart = time.Now()

@@ -202,17 +202,15 @@ func (l *Library) registerString() {
 		Proto: "char *strpbrk(const char *s, const char *accept);",
 		Impl: func(p *csim.Process, a []uint64) uint64 {
 			s, accept := argPtr(a, 0), argPtr(a, 1)
-			set := p.LoadCString(accept)
+			in := byteSet(p.LoadCString(accept))
 			for i := cmem.Addr(0); ; i++ {
 				p.Step()
 				b := p.LoadByte(s + i)
 				if b == 0 {
 					return 0
 				}
-				for j := 0; j < len(set); j++ {
-					if set[j] == b {
-						return uint64(s + i)
-					}
+				if in[b] {
+					return uint64(s + i)
 				}
 			}
 		},
@@ -222,24 +220,16 @@ func (l *Library) registerString() {
 		Proto: "size_t strspn(const char *s, const char *accept);",
 		Impl: func(p *csim.Process, a []uint64) uint64 {
 			s, accept := argPtr(a, 0), argPtr(a, 1)
-			set := p.LoadCString(accept)
+			in := byteSet(p.LoadCString(accept))
 			var n uint64
-		loop:
 			for {
 				p.Step()
 				b := p.LoadByte(s + cmem.Addr(n))
-				if b == 0 {
-					break
+				if b == 0 || !in[b] {
+					return n
 				}
-				for j := 0; j < len(set); j++ {
-					if set[j] == b {
-						n++
-						continue loop
-					}
-				}
-				break
+				n++
 			}
-			return n
 		},
 	})
 	l.add(&Func{
@@ -247,18 +237,13 @@ func (l *Library) registerString() {
 		Proto: "size_t strcspn(const char *s, const char *reject);",
 		Impl: func(p *csim.Process, a []uint64) uint64 {
 			s, reject := argPtr(a, 0), argPtr(a, 1)
-			set := p.LoadCString(reject)
+			in := byteSet(p.LoadCString(reject))
 			var n uint64
 			for {
 				p.Step()
 				b := p.LoadByte(s + cmem.Addr(n))
-				if b == 0 {
+				if b == 0 || in[b] {
 					return n
-				}
-				for j := 0; j < len(set); j++ {
-					if set[j] == b {
-						return n
-					}
 				}
 				n++
 			}
@@ -360,4 +345,13 @@ func (l *Library) registerString() {
 			return uint64(dup)
 		},
 	})
+}
+
+// byteSet returns the membership table of set's bytes, so the span
+// functions test a byte in one lookup instead of rescanning the set.
+func byteSet(set string) (in [256]bool) {
+	for i := 0; i < len(set); i++ {
+		in[set[i]] = true
+	}
+	return in
 }

@@ -65,9 +65,7 @@ func (l *Library) registerUnistd() {
 			}
 			fd := p.OpenFile(path, csim.WriteOnly, true)
 			if fd >= 0 {
-				of := p.FD(fd)
-				p.PrivatizeForWrite(of)
-				of.File.Data = of.File.Data[:0]
+				p.TruncateForWrite(p.FD(fd))
 			}
 			return retInt(fd)
 		},

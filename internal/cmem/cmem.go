@@ -337,6 +337,35 @@ type Memory struct {
 	// forked its template without any side channel.
 	TraceID uint64
 	SpanID  uint64
+
+	// spare is the emptied delta map a released Memory keeps for its
+	// next life; nil on a live Memory. Release sets it, alloc takes it.
+	spare map[Addr]*page
+}
+
+// mems parks released Memories for the next New, Clone or CloneEager.
+var mems FreeList[Memory]
+
+// spareCap bounds the delta map a released Memory keeps: a Go map
+// never shrinks, so one that grew past what a forked child maps is
+// left to the collector instead of being parked.
+const spareCap = 64
+
+// alloc returns a zeroed Memory and an empty delta map for it: a
+// released Memory and the map it kept when one is parked, new ones
+// otherwise. New, Clone and CloneEager initialise every field of the
+// result the same way either way.
+func alloc() (*Memory, map[Addr]*page) {
+	m := mems.Get()
+	if m == nil {
+		return new(Memory), make(map[Addr]*page)
+	}
+	own := m.spare
+	m.spare = nil
+	if own == nil {
+		own = make(map[Addr]*page)
+	}
+	return m, own
 }
 
 // Address-space layout constants. The null page (and everything below
@@ -353,8 +382,9 @@ const (
 
 // New returns an empty simulated address space with a mapped stack.
 func New() *Memory {
-	m := &Memory{
-		own:        make(map[Addr]*page),
+	m, own := alloc()
+	*m = Memory{
+		own:        own,
 		tlbOn:      true,
 		heapCursor: heapBase,
 		mmapCursor: mmapBase,
@@ -365,8 +395,8 @@ func New() *Memory {
 	return m
 }
 
-// tlbSize is the number of page-cache entries. Memory is allocated on
-// every fork, so the cache stays small: 16 entries cover the handful of
+// tlbSize is the number of page-cache entries. Every fork starts with
+// an empty cache, so it stays small: 16 entries cover the handful of
 // pages one experiment touches (its arguments, a FILE and its buffer,
 // a sink chunk, the stack) at 256 bytes per Memory.
 const tlbSize = 16
@@ -513,12 +543,13 @@ func (m *Memory) Clone() *Memory {
 	m.freezeLocked()
 	layers := m.layers
 	m.cloneMu.Unlock()
-	c := &Memory{
+	c, own := alloc()
+	*c = Memory{
 		// A full slice expression shares the parent's layer array:
 		// the child's first freeze appends past its capacity and so
 		// reallocates, never writing the parent's array.
 		layers:     layers[:len(layers):len(layers)],
-		own:        make(map[Addr]*page),
+		own:        own,
 		tlbOn:      true,
 		heapCursor: m.heapCursor,
 		mmapCursor: m.mmapCursor,
@@ -544,8 +575,9 @@ func (m *Memory) Clone() *Memory {
 // differential tests and the eager-vs-COW benchmarks. It does not
 // count toward ForkStats.
 func (m *Memory) CloneEager() *Memory {
-	c := &Memory{
-		own:        make(map[Addr]*page),
+	c, own := alloc()
+	*c = Memory{
+		own:        own,
 		tlbOn:      true,
 		heapCursor: m.heapCursor,
 		mmapCursor: m.mmapCursor,
@@ -563,19 +595,23 @@ func (m *Memory) CloneEager() *Memory {
 }
 
 // Release drops the address space's pages and layer references,
-// returning pages nothing else references to the page pool. The fault
-// injector calls it when a forked child's experiment completes; the
-// Memory must not be used afterwards (mutations panic, accesses fault
-// as unmapped). The page cache is flushed too: it must neither answer
-// for a released page nor keep pooled pages reachable.
+// returning pages nothing else references to the page pool, and parks
+// the Memory for reuse: the next New, Clone or CloneEager may hand this
+// very struct out again, so no reference to it may outlive Release.
+// Until then the released Memory has every field zeroed but the
+// emptied delta map it keeps for that next life: accesses fault as
+// unmapped, mutations panic, and the page cache neither answers for a
+// released page nor keeps pooled pages reachable. Releasing a released
+// Memory again does nothing.
 func (m *Memory) Release() {
-	m.flushTLB()
+	if m.stats == nil {
+		return // already released: parked once is enough
+	}
 	for _, pg := range m.own {
 		if pg != nil {
 			pg.release()
 		}
 	}
-	m.own = nil
 	for _, l := range m.layers {
 		if l.refs.Add(-1) == 0 {
 			for _, pg := range l.pages {
@@ -585,7 +621,13 @@ func (m *Memory) Release() {
 			}
 		}
 	}
-	m.layers = nil
+	own := m.own
+	if len(own) > spareCap {
+		own = nil
+	}
+	clear(own)
+	*m = Memory{spare: own}
+	mems.Put(m)
 }
 
 // ForkStats returns the sharing counters of this Memory's fork tree.
@@ -925,6 +967,23 @@ func (m *Memory) WriteU64(addr Addr, v uint64) *Fault {
 // the historical byte-at-a-time loop did.
 const maxCString = 1 << 20
 
+// Segment returns a view of the bytes from addr to the end of its
+// page, and the page's protection: nil when the page is unmapped or
+// unreadable, with mapped telling the two apart. The view aliases the
+// page, which may be shared with other forks: read it, never write it,
+// and drop it before the next mutation of this Memory. Scans that move
+// a page at a time use it in place of a LoadByte per byte.
+func (m *Memory) Segment(addr Addr) (b []byte, prot Prot, mapped bool) {
+	pg := m.lookup(addr.PageBase())
+	switch {
+	case pg == nil:
+		return nil, ProtNone, false
+	case pg.prot&ProtRead == 0:
+		return nil, pg.prot, true
+	}
+	return pg.data[addr&(PageSize-1):], pg.prot, true
+}
+
 // CString reads a NUL-terminated string starting at addr. The scan
 // observes protection page by page, so an unterminated string in a
 // bounded region faults at exactly the first inaccessible byte — the
@@ -933,14 +992,10 @@ const maxCString = 1 << 20
 func (m *Memory) CString(addr Addr) (string, *Fault) {
 	n := 0
 	for a := addr; ; {
-		pg := m.lookup(a.PageBase())
-		if pg == nil {
-			return "", &Fault{Addr: a, Access: AccessRead}
+		chunk, _, mapped := m.Segment(a)
+		if chunk == nil {
+			return "", &Fault{Addr: a, Access: AccessRead, Mapped: mapped}
 		}
-		if pg.prot&ProtRead == 0 {
-			return "", &Fault{Addr: a, Access: AccessRead, Mapped: true}
-		}
-		chunk := pg.data[a&(PageSize-1):]
 		i := bytes.IndexByte(chunk, 0)
 		if i < 0 {
 			i = len(chunk)
@@ -961,7 +1016,7 @@ func (m *Memory) CString(addr Addr) (string, *Fault) {
 	var b strings.Builder
 	b.Grow(n)
 	for a := addr; b.Len() < n; {
-		chunk := m.lookup(a.PageBase()).data[a&(PageSize-1):]
+		chunk, _, _ := m.Segment(a)
 		k, _ := b.Write(chunk[:min(len(chunk), n-b.Len())])
 		a += Addr(k)
 	}

@@ -2,6 +2,8 @@ package cmem
 
 import (
 	"fmt"
+	"reflect"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -496,4 +498,50 @@ func TestConcurrentTemplateForksThroughCheckpoints(t *testing.T) {
 	if want := int64(workers * (runsPerCheckpoint + 1)); fk.Forks != want {
 		t.Errorf("Forks = %d, want %d", fk.Forks, want)
 	}
+}
+
+// zeroExcept reports the fields of the struct v points to that are not
+// zero, other than those named in keep. Release tests use it so a field
+// added to a recycled struct later cannot carry one life's state into
+// the next unnoticed.
+func zeroExcept(v any, keep ...string) []string {
+	var dirty []string
+	s := reflect.ValueOf(v).Elem()
+	for i := 0; i < s.NumField(); i++ {
+		name := s.Type().Field(i).Name
+		if !s.Field(i).IsZero() && !slices.Contains(keep, name) {
+			dirty = append(dirty, name)
+		}
+	}
+	return dirty
+}
+
+// TestReleaseZeroesEveryField: a released Memory keeps its emptied
+// delta map for reuse and nothing else — no page, layer, cursor, heap
+// or stack state, fork counters or trace identity.
+func TestReleaseZeroesEveryField(t *testing.T) {
+	tpl := New()
+	if _, err := tpl.Malloc(100); err != nil {
+		t.Fatal(err)
+	}
+	m := tpl.Clone()
+	a, err := m.Malloc(2 * PageSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.StoreByte(a, 1)
+	m.Stack().PushFrame(32)
+	m.TraceID, m.SpanID = 1, 2
+	m.Release()
+	if dirty := zeroExcept(m, "spare"); len(dirty) > 0 {
+		t.Errorf("Release left fields set: %v", dirty)
+	}
+	if m.spare == nil || len(m.spare) != 0 {
+		t.Errorf("released Memory keeps spare map %v, want an empty one", m.spare)
+	}
+	m.Release() // a second release parks nothing twice
+	if got, again := mems.Get(), mems.Get(); got != m || again == m {
+		t.Errorf("free list holds %p then %p, want the released Memory %p once", got, again, m)
+	}
+	tpl.Release()
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math/rand"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -286,7 +287,7 @@ func TestPageCacheDifferential(t *testing.T) {
 					t.Fatalf("step %d: %s diverged: %v / %v (bytes equal: %v)", step, what, f1, f2, string(b1) == string(b2))
 				}
 			}
-			sawCached := false
+			sawCached, sawRecycled := false, false
 
 			const steps = 4000
 			for step := 0; step < steps; step++ {
@@ -416,6 +417,18 @@ func TestPageCacheDifferential(t *testing.T) {
 						if m.tlbOn {
 							t.Fatalf("step %d: a cloned Memory still writes its cache", step)
 						}
+						if len(pairs) < 6 && rng.Intn(2) == 0 {
+							// A second child cloned into a recycled Memory
+							// must be indistinguishable from a fresh clone,
+							// here and for the rest of the walk.
+							recycled, fresh := recycledClone(t, m, rng)
+							if !reflect.DeepEqual(recycled, fresh) {
+								t.Fatalf("step %d: a clone into a recycled Memory differs from a fresh clone", step)
+							}
+							fresh.Release()
+							pairs = append(pairs, &cachePair{m: recycled, ref: ref.clone()})
+							sawRecycled = true
+						}
 					}
 				case 18, 19: // release a pair: its cached pages must fault
 					if len(pairs) < 2 {
@@ -445,6 +458,9 @@ func TestPageCacheDifferential(t *testing.T) {
 			if !sawCached {
 				t.Fatal("the walk never populated a page cache; the differential proved nothing")
 			}
+			if !sawRecycled {
+				t.Fatal("the walk never cloned into a recycled Memory")
+			}
 			for i, p := range pairs {
 				checkTLB(t, p.m, steps)
 				if got, want := dumpState(p.m), p.ref.dump(); got != want {
@@ -453,6 +469,35 @@ func TestPageCacheDifferential(t *testing.T) {
 			}
 		})
 	}
+}
+
+// recycledClone clones m twice: once into a Memory that lived a full
+// life first — pages mapped, written and cached, heap and stack used,
+// a trace attached — and was released, and once into a newly allocated
+// Memory.
+func recycledClone(t *testing.T, m *Memory, rng *rand.Rand) (recycled, fresh *Memory) {
+	t.Helper()
+	d := m.Clone()
+	for i := 0; i < 1+rng.Intn(4); i++ {
+		a, err := d.Malloc(rng.Intn(3 * PageSize))
+		if err != nil {
+			t.Fatal(err)
+		}
+		d.StoreByte(a, byte(rng.Intn(256)))
+		d.LoadByte(a)
+	}
+	if _, err := d.MmapRegion(PageSize, ProtRead); err != nil {
+		t.Fatal(err)
+	}
+	d.Stack().PushFrame(64)
+	d.TraceID, d.SpanID = rng.Uint64(), rng.Uint64()
+	d.Release()
+	if recycled = m.Clone(); recycled != d {
+		t.Fatal("Clone did not reuse the Memory released just before it")
+	}
+	for mems.Get() != nil {
+	}
+	return recycled, m.Clone()
 }
 
 // leBytes renders v's low n bytes little-endian, or nil when the load

@@ -201,8 +201,7 @@ func (p *Process) Fopen(name, mode string) cmem.Addr {
 	}
 	of := p.FD(fd)
 	if trunc {
-		p.PrivatizeForWrite(of)
-		of.File.Data = of.File.Data[:0]
+		p.TruncateForWrite(of)
 	}
 	if app {
 		of.Pos = len(of.File.Data)

@@ -176,13 +176,26 @@ func NewProcess(fs *FS) *Process {
 	if fs == nil {
 		fs = NewFS()
 	}
-	return &Process{
+	p := reuse()
+	*p = Process{
 		Mem:        cmem.New(),
 		FS:         fs,
 		nextFD:     3,
 		stepBudget: DefaultStepBudget,
 		Cwd:        "/",
 	}
+	return p
+}
+
+// procs parks released processes for the next NewProcess or Fork.
+var procs cmem.FreeList[Process]
+
+// reuse returns a released process to initialise, or a new one.
+func reuse() *Process {
+	if p := procs.Get(); p != nil {
+		return p
+	}
+	return new(Process)
 }
 
 // Fork returns a copy of the process: copy-on-write memory (the child
@@ -209,7 +222,8 @@ func NewProcess(fs *FS) *Process {
 // goroutine because their descriptors carry mutable state (positions,
 // lazily privatized files) with no synchronization.
 func (p *Process) Fork() *Process {
-	c := &Process{
+	c := reuse()
+	*c = Process{
 		Mem:        p.Mem.Clone(),
 		FS:         p.FS.Clone(),
 		errno:      p.errno,
@@ -265,9 +279,20 @@ func (p *Process) Fork() *Process {
 }
 
 // Release returns the process's exclusively owned memory pages to the
-// shared page pool. The campaign drivers call it when a forked child's
-// experiment completes; the process must not run code afterwards.
-func (p *Process) Release() { p.Mem.Release() }
+// shared page pool and parks the process and its Memory for reuse. The
+// campaign runners call it when a forked child's experiment completes:
+// the next NewProcess or Fork may hand this very struct out again, so
+// no reference to the process or its Memory may outlive Release. Until
+// then every field is zeroed (the process runs no code); releasing it
+// again does nothing.
+func (p *Process) Release() {
+	if p.Mem == nil {
+		return // already released
+	}
+	p.Mem.Release()
+	*p = Process{}
+	procs.Put(p)
+}
 
 // SetStepBudget overrides the hang-detection budget for this process.
 func (p *Process) SetStepBudget(n int) { p.stepBudget = n }

@@ -69,5 +69,5 @@ var NoArgMemory = map[string]bool{
 	"RaiseSegv": true, "RegisterCallback": true, "Release": true,
 	"Run": true, "SetErrno": true, "SetStepBudget": true, "Static": true,
 	"StdinSkip": true, "StdinUnread": true, "Step": true, "StepCount": true,
-	"StepN": true, "StepsLeft": true,
+	"StepN": true, "StepsLeft": true, "TruncateForWrite": true,
 }

@@ -27,10 +27,11 @@ type VFile struct {
 // place). Tests use it to audit the privatize-on-write funnel.
 func (f *VFile) Frozen() bool { return f.frozen.Load() }
 
-// unfrozenCopy returns a private, mutable copy of f.
-func (f *VFile) unfrozenCopy() *VFile {
+// unfrozenCopy returns a private, mutable copy of f holding its first
+// n bytes.
+func (f *VFile) unfrozenCopy(n int) *VFile {
 	return &VFile{
-		Data:  append([]byte(nil), f.Data...),
+		Data:  append([]byte(nil), f.Data[:n]...),
 		Mode:  f.Mode,
 		IsDir: f.IsDir,
 		Ino:   f.Ino,
@@ -204,16 +205,17 @@ type OpenFD struct {
 }
 
 // unshareFile replaces a frozen (fork-shared) file with a private
-// mutable copy throughout this process: the filesystem name table and
-// every open descriptor referencing the shared inode are re-pointed,
-// so all of this process's views of the file stay coherent while
-// sibling forks keep the pre-fork bytes. This is the copy-on-write
-// privatize funnel every file mutation path goes through.
-func (p *Process) unshareFile(f *VFile) *VFile {
+// mutable copy of its first keep bytes throughout this process: the
+// filesystem name table and every open descriptor referencing the
+// shared inode are re-pointed, so all of this process's views of the
+// file stay coherent while sibling forks keep the pre-fork bytes. This
+// is the copy-on-write privatize funnel every file mutation path goes
+// through.
+func (p *Process) unshareFile(f *VFile, keep int) *VFile {
 	if f == nil || !f.frozen.Load() {
 		return f
 	}
-	nf := f.unfrozenCopy()
+	nf := f.unfrozenCopy(keep)
 	for name, g := range p.FS.files {
 		if g == f {
 			// own may swap in a private copy of the table; the
@@ -242,7 +244,19 @@ func (p *Process) PrivatizeForWrite(of *OpenFD) {
 	if of == nil || of.File == nil || !of.File.frozen.Load() {
 		return
 	}
-	of.File = p.unshareFile(of.File)
+	of.File = p.unshareFile(of.File, len(of.File.Data))
+}
+
+// TruncateForWrite empties the file behind an open description, as a
+// truncating open (fopen "w", creat) does. A file still fork-shared is
+// replaced by an empty private copy throughout the process, so the
+// bytes the truncation discards are never copied.
+func (p *Process) TruncateForWrite(of *OpenFD) {
+	if of.File.frozen.Load() {
+		of.File = p.unshareFile(of.File, 0)
+		return
+	}
+	of.File.Data = of.File.Data[:0]
 }
 
 // OpenFile opens name with the given mode, allocating a descriptor.

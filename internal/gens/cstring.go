@@ -87,13 +87,17 @@ func UntermProbe(size int) *Probe {
 		// The fill is derived from the region address so two unterminated
 		// regions in one call differ: comparison functions then return a
 		// mismatch instead of racing both pointers off their guard pages.
-		fill := byte('B') + byte((pr.Region.Base>>12)%7)
-		data := make([]byte, size)
-		for i := range data {
-			data[i] = fill
+		// A stack page of the fill is written as often as the region
+		// needs, so a build allocates nothing for the bytes.
+		var page [cmem.PageSize]byte
+		run := page[:min(size, len(page))]
+		for i := range run {
+			run[i] = byte('B') + byte((pr.Region.Base>>12)%7)
 		}
-		if f := p.Mem.Write(pr.Region.Base, data); f != nil {
-			return 0
+		for off := 0; off < size; off += len(run) {
+			if f := p.Mem.Write(pr.Region.Base+cmem.Addr(off), run[:min(len(run), size-off)]); f != nil {
+				return 0
+			}
 		}
 		p.Mem.Protect(pr.Region.Base.PageBase(), size+int(pr.Region.Base-pr.Region.Base.PageBase()), cmem.ProtRead)
 		return uint64(pr.Region.Base)

@@ -215,8 +215,9 @@ func (t *ckptTree) materialize(parent *ckptNode, pr *gens.Probe, pos, nargs int)
 	return kid
 }
 
-// release returns every node's pages to the shared pool. Called before
-// the template's own release, since nodes fork from it.
+// release returns every node's pages to the shared pool and drops the
+// nodes' references to their released processes. Called before the
+// template's own release, since nodes fork from it.
 func (t *ckptTree) release() {
 	var walk func(n *ckptNode)
 	walk = func(n *ckptNode) {
@@ -225,6 +226,7 @@ func (t *ckptTree) release() {
 		}
 		if n.proc != nil {
 			n.proc.Release()
+			n.proc = nil
 		}
 	}
 	walk(t.root)

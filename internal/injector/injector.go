@@ -368,6 +368,8 @@ func (inj *Injector) injectFunction(fi *extract.FuncInfo, table *cparse.TypeTabl
 // campaign's pages to the shared page pool: the checkpoint nodes first
 // (they fork from the template), then the template itself — every run
 // child has already been released, so these hold the last references.
+// Released processes are reused by later forks, so the campaign drops
+// its references to them too.
 func (c *campaign) settleForkStats() {
 	fk := c.template.Mem.ForkStats().Snapshot()
 	c.result.Fork = fk
@@ -377,8 +379,10 @@ func (c *campaign) settleForkStats() {
 	c.inj.mForkBytesAvoided.Add(fk.BytesAvoided())
 	if c.ckpt != nil {
 		c.ckpt.release()
+		c.ckpt = nil
 	}
 	c.template.Release()
+	c.template = nil
 }
 
 // seedableArray returns the adaptive array chain behind a generator,

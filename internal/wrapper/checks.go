@@ -1,6 +1,8 @@
 package wrapper
 
 import (
+	"bytes"
+
 	"healers/internal/cmem"
 	"healers/internal/csim"
 	"healers/internal/decl"
@@ -111,6 +113,30 @@ func (ip *Interposer) probePages(addr cmem.Addr, size int, needRead, needWrite b
 	return true
 }
 
+// scan walks the string at addr a page segment at a time over at most
+// limit bytes. It stops at the first NUL (terminated), at the first
+// byte it may not read — or, with writable, may not write — or at the
+// limit, and returns how many bytes precede the stop. It charges
+// ip.work one unit per byte examined, the stopping NUL or inaccessible
+// byte included: what a byte-at-a-time walk charges.
+func (ip *Interposer) scan(addr cmem.Addr, limit int, writable bool) (n int, terminated bool) {
+	for n < limit {
+		seg, prot, _ := ip.p.Mem.Segment(addr + cmem.Addr(n))
+		if seg == nil || (writable && prot&cmem.ProtWrite == 0) {
+			ip.work++
+			return n, false
+		}
+		seg = seg[:min(len(seg), limit-n)]
+		if i := bytes.IndexByte(seg, 0); i >= 0 {
+			ip.work += i + 1
+			return n + i, true
+		}
+		ip.work += len(seg)
+		n += len(seg)
+	}
+	return n, false
+}
+
 // checkCString validates a NUL-terminated string: every byte up to the
 // terminator must be readable (and writable for W_CSTR). When the
 // string lives in a tracked heap allocation, the terminator must fall
@@ -123,28 +149,8 @@ func (ip *Interposer) checkCString(addr cmem.Addr, writable bool) bool {
 			limit = int(base + cmem.Addr(size) - addr)
 		}
 	}
-	for i := 0; i < limit; i++ {
-		ip.work++
-		a := addr + cmem.Addr(i)
-		if a.PageBase() == a || i == 0 {
-			// Page boundary (or first byte): re-validate protection.
-			prot, mapped := ip.p.Mem.ProtAt(a)
-			if !mapped || prot&cmem.ProtRead == 0 {
-				return false
-			}
-			if writable && prot&cmem.ProtWrite == 0 {
-				return false
-			}
-		}
-		b, f := ip.p.Mem.LoadByte(a)
-		if f != nil {
-			return false
-		}
-		if b == 0 {
-			return true
-		}
-	}
-	return false
+	_, terminated := ip.scan(addr, limit, writable)
+	return terminated
 }
 
 // checkBoundedString validates the strncpy-source contract: every byte
@@ -154,20 +160,9 @@ func (ip *Interposer) checkBoundedString(addr cmem.Addr, bound int) bool {
 	if bound < 0 {
 		return false
 	}
-	if bound > ip.opts.MaxStrlen {
-		bound = ip.opts.MaxStrlen
-	}
-	for i := 0; i < bound; i++ {
-		ip.work++
-		b, f := ip.p.Mem.LoadByte(addr + cmem.Addr(i))
-		if f != nil {
-			return false
-		}
-		if b == 0 {
-			return true
-		}
-	}
-	return true // bound bytes all readable
+	bound = min(bound, ip.opts.MaxStrlen)
+	n, terminated := ip.scan(addr, bound, false)
+	return terminated || n == bound
 }
 
 // strlen measures a string for size expressions; ok is false when the
@@ -176,17 +171,11 @@ func (ip *Interposer) strlen(addr cmem.Addr) (int, bool) {
 	if addr == 0 {
 		return 0, false
 	}
-	for i := 0; i < ip.opts.MaxStrlen; i++ {
-		ip.work++
-		b, f := ip.p.Mem.LoadByte(addr + cmem.Addr(i))
-		if f != nil {
-			return 0, false
-		}
-		if b == 0 {
-			return i, true
-		}
+	n, terminated := ip.scan(addr, ip.opts.MaxStrlen, false)
+	if !terminated {
+		return 0, false
 	}
-	return 0, false
+	return n, true
 }
 
 // checkFILE validates a FILE pointer per §5.2: the memory must hold a

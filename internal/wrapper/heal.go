@@ -257,25 +257,11 @@ func (ip *Interposer) healString(args []uint64, i int, bound int, writable bool)
 		}
 		// Accessible extent: contiguous readable (and, for W_CSTR,
 		// writable) bytes from addr, never crossing a terminator.
-		e := 0
-		for e < limit {
-			ip.work++
-			a := addr + cmem.Addr(e)
-			b, f := ip.p.Mem.LoadByte(a)
-			if f != nil {
-				break
-			}
-			if writable {
-				if prot, mapped := ip.p.Mem.ProtAt(a); !mapped || prot&cmem.ProtWrite == 0 {
-					break
-				}
-			}
-			if b == 0 {
-				// Already terminated within the accessible extent: the
-				// string needs no byte changed.
-				return "truncate", true
-			}
-			e++
+		e, terminated := ip.scan(addr, limit, writable)
+		if terminated {
+			// Already terminated within the accessible extent: the
+			// string needs no byte changed.
+			return "truncate", true
 		}
 		// Plant the NUL at the last accessible byte that is writable
 		// (skipping whole read-only pages on the way back).
@@ -301,16 +287,23 @@ func (ip *Interposer) healString(args []uint64, i int, bound int, writable bool)
 	}
 	n := 0
 	if addr != 0 {
-		for n < cmem.PageSize-1 {
-			ip.work++
-			b, f := ip.p.Mem.LoadByte(addr + cmem.Addr(n))
-			if f != nil || b == 0 {
-				break
+		var buf [cmem.PageSize]byte
+		var terminated bool
+		n, terminated = ip.scan(addr, cmem.PageSize-1, false)
+		ip.p.Mem.ReadInto(addr, buf[:n]) // readable: scan just walked it
+		if terminated && n > 0 && addr+cmem.Addr(n) == chunk {
+			// The prefix runs up to the chunk, whose zeroed first byte
+			// stopped the scan. Copied byte by byte, the copy reads
+			// back its own output there and repeats the n-byte prefix
+			// up to the chunk's last byte.
+			for k := n; k < cmem.PageSize-1; k++ {
+				buf[k] = buf[k-n]
 			}
-			if f := ip.p.Mem.StoreByte(chunk+cmem.Addr(n), b); f != nil {
-				return "", false
-			}
-			n++
+			ip.work += cmem.PageSize - 2 - n
+			n = cmem.PageSize - 1
+		}
+		if f := ip.p.Mem.Write(chunk, buf[:n]); f != nil {
+			return "", false
 		}
 	}
 	args[i] = uint64(chunk)

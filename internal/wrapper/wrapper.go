@@ -295,7 +295,11 @@ func Attach(p *csim.Process, lib *clib.Library, decls *decl.DeclSet, opts Option
 	if opts.Policy == 0 {
 		opts.Policy = PolicyReturnError
 	}
-	ip := &Interposer{
+	ip := interposers.Get()
+	if ip == nil {
+		ip = new(Interposer)
+	}
+	*ip = Interposer{
 		p:     p,
 		lib:   lib,
 		decls: decls,
@@ -310,6 +314,22 @@ func Attach(p *csim.Process, lib *clib.Library, decls *decl.DeclSet, opts Option
 		ip.register(reg)
 	}
 	return ip
+}
+
+// interposers parks released interposers for the next Attach.
+var interposers cmem.FreeList[Interposer]
+
+// Release zeroes the interposer and parks it for reuse: the next Attach
+// may hand this very struct out again, so neither it nor anything its
+// Stats do not copy may be used afterwards. A caller that attaches one
+// interposer per test (Ballista) releases it once the test is
+// classified. Releasing it again does nothing.
+func (ip *Interposer) Release() {
+	if ip.p == nil {
+		return // already released
+	}
+	*ip = Interposer{}
+	interposers.Put(ip)
 }
 
 // register links the event counters to their families in reg and
