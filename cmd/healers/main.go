@@ -523,7 +523,7 @@ func run(args []string, w io.Writer) (err error) {
 			return err
 		}
 		bf, err := bitflip.Evaluate(sys.Library, sys.Extraction,
-			healers.SemiAuto(campaign.Decls()), names, bitflip.Config{})
+			healers.SemiAuto(campaign.Decls()), names)
 		if err != nil {
 			return err
 		}

@@ -88,9 +88,6 @@ type (
 	// in memory (NewInjectorCache), or persisted across restarts as a
 	// checksummed, corruption-tolerant JSONL file (OpenInjectorCache).
 	InjectorCache = injector.ResultCache
-	// InjectorFlight deduplicates concurrent computations of one cache
-	// key across campaigns (single-flight).
-	InjectorFlight = injector.Flight
 	// Tracer is the structured observability event tracer.
 	Tracer = obs.Tracer
 	// TraceEvent is one structured observability event.
@@ -133,11 +130,6 @@ func NewInjectorCache() *InjectorCache { return injector.NewResultCache() }
 func OpenInjectorCache(path string) (*InjectorCache, error) {
 	return injector.OpenDiskCache(path)
 }
-
-// NewInjectorFlight returns a single-flight group; pass it via
-// InjectorConfig.Flight (alongside a shared Cache) so concurrent
-// campaigns compute each function at most once.
-func NewInjectorFlight() *InjectorFlight { return injector.NewFlight() }
 
 // Observability bundles the cross-cutting instrumentation threaded
 // through a campaign: structured tracing (whose root spans time each

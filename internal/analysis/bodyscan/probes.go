@@ -211,7 +211,7 @@ func buildArgs(p *csim.Process, params []protoParam, spec probeSpec) ([]val, *ac
 func (s *Scanner) runProbe(name string, params []protoParam, spec probeSpec) (res probeRun) {
 	p := injector.NewTemplateProcess()
 	defer p.Release()
-	p.SetStepBudget(injector.DefaultConfig().StepBudget)
+	p.SetStepBudget(injector.StepBudget)
 	args, lg, regions := buildArgs(p, params, spec)
 	res.regions = regions
 	ip := newInterp(s.prog, p)

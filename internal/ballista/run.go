@@ -156,11 +156,12 @@ func (r *Report) String() string {
 // tests.
 type CallerFactory func(p *csim.Process) Caller
 
+// stepBudget is the per-call hang budget of every test.
+const stepBudget = 100_000
+
 // RunOptions configures an observed suite run. The zero value runs
-// with the default step budget and no instrumentation.
+// sequentially with no instrumentation.
 type RunOptions struct {
-	// StepBudget is the per-call hang budget (0 = 100k steps).
-	StepBudget int
 	// Obs, when enabled, receives one TestOutcome event per test
 	// (streaming, in suite order when Workers <= 1) and a CampaignPhase
 	// progress event every progressEvery tests and after the last.
@@ -193,10 +194,9 @@ type testResult struct {
 // is atomic (counters, the progress count) or internally locked (the
 // tracer).
 type suiteRunner struct {
-	suite      *Suite
-	config     string
-	factory    CallerFactory
-	stepBudget int
+	suite   *Suite
+	config  string
+	factory CallerFactory
 
 	tr                      *obs.Tracer
 	cErrno, cSilent, cCrash *obs.Counter
@@ -218,7 +218,7 @@ type releaser interface{ Release() }
 func (r *suiteRunner) runTest(template *csim.Process, test *Test, sc obs.SpanContext) testResult {
 	child := template.Fork()
 	defer child.Release()
-	child.SetStepBudget(r.stepBudget)
+	child.SetStepBudget(stepBudget)
 	child.Metrics = r.sandbox
 	caller := r.factory(child)
 	if rel, ok := caller.(releaser); ok {
@@ -336,10 +336,6 @@ func (r *suiteRunner) emit(test *Test, sc obs.SpanContext, testStart time.Time, 
 // bucket counters. With opt.Workers > 1 the tests are sharded across a
 // goroutine pool and merged back in suite order.
 func (s *Suite) RunWith(config string, template *csim.Process, factory CallerFactory, opt RunOptions) *Report {
-	stepBudget := opt.StepBudget
-	if stepBudget <= 0 {
-		stepBudget = 100_000
-	}
 	tr := opt.Obs      // nil-safe: a nil tracer is the disabled one
 	reg := opt.Metrics // nil-safe
 	outcomeCounter := func(bucket string) *obs.Counter {
@@ -350,15 +346,14 @@ func (s *Suite) RunWith(config string, template *csim.Process, factory CallerFac
 		sandbox = csim.NewMetrics(reg)
 	}
 	runner := &suiteRunner{
-		suite:      s,
-		config:     config,
-		factory:    factory,
-		stepBudget: stepBudget,
-		tr:         tr,
-		cErrno:     outcomeCounter("errno-set"),
-		cSilent:    outcomeCounter("silent"),
-		cCrash:     outcomeCounter("crash"),
-		sandbox:    sandbox,
+		suite:   s,
+		config:  config,
+		factory: factory,
+		tr:      tr,
+		cErrno:  outcomeCounter("errno-set"),
+		cSilent: outcomeCounter("silent"),
+		cCrash:  outcomeCounter("crash"),
+		sandbox: sandbox,
 	}
 
 	suiteSC := obs.NewTrace()

@@ -21,20 +21,12 @@ import (
 	"healers/internal/wrapper"
 )
 
-// Config tunes a bit-flip campaign.
-type Config struct {
-	// Bits lists the bit positions to flip in each argument word; nil
-	// means every 4th bit of the low 48 (pointers) plus the sign bit.
-	Bits []int
-	// StepBudget bounds each trial.
-	StepBudget int
-}
+// flipBits are the bit positions flipped in each argument word: a
+// spread over the low 48 (pointers) plus the sign bit.
+var flipBits = []int{0, 1, 3, 7, 12, 16, 21, 26, 31, 34, 38, 42, 46, 63}
 
-// DefaultConfig flips a spread of bit positions.
-func DefaultConfig() Config {
-	bits := []int{0, 1, 3, 7, 12, 16, 21, 26, 31, 34, 38, 42, 46, 63}
-	return Config{Bits: bits, StepBudget: 100_000}
-}
+// stepBudget bounds each trial.
+const stepBudget = 100_000
 
 // Result aggregates one function's bit-flip trials.
 type Result struct {
@@ -88,16 +80,11 @@ func (c *Campaign) Format() string {
 }
 
 // Evaluate runs the campaign over the named functions.
-func Evaluate(lib *clib.Library, ext *extract.Result, decls *decl.DeclSet, names []string, cfg Config) (*Campaign, error) {
-	if cfg.Bits == nil {
-		cfg.Bits = DefaultConfig().Bits
-	}
-	if cfg.StepBudget == 0 {
-		cfg.StepBudget = DefaultConfig().StepBudget
-	}
+func Evaluate(lib *clib.Library, ext *extract.Result, decls *decl.DeclSet, names []string) (*Campaign, error) {
 	sort.Strings(names)
 	campaign := &Campaign{}
 	template := injector.NewTemplateProcess()
+	defer template.Release()
 
 	for _, name := range names {
 		fi, ok := ext.Lookup(name)
@@ -118,7 +105,8 @@ func Evaluate(lib *clib.Library, ext *extract.Result, decls *decl.DeclSet, names
 
 		runTrial := func(argIdx, bit int, wrapped bool) (csim.Outcome, bool) {
 			child := template.Fork()
-			child.SetStepBudget(cfg.StepBudget)
+			defer child.Release()
+			child.SetStepBudget(stepBudget)
 			args := make([]uint64, len(defaults))
 			mat := child.Run(func() uint64 {
 				for i, pr := range defaults {
@@ -133,6 +121,7 @@ func Evaluate(lib *clib.Library, ext *extract.Result, decls *decl.DeclSet, names
 			child.ClearErrno()
 			if wrapped {
 				w := wrapper.Attach(child, lib, decls, wrapper.DefaultOptions())
+				defer w.Release()
 				out := child.Run(func() uint64 { return w.Call(child, name, args...) })
 				return out, true
 			}
@@ -141,7 +130,7 @@ func Evaluate(lib *clib.Library, ext *extract.Result, decls *decl.DeclSet, names
 		}
 
 		for argIdx := range defaults {
-			for _, bit := range cfg.Bits {
+			for _, bit := range flipBits {
 				plain, ok := runTrial(argIdx, bit, false)
 				if !ok {
 					continue

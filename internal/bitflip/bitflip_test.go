@@ -23,7 +23,7 @@ func TestBitFlipPrevention(t *testing.T) {
 		t.Fatal(err)
 	}
 	decls := decl.ApplySemiAutoEdits(campaign.Decls())
-	bf, err := Evaluate(lib, ext, decls, names, Config{})
+	bf, err := Evaluate(lib, ext, decls, names)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +49,7 @@ func TestBitFlipUnknownFunction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Evaluate(lib, ext, decl.NewDeclSet(), []string{"no_such_fn"}, Config{}); err == nil {
+	if _, err := Evaluate(lib, ext, decl.NewDeclSet(), []string{"no_such_fn"}); err == nil {
 		t.Error("unknown function accepted")
 	}
 }

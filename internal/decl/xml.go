@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+
+	"healers/internal/csim"
 )
 
 // XML serialization in the shape of the paper's Figure 2.
@@ -116,37 +118,8 @@ func UnmarshalXML(data []byte) (*FuncDecl, error) {
 	// The rejection errno is not part of the Figure 2 schema; the
 	// wrapper generator always rejects with EINVAL, matching the
 	// injector-produced declarations.
-	d.ErrnoOnReject = errnoFromName("EINVAL")
+	d.ErrnoOnReject = csim.EINVAL
 	return d, nil
-}
-
-// errnoFromName maps the errno names used in declarations back to
-// numbers (the inverse of the csim naming, kept local to avoid a
-// dependency from the declaration format onto the simulator).
-func errnoFromName(name string) int {
-	switch name {
-	case "EPERM":
-		return 1
-	case "ENOENT":
-		return 2
-	case "EBADF":
-		return 9
-	case "ENOMEM":
-		return 12
-	case "EACCES":
-		return 13
-	case "EFAULT":
-		return 14
-	case "ENOTDIR":
-		return 20
-	case "EISDIR":
-		return 21
-	case "EINVAL":
-		return 22
-	case "ERANGE":
-		return 34
-	}
-	return 0
 }
 
 // UnmarshalSetXML parses a <functions> document back into a set — the

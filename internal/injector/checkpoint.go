@@ -190,7 +190,7 @@ func (t *ckptTree) forkFor(probes []*gens.Probe, order []int) (*csim.Process, *c
 // the edge is marked dead so it is never retried.
 func (t *ckptTree) materialize(parent *ckptNode, pr *gens.Probe, pos, nargs int) *ckptNode {
 	proc := parent.fork(t.c.template)
-	proc.SetStepBudget(t.c.inj.cfg.StepBudget)
+	proc.SetStepBudget(StepBudget)
 	var val uint64
 	out := proc.Run(func() uint64 { val = pr.Build(proc); return 0 })
 	if out.Kind != csim.OutcomeReturn {

@@ -1,14 +1,10 @@
 package injector
 
 import (
-	"strings"
-	"time"
-
 	"healers/internal/cmem"
 	"healers/internal/csim"
 	"healers/internal/decl"
 	"healers/internal/gens"
-	"healers/internal/obs"
 )
 
 // Dependent-size inference. Fault injection with the other arguments
@@ -24,117 +20,6 @@ import (
 // given probe overrides on the other arguments and returns the minimal
 // region size that lets the function return, or ok=false if the chain
 // never succeeds.
-// runChild forks a fresh child (through the checkpoint tree when
-// enabled — re-measurement vectors share their default-probe prefixes
-// with the exploration phase), materializes the probes the checkpoint
-// has not already built, and calls the function under test, releasing
-// the child's pages before returning. ok is false when materialization
-// failed (a harness problem, not an experiment); errnoSet reports the
-// child's errno observation after the call.
-func (c *campaign) runChild(probes []*gens.Probe) (out csim.Outcome, errnoSet bool, ok bool) {
-	timed := c.inj.timed
-	var forkStart time.Time
-	if timed {
-		forkStart = time.Now() //healers:allow-nondeterminism fork-phase latency histogram, reporting only
-	}
-	order := c.buildOrder(probes)
-	child, node := c.forkChild(probes, order)
-	if timed {
-		c.inj.hPhaseFork.ObserveEx(time.Since(forkStart).Microseconds(), c.span.Trace)
-	}
-	defer child.Release()
-	child.SetStepBudget(c.inj.cfg.StepBudget)
-	args := make([]uint64, len(probes))
-	var mask uint64
-	if node != nil {
-		mask = node.mask
-		copy(args, node.vals)
-	}
-	var matStart time.Time
-	if timed {
-		matStart = time.Now() //healers:allow-nondeterminism materialize-phase latency histogram, reporting only
-	}
-	mat := child.Run(func() uint64 {
-		// Builds run in the vector's build order; positions the
-		// checkpoint already holds (its mask) are skipped, pure probes
-		// are rebuilt for free.
-		for _, k := range order {
-			if mask&(1<<uint(k)) == 0 {
-				args[k] = probes[k].Build(child)
-			}
-		}
-		return 0
-	})
-	if timed {
-		c.inj.hPhaseMaterialize.ObserveEx(time.Since(matStart).Microseconds(), c.span.Trace)
-	}
-	if mat.Kind != csim.OutcomeReturn {
-		return csim.Outcome{}, false, false
-	}
-
-	// Re-measurement calls are sandboxed experiments like any other:
-	// they count toward the campaign's call total and appear in the
-	// trace, so the seeded-vs-cold savings accounting (and the trace
-	// reconciliation invariant) cover the dependent-size phase too.
-	traced := c.inj.tr.Enabled()
-	probeLabel := ""
-	var psc obs.SpanContext
-	if traced {
-		funds := make([]string, len(probes))
-		for i, p := range probes {
-			funds[i] = p.Fund
-		}
-		probeLabel = strings.Join(funds, ", ")
-		psc = obs.SpanContext{Trace: child.Mem.TraceID, Span: child.Mem.SpanID}.Child()
-		c.inj.tr.Emit(psc.Tag(obs.Event{
-			Kind:  obs.KindInjectionProbe,
-			Func:  c.fn.Name,
-			Arg:   -1,
-			Phase: "infer",
-			Probe: probeLabel,
-		}))
-	}
-
-	child.ClearErrno()
-	var callStart time.Time
-	if timed || traced {
-		callStart = time.Now() //healers:allow-nondeterminism probe-phase latency histogram, reporting only
-	}
-	out = child.Run(func() uint64 { return c.fn.Impl(child, args) })
-	var callDurUS int64
-	if timed || traced {
-		callDurUS = time.Since(callStart).Microseconds()
-	}
-	if timed {
-		c.inj.hPhaseProbe.ObserveEx(callDurUS, c.span.Trace)
-	}
-	c.result.Calls++
-	c.inj.mExperiments.Inc()
-	if traced {
-		ev := psc.Tag(obs.Event{
-			Kind:    obs.KindSandboxOutcome,
-			Func:    c.fn.Name,
-			Arg:     -1,
-			Phase:   "infer",
-			Probe:   probeLabel,
-			Outcome: out.Kind.String(),
-			Steps:   out.Steps,
-			TS:      callStart.UnixMicro(),
-			DurUS:   callDurUS,
-		})
-		switch out.Kind {
-		case csim.OutcomeReturn:
-			ev.Ret = out.Ret
-			ev.Errno = out.Errno
-			ev.Err = csim.ErrnoName(out.Errno)
-		case csim.OutcomeSegfault:
-			ev.Addr = uint64(out.Fault.Addr)
-		}
-		c.inj.tr.Emit(ev)
-	}
-	return out, child.ErrnoSet(), true
-}
-
 func (c *campaign) measureMinimal(target int, prot cmem.Prot, overrides map[int]*gens.Probe, hint int) (int, bool) {
 	ag := seedableArray(c.gens[target])
 	if ag == nil {
@@ -156,13 +41,13 @@ func (c *campaign) measureMinimal(target int, prot cmem.Prot, overrides map[int]
 	// two extra calls and decides nothing.
 	if hint > 0 && hint <= ag.MaxSize {
 		jump := gens.SizedProbe(ag, hint, prot)
-		if out, errnoSet, ok := c.runChild(compose(jump)); ok && out.Kind == csim.OutcomeReturn && !errnoSet {
+		if out, errnoSet, ok := c.experiment(compose(jump), -1, "infer"); ok && out.Kind == csim.OutcomeReturn && !errnoSet {
 			if hint == 1 {
 				c.countHint(true)
 				return 1, true
 			}
 			confirm := gens.SizedProbe(ag, hint-1, prot)
-			if out2, _, ok2 := c.runChild(compose(confirm)); ok2 &&
+			if out2, _, ok2 := c.experiment(compose(confirm), -1, "infer"); ok2 &&
 				out2.Kind == csim.OutcomeSegfault && out2.Fault != nil && confirm.Region.Owns(out2.Fault.Addr) {
 				c.countHint(true)
 				return hint, true
@@ -173,7 +58,7 @@ func (c *campaign) measureMinimal(target int, prot cmem.Prot, overrides map[int]
 	pr := ag.ChainProbe(prot)
 	for steps := 0; steps < 600; steps++ {
 		probes := compose(pr)
-		out, errnoSet, ok := c.runChild(probes)
+		out, errnoSet, ok := c.experiment(probes, -1, "infer")
 		if !ok {
 			return 0, false
 		}
@@ -239,7 +124,7 @@ func (c *campaign) inferBoundedRead(target int, rt decl.RobustType) (decl.Robust
 		copy(probes, c.defaults)
 		probes[target] = pr
 		probes[intArg] = ig.ValueProbe(n)
-		out, _, ok := c.runChild(probes)
+		out, _, ok := c.experiment(probes, -1, "infer")
 		if !ok {
 			return 0, false
 		}

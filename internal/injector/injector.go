@@ -25,13 +25,15 @@ import (
 	"healers/internal/typesys"
 )
 
+// StepBudget is the per-call simulated work limit; exceeding it is a
+// hang (the paper's child-process timeout).
+const StepBudget = 200_000
+
+// productCap bounds the cross-product phase per function.
+const productCap = 400
+
 // Config tunes an injection campaign.
 type Config struct {
-	// StepBudget is the per-call simulated work limit; exceeding it is
-	// a hang (the paper's child-process timeout).
-	StepBudget int
-	// ProductCap bounds the cross-product phase per function.
-	ProductCap int
 	// Conservative selects the stricter robust-type variant of §4.3.
 	Conservative bool
 	// NoCheckpoints disables the per-campaign checkpoint fork tree
@@ -79,14 +81,11 @@ type Config struct {
 	// campaign over an unchanged function skips its injection entirely
 	// and returns the cached Result. NewResultCache gives process-scoped
 	// memoization; OpenDiskCache persists results across restarts. Safe
-	// for concurrent use. Its Stats, not the metrics registry, count the
-	// hits and misses (and Flight's Stats the joins).
+	// for concurrent use, and campaigns sharing one cache compute each
+	// key at most once at a time: a burst of identical requests runs one
+	// injection and shares the result. Its Stats, not the metrics
+	// registry, count the hits, misses, leads and joins.
 	Cache *ResultCache
-	// Flight, when non-nil (and Cache is set), deduplicates concurrent
-	// computations of the same cache key across campaigns: a burst of
-	// identical requests runs one injection and shares the result. The
-	// serve layer passes one Flight alongside its shared cache.
-	Flight *Flight
 }
 
 // ArgSeed is one argument's static pre-inference hint.
@@ -102,9 +101,7 @@ type ArgSeed struct {
 type Seeds map[string][]ArgSeed
 
 // DefaultConfig returns the standard campaign configuration.
-func DefaultConfig() Config {
-	return Config{StepBudget: 200_000, ProductCap: 400}
-}
+func DefaultConfig() Config { return Config{} }
 
 // Result is the outcome of injecting one function.
 type Result struct {
@@ -195,12 +192,6 @@ var phaseBuckets = []int64{1, 2, 5, 10, 25, 50, 100, 250, 500, 1000, 2500, 5000,
 
 // New returns an injector for lib.
 func New(lib *clib.Library, cfg Config) *Injector {
-	if cfg.StepBudget == 0 {
-		cfg.StepBudget = DefaultConfig().StepBudget
-	}
-	if cfg.ProductCap == 0 {
-		cfg.ProductCap = DefaultConfig().ProductCap
-	}
 	// A nil tracer is the disabled one, like a nil registry below.
 	inj := &Injector{lib: lib, cfg: cfg, tr: cfg.Obs}
 	reg := cfg.Metrics // nil-safe: a nil registry hands out detached instruments
@@ -319,6 +310,9 @@ func (inj *Injector) injectFunction(fi *extract.FuncInfo, table *cparse.TypeTabl
 		result:   &Result{Name: fn.Name, Proto: fi.Proto},
 		span:     parent.Child(),
 	}
+	// Every exit, the error return included, settles the fork counts and
+	// releases the template and checkpoint processes.
+	defer c.settleForkStats()
 	c.template.Metrics = inj.sandbox
 	// The template memory carries the function span's identity; every
 	// COW fork inherits it (cmem.Clone), which is how probe spans know
@@ -350,7 +344,6 @@ func (inj *Injector) injectFunction(fi *extract.FuncInfo, table *cparse.TypeTabl
 		return nil, fmt.Errorf("injector: %s: %w", fn.Name, err)
 	}
 	c.buildDecl(robust)
-	c.settleForkStats()
 	if inj.tr.Enabled() {
 		inj.tr.Emit(c.span.Tag(obs.Event{
 			Kind:  obs.KindSpan,
@@ -524,9 +517,7 @@ func (c *campaign) productPhase() {
 	for _, l := range sel {
 		total *= len(l)
 	}
-	if total > c.inj.cfg.ProductCap {
-		total = c.inj.cfg.ProductCap
-	}
+	total = min(total, productCap)
 	idx := make([]int, len(sel))
 	for n := 0; n < total; n++ {
 		probes := make([]*gens.Probe, len(sel))
@@ -572,10 +563,10 @@ func selectRepresentatives(list []*gens.Probe, max int) []*gens.Probe {
 	return out
 }
 
-// runOnce forks a child (through the checkpoint tree when enabled),
-// materializes the probes the checkpoint has not already built, calls
-// the function under test, and records the experiment. It returns the
-// typesys outcome and the fault (if the call crashed with one).
+// runOnce runs one exploration or cross-product experiment and
+// records it for the §4.3 selection and the Table 1 classification.
+// It returns the typesys outcome and the fault (if the call crashed
+// with one).
 func (c *campaign) runOnce(probes []*gens.Probe, explored int) (typesys.CaseOutcome, *cmem.Fault) {
 	// Resolve nil slots to defaults up front: the checkpoint walk keys
 	// its edges on the resolved probe pointers.
@@ -584,6 +575,54 @@ func (c *campaign) runOnce(probes []*gens.Probe, explored int) (typesys.CaseOutc
 			probes[i] = c.defaults[i]
 		}
 	}
+	out, errnoSet, ok := c.experiment(probes, explored, "")
+	if !ok {
+		// Materialization failure is a harness problem, not an
+		// experiment; skip silently.
+		return typesys.ErrorReturn, nil
+	}
+
+	var caseOut typesys.CaseOutcome
+	switch out.Kind {
+	case csim.OutcomeReturn:
+		if errnoSet {
+			caseOut = typesys.ErrorReturn
+			c.errVals[out.Ret]++
+			c.errnos[out.Errno]++
+		} else {
+			caseOut = typesys.Success
+		}
+	case csim.OutcomeSegfault:
+		caseOut = typesys.Crash
+		c.result.Crashes++
+		c.inj.mCrashes.Inc()
+	case csim.OutcomeHang:
+		caseOut = typesys.Crash
+		c.result.Hangs++
+		c.inj.mHangs.Inc()
+	case csim.OutcomeAbort:
+		caseOut = typesys.Crash
+		c.result.Aborts++
+		c.inj.mAborts.Inc()
+	}
+	funds := make([]string, len(probes))
+	for i, pr := range probes {
+		funds[i] = pr.Fund
+	}
+	c.runs = append(c.runs, vectorRun{funds: funds, outcome: caseOut, explored: explored})
+	return caseOut, out.Fault
+}
+
+// experiment runs one sandboxed call, the unit of every injection
+// phase. It forks a child (through the checkpoint tree when enabled),
+// materializes the probes the checkpoint has not already built, calls
+// the function under test, counts the experiment in Result.Calls, and
+// emits its InjectionProbe/SandboxOutcome pair tagged with arg and
+// phase: the explored index (-1 in the cross product) and "" for
+// exploration, -1 and "infer" for dependent-size re-measurement. The
+// child is released before it returns. ok is false when
+// materialization failed; errnoSet reports whether the call set errno.
+func (c *campaign) experiment(probes []*gens.Probe, arg int, phase string) (out csim.Outcome, errnoSet, ok bool) {
 	timed := c.inj.timed
 	var forkStart time.Time
 	if timed {
@@ -595,7 +634,7 @@ func (c *campaign) runOnce(probes []*gens.Probe, explored int) (typesys.CaseOutc
 		c.inj.hPhaseFork.ObserveEx(time.Since(forkStart).Microseconds(), c.span.Trace)
 	}
 	defer child.Release()
-	child.SetStepBudget(c.inj.cfg.StepBudget)
+	child.SetStepBudget(StepBudget)
 
 	args := make([]uint64, len(probes))
 	var mask uint64
@@ -622,15 +661,9 @@ func (c *campaign) runOnce(probes []*gens.Probe, explored int) (typesys.CaseOutc
 		c.inj.hPhaseMaterialize.ObserveEx(time.Since(matStart).Microseconds(), c.span.Trace)
 	}
 	if mat.Kind != csim.OutcomeReturn {
-		// Materialization failure is a harness problem, not an
-		// experiment; skip silently.
-		return typesys.ErrorReturn, nil
+		return csim.Outcome{}, false, false
 	}
 
-	funds := make([]string, len(probes))
-	for i, pr := range probes {
-		funds[i] = pr.Fund
-	}
 	traced := c.inj.tr.Enabled()
 	probeLabel := ""
 	var psc obs.SpanContext
@@ -639,11 +672,16 @@ func (c *campaign) runOnce(probes []*gens.Probe, explored int) (typesys.CaseOutc
 		// memory, not from c.span directly — the trace crosses the fork
 		// boundary by inheritance, and this is the read side of it.
 		psc = obs.SpanContext{Trace: child.Mem.TraceID, Span: child.Mem.SpanID}.Child()
+		funds := make([]string, len(probes))
+		for i, pr := range probes {
+			funds[i] = pr.Fund
+		}
 		probeLabel = strings.Join(funds, ", ")
 		c.inj.tr.Emit(psc.Tag(obs.Event{
 			Kind:  obs.KindInjectionProbe,
 			Func:  c.fn.Name,
-			Arg:   explored,
+			Arg:   arg,
+			Phase: phase,
 			Probe: probeLabel,
 		}))
 	}
@@ -653,7 +691,7 @@ func (c *campaign) runOnce(probes []*gens.Probe, explored int) (typesys.CaseOutc
 	if timed || traced {
 		callStart = time.Now() //healers:allow-nondeterminism probe-phase latency histogram, reporting only
 	}
-	out := child.Run(func() uint64 { return c.fn.Impl(child, args) })
+	out = child.Run(func() uint64 { return c.fn.Impl(child, args) })
 	var callDurUS int64
 	if timed || traced {
 		callDurUS = time.Since(callStart).Microseconds()
@@ -661,41 +699,14 @@ func (c *campaign) runOnce(probes []*gens.Probe, explored int) (typesys.CaseOutc
 	if timed {
 		c.inj.hPhaseProbe.ObserveEx(callDurUS, c.span.Trace)
 	}
-
 	c.result.Calls++
 	c.inj.mExperiments.Inc()
-
-	var caseOut typesys.CaseOutcome
-	var fault *cmem.Fault
-	switch out.Kind {
-	case csim.OutcomeReturn:
-		if child.ErrnoSet() {
-			caseOut = typesys.ErrorReturn
-			c.errVals[out.Ret]++
-			c.errnos[child.Errno()]++
-		} else {
-			caseOut = typesys.Success
-		}
-	case csim.OutcomeSegfault:
-		caseOut = typesys.Crash
-		fault = out.Fault
-		c.result.Crashes++
-		c.inj.mCrashes.Inc()
-	case csim.OutcomeHang:
-		caseOut = typesys.Crash
-		c.result.Hangs++
-		c.inj.mHangs.Inc()
-	case csim.OutcomeAbort:
-		caseOut = typesys.Crash
-		c.result.Aborts++
-		c.inj.mAborts.Inc()
-	}
-	c.runs = append(c.runs, vectorRun{funds: funds, outcome: caseOut, explored: explored})
 	if traced {
 		ev := psc.Tag(obs.Event{
 			Kind:    obs.KindSandboxOutcome,
 			Func:    c.fn.Name,
-			Arg:     explored,
+			Arg:     arg,
+			Phase:   phase,
 			Probe:   probeLabel,
 			Outcome: out.Kind.String(),
 			Steps:   out.Steps,
@@ -712,7 +723,7 @@ func (c *campaign) runOnce(probes []*gens.Probe, explored int) (typesys.CaseOutc
 		}
 		c.inj.tr.Emit(ev)
 	}
-	return caseOut, fault
+	return out, child.ErrnoSet(), true
 }
 
 // computeRobustVector builds the per-argument hierarchies and runs the

@@ -26,9 +26,12 @@ func traceCampaign(t *testing.T, cfg Config, names []string) *Campaign {
 	return campaign
 }
 
-// TestTraceReconcilesWithCampaign is the ISSUE's reconciliation
+// TestTraceReconcilesWithCampaign is the trace reconciliation
 // criterion: the JSONL trace's per-function probe and outcome counts
-// must equal the campaign's per-function experiment counts exactly.
+// must equal the campaign's per-function experiment counts exactly,
+// dependent-size re-measurement events must carry Arg -1 and Phase
+// "infer", and each function's crash, hang and abort counts must equal
+// its segfault, hang and abort outcomes outside that phase.
 func TestTraceReconcilesWithCampaign(t *testing.T) {
 	names := []string{"asctime", "strcpy", "fgets", "close"}
 
@@ -43,6 +46,9 @@ func TestTraceReconcilesWithCampaign(t *testing.T) {
 	}
 	probes := map[string]int{}
 	outcomes := map[string]int{}
+	infers := map[string]int{}
+	// failures counts each function's non-infer outcomes by kind.
+	failures := map[string]map[string]int{}
 	phases := 0
 	var lastSeq uint64
 	for _, e := range events {
@@ -51,10 +57,25 @@ func TestTraceReconcilesWithCampaign(t *testing.T) {
 		}
 		lastSeq = e.Seq
 		switch e.Kind {
-		case obs.KindInjectionProbe:
-			probes[e.Func]++
-		case obs.KindSandboxOutcome:
-			outcomes[e.Func]++
+		case obs.KindInjectionProbe, obs.KindSandboxOutcome:
+			if e.Kind == obs.KindInjectionProbe {
+				probes[e.Func]++
+			} else {
+				outcomes[e.Func]++
+			}
+			if e.Phase == "infer" {
+				infers[e.Func]++
+				if e.Arg != -1 {
+					t.Errorf("%s: infer %s event has arg %d, want -1", e.Func, e.Kind, e.Arg)
+				}
+			} else if e.Phase != "" {
+				t.Errorf("%s: %s event has phase %q", e.Func, e.Kind, e.Phase)
+			} else if e.Kind == obs.KindSandboxOutcome {
+				if failures[e.Func] == nil {
+					failures[e.Func] = map[string]int{}
+				}
+				failures[e.Func][e.Outcome]++
+			}
 		case obs.KindCampaignPhase:
 			phases++
 		}
@@ -74,6 +95,16 @@ func TestTraceReconcilesWithCampaign(t *testing.T) {
 		if outcomes[name] != calls {
 			t.Errorf("%s: %d outcome events, campaign ran %d experiments", name, outcomes[name], calls)
 		}
+		r, f := campaign.Results[name], failures[name]
+		if r.Crashes != f["segfault"] || r.Hangs != f["hang"] || r.Aborts != f["abort"] {
+			t.Errorf("%s: crashes/hangs/aborts = %d/%d/%d, exploration outcomes segfault/hang/abort = %d/%d/%d",
+				name, r.Crashes, r.Hangs, r.Aborts, f["segfault"], f["hang"], f["abort"])
+		}
+	}
+	// strcpy's destination size depends on its source: re-measurement
+	// must have run and been tagged.
+	if infers["strcpy"] == 0 {
+		t.Error("strcpy: no infer-phase events")
 	}
 }
 

@@ -229,10 +229,10 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 var cpuProfileMu sync.Mutex
 
 // run executes one campaign on the worker-pool scheduler against the
-// server's shared cache, flight group, and metrics registry. The
-// campaign's tracer fans out to the SSE hub (live progress) and the
-// collect sink (the /trace export); the injector's span tree parents to
-// the HTTP-origin span via context propagation.
+// server's shared cache and metrics registry. The campaign's tracer
+// fans out to the SSE hub (live progress) and the collect sink (the
+// /trace export); the injector's span tree parents to the HTTP-origin
+// span via context propagation.
 func (s *Server) run(c *campaign) {
 	defer s.wg.Done()
 	defer s.gInflight.Add(-1)
@@ -241,7 +241,6 @@ func (s *Server) run(c *campaign) {
 	cfg.Workers = c.workers
 	cfg.Conservative = c.req.Conservative
 	cfg.Cache = s.cache
-	cfg.Flight = s.flight
 	cfg.Metrics = s.reg
 	tr := obs.New(c.hub, c.collect)
 	cfg.Obs = tr

@@ -7,9 +7,9 @@
 // levels: identical submissions content-address to the same campaign
 // record (a burst of duplicates runs once), and per-function results
 // live in a shared injector.ResultCache — persistent across restarts when
-// the server is opened over a disk cache — deduplicated in flight by a
-// shared injector.Flight. The obs registry backs GET /metrics in the
-// Prometheus text exposition.
+// the server is opened over a disk cache — which also deduplicates
+// concurrent computations of one function. The obs registry backs GET
+// /metrics in the Prometheus text exposition.
 package serve
 
 import (
@@ -58,7 +58,6 @@ type Server struct {
 	lib     *clib.Library
 	ext     *extract.Result
 	cache   *injector.ResultCache // persistent iff CachePath was set
-	flight  *injector.Flight
 	reg     *obs.Registry
 	workers int
 	pprof   bool
@@ -100,7 +99,6 @@ func New(opts Options) (*Server, error) {
 	s := &Server{
 		lib:       lib,
 		ext:       ext,
-		flight:    injector.NewFlight(),
 		reg:       reg,
 		workers:   opts.Workers,
 		pprof:     opts.Pprof,
@@ -253,9 +251,9 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleMetrics renders the Prometheus exposition. Cache and flight
-// gauges are refreshed at scrape time from their owners' single-lock
-// Stats snapshots, so a scrape mid-campaign sees a consistent view
-// (entries can never run ahead of misses+loaded).
+// gauges are refreshed at scrape time from the cache's per-shard
+// consistent Stats snapshot, so a scrape mid-campaign sees a
+// consistent view (entries can never run ahead of misses+loaded).
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	st := s.cache.Stats()
 	s.reg.Gauge("healers_cache_entries").Set(st.Entries)
@@ -266,10 +264,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	// Truncated is the crash-loop counter: how many times this cache
 	// generation found the partial final line a mid-append kill leaves.
 	s.reg.Gauge("healers_cache_truncated").Set(st.Truncated)
-	fst := s.flight.Stats()
-	s.reg.Gauge("healers_flight_leads").Set(fst.Leads)
-	s.reg.Gauge("healers_flight_joins").Set(fst.Joins)
-	s.reg.Gauge("healers_flight_inflight").Set(fst.InFlight)
+	s.reg.Gauge("healers_flight_leads").Set(st.Leads)
+	s.reg.Gauge("healers_flight_joins").Set(st.Joins)
+	s.reg.Gauge("healers_flight_inflight").Set(st.InFlight)
 	s.mu.Lock()
 	s.reg.Gauge("healers_serve_campaigns").Set(int64(len(s.campaigns)))
 	s.mu.Unlock()

@@ -14,8 +14,8 @@ import (
 )
 
 // soakSets are the overlapping prototype sets the soak clients submit:
-// distinct campaigns that share functions, so the shared cache and
-// flight group see both cross-campaign reuse and true concurrency.
+// distinct campaigns that share functions, so the shared cache sees
+// both cross-campaign reuse and true concurrency.
 var soakSets = [][]string{
 	{"strcpy", "memcpy", "fopen"},
 	{"strcpy", "memcpy", "asctime"},
@@ -129,19 +129,18 @@ func TestSoakConcurrentClients(t *testing.T) {
 		lookups += len(set)
 	}
 	cst := srv.cache.Stats()
-	fst := srv.flight.Stats()
 	if cst.Misses != int64(len(unique)) {
 		t.Errorf("cache misses %d, want %d (one computation per unique function)", cst.Misses, len(unique))
 	}
 	if cst.Entries != int64(len(unique)) {
 		t.Errorf("cache entries %d, want %d", cst.Entries, len(unique))
 	}
-	if got := cst.Hits + cst.Misses + fst.Joins; got != int64(lookups) {
+	if got := cst.Hits + cst.Misses + cst.Joins; got != int64(lookups) {
 		t.Errorf("hits %d + misses %d + joins %d = %d, want %d lookups",
-			cst.Hits, cst.Misses, fst.Joins, got, lookups)
+			cst.Hits, cst.Misses, cst.Joins, got, lookups)
 	}
-	if fst.InFlight != 0 {
-		t.Errorf("flight group still has %d in-flight computations", fst.InFlight)
+	if cst.InFlight != 0 {
+		t.Errorf("cache still has %d in-flight computations", cst.InFlight)
 	}
 
 	// Functions shared between campaigns served identical vector lines

@@ -10,8 +10,10 @@ package wrapgen
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 
+	"healers/internal/csim"
 	"healers/internal/decl"
 )
 
@@ -94,7 +96,7 @@ func Function(d *decl.FuncDecl, opts Options) string {
 		if opts.AbortOnViolation {
 			fmt.Fprintf(&b, "%sabort();\n", indent)
 		} else {
-			fmt.Fprintf(&b, "%serrno = %s;\n", indent, errnoName(d.ErrnoOnReject))
+			fmt.Fprintf(&b, "%serrno = %s;\n", indent, errnoExpr(d.ErrnoOnReject))
 			if !isVoid {
 				fmt.Fprintf(&b, "%sret = (%s)%s;\n", indent, retDecl, errorValueExpr(d))
 			}
@@ -280,16 +282,11 @@ func errorValueExpr(d *decl.FuncDecl) string {
 	return fmt.Sprintf("%d", int64(d.ErrorValue))
 }
 
-func errnoName(e int) string {
-	switch e {
-	case 22:
-		return "EINVAL"
-	case 9:
-		return "EBADF"
-	case 2:
-		return "ENOENT"
-	case 14:
-		return "EFAULT"
+// errnoExpr is the C expression for errno value e: its name, or the
+// number for a value without one.
+func errnoExpr(e int) string {
+	if name := csim.ErrnoName(e); !strings.HasPrefix(name, "E#") {
+		return name
 	}
-	return fmt.Sprintf("%d", e)
+	return strconv.Itoa(e)
 }

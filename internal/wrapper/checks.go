@@ -143,7 +143,7 @@ func (ip *Interposer) scan(addr cmem.Addr, limit int, writable bool) (n int, ter
 // inside the allocation — an unterminated heap string is detected even
 // though the bytes after it are in the same mapped page.
 func (ip *Interposer) checkCString(addr cmem.Addr, writable bool) bool {
-	limit := ip.opts.MaxStrlen
+	limit := ip.maxStrlen
 	if !ip.opts.Stateless {
 		if base, size, ok := ip.heapLookup(addr); ok {
 			limit = int(base + cmem.Addr(size) - addr)
@@ -160,7 +160,7 @@ func (ip *Interposer) checkBoundedString(addr cmem.Addr, bound int) bool {
 	if bound < 0 {
 		return false
 	}
-	bound = min(bound, ip.opts.MaxStrlen)
+	bound = min(bound, ip.maxStrlen)
 	n, terminated := ip.scan(addr, bound, false)
 	return terminated || n == bound
 }
@@ -171,7 +171,7 @@ func (ip *Interposer) strlen(addr cmem.Addr) (int, bool) {
 	if addr == 0 {
 		return 0, false
 	}
-	n, terminated := ip.scan(addr, ip.opts.MaxStrlen, false)
+	n, terminated := ip.scan(addr, ip.maxStrlen, false)
 	if !terminated {
 		return 0, false
 	}

@@ -79,7 +79,7 @@ func FuzzHealString(f *testing.F) {
 		// The terminator sits within the walk limit.
 		if n, terminated := ip.strlen(cmem.Addr(args[0])); !terminated {
 			t.Errorf("repair %q produced an unterminated string", action)
-		} else if n >= ip.opts.MaxStrlen {
+		} else if n >= ip.maxStrlen {
 			t.Errorf("repair %q produced a %d-byte string past the walk limit", action, n)
 		}
 	})

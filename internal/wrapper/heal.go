@@ -179,7 +179,7 @@ func (ip *Interposer) repairArg(d *decl.FuncDecl, i int, arg decl.ArgDecl, args 
 		}
 		return ip.healString(args, i, bound, false)
 	case decl.FamilyCString:
-		return ip.healString(args, i, ip.opts.MaxStrlen, rt.Kind().Write)
+		return ip.healString(args, i, ip.maxStrlen, rt.Kind().Write)
 	case decl.FamilyInt:
 		args[i] = uint64(rt.Kind().Signs.Clamp())
 		return "clamp-int", true
@@ -243,8 +243,8 @@ func (ip *Interposer) redirectToSink(d *decl.FuncDecl, args []uint64, i int, nee
 // argument redirected there.
 func (ip *Interposer) healString(args []uint64, i int, bound int, writable bool) (string, bool) {
 	addr := cmem.Addr(args[i])
-	if bound <= 0 || bound > ip.opts.MaxStrlen {
-		bound = ip.opts.MaxStrlen
+	if bound <= 0 || bound > ip.maxStrlen {
+		bound = ip.maxStrlen
 	}
 	if addr != 0 {
 		limit := bound

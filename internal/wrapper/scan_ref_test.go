@@ -15,7 +15,7 @@ import (
 // scans are held to: same verdict, same repair, same ip.work.
 
 func (ip *Interposer) refCheckCString(addr cmem.Addr, writable bool) bool {
-	limit := ip.opts.MaxStrlen
+	limit := ip.maxStrlen
 	if !ip.opts.Stateless {
 		if base, size, ok := ip.heapLookup(addr); ok {
 			limit = int(base + cmem.Addr(size) - addr)
@@ -48,8 +48,8 @@ func (ip *Interposer) refCheckBoundedString(addr cmem.Addr, bound int) bool {
 	if bound < 0 {
 		return false
 	}
-	if bound > ip.opts.MaxStrlen {
-		bound = ip.opts.MaxStrlen
+	if bound > ip.maxStrlen {
+		bound = ip.maxStrlen
 	}
 	for i := 0; i < bound; i++ {
 		ip.work++
@@ -68,7 +68,7 @@ func (ip *Interposer) refStrlen(addr cmem.Addr) (int, bool) {
 	if addr == 0 {
 		return 0, false
 	}
-	for i := 0; i < ip.opts.MaxStrlen; i++ {
+	for i := 0; i < ip.maxStrlen; i++ {
 		ip.work++
 		b, f := ip.p.Mem.LoadByte(addr + cmem.Addr(i))
 		if f != nil {
@@ -83,8 +83,8 @@ func (ip *Interposer) refStrlen(addr cmem.Addr) (int, bool) {
 
 func (ip *Interposer) refHealString(args []uint64, i int, bound int, writable bool) (string, bool) {
 	addr := cmem.Addr(args[i])
-	if bound <= 0 || bound > ip.opts.MaxStrlen {
-		bound = ip.opts.MaxStrlen
+	if bound <= 0 || bound > ip.maxStrlen {
+		bound = ip.maxStrlen
 	}
 	if addr != 0 {
 		limit := bound
@@ -437,11 +437,11 @@ func TestScanSegmentDifferential(t *testing.T) {
 	world := func(sc scanScene, stateless bool) (*scanWorld, cmem.Addr) {
 		opts := healOpts()
 		opts.Stateless = stateless
-		if sc.maxStrlen > 0 {
-			opts.MaxStrlen = sc.maxStrlen
-		}
 		p := csim.NewProcess(nil)
 		w := &scanWorld{t: t, p: p, ip: Attach(p, nil, nil, opts)}
+		if sc.maxStrlen > 0 {
+			w.ip.maxStrlen = sc.maxStrlen
+		}
 		return w, sc.build(w)
 	}
 	sawWork, sawCopy, sawSelfOverlap := 0, 0, false

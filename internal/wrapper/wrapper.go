@@ -47,8 +47,6 @@ type Options struct {
 	// wrapped". Everything else passes through (state interception for
 	// malloc/opendir still runs).
 	Only map[string]bool
-	// MaxStrlen bounds string walks during checking.
-	MaxStrlen int
 	// Obs, when non-nil, receives structured wrapper events: one
 	// WrapperCall per checked or forwarded call and one CheckViolation
 	// per rejection. The CheckViolation stream, carrying the errno
@@ -73,8 +71,11 @@ type Options struct {
 
 // DefaultOptions returns the deployed-wrapper configuration.
 func DefaultOptions() Options {
-	return Options{Policy: PolicyReturnError, MaxStrlen: 1 << 20}
+	return Options{Policy: PolicyReturnError}
 }
+
+// maxStrlen bounds string walks during checking.
+const maxStrlen = 1 << 20
 
 // Mode selects the wrapper's response strategy when a check fails. The
 // zero value is the paper's wrapper; the other two are the stronger
@@ -211,6 +212,9 @@ type Interposer struct {
 	lib   *clib.Library
 	decls *decl.DeclSet
 	opts  Options
+	// maxStrlen is the string-walk bound, the constant maxStrlen except
+	// in tests that place it mid-page.
+	maxStrlen int
 
 	inFlag bool // Figure 5's recursion detection flag
 
@@ -289,9 +293,6 @@ var checkWorkBuckets = []int64{1, 4, 16, 64, 256, 1024, 4096, 16384}
 
 // Attach builds an interposer for process p.
 func Attach(p *csim.Process, lib *clib.Library, decls *decl.DeclSet, opts Options) *Interposer {
-	if opts.MaxStrlen == 0 {
-		opts.MaxStrlen = DefaultOptions().MaxStrlen
-	}
 	if opts.Policy == 0 {
 		opts.Policy = PolicyReturnError
 	}
@@ -300,10 +301,11 @@ func Attach(p *csim.Process, lib *clib.Library, decls *decl.DeclSet, opts Option
 		ip = new(Interposer)
 	}
 	*ip = Interposer{
-		p:     p,
-		lib:   lib,
-		decls: decls,
-		opts:  opts,
+		p:         p,
+		lib:       lib,
+		decls:     decls,
+		opts:      opts,
+		maxStrlen: maxStrlen,
 	}
 	if opts.CacheChecks {
 		ip.checkCache = make(map[cmem.Addr]cacheEntry)
