@@ -1,6 +1,8 @@
 package gens
 
 import (
+	"bytes"
+
 	"healers/internal/cmem"
 	"healers/internal/csim"
 	"healers/internal/typesys"
@@ -46,6 +48,11 @@ type ArrayGen struct {
 
 	seeds map[cmem.Prot]*seedChain
 	stats SeedStats
+
+	// fills holds, per fill byte, one run of that byte that the probes'
+	// Builds slice their contents from: Build runs once per experiment
+	// and only reads it.
+	fills map[byte][]byte
 }
 
 // seedChain tracks the static-seed state of one protection chain.
@@ -98,17 +105,27 @@ func (g *ArrayGen) Name() string { return "array" }
 
 func (g *ArrayGen) protProbe(size int, prot cmem.Prot, fund func(int) string) *Probe {
 	g.observed[size] = true
-	fill := g.Fill // capture: Build runs later, after Fill may change
+	data := g.fillRun(g.Fill, size) // capture: Build runs later, after Fill may change
 	pr := &Probe{Fund: fund(size), Size: size}
 	pr.Build = func(p *csim.Process) uint64 {
-		data := make([]byte, size)
-		for i := range data {
-			data[i] = fill
-		}
 		pr.Region = MountFlushData(p, data, prot)
 		return uint64(pr.Region.Base)
 	}
 	return pr
+}
+
+// fillRun returns size bytes of fill. Runs are shared and must not be
+// mutated; a longer one replaces the shorter, at least doubling it.
+func (g *ArrayGen) fillRun(fill byte, size int) []byte {
+	run := g.fills[fill]
+	if len(run) < size {
+		run = bytes.Repeat([]byte{fill}, max(size, 2*len(run)))
+		if g.fills == nil {
+			g.fills = make(map[byte][]byte)
+		}
+		g.fills[fill] = run
+	}
+	return run[:size]
 }
 
 func (g *ArrayGen) start() {

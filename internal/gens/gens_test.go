@@ -78,6 +78,43 @@ func TestArrayGenAdaptiveGrowth(t *testing.T) {
 	}
 }
 
+// TestArrayGenFillRuns checks that probes sharing their generator's
+// fill runs each build their own size and fill, also after a longer
+// run or another fill byte replaced the one they sliced, and that the
+// process writing its regions leaves the runs as they were.
+func TestArrayGenFillRuns(t *testing.T) {
+	g := NewArrayGen(8192, 256)
+	g.Fill = 'a'
+	small := g.protProbe(4, cmem.ProtRW, typesys.NameRWFixed)
+	large := g.protProbe(300, cmem.ProtRW, typesys.NameRWFixed)
+	g.Fill = 'b'
+	other := g.protProbe(8, cmem.ProtRead, typesys.NameROnlyFixed)
+	g.Fill = 'a'
+	longer := g.protProbe(1000, cmem.ProtRW, typesys.NameRWFixed)
+	p := newProc()
+	for _, c := range []struct {
+		pr   *Probe
+		fill byte
+	}{{small, 'a'}, {large, 'a'}, {other, 'b'}, {longer, 'a'}, {small, 'a'}} {
+		c.pr.Build(p)
+		got, f := p.Mem.Read(c.pr.Region.Base, c.pr.Size)
+		if f != nil {
+			t.Fatalf("%s: read faulted: %v", c.pr.Fund, f)
+		}
+		if want := strings.Repeat(string(c.fill), c.pr.Size); string(got) != want {
+			t.Errorf("%s holds %q, want %d bytes of %q", c.pr.Fund, got, c.pr.Size, c.fill)
+		}
+		if c.pr.Region.Size > 0 && c.fill == 'a' {
+			if f := p.Mem.StoreByte(c.pr.Region.Base, 'z'); f != nil {
+				t.Fatalf("%s: store faulted: %v", c.pr.Fund, f)
+			}
+		}
+	}
+	if run := g.fills['a']; strings.Count(string(run), "a") != len(run) {
+		t.Error("a process's write reached the shared fill run")
+	}
+}
+
 func TestArrayGenGeometricGrowthAboveLimit(t *testing.T) {
 	g := NewArrayGen(8192, 256)
 	p := newProc()

@@ -10,6 +10,7 @@ package injector
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -269,9 +270,11 @@ type campaign struct {
 	// ckpt is the campaign's checkpoint fork tree (nil when
 	// Config.NoCheckpoints disables it).
 	ckpt *ckptTree
-	// orderScratch is reused by buildOrder to avoid a per-experiment
-	// allocation.
+	// orderScratch is reused by buildOrder, and argScratch by
+	// experiment for the argument vector, to avoid per-experiment
+	// allocations: a campaign runs on one goroutine.
 	orderScratch []int
+	argScratch   []uint64
 
 	// hintSeeds holds the static seeds verbatim when this campaign is
 	// seeded at all; the dependent-size re-measurement uses them (and
@@ -636,7 +639,8 @@ func (c *campaign) experiment(probes []*gens.Probe, arg int, phase string) (out 
 	defer child.Release()
 	child.SetStepBudget(StepBudget)
 
-	args := make([]uint64, len(probes))
+	args := slices.Grow(c.argScratch[:0], len(probes))[:len(probes)]
+	c.argScratch = args
 	var mask uint64
 	if node != nil {
 		mask = node.mask
@@ -757,7 +761,10 @@ func (c *campaign) computeRobustVector() ([]string, error) {
 	}
 	names := make([]string, n)
 	for i, t := range result {
-		names[i] = t.Name()
+		// A type's name is a substring of all its hierarchy's names;
+		// the copy lets those go with the hierarchy, where results and
+		// declarations outlive the campaign.
+		names[i] = strings.Clone(t.Name())
 	}
 	c.result.RobustNames = names
 	return names, nil

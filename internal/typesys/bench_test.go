@@ -85,8 +85,9 @@ func BenchmarkRobustType(b *testing.B) {
 }
 
 // TestKernelAllocations pins the kernel's allocations: LE and Contains
-// allocate nothing, and Finalize allocates the same three slices
-// whatever the hierarchy's size.
+// allocate nothing, Finalize allocates the same three slices whatever
+// the hierarchy's size, and BuildArrayHierarchy a bounded number of
+// slabs, names and index tables whatever its size.
 func TestKernelAllocations(t *testing.T) {
 	small := BuildArrayHierarchy(asctimeSizes)
 	large := BuildArrayHierarchy(largeSizes)
@@ -111,5 +112,10 @@ func TestKernelAllocations(t *testing.T) {
 	if s, l := finalize(small), finalize(large); s != 3 || l != 3 {
 		t.Errorf("Finalize allocates %v times over %d types and %v over %d; want 3 (colours, post-order, value sets)",
 			s, len(small.types), l, len(large.types))
+	}
+	for _, bh := range benchHierarchies {
+		if a := testing.AllocsPerRun(20, func() { BuildArrayHierarchy(bh.sizes) }); a > 32 {
+			t.Errorf("BuildArrayHierarchy(%s) allocates %v times, want at most 32", bh.name, a)
+		}
 	}
 }

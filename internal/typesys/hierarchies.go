@@ -3,6 +3,7 @@ package typesys
 import (
 	"slices"
 	"strconv"
+	"strings"
 )
 
 // Concrete hierarchy builders. The fixed-size array hierarchy is the
@@ -50,48 +51,116 @@ const (
 	TypeDoubleAny    = "DBL_ANY"
 )
 
+// Bases of the parameterized type names base[s].
+const (
+	baseROnlyFixed   = "RONLY_FIXED"
+	baseRWFixed      = "RW_FIXED"
+	baseWOnlyFixed   = "WONLY_FIXED"
+	baseRArray       = "R_ARRAY"
+	baseRWArray      = "RW_ARRAY"
+	baseWArray       = "W_ARRAY"
+	baseRArrayNull   = "R_ARRAY_NULL"
+	baseRWArrayNull  = "RW_ARRAY_NULL"
+	baseWArrayNull   = "W_ARRAY_NULL"
+	baseUnterminated = "UNTERM"
+	baseCStringRW    = "CSTR_RW"
+	baseCStringRO    = "CSTR_RONLY"
+)
+
 // sized names a parameterized type: base[s].
 func sized(base string, s int) string { return base + "[" + strconv.Itoa(s) + "]" }
 
+// digits is the length of the decimal rendering of s >= 0.
+func digits(s int) int {
+	n := 1
+	for ; s >= 10; s /= 10 {
+		n++
+	}
+	return n
+}
+
+// renderSized renders base[s] for every size and base, size-major, into
+// one string and returns the names as substrings of it: a builder's
+// parameterized names cost two allocations between them.
+func renderSized(sizes []int, bases ...string) []string {
+	n := 0
+	for _, s := range sizes {
+		for _, b := range bases {
+			n += len(b) + 2 + digits(s)
+		}
+	}
+	var sb strings.Builder
+	sb.Grow(n)
+	var buf [20]byte
+	for _, s := range sizes {
+		d := strconv.AppendInt(buf[:0], int64(s), 10)
+		for _, b := range bases {
+			sb.WriteString(b)
+			sb.WriteByte('[')
+			sb.Write(d)
+			sb.WriteByte(']')
+		}
+	}
+	all := sb.String()
+	names := make([]string, 0, len(sizes)*len(bases))
+	for _, s := range sizes {
+		for _, b := range bases {
+			k := len(b) + 2 + digits(s)
+			names = append(names, all[:k])
+			all = all[k:]
+		}
+	}
+	return names
+}
+
+// lookupSized finds the type base[s] without allocating its name.
+func (h *Hierarchy) lookupSized(base string, s int) (*Type, bool) {
+	var buf [48]byte
+	b := append(append(buf[:0], base...), '[')
+	b = append(strconv.AppendInt(b, int64(s), 10), ']')
+	t, ok := h.byName[string(b)]
+	return t, ok
+}
+
 // Parameterized type name constructors.
-func NameROnlyFixed(s int) string { return sized("RONLY_FIXED", s) }
+func NameROnlyFixed(s int) string { return sized(baseROnlyFixed, s) }
 
 // NameRWFixed names the read-write fixed-size fundamental type.
-func NameRWFixed(s int) string { return sized("RW_FIXED", s) }
+func NameRWFixed(s int) string { return sized(baseRWFixed, s) }
 
 // NameWOnlyFixed names the write-only fixed-size fundamental type.
-func NameWOnlyFixed(s int) string { return sized("WONLY_FIXED", s) }
+func NameWOnlyFixed(s int) string { return sized(baseWOnlyFixed, s) }
 
 // NameRArray names the readable-array unified type of minimum size s.
-func NameRArray(s int) string { return sized("R_ARRAY", s) }
+func NameRArray(s int) string { return sized(baseRArray, s) }
 
 // NameRWArray names the read-write-array unified type.
-func NameRWArray(s int) string { return sized("RW_ARRAY", s) }
+func NameRWArray(s int) string { return sized(baseRWArray, s) }
 
 // NameWArray names the writable-array unified type.
-func NameWArray(s int) string { return sized("W_ARRAY", s) }
+func NameWArray(s int) string { return sized(baseWArray, s) }
 
 // NameRArrayNull, NameRWArrayNull, NameWArrayNull name the unions with
 // the NULL type.
-func NameRArrayNull(s int) string { return sized("R_ARRAY_NULL", s) }
+func NameRArrayNull(s int) string { return sized(baseRArrayNull, s) }
 
 // NameRWArrayNull names RW_ARRAY[s] ∪ {NULL}.
-func NameRWArrayNull(s int) string { return sized("RW_ARRAY_NULL", s) }
+func NameRWArrayNull(s int) string { return sized(baseRWArrayNull, s) }
 
 // NameWArrayNull names W_ARRAY[s] ∪ {NULL}.
-func NameWArrayNull(s int) string { return sized("W_ARRAY_NULL", s) }
+func NameWArrayNull(s int) string { return sized(baseWArrayNull, s) }
 
 // NameUnterminated names the fundamental type of readable regions of s
 // bytes that contain no string terminator.
-func NameUnterminated(s int) string { return sized("UNTERM", s) }
+func NameUnterminated(s int) string { return sized(baseUnterminated, s) }
 
 // NameCStringRW names the fundamental type of valid NUL-terminated
 // strings of content length l in writable memory.
-func NameCStringRW(l int) string { return sized("CSTR_RW", l) }
+func NameCStringRW(l int) string { return sized(baseCStringRW, l) }
 
 // NameCStringRO names valid strings of content length l in read-only
 // memory.
-func NameCStringRO(l int) string { return sized("CSTR_RONLY", l) }
+func NameCStringRO(l int) string { return sized(baseCStringRO, l) }
 
 // normSizes returns the non-negative sizes sorted and deduplicated,
 // with 0 always present.
@@ -118,11 +187,21 @@ func BuildArrayHierarchy(sizes []int) *Hierarchy {
 	return h
 }
 
+// arrayRow is one Figure 3 row in declaration order: the three
+// fundamentals of exactly size s, then the unified arrays of at least
+// s and their NULL unions.
+var arrayRow = [...]string{
+	baseROnlyFixed, baseRWFixed, baseWOnlyFixed,
+	baseRArray, baseRWArray, baseWArray,
+	baseRArrayNull, baseRWArrayNull, baseWArrayNull,
+}
+
 // AddArrayTypes adds the Figure 3 nodes and edges to an existing
 // hierarchy (callers combine them with file/dir/string nodes).
 func AddArrayTypes(h *Hierarchy, sizes []int) {
 	ss := normSizes(sizes)
 	h.arraySizes = normSizes(append(h.arraySizes, ss...))
+	h.reserve(3+len(arrayRow)*len(ss), 2+3*len(ss))
 	null := h.Fundamental(TypeNull)
 	invalid := h.Fundamental(TypeInvalid)
 	top := h.Unified(TypeUnconstrained)
@@ -133,18 +212,20 @@ func AddArrayTypes(h *Hierarchy, sizes []int) {
 		r, rwU, w            *Type // unified arrays of at least this size
 		rNull, rwNull, wNull *Type
 	}
+	names := renderSized(ss, arrayRow[:]...)
 	rows := make([]row, len(ss))
-	for i, s := range ss {
+	for i := range rows {
+		n := names[i*len(arrayRow):]
 		rows[i] = row{
-			ro:     h.Fundamental(NameROnlyFixed(s)),
-			rw:     h.Fundamental(NameRWFixed(s)),
-			wo:     h.Fundamental(NameWOnlyFixed(s)),
-			r:      h.Unified(NameRArray(s)),
-			rwU:    h.Unified(NameRWArray(s)),
-			w:      h.Unified(NameWArray(s)),
-			rNull:  h.Unified(NameRArrayNull(s)),
-			rwNull: h.Unified(NameRWArrayNull(s)),
-			wNull:  h.Unified(NameWArrayNull(s)),
+			ro:     h.Fundamental(n[0]),
+			rw:     h.Fundamental(n[1]),
+			wo:     h.Fundamental(n[2]),
+			r:      h.Unified(n[3]),
+			rwU:    h.Unified(n[4]),
+			w:      h.Unified(n[5]),
+			rNull:  h.Unified(n[6]),
+			rwNull: h.Unified(n[7]),
+			wNull:  h.Unified(n[8]),
 		}
 	}
 	for i, rw := range rows {
@@ -208,10 +289,10 @@ func AddFileTypes(h *Hierarchy, sizeofFILE int) {
 	null := h.Fundamental(TypeNull)
 	h.Edge(null, openNull)
 
-	if rwArr, ok := h.Lookup(NameRWArray(sizeofFILE)); ok {
+	if rwArr, ok := h.lookupSized(baseRWArray, sizeofFILE); ok {
 		h.Edge(open, rwArr)
 	}
-	if rwArrNull, ok := h.Lookup(NameRWArrayNull(sizeofFILE)); ok {
+	if rwArrNull, ok := h.lookupSized(baseRWArrayNull, sizeofFILE); ok {
 		h.Edge(openNull, rwArrNull)
 	}
 }
@@ -227,10 +308,10 @@ func AddDirTypes(h *Hierarchy, sizeofDIR int) {
 	h.Edge(u, un)
 	null := h.Fundamental(TypeNull)
 	h.Edge(null, un)
-	if rwArr, ok := h.Lookup(NameRWArray(sizeofDIR)); ok {
+	if rwArr, ok := h.lookupSized(baseRWArray, sizeofDIR); ok {
 		h.Edge(u, rwArr)
 	}
-	if rwArrNull, ok := h.Lookup(NameRWArrayNull(sizeofDIR)); ok {
+	if rwArrNull, ok := h.lookupSized(baseRWArrayNull, sizeofDIR); ok {
 		h.Edge(un, rwArrNull)
 	}
 }
@@ -246,6 +327,16 @@ func AddDirTypes(h *Hierarchy, sizeofDIR int) {
 // semantic order then makes W_CSTR a subtype of the writable arrays
 // automatically.
 func AddCStringTypes(h *Hierarchy, untermSizes, strLens []int) {
+	// The distinct lengths in first-seen order, and the unterminated
+	// sizes normalised.
+	lens := make([]int, 0, len(strLens))
+	for _, l := range strLens {
+		if l >= 0 && !slices.Contains(lens, l) {
+			lens = append(lens, l)
+		}
+	}
+	us := normSizes(untermSizes)
+	h.reserve(5+2*len(lens)+len(us), 1+2*len(lens)+len(us))
 	cstr := h.Unified(TypeCString)
 	wstr := h.Unified(TypeCStringW)
 	cn := h.Unified(TypeCStringNull)
@@ -258,7 +349,7 @@ func AddCStringTypes(h *Hierarchy, untermSizes, strLens []int) {
 	h.Edge(wn, cn)
 	h.Edge(null, cn)
 	h.Edge(null, wn)
-	if rn, ok := h.Lookup(NameRArrayNull(0)); ok {
+	if rn, ok := h.lookupSized(baseRArrayNull, 0); ok {
 		h.Edge(cn, rn)
 	}
 
@@ -271,28 +362,24 @@ func AddCStringTypes(h *Hierarchy, untermSizes, strLens []int) {
 		return h.arraySizes[i-1], true
 	}
 
-	lens := map[int]bool{}
-	for _, l := range strLens {
-		if l < 0 || lens[l] {
-			continue
-		}
-		lens[l] = true
-		ro := h.Fundamental(NameCStringRO(l))
-		rw := h.Fundamental(NameCStringRW(l))
+	names := renderSized(lens, baseCStringRO, baseCStringRW)
+	for i, l := range lens {
+		ro := h.Fundamental(names[2*i])
+		rw := h.Fundamental(names[2*i+1])
 		h.Edge(ro, cstr)
 		h.Edge(rw, wstr)
 		if s, ok := arrayFloor(l + 1); ok {
-			if r, ok := h.Lookup(NameRArray(s)); ok {
+			if r, ok := h.lookupSized(baseRArray, s); ok {
 				h.Edge(ro, r)
 			}
-			if rwArr, ok := h.Lookup(NameRWArray(s)); ok {
+			if rwArr, ok := h.lookupSized(baseRWArray, s); ok {
 				h.Edge(rw, rwArr)
 			}
 		}
 	}
-	for _, s := range normSizes(untermSizes) {
-		ut := h.Fundamental(NameUnterminated(s))
-		if r, ok := h.Lookup(NameRArray(s)); ok {
+	for i, name := range renderSized(us, baseUnterminated) {
+		ut := h.Fundamental(name)
+		if r, ok := h.lookupSized(baseRArray, us[i]); ok {
 			h.Edge(ut, r)
 		}
 	}

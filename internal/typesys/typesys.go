@@ -28,8 +28,6 @@ type Type struct {
 	// bit is the fundamental's ordinal among the hierarchy's
 	// fundamentals (its bit in every value set); -1 for unified types.
 	bit int
-	// supers are the direct edges t ≤ super, in declaration order.
-	supers []*Type
 }
 
 // Name returns the type's name, e.g. "R_ARRAY_NULL[44]".
@@ -51,6 +49,17 @@ type Hierarchy struct {
 	// ascending: the rows of the Figure 3 array types.
 	arraySizes []int
 
+	// slab is the unused tail of the current type slab: intern carves
+	// each Type from it.
+	slab []Type
+	// edges are the direct edges sub ≤ super in the order Edge
+	// recorded them. groupEdges indexes them by subtype: the direct
+	// supertypes of the type with index i are supers[off[i]:off[i+1]],
+	// in recorded order.
+	edges  []edge
+	off    []int32
+	supers []*Type
+
 	// computed by Finalize: V(t) is sets[t.index*words:][:words], a
 	// bitset over fundamental ordinals. The value sets are the order;
 	// no relation is materialised.
@@ -59,9 +68,30 @@ type Hierarchy struct {
 	finalized bool
 }
 
+// edge is one direct edge sub ≤ super.
+type edge struct{ sub, super *Type }
+
 // NewHierarchy returns an empty hierarchy.
-func NewHierarchy() *Hierarchy {
-	return &Hierarchy{byName: make(map[string]*Type)}
+func NewHierarchy() *Hierarchy { return &Hierarchy{} }
+
+// typeChunk is the slab size for types declared without a reservation.
+const typeChunk = 16
+
+// reserve makes room for types more types, funds of them fundamental,
+// and about two edges per type (a Figure 3 row has 16 over 9 types):
+// the builders whose rows grow with their input reserve before they
+// intern, so a hierarchy costs a constant number of allocations
+// whatever its size. The name index is presized on first use.
+func (h *Hierarchy) reserve(types, funds int) {
+	if len(h.slab) < types {
+		h.slab = make([]Type, types)
+	}
+	h.types = slices.Grow(h.types, types)
+	h.funds = slices.Grow(h.funds, funds)
+	h.edges = slices.Grow(h.edges, 2*types)
+	if h.byName == nil {
+		h.byName = make(map[string]*Type, types)
+	}
 }
 
 func (h *Hierarchy) intern(name string, fundamental bool) *Type {
@@ -71,7 +101,12 @@ func (h *Hierarchy) intern(name string, fundamental bool) *Type {
 		}
 		return t
 	}
-	t := &Type{name: name, fundamental: fundamental, index: len(h.types), bit: -1}
+	if len(h.slab) == 0 {
+		h.reserve(typeChunk, 0)
+	}
+	t := &h.slab[0]
+	h.slab = h.slab[1:]
+	*t = Type{name: name, fundamental: fundamental, index: len(h.types), bit: -1}
 	if fundamental {
 		t.bit = len(h.funds)
 		h.funds = append(h.funds, t)
@@ -90,9 +125,40 @@ func (h *Hierarchy) Unified(name string) *Type { return h.intern(name, false) }
 
 // Edge records sub ≤ super.
 func (h *Hierarchy) Edge(sub, super *Type) {
-	sub.supers = append(sub.supers, super)
+	h.edges = append(h.edges, edge{sub, super})
 	h.finalized = false
 }
+
+// groupEdges indexes the recorded edges by subtype (a counting sort
+// that keeps each type's in recorded order) unless no type or edge was
+// added since the last time.
+func (h *Hierarchy) groupEdges() {
+	n := len(h.types)
+	if len(h.off) == n+1 && int(h.off[n]) == len(h.edges) {
+		return
+	}
+	off := make([]int32, n+1)
+	for _, e := range h.edges {
+		off[e.sub.index+1]++
+	}
+	for i := 1; i <= n; i++ {
+		off[i] += off[i-1]
+	}
+	// off[i] is where type i's supertypes start; placing each edge
+	// advances it to where they end, which is where type i+1's start.
+	supers := make([]*Type, len(h.edges))
+	for _, e := range h.edges {
+		supers[off[e.sub.index]] = e.super
+		off[e.sub.index]++
+	}
+	copy(off[1:], off[:n])
+	off[0] = 0
+	h.off, h.supers = off, supers
+}
+
+// supersOf returns t's direct supertypes in recorded order; the edges
+// must be grouped.
+func (h *Hierarchy) supersOf(t *Type) []*Type { return h.supers[h.off[t.index]:h.off[t.index+1]] }
 
 // Lookup finds a type by name.
 func (h *Hierarchy) Lookup(name string) (*Type, bool) {
@@ -129,12 +195,14 @@ const (
 // slice, filled in a single pass over the edge DFS's post-order, whose
 // reverse visits every type before its supertypes: each set, once
 // complete, is OR-ed into its direct supers. Finalize allocates the
-// same three slices whatever the hierarchy's size, and every query
-// after it is word operations on these sets.
+// same three slices whatever the hierarchy's size (and the two of the
+// edge index after types or edges were added), and every query after
+// it is word operations on these sets.
 func (h *Hierarchy) Finalize() error {
+	h.groupEdges()
 	// A fundamental type is never a supertype.
 	for _, t := range h.types {
-		for _, s := range t.supers {
+		for _, s := range h.supersOf(t) {
 			if s.fundamental {
 				return fmt.Errorf("%w: %s", ErrFundamentalSuper, s.name)
 			}
@@ -147,7 +215,7 @@ func (h *Hierarchy) Finalize() error {
 	order := make([]*Type, 0, n)
 	for _, t := range h.types {
 		if color[t.index] == white {
-			if err := visit(t, color, &order); err != nil {
+			if err := h.visit(t, color, &order); err != nil {
 				return err
 			}
 		}
@@ -161,7 +229,7 @@ func (h *Hierarchy) Finalize() error {
 	for i := len(order) - 1; i >= 0; i-- {
 		t := order[i]
 		v := sets[t.index*words:][:words]
-		for _, s := range t.supers {
+		for _, s := range h.supersOf(t) {
 			sv := sets[s.index*words:][:words]
 			for k := range v {
 				sv[k] |= v[k]
@@ -175,14 +243,14 @@ func (h *Hierarchy) Finalize() error {
 
 // visit is the DFS of Finalize: it appends t to order after all its
 // supertypes, or reports the cycle a grey supertype closes.
-func visit(t *Type, color []uint8, order *[]*Type) error {
+func (h *Hierarchy) visit(t *Type, color []uint8, order *[]*Type) error {
 	color[t.index] = grey
-	for _, s := range t.supers {
+	for _, s := range h.supersOf(t) {
 		switch color[s.index] {
 		case grey:
 			return fmt.Errorf("%w: through %s", ErrCycle, s.name)
 		case white:
-			if err := visit(s, color, order); err != nil {
+			if err := h.visit(s, color, order); err != nil {
 				return err
 			}
 		}
