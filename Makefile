@@ -16,8 +16,8 @@
 #                        under the race detector
 #   make verify        — all tiers (the pre-commit gate)
 #   make bench         — wrapper call-path overhead benchmarks
-#   make bench-smoke   — one-iteration benchmarks (incl. the checkpoint
-#                        and scaling ratio gates) + COW differential audit
+#   make bench-smoke   — one-iteration benchmarks (incl. the scaling
+#                        ratio gate) + COW differential audit
 #   make bench-module  — vet + smoke-test the nested bench/ module, which
 #                        the root `go test ./...` does not compile
 #   make fuzz          — 30s each of prototype-parser and cache-line
@@ -110,7 +110,7 @@ bench:
 # Inspect with: go tool pprof profiles/injector.test profiles/mutex.pprof
 bench-profile:
 	mkdir -p profiles
-	$(GO) test -count=1 -run 'TestParallelVectorsMatchGolden|TestParallelCheckpointDifferential' \
+	$(GO) test -count=1 -run 'TestParallelVectorsMatchGolden' \
 		-cpuprofile profiles/cpu.pprof \
 		-mutexprofile profiles/mutex.pprof \
 		-blockprofile profiles/block.pprof \
@@ -120,20 +120,19 @@ bench-profile:
 
 # CI's cheap perf gate: every campaign benchmark, the page-cache byte
 # scan and the bulk stdio paths run one iteration (so a hang or a
-# golden-vector divergence fails fast), BenchmarkCampaignCheckpointRatio
-# holds checkpointed setup at or below 0.70x the uncheckpointed and
-# BenchmarkCampaignScaling (on 4+ procs) the 8-worker wall at or below
-# 0.50x the sequential, the
+# golden-vector divergence fails fast), BenchmarkCampaignScaling (on 4+
+# procs) holds the 8-worker wall at or below 0.50x the sequential, the
 # wrapper nop path, the forked-memory accessors, the per-test Ballista
 # budget, the stdio loops, hierarchy construction and a whole cold
-# campaign prove their allocation contracts, and the COW and page-cache
-# differentials + aliasing + purity audits and the file copy-on-write
-# audits run under the race detector.
+# campaign prove their allocation contracts (the campaign its byte
+# budget too), and the COW and page-cache differentials + aliasing +
+# purity audits and the file copy-on-write and shared-fixture audits
+# run under the race detector.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkCampaign|BenchmarkFork|BenchmarkByteScanForked|BenchmarkBuildArrayHierarchy|BenchmarkRobustType|BenchmarkStdio' -benchtime 1x ./internal/injector/ ./internal/cmem/ ./internal/typesys/ ./internal/clib/
 	$(GO) test -count=1 -run 'TestNopObservabilityAddsNoAllocations|TestForkedAccessorsAllocateNothing|TestPerTestAllocationBudget|TestKernelAllocations|TestStdioAllocations|TestCampaignAllocationBudget' ./internal/wrapper/ ./internal/cmem/ ./internal/ballista/ ./internal/typesys/ ./internal/clib/ ./internal/injector/
 	$(GO) test -race -count=1 -run 'TestDifferentialCOWvsEager|TestPageCacheDifferential|TestReleasedMemoryFaultsThroughCache|TestConcurrentTemplateForks|TestReadPathsLeaveSnapshotFrozen|TestFork|TestProtectAfterFork|TestWriteOnlyPagesSurviveFork|TestChildFree|TestMapResetAfterFork|TestRelease|TestSharedPageRelease' ./internal/cmem/
-	$(GO) test -race -count=1 -run 'TestFileWritesCopyOnWrite|TestConcurrentTemplateForksShareFS' ./internal/csim/
+	$(GO) test -race -count=1 -run 'TestFileWritesCopyOnWrite|TestConcurrentTemplateForksShareFS|TestSharedFixtureTemplate' ./internal/csim/
 
 # The end-to-end benchmark lives in a nested module (bench/go.mod), so
 # the root `go test ./...` never compiles it: an API change in the main

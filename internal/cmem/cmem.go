@@ -22,11 +22,11 @@
 // single-owner Memory that has never been frozen or cloned writes its
 // cache — the forked child an experiment runs in. Freezing (explicitly
 // or inside the first Clone) flushes the cache and turns it off for
-// good, so on a frozen template or checkpoint every read path is
-// write-free. Clone serializes its internal freeze, which makes a
-// Memory safe to Clone concurrently from several goroutines as long as
-// nobody mutates it — the property the parallel campaign schedulers
-// rely on to fork worker templates without serializing. Freeze a
+// good, so on a frozen template every read path is write-free. Clone
+// serializes its internal freeze, which makes a Memory safe to Clone
+// concurrently from several goroutines as long as nobody mutates it —
+// the property the parallel campaign schedulers rely on to fork worker
+// templates without serializing. Freeze a
 // template explicitly before sharing it to make concurrent Clones and
 // reads entirely write-free.
 //

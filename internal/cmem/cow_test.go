@@ -432,13 +432,12 @@ func TestPoolHygieneStalePagePoisoning(t *testing.T) {
 }
 
 // TestConcurrentTemplateForksThroughCheckpoints extends the race audit
-// to the injector's checkpoint shape: each worker forks the shared
-// template into a diverged mid-depth checkpoint, then forks a stream
-// of short-lived run children from that checkpoint (a fork-of-fork
-// chain, the refcount protocol's deepest sharing pattern). Run under
-// -race via the bench-smoke regex, this validates that checkpoint
-// children release back through two levels of sharing without
-// corrupting the checkpoint, its siblings, or the template.
+// to fork-of-fork chains, the refcount protocol's deepest sharing
+// pattern: each worker forks the shared template into a diverged
+// mid-depth checkpoint, then forks a stream of short-lived run children
+// from that checkpoint. Run under -race via the bench-smoke regex, this
+// validates that children release back through two levels of sharing
+// without corrupting the checkpoint, its siblings, or the template.
 func TestConcurrentTemplateForksThroughCheckpoints(t *testing.T) {
 	template := New()
 	p, err := template.Malloc(3 * PageSize)

@@ -1,10 +1,14 @@
 package csim_test
 
 import (
+	"bytes"
+	"fmt"
+	"sync"
 	"testing"
 
 	"healers/internal/clib"
 	"healers/internal/csim"
+	"healers/internal/gens"
 )
 
 // writeFile opens name in mode and fputs s through lib, as a program
@@ -86,5 +90,89 @@ func TestFileWritesCopyOnWrite(t *testing.T) {
 		if got := contents(c.p, c.name); got != c.want {
 			t.Errorf("%s reads %q from %s, want %q", c.who, got, c.name, c.want)
 		}
+	}
+}
+
+// TestSharedFixtureTemplate checks the fixture sharing every campaign
+// and Ballista test relies on: FS.Create keeps the caller's slice,
+// frozen, so every process that creates the fixture from the one
+// gens.FixtureFileContents template reads the same bytes, and each
+// write copies first. Under -race, goroutines each create the fixture
+// from the template and write through it with fputc, fwrite, a
+// truncating fopen and an append, concurrently; the template and every
+// other goroutine's files must keep their bytes.
+func TestSharedFixtureTemplate(t *testing.T) {
+	tmpl := gens.FixtureFileContents()
+	want := bytes.Clone(tmpl)
+
+	fs := csim.NewFS()
+	f := fs.Create("/fixture", tmpl)
+	if !f.Frozen() || &f.Data[0] != &tmpl[0] {
+		t.Fatalf("Create made a private copy (frozen %v), want the caller's slice, frozen", f.Frozen())
+	}
+
+	// A descriptor opened with create on a missing name gets a frozen
+	// empty file, and a write through it privatizes and lands.
+	lib := clib.New()
+	p := csim.NewProcess(fs)
+	defer p.Release()
+	fd := p.OpenFile("/new", csim.ReadWrite, true)
+	if of := p.FD(fd); of == nil || !of.File.Frozen() {
+		t.Fatal("OpenFile(create) did not return a frozen empty file")
+	}
+	buf := p.Malloc(8)
+	p.StoreCString(buf, "hello")
+	if n := lib.Call(p, "write", uint64(uint32(fd)), uint64(buf), 5); n != 5 {
+		t.Fatalf("write to the created file returned %d, errno %d", int64(n), p.Errno())
+	}
+	if got := contents(p, "/new"); got != "hello" {
+		t.Fatalf("created file reads %q after the write, want %q", got, "hello")
+	}
+
+	const workers = 8
+	procs := make([]*csim.Process, workers)
+	var wg sync.WaitGroup
+	for g := range procs {
+		fs := csim.NewFS()
+		for _, name := range []string{"/putc", "/fwrite", "/trunc", "/append"} {
+			fs.Create(name, gens.FixtureFileContents())
+		}
+		procs[g] = csim.NewProcess(fs)
+		wg.Add(1)
+		go func(g int, p *csim.Process) {
+			defer wg.Done()
+			lib := clib.New()
+			mark := fmt.Sprintf("<%d>", g)
+			s := p.Malloc(len(mark) + 1)
+			p.StoreCString(s, mark)
+			fp := p.Fopen("/putc", "r+")
+			lib.Call(p, "fputc", uint64('0'+g), uint64(fp))
+			lib.Call(p, "fclose", uint64(fp))
+			fp = p.Fopen("/fwrite", "r+")
+			lib.Call(p, "fwrite", uint64(s), 1, uint64(len(mark)), uint64(fp))
+			lib.Call(p, "fclose", uint64(fp))
+			writeFile(t, lib, p, "/trunc", "w", mark)
+			writeFile(t, lib, p, "/append", "a", mark)
+		}(g, procs[g])
+	}
+	wg.Wait()
+
+	if !bytes.Equal(tmpl, want) {
+		t.Fatal("the fixture template changed under the writes")
+	}
+	for g, p := range procs {
+		mark := fmt.Sprintf("<%d>", g)
+		for _, c := range []struct{ name, want string }{
+			{"/putc", string(rune('0'+g)) + string(want[1:])},
+			{"/fwrite", mark + string(want[len(mark):])},
+			{"/trunc", mark},
+			{"/append", string(want) + mark},
+		} {
+			if got := contents(p, c.name); got != c.want {
+				t.Errorf("goroutine %d reads %d bytes from %s starting %q, want %d starting %q",
+					g, len(got), c.name, got[:min(len(got), 8)], len(c.want), c.want[:min(len(c.want), 8)])
+			}
+		}
+		p.Release()
 	}
 }

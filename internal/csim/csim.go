@@ -202,14 +202,13 @@ func reuse() *Process {
 // shares every page with the parent until one of them writes it),
 // copy-on-write filesystem (the name table and the files are shared
 // and privatized on the first mutation), and a deep-copied descriptor
-// table. The fault
-// injector forks a child per test call so a crash cannot corrupt the
-// parent.
+// table. The fault injector forks a child per experiment so a crash
+// cannot corrupt the parent.
 //
-// Descriptor semantics matter for checkpoint forking (fork-of-fork
-// with descriptors open): each child gets its own OpenFD structs —
-// dup aliases within one process stay aliased, but a child advancing a
-// file position can never move a sibling's. Descriptors inherited open
+// Descriptor semantics matter when a process with descriptors open is
+// forked, and its fork forked again: each child gets its own OpenFD
+// structs — dup aliases within one process stay aliased, but a child
+// advancing a file position can never move a sibling's. Descriptors inherited open
 // for writing keep referencing the frozen shared file; the first
 // in-place mutation on either side privatizes through
 // PrivatizeForWrite, so a child that only reads its inherited FILE
@@ -217,10 +216,10 @@ func reuse() *Process {
 //
 // Fork only reads the parent besides the atomic freeze bits, so one
 // idle process may be forked concurrently from several goroutines —
-// the parallel campaign schedulers fork templates that way, and
-// checkpoint nodes are additionally confined to their owning
-// goroutine because their descriptors carry mutable state (positions,
-// lazily privatized files) with no synchronization.
+// the parallel campaign schedulers fork templates that way. A process
+// with open descriptors is forkable from its owning goroutine only:
+// descriptors carry mutable state (positions, lazily privatized files)
+// with no synchronization. Campaign templates hold none.
 func (p *Process) Fork() *Process {
 	c := reuse()
 	*c = Process{

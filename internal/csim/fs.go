@@ -14,17 +14,18 @@ type VFile struct {
 	IsDir bool
 	Ino   uint64
 
-	// frozen marks a file shared copy-on-write across forked
-	// filesystems. A frozen file's Data must never be mutated in place;
-	// every mutation path privatizes first (unshareFile). The flag is
-	// atomic because concurrent template forks freeze the same inode
-	// from several goroutines.
+	// frozen marks a file whose bytes are shared copy-on-write: with
+	// the slice given to Create, or across forked filesystems. A frozen
+	// file's Data must never be mutated in place; every mutation path
+	// privatizes first (unshareFile). The flag is atomic because
+	// concurrent template forks freeze the same inode from several
+	// goroutines.
 	frozen atomic.Bool
 }
 
-// Frozen reports whether the file is currently shared copy-on-write
-// between forked filesystems (and therefore must not be mutated in
-// place). Tests use it to audit the privatize-on-write funnel.
+// Frozen reports whether the file's bytes are currently shared
+// copy-on-write (and therefore must not be mutated in place). Tests use
+// it to audit the privatize-on-write funnel.
 func (f *VFile) Frozen() bool { return f.frozen.Load() }
 
 // unfrozenCopy returns a private, mutable copy of f holding its first
@@ -74,10 +75,16 @@ func NewFS() *FS {
 }
 
 // Create adds (or truncates) a regular file with the given contents.
+// The file keeps data itself, frozen: the caller's bytes are shared
+// copy-on-write from the start, and the first in-place write through a
+// descriptor privatizes a copy (PrivatizeForWrite, TruncateForWrite),
+// so data is never mutated and may be shared read-only by every
+// process that creates the same fixture.
 func (fs *FS) Create(name string, data []byte) *VFile {
 	name = path.Clean(name)
 	fs.mkParents(name)
-	f := &VFile{Data: append([]byte(nil), data...), Mode: 0o644, Ino: fs.nextIno}
+	f := &VFile{Data: data, Mode: 0o644, Ino: fs.nextIno}
+	f.frozen.Store(true)
 	fs.nextIno++
 	fs.own()
 	fs.files[name] = f
@@ -204,7 +211,7 @@ type OpenFD struct {
 	DirPos  int
 }
 
-// unshareFile replaces a frozen (fork-shared) file with a private
+// unshareFile replaces a frozen (shared) file with a private
 // mutable copy of its first keep bytes throughout this process: the
 // filesystem name table and every open descriptor referencing the
 // shared inode are re-pointed, so all of this process's views of the
@@ -234,12 +241,12 @@ func (p *Process) unshareFile(f *VFile, keep int) *VFile {
 }
 
 // PrivatizeForWrite prepares an open description for an in-place Data
-// mutation: a file still fork-shared (frozen) is replaced by a private
+// mutation: a file still shared (frozen) is replaced by a private
 // copy throughout the process first. The stdio/unistd writers call it
-// immediately before every mutation, which is what lets Fork hand a
-// child writable descriptors over still-shared file bytes — a
-// checkpoint child that never writes its inherited FILE never pays for
-// a copy.
+// immediately before every mutation, which is what lets Create and
+// Fork hand out writable descriptors over still-shared file bytes — an
+// experiment that opens the fixture FILE and never writes it never
+// pays for a copy.
 func (p *Process) PrivatizeForWrite(of *OpenFD) {
 	if of == nil || of.File == nil || !of.File.frozen.Load() {
 		return
@@ -248,7 +255,7 @@ func (p *Process) PrivatizeForWrite(of *OpenFD) {
 }
 
 // TruncateForWrite empties the file behind an open description, as a
-// truncating open (fopen "w", creat) does. A file still fork-shared is
+// truncating open (fopen "w", creat) does. A file still shared is
 // replaced by an empty private copy throughout the process, so the
 // bytes the truncation discards are never copied.
 func (p *Process) TruncateForWrite(of *OpenFD) {

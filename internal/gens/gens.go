@@ -42,12 +42,6 @@ type Probe struct {
 	Build func(p *csim.Process) uint64
 	// Region is the memory owned by the most recent Build.
 	Region Region
-	// Pure marks a Build that neither reads nor mutates the process —
-	// it returns a constant (scalar values, NULL, invalid pointers).
-	// The injector's checkpoint tree treats pure probes as transparent:
-	// they cost nothing to rebuild per experiment and never need a
-	// checkpoint of their own.
-	Pure bool
 }
 
 // Generator produces probes for one argument.
@@ -152,10 +146,12 @@ var fixtureFileTemplate = func() []byte {
 // FixtureFileContents is the standard content of the scratch file the
 // generators open: a long first line (so fgets-style sizing inference
 // has room to grow) followed by filler up to a few KiB (so fread-style
-// product inference never runs out of file). Each call returns a fresh
-// copy; callers may mutate it freely.
+// product inference never runs out of file). Every call returns the
+// same read-only bytes: csim.FS.Create keeps them copy-on-write, so a
+// process that writes the file copies it first. Callers must not
+// mutate the slice.
 func FixtureFileContents() []byte {
-	return append([]byte(nil), fixtureFileTemplate...)
+	return fixtureFileTemplate
 }
 
 // FixtureStdinLine is the first line of the simulated standard input
@@ -168,7 +164,6 @@ func FixtureStdinLine() string { return "healers standard input!" }
 func nullProbe() *Probe {
 	return &Probe{
 		Fund:  typesys.TypeNull,
-		Pure:  true,
 		Build: func(p *csim.Process) uint64 { return 0 },
 	}
 }
@@ -185,7 +180,6 @@ func invalidProbes() []*Probe {
 		val := v
 		out[i] = &Probe{
 			Fund:  typesys.TypeInvalid,
-			Pure:  true,
 			Build: func(p *csim.Process) uint64 { return val },
 		}
 	}

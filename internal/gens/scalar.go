@@ -39,7 +39,6 @@ func intProbe(v int64) *Probe {
 	}
 	return &Probe{
 		Fund:  fund,
-		Pure:  true,
 		Build: func(p *csim.Process) uint64 { return uint64(v) },
 	}
 }
@@ -86,7 +85,6 @@ const TypeDoubleAny = typesys.TypeDoubleAny
 func doubleProbe(v float64) *Probe {
 	return &Probe{
 		Fund:  typeDouble,
-		Pure:  true,
 		Build: func(p *csim.Process) uint64 { return math.Float64bits(v) },
 	}
 }

@@ -126,7 +126,6 @@ func (g *FdGen) openFdProbe() *Probe {
 func badFdProbe(v int64) *Probe {
 	return &Probe{
 		Fund:  TypeFdBad,
-		Pure:  true,
 		Build: func(p *csim.Process) uint64 { return uint64(v) },
 	}
 }

@@ -1,6 +1,7 @@
 package injector
 
 import (
+	"runtime"
 	"testing"
 
 	"healers/internal/clib"
@@ -9,16 +10,23 @@ import (
 )
 
 // campaignAllocBudget bounds the heap allocations of one sequential
-// cold 86-function campaign, extraction excluded: 103.0k measured, with
-// room for the race detector's sync.Pool drops and collector timing.
-// Before hierarchies were built from slabs and the argument vector
-// reused, the campaign made 164.2k.
-const campaignAllocBudget = 115_000
+// cold 86-function campaign, extraction excluded: 97.2k measured and
+// 102.3k under -race, so the budget leaves room for the race detector's
+// sync.Pool drops and collector timing. Before hierarchies were built
+// from slabs and the argument vector reused, the campaign made 164.2k.
+const campaignAllocBudget = 105_000
 
-// TestCampaignAllocationBudget pins the allocations of one sequential
-// cold campaign, so that per-type hierarchy construction or a
-// per-experiment argument vector coming back shows as a failure rather
-// than as a slower benchmark.
+// campaignByteBudget bounds the bytes the same campaign allocates
+// without the race detector: 15.7 MB measured. Before the fixture
+// bytes were shared copy-on-write from creation, each FILE probe build
+// copied the 8 KiB fixture twice and the campaign allocated 24.7 MB,
+// so either copy coming back fails the budget.
+const campaignByteBudget = 18_000_000
+
+// TestCampaignAllocationBudget pins the allocations and allocated bytes
+// of one sequential cold campaign, so that per-type hierarchy
+// construction, a per-experiment argument vector or a fixture copy
+// coming back shows as a failure rather than as a slower benchmark.
 func TestCampaignAllocationBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs two full campaigns")
@@ -29,13 +37,27 @@ func TestCampaignAllocationBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	funcs := lib.CrashProne86()
-	allocs := testing.AllocsPerRun(1, func() {
+	campaign := func() {
 		if _, err := New(lib, DefaultConfig()).InjectAll(ext, funcs); err != nil {
 			t.Fatal(err)
 		}
-	})
-	t.Logf("%.0f allocations per campaign (budget %d)", allocs, campaignAllocBudget)
+	}
+	// As testing.AllocsPerRun does: one goroutine at a time, and a
+	// warm-up campaign first so pools and lazily built tables are
+	// filled before the measured one.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	campaign()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	campaign()
+	runtime.ReadMemStats(&after)
+	allocs, bytes := after.Mallocs-before.Mallocs, after.TotalAlloc-before.TotalAlloc
+	t.Logf("%d allocations and %.1f MB per campaign (budgets %d and %.1f MB)",
+		allocs, float64(bytes)/1e6, campaignAllocBudget, float64(campaignByteBudget)/1e6)
 	if allocs > campaignAllocBudget {
-		t.Errorf("a cold campaign allocates %.0f times, budget %d", allocs, campaignAllocBudget)
+		t.Errorf("a cold campaign allocates %d times, budget %d", allocs, campaignAllocBudget)
+	}
+	if bytes > campaignByteBudget && !raceEnabled {
+		t.Errorf("a cold campaign allocates %d bytes, budget %d", bytes, campaignByteBudget)
 	}
 }

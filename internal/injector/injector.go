@@ -37,14 +37,6 @@ const productCap = 400
 type Config struct {
 	// Conservative selects the stricter robust-type variant of §4.3.
 	Conservative bool
-	// NoCheckpoints disables the per-campaign checkpoint fork tree
-	// (checkpoint.go), so every experiment rebuilds its full probe
-	// vector from the template. The zero value — checkpoints on — is
-	// what campaigns should run; the switch exists for the differential
-	// determinism tests and the setup-phase benchmark ablation. Robust
-	// type vectors are identical either way, which is why the cache
-	// fingerprint deliberately excludes this field.
-	NoCheckpoints bool
 	// Obs, when non-nil, receives the campaign's structured events:
 	// one InjectionProbe + SandboxOutcome pair per experiment, an
 	// ArgAdjust per adaptive-loop step, and CampaignPhase progress.
@@ -166,12 +158,6 @@ type Injector struct {
 	mForkPagesShared  *obs.Counter
 	mForkPagesCopied  *obs.Counter
 	mForkBytesAvoided *obs.Counter
-	// Checkpoint-tree counters: nodes materialized, experiments forked
-	// from a non-root checkpoint, and prefix probe builds those
-	// experiments skipped.
-	mCheckpoints     *obs.Counter
-	mCheckpointForks *obs.Counter
-	mBuildsAvoided   *obs.Counter
 	// Phase-duration histograms (microseconds), each carrying an
 	// exemplar trace ID so a fat tail links back to a concrete campaign.
 	hPhaseFork        *obs.Histogram
@@ -209,9 +195,6 @@ func New(lib *clib.Library, cfg Config) *Injector {
 	inj.mForkPagesShared = reg.Counter("healers_injector_fork_pages_shared_total")
 	inj.mForkPagesCopied = reg.Counter("healers_injector_fork_pages_copied_total")
 	inj.mForkBytesAvoided = reg.Counter("healers_injector_fork_bytes_avoided_total")
-	inj.mCheckpoints = reg.Counter("healers_injector_checkpoints_total")
-	inj.mCheckpointForks = reg.Counter("healers_injector_checkpoint_forks_total")
-	inj.mBuildsAvoided = reg.Counter("healers_injector_checkpoint_builds_avoided_total")
 	inj.hPhaseFork = reg.Histogram("healers_phase_fork_us", phaseBuckets)
 	inj.hPhaseMaterialize = reg.Histogram("healers_phase_materialize_us", phaseBuckets)
 	inj.hPhaseProbe = reg.Histogram("healers_phase_probe_us", phaseBuckets)
@@ -267,9 +250,6 @@ type campaign struct {
 	errVals map[uint64]int // return values observed when errno was set
 	errnos  map[int]int    // errno values observed
 
-	// ckpt is the campaign's checkpoint fork tree (nil when
-	// Config.NoCheckpoints disables it).
-	ckpt *ckptTree
 	// orderScratch is reused by buildOrder, and argScratch by
 	// experiment for the argument vector, to avoid per-experiment
 	// allocations: a campaign runs on one goroutine.
@@ -314,7 +294,7 @@ func (inj *Injector) injectFunction(fi *extract.FuncInfo, table *cparse.TypeTabl
 		span:     parent.Child(),
 	}
 	// Every exit, the error return included, settles the fork counts and
-	// releases the template and checkpoint processes.
+	// releases the template.
 	defer c.settleForkStats()
 	c.template.Metrics = inj.sandbox
 	// The template memory carries the function span's identity; every
@@ -327,9 +307,6 @@ func (inj *Injector) injectFunction(fi *extract.FuncInfo, table *cparse.TypeTabl
 		c.gens = append(c.gens, g)
 		c.defaults = append(c.defaults, g.Default())
 		c.tried = append(c.tried, nil)
-	}
-	if !inj.cfg.NoCheckpoints {
-		c.ckpt = newCkptTree(c)
 	}
 	c.applySeeds(inj.cfg.Seeds[fn.Name])
 	c.exploreArguments()
@@ -361,9 +338,8 @@ func (inj *Injector) injectFunction(fi *extract.FuncInfo, table *cparse.TypeTabl
 
 // settleForkStats snapshots the template fork tree's copy-on-write
 // counters into the result and the campaign metrics, then returns the
-// campaign's pages to the shared page pool: the checkpoint nodes first
-// (they fork from the template), then the template itself — every run
-// child has already been released, so these hold the last references.
+// template's pages to the shared page pool — every run child has
+// already been released, so the template holds the last references.
 // Released processes are reused by later forks, so the campaign drops
 // its references to them too.
 func (c *campaign) settleForkStats() {
@@ -373,10 +349,6 @@ func (c *campaign) settleForkStats() {
 	c.inj.mForkPagesShared.Add(fk.PagesShared)
 	c.inj.mForkPagesCopied.Add(fk.PagesCopied)
 	c.inj.mForkBytesAvoided.Add(fk.BytesAvoided())
-	if c.ckpt != nil {
-		c.ckpt.release()
-		c.ckpt = nil
-	}
 	c.template.Release()
 	c.template = nil
 }
@@ -571,8 +543,8 @@ func selectRepresentatives(list []*gens.Probe, max int) []*gens.Probe {
 // It returns the typesys outcome and the fault (if the call crashed
 // with one).
 func (c *campaign) runOnce(probes []*gens.Probe, explored int) (typesys.CaseOutcome, *cmem.Fault) {
-	// Resolve nil slots to defaults up front: the checkpoint walk keys
-	// its edges on the resolved probe pointers.
+	// Resolve nil slots to defaults up front: buildOrder tells defaults
+	// from varied probes by pointer.
 	for i, pr := range probes {
 		if pr == nil {
 			probes[i] = c.defaults[i]
@@ -617,22 +589,22 @@ func (c *campaign) runOnce(probes []*gens.Probe, explored int) (typesys.CaseOutc
 }
 
 // experiment runs one sandboxed call, the unit of every injection
-// phase. It forks a child (through the checkpoint tree when enabled),
-// materializes the probes the checkpoint has not already built, calls
-// the function under test, counts the experiment in Result.Calls, and
-// emits its InjectionProbe/SandboxOutcome pair tagged with arg and
-// phase: the explored index (-1 in the cross product) and "" for
-// exploration, -1 and "infer" for dependent-size re-measurement. The
-// child is released before it returns. ok is false when
-// materialization failed; errnoSet reports whether the call set errno.
+// phase. Like the paper's fresh child process per injection, it forks
+// the campaign template, builds the whole probe vector in build order,
+// calls the function under test, counts the experiment in
+// Result.Calls, and emits its InjectionProbe/SandboxOutcome pair
+// tagged with arg and phase: the explored index (-1 in the cross
+// product) and "" for exploration, -1 and "infer" for dependent-size
+// re-measurement. The child is released before it returns. ok is false
+// when materialization failed; errnoSet reports whether the call set
+// errno.
 func (c *campaign) experiment(probes []*gens.Probe, arg int, phase string) (out csim.Outcome, errnoSet, ok bool) {
 	timed := c.inj.timed
 	var forkStart time.Time
 	if timed {
 		forkStart = time.Now() //healers:allow-nondeterminism fork-phase latency histogram, reporting only
 	}
-	order := c.buildOrder(probes)
-	child, node := c.forkChild(probes, order)
+	child := c.template.Fork()
 	if timed {
 		c.inj.hPhaseFork.ObserveEx(time.Since(forkStart).Microseconds(), c.span.Trace)
 	}
@@ -641,23 +613,14 @@ func (c *campaign) experiment(probes []*gens.Probe, arg int, phase string) (out 
 
 	args := slices.Grow(c.argScratch[:0], len(probes))[:len(probes)]
 	c.argScratch = args
-	var mask uint64
-	if node != nil {
-		mask = node.mask
-		copy(args, node.vals)
-	}
+	order := c.buildOrder(probes)
 	var matStart time.Time
 	if timed {
 		matStart = time.Now() //healers:allow-nondeterminism materialize-phase latency histogram, reporting only
 	}
 	mat := child.Run(func() uint64 {
-		// Builds run in the vector's build order; positions the
-		// checkpoint already holds (its mask) are skipped, pure probes
-		// are rebuilt for free.
 		for _, k := range order {
-			if mask&(1<<uint(k)) == 0 {
-				args[k] = probes[k].Build(child)
-			}
+			args[k] = probes[k].Build(child)
 		}
 		return 0
 	})
@@ -728,6 +691,29 @@ func (c *campaign) experiment(probes []*gens.Probe, arg int, phase string) (out 
 		c.inj.tr.Emit(ev)
 	}
 	return out, child.ErrnoSet(), true
+}
+
+// buildOrder returns the argument positions of probes in build order:
+// positions still holding their campaign default probe first, in
+// position order, then the varied positions. The order is a pure
+// function of the vector, so a child's memory layout is reproducible
+// from the vector alone; the committed golden vectors and traces were
+// recorded under it. The slice aliases campaign scratch space, valid
+// until the next call.
+func (c *campaign) buildOrder(probes []*gens.Probe) []int {
+	order := c.orderScratch[:0]
+	for k, pr := range probes {
+		if pr == c.defaults[k] {
+			order = append(order, k)
+		}
+	}
+	for k, pr := range probes {
+		if pr != c.defaults[k] {
+			order = append(order, k)
+		}
+	}
+	c.orderScratch = order
+	return order
 }
 
 // computeRobustVector builds the per-argument hierarchies and runs the

@@ -8,7 +8,6 @@ import (
 	"healers/internal/clib"
 	"healers/internal/corpus"
 	"healers/internal/extract"
-	"healers/internal/obs"
 )
 
 // benchCampaign runs one full 86-function campaign and returns its
@@ -94,30 +93,6 @@ func benchSig(b *testing.B, sig string) {
 	}
 	if sig != string(data) {
 		b.Fatal("benchmark campaign diverged from golden vectors")
-	}
-}
-
-// BenchmarkCampaignCheckpointRatio gates the checkpoint fork tree: the
-// cold campaign's setup phase (the summed fork and materialize
-// histograms) must stay at or below 0.70× the same campaign's with
-// checkpoints off. Both sides carry the same instrumentation, and each
-// takes the best of two runs to filter scheduler noise alike.
-func BenchmarkCampaignCheckpointRatio(b *testing.B) {
-	setupMS := func(noCkpt bool) float64 {
-		reg := obs.NewRegistry()
-		cfg := DefaultConfig()
-		cfg.Metrics = reg
-		cfg.NoCheckpoints = noCkpt
-		sig, _ := timedCampaign(b, cfg)
-		benchSig(b, sig)
-		us := reg.Histogram("healers_phase_fork_us", phaseBuckets).Sum() +
-			reg.Histogram("healers_phase_materialize_us", phaseBuckets).Sum()
-		return float64(us) / 1e3
-	}
-	for i := 0; i < b.N; i++ {
-		on := min(setupMS(false), setupMS(false))
-		off := min(setupMS(true), setupMS(true))
-		gateRatio(b, "ckpt-setup-ms", on, "nockpt-setup-ms", off, 0.70)
 	}
 }
 

@@ -112,50 +112,6 @@ func TestParallelVectorsMatchGolden(t *testing.T) {
 	}
 }
 
-// TestParallelCheckpointDifferential is the strategy-matrix oracle for
-// the checkpoint fork tree: every combination of worker count and
-// checkpoint mode must reproduce the committed golden vectors byte for
-// byte — a child forked from a checkpoint is indistinguishable from
-// one built from scratch, at any parallelism. The counters double as a
-// liveness check: a checkpointed run that never materialized a node
-// would pass the determinism half vacuously.
-func TestParallelCheckpointDifferential(t *testing.T) {
-	if testing.Short() {
-		t.Skip("six full campaigns")
-	}
-	golden := readGoldenVectors(t)
-	for _, workers := range []int{1, 4, 8} {
-		for _, noCkpt := range []bool{false, true} {
-			t.Run(fmt.Sprintf("workers=%d,checkpoints=%t", workers, !noCkpt), func(t *testing.T) {
-				lib, ext := freshExtraction(t)
-				reg := obs.NewRegistry()
-				cfg := DefaultConfig()
-				cfg.Workers = workers
-				cfg.NoCheckpoints = noCkpt
-				cfg.Metrics = reg
-				if workers > 1 {
-					cfg.LibFactory = clib.New
-				}
-				campaign, err := New(lib, cfg).InjectAll(ext, lib.CrashProne86())
-				if err != nil {
-					t.Fatal(err)
-				}
-				if sig := campaign.VectorSignature(); sig != golden {
-					t.Errorf("diverged from golden vectors:\n%s", diffLines(golden, sig))
-				}
-				nodes := reg.Counter("healers_injector_checkpoints_total").Value()
-				avoided := reg.Counter("healers_injector_checkpoint_builds_avoided_total").Value()
-				if noCkpt && (nodes != 0 || avoided != 0) {
-					t.Errorf("checkpoints disabled but counters moved: nodes=%d avoided=%d", nodes, avoided)
-				}
-				if !noCkpt && (nodes == 0 || avoided == 0) {
-					t.Errorf("checkpoints enabled but unused: nodes=%d avoided=%d", nodes, avoided)
-				}
-			})
-		}
-	}
-}
-
 // TestResultCacheSkipsRepeatInjection re-runs a campaign with a shared
 // ResultCache: the second run must be all cache hits, run no
 // experiments, fork nothing, and still produce the identical signature.
