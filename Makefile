@@ -124,15 +124,16 @@ bench-profile:
 # procs) holds the 8-worker wall at or below 0.50x the sequential, the
 # wrapper nop path, the forked-memory accessors, the per-test Ballista
 # budget, the stdio loops, hierarchy construction and a whole cold
-# campaign prove their allocation contracts (the campaign its byte
-# budget too), and the COW and page-cache differentials + aliasing +
-# purity audits and the file copy-on-write and shared-fixture audits
-# run under the race detector.
+# campaign and one fixture experiment prove their allocation contracts
+# (the campaign its byte budget too), and the COW and page-cache
+# differentials + aliasing + purity audits and the file copy-on-write,
+# shared-fixture and file-recycling oracle audits run under the race
+# detector.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkCampaign|BenchmarkFork|BenchmarkByteScanForked|BenchmarkBuildArrayHierarchy|BenchmarkRobustType|BenchmarkStdio' -benchtime 1x ./internal/injector/ ./internal/cmem/ ./internal/typesys/ ./internal/clib/
-	$(GO) test -count=1 -run 'TestNopObservabilityAddsNoAllocations|TestForkedAccessorsAllocateNothing|TestPerTestAllocationBudget|TestKernelAllocations|TestStdioAllocations|TestCampaignAllocationBudget' ./internal/wrapper/ ./internal/cmem/ ./internal/ballista/ ./internal/typesys/ ./internal/clib/ ./internal/injector/
+	$(GO) test -count=1 -run 'TestNopObservabilityAddsNoAllocations|TestForkedAccessorsAllocateNothing|TestPerTestAllocationBudget|TestKernelAllocations|TestStdioAllocations|TestCampaignAllocationBudget|TestFixtureExperimentAllocations' ./internal/wrapper/ ./internal/cmem/ ./internal/ballista/ ./internal/typesys/ ./internal/clib/ ./internal/injector/
 	$(GO) test -race -count=1 -run 'TestDifferentialCOWvsEager|TestPageCacheDifferential|TestReleasedMemoryFaultsThroughCache|TestConcurrentTemplateForks|TestReadPathsLeaveSnapshotFrozen|TestFork|TestProtectAfterFork|TestWriteOnlyPagesSurviveFork|TestChildFree|TestMapResetAfterFork|TestRelease|TestSharedPageRelease' ./internal/cmem/
-	$(GO) test -race -count=1 -run 'TestFileWritesCopyOnWrite|TestConcurrentTemplateForksShareFS|TestSharedFixtureTemplate' ./internal/csim/
+	$(GO) test -race -count=1 -run 'TestFileWritesCopyOnWrite|TestConcurrentTemplateForksShareFS|TestSharedFixtureTemplate|TestFileCOWOracle|TestRecycledFilesStayPrivate' ./internal/csim/
 
 # The end-to-end benchmark lives in a nested module (bench/go.mod), so
 # the root `go test ./...` never compiles it: an API change in the main

@@ -11,6 +11,7 @@ package csim
 
 import (
 	"fmt"
+	"slices"
 
 	"healers/internal/cmem"
 )
@@ -142,9 +143,14 @@ type Process struct {
 	Mem *cmem.Memory
 	FS  *FS
 
-	errno      int
-	errnoSet   bool            // errno written since last ClearErrno
-	fds        map[int]*OpenFD // nil until the first open
+	errno    int
+	errnoSet bool // errno written since last ClearErrno
+	// fds is the descriptor table, indexed by descriptor; a closed
+	// descriptor's slot is nil. It starts in fdSlots (nil until the
+	// first open) and moves to the heap only past fdInline entries.
+	fds        []*OpenFD
+	fdSlots    [fdInline]*OpenFD
+	openFDs    int // non-nil entries of fds
 	nextFD     int
 	steps      int
 	stepBudget int
@@ -169,6 +175,11 @@ type Process struct {
 	// Fork so a campaign's accounting survives per-test forking.
 	Metrics *Metrics
 }
+
+// fdInline is how many descriptor slots a process holds inline: the
+// three numbers below the first descriptor plus five open ones, more
+// than a campaign experiment opens.
+const fdInline = 8
 
 // NewProcess returns a fresh process over fs with stdin/stdout/stderr
 // style descriptors left unallocated (fds start at 3, like a shell child).
@@ -203,7 +214,9 @@ func reuse() *Process {
 // copy-on-write filesystem (the name table and the files are shared
 // and privatized on the first mutation), and a deep-copied descriptor
 // table. The fault injector forks a child per experiment so a crash
-// cannot corrupt the parent.
+// cannot corrupt the parent. The child's filesystem is its own: a
+// released child's is parked for the next fork, with the files it
+// privatized.
 //
 // Descriptor semantics matter when a process with descriptors open is
 // forked, and its fork forked again: each child gets its own OpenFD
@@ -221,12 +234,18 @@ func reuse() *Process {
 // descriptors carry mutable state (positions, lazily privatized files)
 // with no synchronization. Campaign templates hold none.
 func (p *Process) Fork() *Process {
+	fs := forkFSs.Get()
+	if fs == nil {
+		fs = new(FS)
+	}
+	p.FS.cloneInto(fs)
 	c := reuse()
 	*c = Process{
 		Mem:        p.Mem.Clone(),
-		FS:         p.FS.Clone(),
+		FS:         fs,
 		errno:      p.errno,
 		errnoSet:   p.errnoSet,
+		openFDs:    p.openFDs,
 		nextFD:     p.nextFD,
 		stepBudget: p.stepBudget,
 		Stdin:      p.Stdin,
@@ -238,29 +257,31 @@ func (p *Process) Fork() *Process {
 		Cwd:     p.Cwd,
 		Metrics: p.Metrics,
 	}
+	fs.owner = c
 	// Deep-copy the descriptor table preserving dup aliasing: two fds
 	// sharing one open-file description in the parent share one copied
 	// description in the child. A parent with no descriptors forks a
 	// child with no table.
-	if len(p.fds) > 0 {
-		c.fds = make(map[int]*OpenFD, len(p.fds))
+	if p.fds != nil {
+		c.fds = append(c.fdSlots[:0], p.fds...)
 	}
-	copied := make(map[*OpenFD]*OpenFD, len(p.fds))
 	for fd, of := range p.fds {
-		nf, ok := copied[of]
-		if !ok {
-			cp := *of
-			cp.Entries = append([]string(nil), of.Entries...)
-			// The description's file may be unlinked-but-open (absent
-			// from the name table, so FS.Clone never froze it); freeze
-			// it here — both processes now reference it.
-			if cp.File != nil && !cp.File.frozen.Load() {
-				cp.File.frozen.Store(true)
-			}
-			nf = &cp
-			copied[of] = nf
+		if of == nil {
+			continue
 		}
-		c.fds[fd] = nf
+		if dup := slices.Index(p.fds[:fd], of); dup >= 0 {
+			c.fds[fd] = c.fds[dup]
+			continue
+		}
+		cp := *of
+		cp.Entries = append([]string(nil), of.Entries...)
+		// The description's file may be unlinked-but-open (absent
+		// from the name table, so FS.Clone never froze it); freeze
+		// it here — both processes now reference it.
+		if cp.File != nil && !cp.File.frozen.Load() {
+			cp.File.frozen.Store(true)
+		}
+		c.fds[fd] = &cp
 	}
 	if p.statics != nil {
 		c.statics = make(map[string]cmem.Addr, len(p.statics))
@@ -278,17 +299,23 @@ func (p *Process) Fork() *Process {
 }
 
 // Release returns the process's exclusively owned memory pages to the
-// shared page pool and parks the process and its Memory for reuse. The
+// shared page pool and parks the process and its Memory for reuse. A
+// forked process's filesystem is parked too, with every file the
+// process privatized and no later fork froze; a process made by
+// NewProcess leaves its filesystem, which others may share, alone. The
 // campaign runners call it when a forked child's experiment completes:
 // the next NewProcess or Fork may hand this very struct out again, so
-// no reference to the process or its Memory may outlive Release. Until
-// then every field is zeroed (the process runs no code); releasing it
-// again does nothing.
+// no reference to the process, its Memory, its forked filesystem or a
+// file it wrote may outlive Release. Until then every field is zeroed
+// (the process runs no code); releasing it again does nothing.
 func (p *Process) Release() {
 	if p.Mem == nil {
 		return // already released
 	}
 	p.Mem.Release()
+	if p.FS != nil && p.FS.owner == p {
+		p.FS.release()
+	}
 	*p = Process{}
 	procs.Put(p)
 }

@@ -136,3 +136,122 @@ func TestTruncatingOpenCopiesNothing(t *testing.T) {
 		}
 	}
 }
+
+// TestCreateUnchangedIsNoOp: re-creating a file with the bytes it
+// already holds, while it is frozen, returns the very file — same
+// inode — and leaves the forked child's name table shared and its
+// replacements empty, without allocating.
+func TestCreateUnchangedIsNoOp(t *testing.T) {
+	fs := NewFS()
+	data := []byte("fixture")
+	f := fs.Create("/dir/f", data)
+	tpl := NewProcess(fs)
+	defer tpl.Release()
+	c := tpl.Fork()
+	defer c.Release()
+	table := reflect.ValueOf(c.FS.files).UnsafePointer()
+	if g := c.FS.Create("/dir/f", []byte("fixture")); g != f || g.Ino != f.Ino {
+		t.Fatalf("re-create returned inode %d (same file %v), want the existing file, inode %d", g.Ino, g == f, f.Ino)
+	}
+	if reflect.ValueOf(c.FS.files).UnsafePointer() != table || !c.FS.shared.Load() || len(c.FS.repl) != 0 {
+		t.Error("an unchanged re-create touched the child's name table")
+	}
+	if n := testing.AllocsPerRun(100, func() { c.FS.Create("/dir/f", data) }); n != 0 {
+		t.Errorf("an unchanged re-create allocates %.0f times, want 0", n)
+	}
+}
+
+// TestCreateDifferingKeepsInode: re-creating a name with other bytes
+// keeps its inode, as an O_TRUNC open does, without copying the
+// child's name table or taking an inode number; the template and a
+// sibling still read the old bytes.
+func TestCreateDifferingKeepsInode(t *testing.T) {
+	fs := NewFS()
+	f := fs.Create("/dir/f", []byte("fixture"))
+	tpl := NewProcess(fs)
+	defer tpl.Release()
+	sib := tpl.Fork()
+	defer sib.Release()
+	c := tpl.Fork()
+	defer c.Release()
+	table, next := reflect.ValueOf(c.FS.files).UnsafePointer(), c.FS.nextIno
+	g := c.FS.Create("/dir/f", []byte("other"))
+	if g == f || g.Ino != f.Ino || c.FS.nextIno != next {
+		t.Errorf("re-create gave inode %d (same file %v, next inode %d), want a new file on inode %d (next %d)",
+			g.Ino, g == f, c.FS.nextIno, f.Ino, next)
+	}
+	if reflect.ValueOf(c.FS.files).UnsafePointer() != table {
+		t.Error("a differing re-create copied the child's name table")
+	}
+	for who, p := range map[string]*Process{"child": c, "sibling": sib, "template": tpl} {
+		want := "fixture"
+		if p == c {
+			want = "other"
+		}
+		if h, _ := p.FS.Lookup("/dir/f"); string(h.Data) != want || h.Ino != f.Ino {
+			t.Errorf("%s reads %q on inode %d, want %q on inode %d", who, h.Data, h.Ino, want, f.Ino)
+		}
+	}
+	// A process that owns its table keeps the inode too.
+	if h := fs.Create("/dir/f", []byte("again")); h.Ino != f.Ino {
+		t.Errorf("re-create in the template gave inode %d, want %d", h.Ino, f.Ino)
+	}
+}
+
+// TestDescriptorTable: the slice-backed table keeps dup aliasing
+// across Fork, answers EBADF for closed, negative and out-of-range
+// descriptors, and keeps its open count through closes, past its
+// inline slots and in a fork.
+func TestDescriptorTable(t *testing.T) {
+	fs := NewFS()
+	fs.Create("/f", []byte("abc"))
+	p := NewProcess(fs)
+	defer p.Release()
+	fd := p.OpenFile("/f", ReadWrite, false)
+	dup := p.DupFD(p.FD(fd))
+	c := p.Fork()
+	defer c.Release()
+	if c.FD(fd) != c.FD(dup) || c.FD(fd) == p.FD(fd) {
+		t.Fatal("the fork lost the dup aliasing or shares the parent's description")
+	}
+	c.FD(fd).Pos = 2
+	if p.FD(fd).Pos != 0 || c.FD(dup).Pos != 2 {
+		t.Error("a fork's position moved the parent's, or not its own dup's")
+	}
+	if !c.CloseFD(dup) || c.FD(fd) == nil {
+		t.Fatal("closing the dup failed, or closed its alias too")
+	}
+	if c.CloseFD(dup) || c.Errno() != EBADF {
+		t.Errorf("a double close succeeded or set errno %d, want EBADF", c.Errno())
+	}
+	for _, bad := range []int{-1, 2, 1 << 20} {
+		c.ClearErrno()
+		if c.FD(bad) != nil || c.CloseFD(bad) || c.Errno() != EBADF {
+			t.Errorf("descriptor %d: resolved or closed (errno %d), want EBADF", bad, c.Errno())
+		}
+	}
+	if c.OpenFDCount() != 1 || p.OpenFDCount() != 2 {
+		t.Errorf("open counts: fork %d, parent %d; want 1 and 2", c.OpenFDCount(), p.OpenFDCount())
+	}
+
+	var fds []int
+	for i := 0; i < 2*fdInline; i++ {
+		fds = append(fds, p.OpenFile("/f", ReadOnly, false))
+	}
+	for i := 0; i < len(fds); i += 2 {
+		p.CloseFD(fds[i])
+	}
+	if want := 2 + fdInline; p.OpenFDCount() != want {
+		t.Errorf("past the inline slots: %d open, want %d", p.OpenFDCount(), want)
+	}
+	gc := p.Fork()
+	defer gc.Release()
+	if gc.OpenFDCount() != p.OpenFDCount() {
+		t.Errorf("the fork counts %d open, the parent %d", gc.OpenFDCount(), p.OpenFDCount())
+	}
+	for i, fd := range fds {
+		if open := gc.FD(fd) != nil; open != (i%2 == 1) {
+			t.Errorf("the fork's descriptor %d open %v, want %v", fd, open, i%2 == 1)
+		}
+	}
+}

@@ -1,9 +1,12 @@
 package csim
 
 import (
+	"bytes"
 	"path"
 	"sort"
 	"sync/atomic"
+
+	"healers/internal/cmem"
 )
 
 // VFile is an in-memory file. Files are shared between processes like
@@ -28,16 +31,65 @@ type VFile struct {
 // it to audit the privatize-on-write funnel.
 func (f *VFile) Frozen() bool { return f.frozen.Load() }
 
-// unfrozenCopy returns a private, mutable copy of f holding its first
-// n bytes.
-func (f *VFile) unfrozenCopy(n int) *VFile {
-	return &VFile{
-		Data:  append([]byte(nil), f.Data[:n]...),
-		Mode:  f.Mode,
-		IsDir: f.IsDir,
-		Ino:   f.Ino,
+// privateCopy returns a private, mutable copy of f holding its first
+// n bytes, in a file another fork released when one is parked: a copy
+// of bytes takes one that kept its buffer, so the copy lands in bytes
+// that are already there, and a copy of nothing (a truncation) takes
+// one without, so no byte of the old contents is copied. Either falls
+// back on the other list before allocating, so no more files are
+// parked than forks ever held at once.
+func (f *VFile) privateCopy(n int) *VFile {
+	first, second := &spareFiles, &bareFiles
+	if n == 0 {
+		first, second = second, first
 	}
+	nf := first.Get()
+	if nf == nil {
+		nf = second.Get()
+	}
+	if nf == nil {
+		nf = new(VFile)
+	}
+	if n == 0 {
+		nf.Data = nil
+	} else {
+		nf.Data = append(nf.Data[:0], f.Data[:n]...)
+	}
+	nf.Mode, nf.IsDir, nf.Ino = f.Mode, f.IsDir, f.Ino
+	return nf
 }
+
+// Parked private files. A forked process alone owns every file it
+// privatized while that file stays unfrozen, so its Release parks them
+// here for the next first write or truncation instead of dropping them:
+// spareFiles keep a byte buffer worth filling (a first-write copy of
+// the fixture draws one and allocates nothing), bareFiles keep none.
+var spareFiles, bareFiles cmem.FreeList[VFile]
+
+// A parked file keeps its buffer when the buffer holds at least
+// minSpareBytes (smaller copies cost little to allocate, and a small
+// buffer drawn for a large copy would be reallocated anyway) and at
+// most maxSpareBytes (an odd test's huge file is not kept alive).
+const (
+	minSpareBytes = 4 << 10
+	maxSpareBytes = 64 << 10
+)
+
+// park puts an exclusively owned, unfrozen file on a free list.
+func park(f *VFile) {
+	data := f.Data[:0]
+	*f = VFile{}
+	if c := cap(data); c >= minSpareBytes && c <= maxSpareBytes {
+		f.Data = data
+		spareFiles.Put(f)
+		return
+	}
+	bareFiles.Put(f)
+}
+
+// replacement records that every name resolving to old now resolves to
+// new, without a write to a name table another fork may share.
+type replacement struct{ old, new *VFile }
 
 // FS is an in-memory filesystem shared by simulated processes.
 type FS struct {
@@ -45,13 +97,30 @@ type FS struct {
 	nextIno uint64
 
 	// shared marks the name table as referenced by another FS: Clone
-	// hands its table to the child by reference, and every name-table
-	// mutation goes through own, which copies a shared table first.
-	// While shared is set every file in the table is frozen. The flag
-	// is atomic, and only stored when it changes, because concurrent
-	// template forks clone one FS from several goroutines.
+	// hands its table to the child by reference, and every insertion
+	// or removal of a name goes through own, which copies a shared
+	// table first. While shared is set every file in the table is
+	// frozen. The flag is atomic, and only stored when it changes,
+	// because concurrent template forks clone one FS from several
+	// goroutines.
 	shared atomic.Bool
+
+	// repl replaces files without touching the name table: a write
+	// that privatizes a frozen file, or a Create over an existing name,
+	// records the pair here and Lookup resolves through it. A table
+	// file is never a replacement's new, so one step resolves. It is
+	// the filesystem's own (Clone copies it), and every new in it is
+	// frozen by the next Clone like the table's files.
+	repl []replacement
+
+	// owner is the forked process this FS was cloned for (nil for
+	// NewFS and Clone): the process's Release parks the FS and the
+	// unfrozen files it privatized, which no one else can reach.
+	owner *Process
 }
+
+// forkFSs parks the filesystems of released forked processes.
+var forkFSs cmem.FreeList[FS]
 
 // own makes the name table private ahead of a mutation, copying it if
 // a clone still references it.
@@ -80,8 +149,24 @@ func NewFS() *FS {
 // descriptor privatizes a copy (PrivatizeForWrite, TruncateForWrite),
 // so data is never mutated and may be shared read-only by every
 // process that creates the same fixture.
+//
+// On an existing name the file keeps its inode, as an O_TRUNC open
+// does, and re-creating an unchanged file is a no-op: a frozen regular
+// file with mode 0644 and the same bytes is returned as it is, so a
+// probe that re-creates a fixture the campaign template already holds
+// neither copies the name table nor allocates.
 func (fs *FS) Create(name string, data []byte) *VFile {
 	name = path.Clean(name)
+	if old, ok := fs.files[name]; ok {
+		cur := fs.resolve(old)
+		if cur.frozen.Load() && !cur.IsDir && cur.Mode == 0o644 && bytes.Equal(cur.Data, data) {
+			return cur
+		}
+		f := &VFile{Data: data, Mode: 0o644, Ino: cur.Ino}
+		f.frozen.Store(true)
+		fs.replace(cur, f)
+		return f
+	}
 	fs.mkParents(name)
 	f := &VFile{Data: data, Mode: 0o644, Ino: fs.nextIno}
 	f.frozen.Store(true)
@@ -94,7 +179,7 @@ func (fs *FS) Create(name string, data []byte) *VFile {
 // Mkdir adds a directory (and any missing parents).
 func (fs *FS) Mkdir(name string) *VFile {
 	name = path.Clean(name)
-	if f, ok := fs.files[name]; ok && f.IsDir {
+	if f, ok := fs.lookup(name); ok && f.IsDir {
 		return f
 	}
 	fs.mkParents(name)
@@ -110,7 +195,7 @@ func (fs *FS) mkParents(name string) {
 	if dir == name || dir == "." {
 		return
 	}
-	if f, ok := fs.files[dir]; ok && f.IsDir {
+	if f, ok := fs.lookup(dir); ok && f.IsDir {
 		return
 	}
 	fs.Mkdir(dir)
@@ -118,20 +203,30 @@ func (fs *FS) mkParents(name string) {
 
 // Clone forks the filesystem copy-on-write at two levels. The name
 // table is shared by reference and copied by whichever side first
-// creates, removes or replaces a name (own). The files themselves are
-// shared by pointer and frozen; a frozen file is privatized the moment
-// either side needs to mutate it — at its first in-place write, or at
-// Fork time for descriptors the child inherits open for writing — so
-// a test that truncates or unlinks a fixture still cannot pollute
-// sibling tests, while the historical eager clone (which deep-copied
-// every fixture byte on every fork, the dominant fork cost) is gone.
+// creates or removes a name (own). The files themselves are shared by
+// pointer and frozen; a frozen file is privatized the moment either
+// side needs to mutate it — at its first in-place write, or at Fork
+// time for descriptors the child inherits open for writing — and the
+// private copy is recorded in the writer's replacements, not its name
+// table, so a test that truncates or unlinks a fixture still cannot
+// pollute sibling tests, while the historical eager clone (which
+// deep-copied every fixture byte on every fork, the dominant fork
+// cost) is gone.
 //
 // Freezing happens once per table: the first Clone after a table
 // change freezes every file and marks the table shared, and later
-// Clones of the same table find it shared and write nothing. Clone
+// Clones of the same table find it shared and write nothing to it
+// (replacement files are frozen on every Clone; there are few). Clone
 // only reads fs besides those atomic bits, so one filesystem may be
 // cloned concurrently from several goroutines.
 func (fs *FS) Clone() *FS {
+	c := new(FS)
+	fs.cloneInto(c)
+	return c
+}
+
+// cloneInto is Clone into c, an empty FS (new or parked).
+func (fs *FS) cloneInto(c *FS) {
 	if !fs.shared.Load() {
 		for _, f := range fs.files {
 			if !f.frozen.Load() {
@@ -142,16 +237,65 @@ func (fs *FS) Clone() *FS {
 		// table shared also sees every file frozen.
 		fs.shared.Store(true)
 	}
-	c := &FS{files: fs.files, nextIno: fs.nextIno}
+	for _, r := range fs.repl {
+		if !r.new.frozen.Load() {
+			r.new.frozen.Store(true)
+		}
+	}
+	c.files, c.nextIno = fs.files, fs.nextIno
 	c.shared.Store(true)
-	return c
+	c.repl = append(c.repl[:0], fs.repl...)
+}
+
+// release parks a released forked process's filesystem: every
+// replacement file no Clone froze is the process's alone, and so is
+// the FS itself. The emptied replacement list stays with the parked FS
+// for its next fork, as cmem's parked Memory keeps its emptied map.
+func (fs *FS) release() {
+	for _, r := range fs.repl {
+		if !r.new.frozen.Load() {
+			park(r.new)
+		}
+	}
+	clear(fs.repl)
+	fs.repl = fs.repl[:0]
+	fs.files, fs.nextIno, fs.owner = nil, 0, nil
+	fs.shared.Store(false)
+	forkFSs.Put(fs)
+}
+
+// resolve returns the file a name table entry f currently stands for.
+func (fs *FS) resolve(f *VFile) *VFile {
+	for _, r := range fs.repl {
+		if r.old == f {
+			return r.new
+		}
+	}
+	return f
+}
+
+// replace makes every name that resolves to cur resolve to nf.
+func (fs *FS) replace(cur, nf *VFile) {
+	for i := range fs.repl {
+		if fs.repl[i].new == cur {
+			fs.repl[i].new = nf
+			return
+		}
+	}
+	fs.repl = append(fs.repl, replacement{old: cur, new: nf})
+}
+
+// lookup is Lookup of a clean name.
+func (fs *FS) lookup(name string) (*VFile, bool) {
+	f, ok := fs.files[name]
+	if !ok {
+		return nil, false
+	}
+	return fs.resolve(f), true
 }
 
 // Lookup finds a file by name.
-func (fs *FS) Lookup(name string) (*VFile, bool) {
-	f, ok := fs.files[path.Clean(name)]
-	return f, ok
-}
+func (fs *FS) Lookup(name string) (*VFile, bool) { return fs.lookup(path.Clean(name)) }
 
 // Remove deletes a file by name.
 func (fs *FS) Remove(name string) bool {
@@ -213,27 +357,20 @@ type OpenFD struct {
 
 // unshareFile replaces a frozen (shared) file with a private
 // mutable copy of its first keep bytes throughout this process: the
-// filesystem name table and every open descriptor referencing the
-// shared inode are re-pointed, so all of this process's views of the
-// file stay coherent while sibling forks keep the pre-fork bytes. This
-// is the copy-on-write privatize funnel every file mutation path goes
-// through.
+// filesystem resolves every name of the shared inode to the copy (a
+// replacement, so the name table is not copied) and every open
+// descriptor referencing it is re-pointed, so all of this process's
+// views of the file stay coherent while sibling forks keep the
+// pre-fork bytes. This is the copy-on-write privatize funnel every
+// file mutation path goes through.
 func (p *Process) unshareFile(f *VFile, keep int) *VFile {
 	if f == nil || !f.frozen.Load() {
 		return f
 	}
-	nf := f.unfrozenCopy(keep)
-	for name, g := range p.FS.files {
-		if g == f {
-			// own may swap in a private copy of the table; the
-			// range keeps walking the old one, which still holds
-			// the same names.
-			p.FS.own()
-			p.FS.files[name] = nf
-		}
-	}
+	nf := f.privateCopy(keep)
+	p.FS.replace(f, nf)
 	for _, of := range p.fds {
-		if of.File == f {
+		if of != nil && of.File == f {
 			of.File = nf
 		}
 	}
@@ -310,7 +447,7 @@ func (p *Process) OpenDir(name string) int {
 
 // FD resolves a descriptor, returning nil if it is not open.
 func (p *Process) FD(fd int) *OpenFD {
-	if fd < 0 {
+	if fd < 0 || fd >= len(p.fds) {
 		return nil
 	}
 	return p.fds[fd]
@@ -318,17 +455,18 @@ func (p *Process) FD(fd int) *OpenFD {
 
 // CloseFD closes a descriptor. Returns false (EBADF) if not open.
 func (p *Process) CloseFD(fd int) bool {
-	if _, ok := p.fds[fd]; !ok {
+	if p.FD(fd) == nil {
 		p.SetErrno(EBADF)
 		return false
 	}
-	delete(p.fds, fd)
+	p.fds[fd] = nil
+	p.openFDs--
 	return true
 }
 
 // OpenFDCount returns the number of open descriptors (tests use this to
 // detect descriptor leaks in wrappers).
-func (p *Process) OpenFDCount() int { return len(p.fds) }
+func (p *Process) OpenFDCount() int { return p.openFDs }
 
 // DupFD installs an additional descriptor sharing the open-file
 // description of and returns its number.
@@ -339,11 +477,16 @@ func (p *Process) DupFD(of *OpenFD) int {
 	return fd
 }
 
-// setFD installs a descriptor. The table is created on first use, so a
-// process (or fork) that never opens anything carries none.
+// setFD installs a descriptor at fd, a number never handed out before.
+// The table starts in the process's inline slots, so a process (or
+// fork) that opens a few descriptors allocates no table.
 func (p *Process) setFD(fd int, of *OpenFD) {
 	if p.fds == nil {
-		p.fds = make(map[int]*OpenFD)
+		p.fds = p.fdSlots[:0]
+	}
+	for len(p.fds) <= fd {
+		p.fds = append(p.fds, nil)
 	}
 	p.fds[fd] = of
+	p.openFDs++
 }

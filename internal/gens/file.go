@@ -162,6 +162,13 @@ var _ Generator = (*DirGen)(nil)
 // DefaultFixtureDir is the directory DirGen materializes and opens.
 const DefaultFixtureDir = "/healers-fixtures"
 
+// The contents of the two files DirGen puts in its fixture directory.
+// Like FixtureFileContents they are read-only: csim.FS.Create keeps
+// them copy-on-write, so a probe build allocates no contents, and
+// re-creating them over a template that holds the same bytes is a
+// no-op.
+var dirEntryA, dirEntryB = []byte("x"), []byte("y")
+
 // NewDirGen returns a DIR* generator over the given fixture directory.
 func NewDirGen(dir string) *DirGen {
 	if dir == "" {
@@ -179,8 +186,8 @@ func (g *DirGen) openProbe() *Probe {
 	return &Probe{
 		Fund: typesys.TypeOpenDir,
 		Build: func(p *csim.Process) uint64 {
-			p.FS.Create(g.FixtureDir+"/a.txt", []byte("x"))
-			p.FS.Create(g.FixtureDir+"/b.txt", []byte("y"))
+			p.FS.Create(g.FixtureDir+"/a.txt", dirEntryA)
+			p.FS.Create(g.FixtureDir+"/b.txt", dirEntryB)
 			fd := p.OpenDir(g.FixtureDir)
 			if fd < 0 {
 				return 0
@@ -202,7 +209,7 @@ func (g *DirGen) garbageProbe() *Probe {
 func (g *DirGen) corruptedProbe() *Probe {
 	pr := &Probe{Fund: typesys.NameRWFixed(csim.SizeofDIR), Size: csim.SizeofDIR}
 	pr.Build = func(p *csim.Process) uint64 {
-		p.FS.Create(g.FixtureDir+"/a.txt", []byte("x"))
+		p.FS.Create(g.FixtureDir+"/a.txt", dirEntryA)
 		fd := p.OpenDir(g.FixtureDir)
 		if fd < 0 {
 			return 0
@@ -224,7 +231,7 @@ func (g *DirGen) staleProbe() *Probe {
 	return &Probe{
 		Fund: typesys.NameRWFixed(csim.SizeofDIR),
 		Build: func(p *csim.Process) uint64 {
-			p.FS.Create(g.FixtureDir+"/a.txt", []byte("x"))
+			p.FS.Create(g.FixtureDir+"/a.txt", dirEntryA)
 			fd := p.OpenDir(g.FixtureDir)
 			if fd < 0 {
 				return 0

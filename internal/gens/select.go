@@ -102,6 +102,11 @@ type FdGen struct {
 
 var _ Generator = (*FdGen)(nil)
 
+// fdFixtureContents is what FdGen writes to its fixture before opening
+// it. It is read-only (csim.FS.Create keeps it copy-on-write), so a
+// probe build allocates no contents.
+var fdFixtureContents = []byte("fd fixture\n")
+
 // NewFdGen returns a descriptor generator.
 func NewFdGen() *FdGen {
 	g := &FdGen{FixturePath: DefaultFixturePath}
@@ -116,7 +121,7 @@ func (g *FdGen) openFdProbe() *Probe {
 	return &Probe{
 		Fund: TypeFdOpen,
 		Build: func(p *csim.Process) uint64 {
-			p.FS.Create(g.FixturePath, []byte("fd fixture\n"))
+			p.FS.Create(g.FixturePath, fdFixtureContents)
 			fd := p.OpenFile(g.FixturePath, csim.ReadWrite, false)
 			return uint64(uint32(fd))
 		},

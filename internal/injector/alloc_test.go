@@ -10,18 +10,21 @@ import (
 )
 
 // campaignAllocBudget bounds the heap allocations of one sequential
-// cold 86-function campaign, extraction excluded: 97.2k measured and
-// 102.3k under -race, so the budget leaves room for the race detector's
+// cold 86-function campaign, extraction excluded: 72.3k measured and
+// 77.4k under -race, so the budget leaves room for the race detector's
 // sync.Pool drops and collector timing. Before hierarchies were built
-// from slabs and the argument vector reused, the campaign made 164.2k.
-const campaignAllocBudget = 105_000
+// from slabs and the argument vector reused, the campaign made 164.2k;
+// before first writes reused released files, unchanged fixtures were
+// re-created as no-ops and descriptors lived in a slice, 97.2k.
+const campaignAllocBudget = 80_000
 
 // campaignByteBudget bounds the bytes the same campaign allocates
-// without the race detector: 15.7 MB measured. Before the fixture
-// bytes were shared copy-on-write from creation, each FILE probe build
-// copied the 8 KiB fixture twice and the campaign allocated 24.7 MB,
-// so either copy coming back fails the budget.
-const campaignByteBudget = 18_000_000
+// without the race detector: 8.3 MB measured. Before the fixture bytes
+// were shared copy-on-write from creation, each FILE probe build
+// copied the 8 KiB fixture twice and the campaign allocated 24.7 MB;
+// before a first write's copy landed in a released buffer, 15.7 MB. So
+// either kind of fixture copy coming back fails the budget.
+const campaignByteBudget = 9_500_000
 
 // TestCampaignAllocationBudget pins the allocations and allocated bytes
 // of one sequential cold campaign, so that per-type hierarchy
