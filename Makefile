@@ -125,14 +125,15 @@ bench-profile:
 # wrapper nop path, the forked-memory accessors, the per-test Ballista
 # budget, the stdio loops, hierarchy construction and a whole cold
 # campaign and one fixture experiment prove their allocation contracts
-# (the campaign its byte budget too), and the COW and page-cache
-# differentials + aliasing + purity audits and the file copy-on-write,
+# (the campaign its byte budget too), heal's sink repairs take at most
+# one pool page each, and the COW and page-cache differentials +
+# aliasing + purity + zero-page audits and the file copy-on-write,
 # shared-fixture and file-recycling oracle audits run under the race
 # detector.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkCampaign|BenchmarkFork|BenchmarkByteScanForked|BenchmarkBuildArrayHierarchy|BenchmarkRobustType|BenchmarkStdio' -benchtime 1x ./internal/injector/ ./internal/cmem/ ./internal/typesys/ ./internal/clib/
-	$(GO) test -count=1 -run 'TestNopObservabilityAddsNoAllocations|TestForkedAccessorsAllocateNothing|TestPerTestAllocationBudget|TestKernelAllocations|TestStdioAllocations|TestCampaignAllocationBudget|TestFixtureExperimentAllocations' ./internal/wrapper/ ./internal/cmem/ ./internal/ballista/ ./internal/typesys/ ./internal/clib/ ./internal/injector/
-	$(GO) test -race -count=1 -run 'TestDifferentialCOWvsEager|TestPageCacheDifferential|TestReleasedMemoryFaultsThroughCache|TestConcurrentTemplateForks|TestReadPathsLeaveSnapshotFrozen|TestFork|TestProtectAfterFork|TestWriteOnlyPagesSurviveFork|TestChildFree|TestMapResetAfterFork|TestRelease|TestSharedPageRelease' ./internal/cmem/
+	$(GO) test -count=1 -run 'TestNopObservabilityAddsNoAllocations|TestForkedAccessorsAllocateNothing|TestPerTestAllocationBudget|TestKernelAllocations|TestStdioAllocations|TestCampaignAllocationBudget|TestFixtureExperimentAllocations|TestSinkRepairsTakeOnePage' ./internal/wrapper/ ./internal/cmem/ ./internal/ballista/ ./internal/typesys/ ./internal/clib/ ./internal/injector/
+	$(GO) test -race -count=1 -run 'TestDifferentialCOWvsEager|TestPageCacheDifferential|TestReleasedMemoryFaultsThroughCache|TestConcurrentTemplateForks|TestReadPathsLeaveSnapshotFrozen|TestFork|TestProtectAfterFork|TestWriteOnlyPagesSurviveFork|TestChildFree|TestMapResetAfterFork|TestRelease|TestSharedPageRelease|TestZeroPages' ./internal/cmem/
 	$(GO) test -race -count=1 -run 'TestFileWritesCopyOnWrite|TestConcurrentTemplateForksShareFS|TestSharedFixtureTemplate|TestFileCOWOracle|TestRecycledFilesStayPrivate' ./internal/csim/
 
 # The end-to-end benchmark lives in a nested module (bench/go.mod), so

@@ -17,6 +17,15 @@
 // stack (shared, frozen) plus a private delta map; a page-table walk
 // probes the delta first, then the layers top-down.
 //
+// Fresh memory costs nothing until it is written. Map installs one
+// shared, never-written zero page per protection, as a kernel maps its
+// zero page; the first store turns it into a private page through the
+// same copy-on-write path, a protection change swaps it for the zero
+// page of the new protection, and Zero turns written pages back into
+// zero pages. A region filled as soon as it is mapped (MmapFlush) is
+// built in one pass with its bytes and protection and never passes
+// through a zero page.
+//
 // A small direct-mapped page cache (a software TLB) sits in front of
 // the walk, so a run of accesses to one page pays for one walk. Only a
 // single-owner Memory that has never been frozen or cloned writes its
@@ -227,10 +236,14 @@ func copyOf(src *page, shard uint32) *page {
 }
 
 // release drops one reference; the last referent returns the page to
-// its shard. An exclusively owned page (refs == 1) skips the atomic
-// decrement entirely — no sibling can race a load that observes 1,
-// because observing 1 proves there is no sibling.
+// its shard. A zero page is never returned. An exclusively owned page
+// (refs == 1) skips the atomic decrement entirely — no sibling can race
+// a load that observes 1, because observing 1 proves there is no
+// sibling.
 func (pg *page) release() {
+	if isZero(pg) {
+		return // shared by every mapping of it; never pooled
+	}
 	if pg.refs.Load() == 1 || pg.refs.Add(-1) == 0 {
 		s := &pageShards[pg.shard&shardMask]
 		s.puts.Add(1)
@@ -338,34 +351,61 @@ type Memory struct {
 	TraceID uint64
 	SpanID  uint64
 
-	// spare is the emptied delta map a released Memory keeps for its
-	// next life; nil on a live Memory. Release sets it, alloc takes it.
-	spare map[Addr]*page
+	// spare holds the emptied containers a released Memory keeps for
+	// its next life; zero on a live Memory. Release sets it, alloc
+	// takes it.
+	spare spares
+}
+
+// spares are the containers a Memory's life grows and its next life
+// reuses: the delta map and the heap's allocation table and index.
+type spares struct {
+	own    map[Addr]*page
+	allocs map[Addr]int
+	sorted []Addr
 }
 
 // mems parks released Memories for the next New, Clone or CloneEager.
 var mems FreeList[Memory]
 
-// spareCap bounds the delta map a released Memory keeps: a Go map
-// never shrinks, so one that grew past what a forked child maps is
-// left to the collector instead of being parked.
+// spareCap bounds each container a released Memory keeps: a Go map
+// never shrinks, so one that grew past what a forked child maps or
+// allocates is left to the collector instead of being parked, and so
+// is an index that grew past as many entries.
 const spareCap = 64
 
-// alloc returns a zeroed Memory and an empty delta map for it: a
-// released Memory and the map it kept when one is parked, new ones
+// alloc returns a zeroed Memory and empty containers for it: a released
+// Memory and the containers it kept when one is parked, new ones
 // otherwise. New, Clone and CloneEager initialise every field of the
 // result the same way either way.
-func alloc() (*Memory, map[Addr]*page) {
+func alloc() (*Memory, spares) {
 	m := mems.Get()
+	var sp spares
 	if m == nil {
-		return new(Memory), make(map[Addr]*page)
+		m = new(Memory)
+	} else {
+		sp, m.spare = m.spare, spares{}
 	}
-	own := m.spare
-	m.spare = nil
-	if own == nil {
-		own = make(map[Addr]*page)
+	if sp.own == nil {
+		sp.own = make(map[Addr]*page)
 	}
-	return m, own
+	if sp.allocs == nil {
+		sp.allocs = make(map[Addr]int)
+	}
+	if sp.sorted == nil {
+		sp.sorted = make([]Addr, 0, 4)
+	}
+	return m, sp
+}
+
+// keep empties the map c and returns it when it is small enough to
+// park, nil otherwise.
+func keep[C ~map[Addr]*page | ~map[Addr]int](c C) C {
+	if len(c) > spareCap {
+		return nil
+	}
+	clear(c)
+	return c
 }
 
 // Address-space layout constants. The null page (and everything below
@@ -382,9 +422,10 @@ const (
 
 // New returns an empty simulated address space with a mapped stack.
 func New() *Memory {
-	m, own := alloc()
+	m, sp := alloc()
 	*m = Memory{
-		own:        own,
+		own:        sp.own,
+		heap:       heapState{allocs: sp.allocs, sorted: sp.sorted},
 		tlbOn:      true,
 		heapCursor: heapBase,
 		mmapCursor: mmapBase,
@@ -543,13 +584,14 @@ func (m *Memory) Clone() *Memory {
 	m.freezeLocked()
 	layers := m.layers
 	m.cloneMu.Unlock()
-	c, own := alloc()
+	c, sp := alloc()
 	*c = Memory{
 		// A full slice expression shares the parent's layer array:
 		// the child's first freeze appends past its capacity and so
 		// reallocates, never writing the parent's array.
 		layers:     layers[:len(layers):len(layers)],
-		own:        own,
+		own:        sp.own,
+		heap:       m.heap.cloneInto(sp.allocs, sp.sorted),
 		tlbOn:      true,
 		heapCursor: m.heapCursor,
 		mmapCursor: m.mmapCursor,
@@ -563,7 +605,6 @@ func (m *Memory) Clone() *Memory {
 		l.refs.Add(1)
 		shared += int64(l.live)
 	}
-	c.heap = m.heap.clone()
 	c.stack = m.stack.clone()
 	m.stats.forks.Add(1)
 	m.stats.pagesShared.Add(shared)
@@ -575,9 +616,10 @@ func (m *Memory) Clone() *Memory {
 // differential tests and the eager-vs-COW benchmarks. It does not
 // count toward ForkStats.
 func (m *Memory) CloneEager() *Memory {
-	c, own := alloc()
+	c, sp := alloc()
 	*c = Memory{
-		own:        own,
+		own:        sp.own,
+		heap:       m.heap.cloneInto(sp.allocs, sp.sorted),
 		tlbOn:      true,
 		heapCursor: m.heapCursor,
 		mmapCursor: m.mmapCursor,
@@ -587,9 +629,12 @@ func (m *Memory) CloneEager() *Memory {
 		SpanID:     m.SpanID,
 	}
 	m.forEachPage(func(base Addr, pg *page) {
-		c.own[base] = copyOf(pg, m.shard)
+		if isZero(pg) {
+			c.own[base] = pg // immutable: shared even by a deep copy
+		} else {
+			c.own[base] = copyOf(pg, m.shard)
+		}
 	})
-	c.heap = m.heap.clone()
 	c.stack = m.stack.clone()
 	return c
 }
@@ -599,7 +644,7 @@ func (m *Memory) CloneEager() *Memory {
 // the Memory for reuse: the next New, Clone or CloneEager may hand this
 // very struct out again, so no reference to it may outlive Release.
 // Until then the released Memory has every field zeroed but the
-// emptied delta map it keeps for that next life: accesses fault as
+// emptied containers it keeps for that next life: accesses fault as
 // unmapped, mutations panic, and the page cache neither answers for a
 // released page nor keeps pooled pages reachable. Releasing a released
 // Memory again does nothing.
@@ -621,12 +666,11 @@ func (m *Memory) Release() {
 			}
 		}
 	}
-	own := m.own
-	if len(own) > spareCap {
-		own = nil
+	sorted := m.heap.sorted[:0]
+	if cap(sorted) > spareCap {
+		sorted = nil
 	}
-	clear(own)
-	*m = Memory{spare: own}
+	*m = Memory{spare: spares{own: keep(m.own), allocs: keep(m.heap.allocs), sorted: sorted}}
 	mems.Put(m)
 }
 
@@ -636,10 +680,15 @@ func (m *Memory) ForkStats() *ForkStats { return m.stats }
 // ensureOwned returns a page for base that this Memory owns
 // exclusively, copying a layer-shared page into the delta first if
 // needed. Every mutation path funnels through it — the copy-on-write
-// fault handler. pg must be the result of lookup(base). When the cache
-// holds base, its owned bit answers without probing own, and a copy
-// updates the entry in place.
+// fault handler. pg must be the result of lookup(base). A zero page,
+// owned or shared, becomes a cleared private page in one map write;
+// that is not a copy of a shared page and does not count in
+// PagesCopied. When the cache holds base, its owned bit answers
+// without probing own, and a copy updates the entry in place.
 func (m *Memory) ensureOwned(base Addr, pg *page) *page {
+	if isZero(pg) {
+		return m.install(base, newPage(pg.prot, m.shard))
+	}
 	if !m.tlbOn || !m.cached(base, pg) {
 		if opg, ok := m.own[base]; ok {
 			return opg
@@ -647,13 +696,8 @@ func (m *Memory) ensureOwned(base Addr, pg *page) *page {
 	} else if m.slot(base).tag&tlbOwned != 0 {
 		return pg
 	}
-	np := copyOf(pg, m.shard)
-	m.own[base] = np
 	m.stats.pagesCopied.Add(1)
-	if m.tlbOn {
-		*m.slot(base) = tlbEntry{tag: base | tlbOwned, pg: np}
-	}
-	return np
+	return m.install(base, copyOf(pg, m.shard))
 }
 
 // cached reports whether the cache entry for base holds pg.
@@ -672,6 +716,8 @@ func (m *Memory) invalidate(base Addr) {
 // Map maps n bytes starting at the page containing addr with protection
 // prot. It rounds the region outward to page boundaries. Mapping an
 // already-mapped page resets its protection but preserves its contents.
+// A newly mapped page is the shared zero page of prot: it reads as
+// zeros and costs nothing until its first store.
 func (m *Memory) Map(addr Addr, n int, prot Prot) {
 	if n <= 0 {
 		return
@@ -681,10 +727,10 @@ func (m *Memory) Map(addr Addr, n int, prot Prot) {
 	for base := first; ; base += PageSize {
 		if pg := m.lookup(base); pg != nil {
 			if pg.prot != prot {
-				m.ensureOwned(base, pg).prot = prot
+				m.reprotect(base, pg, prot)
 			}
 		} else {
-			m.own[base] = newPage(prot, m.shard)
+			m.own[base] = m.zeroPage(prot)
 		}
 		if base == last {
 			break
@@ -720,7 +766,8 @@ func (m *Memory) Unmap(addr Addr, n int) {
 // Protect changes the protection of every page overlapping [addr, addr+n).
 // Unmapped pages in the range are left unmapped. Changing a shared
 // page's protection copies it: protection state lives in the page, and
-// the sibling forks must keep seeing the old protection.
+// the sibling forks must keep seeing the old protection. A zero page is
+// not copied but swapped for the zero page of the new protection.
 func (m *Memory) Protect(addr Addr, n int, prot Prot) {
 	if n <= 0 {
 		return
@@ -729,7 +776,7 @@ func (m *Memory) Protect(addr Addr, n int, prot Prot) {
 	last := (addr + Addr(n) - 1).PageBase()
 	for base := first; ; base += PageSize {
 		if pg := m.lookup(base); pg != nil && pg.prot != prot {
-			m.ensureOwned(base, pg).prot = prot
+			m.reprotect(base, pg, prot)
 		}
 		if base == last {
 			break

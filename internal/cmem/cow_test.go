@@ -516,8 +516,8 @@ func zeroExcept(v any, keep ...string) []string {
 }
 
 // TestReleaseZeroesEveryField: a released Memory keeps its emptied
-// delta map for reuse and nothing else — no page, layer, cursor, heap
-// or stack state, fork counters or trace identity.
+// delta map and heap containers for reuse and nothing else — no page,
+// layer, cursor, heap or stack state, fork counters or trace identity.
 func TestReleaseZeroesEveryField(t *testing.T) {
 	tpl := New()
 	if _, err := tpl.Malloc(100); err != nil {
@@ -535,8 +535,8 @@ func TestReleaseZeroesEveryField(t *testing.T) {
 	if dirty := zeroExcept(m, "spare"); len(dirty) > 0 {
 		t.Errorf("Release left fields set: %v", dirty)
 	}
-	if m.spare == nil || len(m.spare) != 0 {
-		t.Errorf("released Memory keeps spare map %v, want an empty one", m.spare)
+	if sp := m.spare; sp.own == nil || len(sp.own) != 0 || sp.allocs == nil || len(sp.allocs) != 0 || sp.sorted == nil || len(sp.sorted) != 0 {
+		t.Errorf("released Memory keeps spares %v, want empty ones", sp)
 	}
 	m.Release() // a second release parks nothing twice
 	if got, again := mems.Get(), mems.Get(); got != m || again == m {

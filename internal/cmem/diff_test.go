@@ -190,7 +190,11 @@ func sameFault(a, b *Fault) bool {
 // reads, writes, heap traffic, forks and releases must produce
 // byte-identical observations — data, errors, and exact fault
 // addresses and access kinds — whether forks are copy-on-write or
-// eager deep copies. Any divergence is a COW aliasing bug.
+// eager deep copies. Any divergence is a COW aliasing bug. The walk
+// meets zero pages on templates and forks alike: maps over mapped and
+// unmapped pages, protection changes of regions nothing wrote, Zero
+// and filled mappings (MmapFlush); once it ends no zero page may hold
+// a byte or sit in a pool shard.
 func TestDifferentialCOWvsEager(t *testing.T) {
 	prots := []Prot{ProtNone, ProtRead, ProtWrite, ProtRW}
 	for seed := int64(1); seed <= 6; seed++ {
@@ -209,7 +213,7 @@ func TestDifferentialCOWvsEager(t *testing.T) {
 			const steps = 3000
 			for step := 0; step < steps; step++ {
 				p := pairs[rng.Intn(len(pairs))]
-				op := rng.Intn(16)
+				op := rng.Intn(20)
 				switch {
 				case op == 0: // mmap a fresh region
 					n := rng.Intn(3*PageSize) + 1
@@ -325,6 +329,36 @@ func TestDifferentialCOWvsEager(t *testing.T) {
 					pairs[i].cow.Release()
 					pairs[i].eager.Release()
 					pairs = append(pairs[:i], pairs[i+1:]...)
+				case op == 16: // reset pages to zeros, whatever they hold
+					a, n := randAddr(), rng.Intn(3*PageSize)+1
+					p.cow.Zero(a, n)
+					p.eager.Zero(a, n)
+				case op == 17: // a filled mapping, possibly empty
+					data := make([]byte, rng.Intn(3*PageSize))
+					rng.Read(data)
+					prot := prots[rng.Intn(len(prots))]
+					a1, e1 := p.cow.MmapFlush(data, prot)
+					a2, e2 := p.eager.MmapFlush(data, prot)
+					if a1 != a2 || (e1 == nil) != (e2 == nil) {
+						t.Fatalf("step %d: MmapFlush diverged: %#x,%v vs %#x,%v", step, a1, e1, a2, e2)
+					}
+					addrs = append(addrs, a1)
+				case op == 18: // protect part of a region nothing wrote yet
+					n, mprot := rng.Intn(3*PageSize)+1, prots[rng.Intn(len(prots))]
+					a1, _ := p.cow.MmapRegion(n, mprot)
+					a2, _ := p.eager.MmapRegion(n, mprot)
+					if a1 != a2 {
+						t.Fatalf("step %d: MmapRegion diverged: %#x vs %#x", step, a1, a2)
+					}
+					at, prot := a1+Addr(rng.Intn(n)), prots[rng.Intn(len(prots))]
+					p.cow.Protect(at, n, prot)
+					p.eager.Protect(at, n, prot)
+					addrs = append(addrs, a1)
+				case op == 19: // remap a region over its mapped pages and the gaps
+					a := addrs[rng.Intn(len(addrs))] + Addr(rng.Intn(2*PageSize)) - PageSize
+					n, prot := rng.Intn(4*PageSize)+1, prots[rng.Intn(len(prots))]
+					p.cow.Map(a, n, prot)
+					p.eager.Map(a, n, prot)
 				}
 			}
 
@@ -334,7 +368,10 @@ func TestDifferentialCOWvsEager(t *testing.T) {
 				if d1, d2 := dumpState(p.cow), dumpState(p.eager); d1 != d2 {
 					t.Errorf("pair %d final state diverged:\ncow:\n%s\neager:\n%s", i, d1, d2)
 				}
+				p.cow.Release()
+				p.eager.Release()
 			}
+			requireZeroPages(t)
 		})
 	}
 }

@@ -19,26 +19,21 @@ func (a AllocInfo) End() Addr { return a.Base + Addr(a.Size) }
 // AllocAt is a read path, and read paths must not write state (a frozen
 // snapshot or a shared fork template stays bit-identical under reads).
 //
-// The zero value is an empty heap: allocs is created on the first
-// Malloc, so forking an address space with no live allocations copies
-// nothing.
+// Both containers exist for the whole life of a Memory: alloc hands
+// them over, emptied by the Release of the Memory's previous life when
+// one is parked, so a forked child's first Malloc allocates nothing.
 type heapState struct {
-	allocs map[Addr]int // base -> size; nil when empty
+	allocs map[Addr]int // base -> size
 	sorted []Addr       // sorted bases, for containing-block lookup
 }
 
-func (h *heapState) clone() heapState {
-	if len(h.allocs) == 0 {
-		return heapState{}
-	}
-	c := heapState{
-		allocs: make(map[Addr]int, len(h.allocs)),
-		sorted: append([]Addr(nil), h.sorted...),
-	}
+// cloneInto copies the heap into the empty containers allocs and
+// sorted and returns the copy.
+func (h *heapState) cloneInto(allocs map[Addr]int, sorted []Addr) heapState {
 	for b, s := range h.allocs {
-		c.allocs[b] = s
+		allocs[b] = s
 	}
-	return c
+	return heapState{allocs: allocs, sorted: append(sorted, h.sorted...)}
 }
 
 // insert records base in the sorted index. The heap cursor only grows,
@@ -83,9 +78,6 @@ func (m *Memory) Malloc(size int) (Addr, error) {
 	}
 	m.Map(base, pages*PageSize, ProtRW)
 	m.heapCursor = base + Addr(pages*PageSize) + PageSize
-	if m.heap.allocs == nil {
-		m.heap.allocs = make(map[Addr]int)
-	}
 	m.heap.allocs[base] = size
 	m.heap.insert(base)
 	return base, nil

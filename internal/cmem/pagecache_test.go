@@ -185,6 +185,30 @@ func (r *refMem) mmap(n int, prot Prot) Addr {
 	return base
 }
 
+// zero clears every mapped page overlapping [addr, addr+n).
+func (r *refMem) zero(addr Addr, n int) {
+	eachPage(addr, n, func(base Addr) {
+		if pg := r.pages[base]; pg != nil {
+			pg.data = [PageSize]byte{}
+		}
+	})
+}
+
+// mmapFlush is MmapFlush as its contract states it: the pages mapped
+// read-write, data written flush against the trailing guard gap, the
+// pages protected to prot; empty data maps one page of prot.
+func (r *refMem) mmapFlush(data []byte, prot Prot) Addr {
+	if len(data) == 0 {
+		return r.mmap(0, prot) + PageSize
+	}
+	base := r.mmap(len(data), ProtRW)
+	n := (len(data) + PageSize - 1) / PageSize * PageSize
+	start := base + Addr(n-len(data))
+	r.write(start, data)
+	r.protect(base, n, prot)
+	return start
+}
+
 // dump renders the model in dumpState's format; a model never pushes
 // stack frames.
 func (r *refMem) dump() string {
@@ -250,7 +274,8 @@ type cachePair struct {
 // TestPageCacheDifferential runs seeded random sequences of every
 // operation that reads or rewrites the page table — Map, Unmap,
 // Protect, loads, stores, Read, Write, fixed-width and C-string
-// accesses, Malloc, Free, Clone, Freeze and Release — on real Memories
+// accesses, Malloc, Free, Clone, Freeze, Release, Zero and MmapFlush —
+// on real Memories
 // and on the flat-map model. Every returned byte and every *Fault must
 // match, the cache must agree with a full page-table walk after every
 // step, and the surviving Memories must dump exactly like their
@@ -294,7 +319,7 @@ func TestPageCacheDifferential(t *testing.T) {
 				pi := rng.Intn(len(pairs))
 				p := pairs[pi]
 				m, ref := p.m, p.ref
-				switch op := rng.Intn(20); op {
+				switch op := rng.Intn(22); op {
 				case 0: // map over an arbitrary range
 					a, n, prot := randAddr(), rng.Intn(2*PageSize)+1, prots[rng.Intn(len(prots))]
 					m.Map(a, n, prot)
@@ -450,6 +475,22 @@ func TestPageCacheDifferential(t *testing.T) {
 					checkTLB(t, m, step)
 					pairs = append(pairs[:pi], pairs[pi+1:]...)
 					continue
+				case 20: // reset pages to zeros
+					a, n := randAddr(), rng.Intn(3*PageSize)+1
+					m.Zero(a, n)
+					ref.zero(a, n)
+				case 21: // a filled mapping
+					data := make([]byte, rng.Intn(3*PageSize))
+					rng.Read(data)
+					prot := prots[rng.Intn(len(prots))]
+					a1, err := m.MmapFlush(data, prot)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if a2 := ref.mmapFlush(data, prot); a1 != a2 {
+						t.Fatalf("step %d: MmapFlush = %#x, model %#x", step, a1, a2)
+					}
+					addrs = append(addrs, a1)
 				}
 				if checkTLB(t, m, step) > 0 {
 					sawCached = true

@@ -74,6 +74,17 @@ func StringProbe(s string, prot cmem.Prot) *Probe {
 	return pr
 }
 
+// untermFills holds a page of each fill byte an unterminated region can
+// carry, 'B' through 'H'. It is only ever read.
+var untermFills = func() (t [7][cmem.PageSize]byte) {
+	for k := range t {
+		for i := range t[k] {
+			t[k][i] = byte('B' + k)
+		}
+	}
+	return t
+}()
+
 // UntermProbe maps a readable region of the given size containing no
 // NUL terminator, flush against its guard page (shared with the
 // Ballista pools).
@@ -87,13 +98,9 @@ func UntermProbe(size int) *Probe {
 		// The fill is derived from the region address so two unterminated
 		// regions in one call differ: comparison functions then return a
 		// mismatch instead of racing both pointers off their guard pages.
-		// A stack page of the fill is written as often as the region
-		// needs, so a build allocates nothing for the bytes.
-		var page [cmem.PageSize]byte
-		run := page[:min(size, len(page))]
-		for i := range run {
-			run[i] = byte('B') + byte((pr.Region.Base>>12)%7)
-		}
+		// The address picks a page of fill, written as often as the
+		// region needs.
+		run := untermFills[(pr.Region.Base>>12)%7][:]
 		for off := 0; off < size; off += len(run) {
 			if f := p.Mem.Write(pr.Region.Base+cmem.Addr(off), run[:min(len(run), size-off)]); f != nil {
 				return 0

@@ -110,22 +110,20 @@ func mountFlush(p *csim.Process, size int, prot cmem.Prot) Region {
 	}
 }
 
-// MountFlushData maps a region holding data with the given protection
-// (written before protection is applied), flush against its guard page.
+// MountFlushData maps a region holding data with the given protection,
+// flush against its guard page. Each page is built with its bytes and
+// protection in one pass (cmem.Memory.MmapFlush). An empty region's one
+// page stays read-write whatever prot says: the protection applies to
+// the pages holding data, and there are none.
 func MountFlushData(p *csim.Process, data []byte, prot cmem.Prot) Region {
-	r := mountFlush(p, len(data), cmem.ProtRW)
-	if r.Base == 0 {
-		return r
+	if len(data) == 0 {
+		prot = cmem.ProtRW
 	}
-	if len(data) > 0 {
-		if f := p.Mem.Write(r.Base, data); f != nil {
-			return Region{}
-		}
+	base, err := p.Mem.MmapFlush(data, prot)
+	if err != nil {
+		return Region{}
 	}
-	if prot != cmem.ProtRW {
-		p.Mem.Protect(r.Base.PageBase(), int(r.GuardEnd-cmem.PageSize-r.Base.PageBase()), prot)
-	}
-	return r
+	return Region{Base: base, Size: len(data), GuardEnd: base + cmem.Addr(len(data)) + cmem.PageSize}
 }
 
 // fixtureFileTemplate is the precomputed fixture payload; file probes

@@ -158,6 +158,10 @@ type Injector struct {
 	mForkPagesShared  *obs.Counter
 	mForkPagesCopied  *obs.Counter
 	mForkBytesAvoided *obs.Counter
+
+	// runSlabs parks the run slabs of finished function campaigns; the
+	// worker shadows share it.
+	runSlabs *cmem.FreeList[runSlab]
 	// Phase-duration histograms (microseconds), each carrying an
 	// exemplar trace ID so a fat tail links back to a concrete campaign.
 	hPhaseFork        *obs.Histogram
@@ -180,7 +184,7 @@ var phaseBuckets = []int64{1, 2, 5, 10, 25, 50, 100, 250, 500, 1000, 2500, 5000,
 // New returns an injector for lib.
 func New(lib *clib.Library, cfg Config) *Injector {
 	// A nil tracer is the disabled one, like a nil registry below.
-	inj := &Injector{lib: lib, cfg: cfg, tr: cfg.Obs}
+	inj := &Injector{lib: lib, cfg: cfg, tr: cfg.Obs, runSlabs: new(cmem.FreeList[runSlab])}
 	reg := cfg.Metrics // nil-safe: a nil registry hands out detached instruments
 	inj.mExperiments = reg.Counter("healers_injector_experiments_total")
 	inj.mCrashes = reg.Counter("healers_injector_crashes_total")
@@ -235,6 +239,52 @@ type vectorRun struct {
 	explored int
 }
 
+// runSlab is where a function campaign records its experiments: runs,
+// and funds, from which each run's probe type names are carved. A
+// function campaign takes a slab its Injector parked and parks it again
+// when it ends, so the function campaigns of one Injector grow a few
+// slabs to the largest function's size and then record without
+// allocating, and the slabs go with the Injector.
+type runSlab struct {
+	runs  []vectorRun
+	funds []string
+}
+
+// maxParkedRuns bounds the slab a campaign parks (the largest of the 86
+// functions records about 600 runs): one grown past it, or past four
+// type names a run, is left to the collector.
+const maxParkedRuns = 4096
+
+// takeRunSlab returns a slab the Injector parked, or a new one.
+func (inj *Injector) takeRunSlab() *runSlab {
+	if s := inj.runSlabs.Get(); s != nil {
+		return s
+	}
+	return &runSlab{}
+}
+
+// add records one experiment, carving its type names from funds.
+func (s *runSlab) add(probes []*gens.Probe, outcome typesys.CaseOutcome, explored int) {
+	start := len(s.funds)
+	for _, pr := range probes {
+		s.funds = append(s.funds, pr.Fund)
+	}
+	funds := s.funds[start:len(s.funds):len(s.funds)]
+	s.runs = append(s.runs, vectorRun{funds: funds, outcome: outcome, explored: explored})
+}
+
+// parkRunSlab empties s and parks it, unless it grew past
+// maxParkedRuns. A run's funds may point into an array the slab has
+// outgrown, so the runs are cleared first.
+func (inj *Injector) parkRunSlab(s *runSlab) {
+	if cap(s.runs) > maxParkedRuns || cap(s.funds) > 4*maxParkedRuns {
+		return
+	}
+	clear(s.runs)
+	s.runs, s.funds = s.runs[:0], s.funds[:0]
+	inj.runSlabs.Put(s)
+}
+
 // campaign is the per-function working state.
 type campaign struct {
 	inj      *Injector
@@ -244,7 +294,7 @@ type campaign struct {
 	gens     []gens.Generator
 	defaults []*gens.Probe
 
-	runs    []vectorRun
+	runs    *runSlab        // every experiment, for the §4.3 selection
 	tried   [][]*gens.Probe // probes seen per argument (for the product phase)
 	result  *Result
 	errVals map[uint64]int // return values observed when errno was set
@@ -288,14 +338,16 @@ func (inj *Injector) injectFunction(fi *extract.FuncInfo, table *cparse.TypeTabl
 		fn:       fn,
 		proto:    fi.Proto,
 		template: NewTemplateProcess(),
+		runs:     inj.takeRunSlab(),
 		errVals:  make(map[uint64]int),
 		errnos:   make(map[int]int),
 		result:   &Result{Name: fn.Name, Proto: fi.Proto},
 		span:     parent.Child(),
 	}
 	// Every exit, the error return included, settles the fork counts and
-	// releases the template.
+	// releases the template and the run slab.
 	defer c.settleForkStats()
+	defer inj.parkRunSlab(c.runs)
 	c.template.Metrics = inj.sandbox
 	// The template memory carries the function span's identity; every
 	// COW fork inherits it (cmem.Clone), which is how probe spans know
@@ -580,11 +632,7 @@ func (c *campaign) runOnce(probes []*gens.Probe, explored int) (typesys.CaseOutc
 		c.result.Aborts++
 		c.inj.mAborts.Inc()
 	}
-	funds := make([]string, len(probes))
-	for i, pr := range probes {
-		funds[i] = pr.Fund
-	}
-	c.runs = append(c.runs, vectorRun{funds: funds, outcome: caseOut, explored: explored})
+	c.runs.add(probes, caseOut, explored)
 	return caseOut, out.Fault
 }
 
@@ -728,9 +776,10 @@ func (c *campaign) computeRobustVector() ([]string, error) {
 	for i, g := range c.gens {
 		hier[i] = g.Hierarchy()
 	}
-	cases := make([]typesys.VectorCase, len(c.runs))
-	funds := make([]*typesys.Type, n*len(c.runs))
-	for k, run := range c.runs {
+	runs := c.runs.runs
+	cases := make([]typesys.VectorCase, len(runs))
+	funds := make([]*typesys.Type, n*len(runs))
+	for k, run := range runs {
 		vc := typesys.VectorCase{Funds: funds[k*n:][:n:n], Outcome: run.outcome, Explored: run.explored}
 		for i, fund := range run.funds {
 			t, found := hier[i].Lookup(fund)

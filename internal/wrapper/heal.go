@@ -67,16 +67,15 @@ const (
 	// as long as the interposer; chunks are re-carved from its base on
 	// every top-level checked call and zeroed before use, so redirected
 	// reads see benign zeros and one call's redirected writes never
-	// leak into a later call's redirected reads.
+	// leak into a later call's redirected reads. Mapping and zeroing
+	// cost no page: the region starts as shared zero pages, a chunk is
+	// reset to them (cmem.Memory.Zero), and only the pages a call
+	// writes become private.
 	sinkCap = 16 * cmem.PageSize
 	// sinkPath backs substituted FILE streams and file descriptors; it
 	// is created in the simulated process's own filesystem on first use.
 	sinkPath = "/healers.sink"
 )
-
-// zeroPage is the source sinkChunk clears chunks from. It is shared by
-// every interposer and only ever read.
-var zeroPage [cmem.PageSize]byte
 
 // healArg attempts to repair argument i after its check failed. On
 // success the repaired argument has re-passed the exact Reject-mode
@@ -337,9 +336,7 @@ func (ip *Interposer) sinkChunk(n int) (cmem.Addr, bool) {
 	}
 	chunk := ip.sinkBase + cmem.Addr(ip.sinkCursor)
 	ip.sinkCursor += size
-	for off := 0; off < size; off += cmem.PageSize {
-		ip.p.Mem.Write(chunk+cmem.Addr(off), zeroPage[:])
-	}
+	ip.p.Mem.Zero(chunk, size)
 	return chunk, true
 }
 

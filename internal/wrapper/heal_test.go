@@ -469,3 +469,91 @@ func TestRepairArgDispatch(t *testing.T) {
 		})
 	}
 }
+
+// poolGets totals the pages taken from every page-pool shard.
+func poolGets() int64 {
+	var n int64
+	for _, s := range cmem.PoolCounts() {
+		n += s.Gets
+	}
+	return n
+}
+
+// TestSinkRepairsTakeOnePage pins the structural property behind heal
+// mode's cheap repairs: the 16-page sink region is mapped as shared
+// zero pages and each chunk is reset to them, so a redirect-sink repair
+// and a copy-to-sink repair each take only the page their call writes
+// from the page pool, where mapping and clearing the sink took 16, and
+// a redirected source the call only reads takes none. It also pins
+// Zero over a chunk a call wrote: the chunk reads back zeros and its
+// private page goes back to the pool.
+func TestSinkRepairsTakeOnePage(t *testing.T) {
+	lib, decls := fullAutoDecls(t)
+	p := newProc()
+	defer p.Release()
+	ip := Attach(p, lib, decls, healOpts())
+	src := region(t, p, 16, cmem.ProtRW)
+	if f := p.Mem.Write(src, []byte("sixteen bytes !!")); f != nil {
+		t.Fatal(f)
+	}
+	ro := region(t, p, cmem.PageSize, cmem.ProtRW)
+	if f := p.Mem.Write(ro, bytes.Repeat([]byte{'B'}, cmem.PageSize)); f != nil {
+		t.Fatal(f)
+	}
+	p.Mem.Protect(ro, cmem.PageSize, cmem.ProtRead)
+
+	gets := poolGets()
+	out := p.Run(func() uint64 { return ip.Call(p, "memcpy", uint64(src), 0xdead0000, 16) })
+	if h := lastHeal(t, ip); out.Crashed() || h.Action != "redirect-sink" || h.Arg != 1 {
+		t.Fatalf("memcpy: %v, repair %+v; want an arg 1 redirect-sink repair", out, h)
+	}
+	if n := poolGets() - gets; n != 0 {
+		t.Errorf("a redirected source took %d pages from the pool, want none", n)
+	}
+	if got, _ := p.Mem.Read(src, 16); !bytes.Equal(got, make([]byte, 16)) {
+		t.Errorf("memcpy from a redirected source copied %q, want zeros", got)
+	}
+	if f := p.Mem.Write(src, []byte("sixteen bytes !!")); f != nil {
+		t.Fatal(f)
+	}
+
+	gets = poolGets()
+	out = p.Run(func() uint64 { return ip.Call(p, "memcpy", 0xdead0000, uint64(src), 16) })
+	if h := lastHeal(t, ip); out.Crashed() || h.Action != "redirect-sink" {
+		t.Fatalf("memcpy: %v, repair %+v; want a redirect-sink repair", out, h)
+	}
+	if n := poolGets() - gets; n > 1 {
+		t.Errorf("a redirect-sink repair took %d pages from the pool, want at most 1", n)
+	}
+	chunk := cmem.Addr(out.Ret)
+
+	gets = poolGets()
+	out = p.Run(func() uint64 { return ip.Call(p, "strlen", uint64(ro)) })
+	if h := lastHeal(t, ip); out.Crashed() || h.Action != "copy-to-sink" || out.Ret != cmem.PageSize-1 {
+		t.Fatalf("strlen: %v, repair %+v; want a copy-to-sink repair", out, h)
+	}
+	if n := poolGets() - gets; n > 1 {
+		t.Errorf("a copy-to-sink repair took %d pages from the pool, want at most 1", n)
+	}
+
+	// The copy-to-sink call re-carved the chunk memcpy wrote; write it
+	// again and zero it directly.
+	if f := p.Mem.Write(chunk, []byte("written")); f != nil {
+		t.Fatal(f)
+	}
+	before := cmem.PoolCounts()
+	p.Mem.Zero(chunk, cmem.PageSize)
+	if got, f := p.Mem.Read(chunk, cmem.PageSize); f != nil || !bytes.Equal(got, make([]byte, cmem.PageSize)) {
+		t.Errorf("Zero over a written chunk: fault %v, nonzero bytes", f)
+	}
+	var puts int64
+	for i, s := range cmem.PoolCounts() {
+		puts += s.Puts - before[i].Puts
+	}
+	if puts != 1 {
+		t.Errorf("Zero returned %d pages to the pool, want the chunk's 1", puts)
+	}
+	if prot, mapped := p.Mem.ProtAt(chunk); !mapped || prot != cmem.ProtRW {
+		t.Errorf("Zero left the chunk %v (mapped %v), want rw-", prot, mapped)
+	}
+}

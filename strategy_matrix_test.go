@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"healers"
+	"healers/internal/cmem"
 )
 
 // strategyFixture runs the full differential matrix once (unwrapped +
@@ -83,6 +84,12 @@ func TestStrategyMatrix(t *testing.T) {
 	// fixpoint failure counter stays zero across the whole suite.
 	if n := fx.metrics.Counter("healers_wrapper_heal_fixpoint_failures_total").Value(); n != 0 {
 		t.Errorf("heal fixpoint failures = %d", n)
+	}
+
+	// Every sink, probe region and stack of the suite began as shared
+	// zero pages: none may have been written or parked in a pool shard.
+	if err := cmem.CheckZeroPages(); err != nil {
+		t.Error(err)
 	}
 
 	golden := filepath.Join("testdata", "strategy_matrix.txt")
