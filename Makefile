@@ -7,6 +7,7 @@
 #   make lint          — gofmt diff + go vet + the repo AST lint
 #   make soundness     — the static↔dynamic gate: body facts never
 #                        stronger than the measured robust types
+#   make inline-check  — fail if a per-byte csim accessor stops inlining
 #   make bodyfacts     — regenerate internal/analysis/bodyfacts from clib
 #   make bodyfacts-check — fail if the committed body facts have drifted
 #   make cover         — coverage with a failing floor at COVER_BASELINE
@@ -34,7 +35,7 @@ GO ?= go
 # noise, not untested subsystems).
 COVER_BASELINE ?= 79.2
 
-.PHONY: all check race race-parallel serve-test lint soundness bodyfacts bodyfacts-check cover strategy-matrix verify bench bench-profile bench-smoke bench-module fuzz test-e2e-crash table1 figure6 stats analyze clean
+.PHONY: all check race race-parallel serve-test lint soundness inline-check bodyfacts bodyfacts-check cover strategy-matrix verify bench bench-profile bench-smoke bench-module fuzz test-e2e-crash table1 figure6 stats analyze clean
 
 all: check
 
@@ -71,12 +72,28 @@ lint:
 # (zero "wrong" rows across the 86), the body-seeded campaign must
 # reproduce the cold campaign's vectors byte-for-byte, and the
 # committed facts must regenerate as a no-op. It also runs what the
-# pass rests on: the csim accessor footprint table is complete and
-# matches each accessor, the shared size fitter, parameter classes that
-# match gens.Classify, and Classify's pinned generator selection.
+# pass rests on: the memory recorder reports exactly what every
+# address-taking csim accessor touches and belongs to one address
+# space, the shared size fitter, parameter classes that match
+# gens.Classify, and Classify's pinned generator selection.
 soundness:
-	$(GO) test -count=1 -run 'TestBodySoundness|TestBodyVectorsIdentical|TestBodySeedingBeatsPrototype|TestFootprintsCoverEveryMethod|TestFootprintOracle|TestFitSize|TestClassMatchesGenerator|TestClassifyPinsSelection' ./internal/analysis/ ./internal/analysis/bodyscan/ ./internal/csim/ ./internal/decl/ ./internal/gens/
+	$(GO) test -count=1 -run 'TestBodySoundness|TestBodyVectorsIdentical|TestBodySeedingBeatsPrototype|TestFootprintOracle|TestRecorderNotInherited|TestFitSize|TestClassMatchesGenerator|TestClassifyPinsSelection' ./internal/analysis/ ./internal/analysis/bodyscan/ ./internal/csim/ ./internal/decl/ ./internal/gens/
 	$(GO) run ./cmd/bodyscan -check
+
+# The structural property behind "no recorder, no cost": the memory
+# recorder's nil check sits in cmem's non-inlined accessors, so every
+# per-byte csim accessor stays inlinable. A hook placed inside them
+# pushes their inlining cost (75-80 today) past the budget of 80.
+INLINE_ACCESSORS = Load Store LoadInto LoadByte StoreByte LoadU32 LoadU64 LoadCString
+
+inline-check:
+	@out=$$($(GO) build -gcflags=-m ./internal/csim 2>&1) || { echo "$$out"; exit 1; }; \
+	fail=0; \
+	for f in $(INLINE_ACCESSORS); do \
+		echo "$$out" | grep -qE "can inline \(\*Process\)\.$$f$$" || \
+			{ echo "FAIL: (*csim.Process).$$f is no longer inlinable"; fail=1; }; \
+	done; \
+	[ $$fail -eq 0 ] && echo "inline-check: all $(words $(INLINE_ACCESSORS)) csim accessors inlinable"
 
 bodyfacts:
 	$(GO) run ./cmd/bodyscan -out internal/analysis/bodyfacts/facts.go

@@ -1,6 +1,8 @@
 // Command bodyscan maintains the checked-in body-level access
 // summaries (internal/analysis/bodyfacts) and runs the repo-local AST
-// lint that shares the bodyscan loader.
+// lint. Run it from the repository root: it probes the compiled
+// internal/clib linked into the binary and reads the bodies' syntax
+// from internal/clib beside it.
 //
 // Usage:
 //
@@ -9,8 +11,9 @@
 //	bodyscan -lint                                       # repo AST lint
 //
 // -check regenerates the facts in memory and diffs them against the
-// committed file, exiting nonzero on drift — the gate that keeps the
-// facts in sync with the internal/clib bodies they summarize.
+// committed internal/analysis/bodyfacts/facts.go, exiting nonzero on
+// drift — the gate that keeps the facts in sync with the internal/clib
+// bodies they summarize.
 package main
 
 import (
@@ -23,21 +26,22 @@ import (
 	"healers/internal/clib"
 )
 
+// factsPath is the committed facts file -check diffs against.
+const factsPath = "internal/analysis/bodyfacts/facts.go"
+
 func main() {
-	src := flag.String("src", "internal/clib", "clib source directory to scan")
 	out := flag.String("out", "", "write generated bodyfacts source to `file`")
 	check := flag.Bool("check", false, "regenerate and diff against the committed facts file")
-	checkPath := flag.String("check-path", "internal/analysis/bodyfacts/facts.go", "committed facts `file` the -check mode diffs against")
 	lint := flag.Bool("lint", false, "run the repo AST lint (cmem encapsulation, injector determinism)")
 	flag.Parse()
 
-	if err := run(*src, *out, *check, *checkPath, *lint); err != nil {
+	if err := run(*out, *check, *lint); err != nil {
 		fmt.Fprintln(os.Stderr, "bodyscan:", err)
 		os.Exit(1)
 	}
 }
 
-func run(src, out string, check bool, checkPath string, lint bool) error {
+func run(out string, check, lint bool) error {
 	if lint {
 		violations, err := bodyscan.LintRepo(".")
 		if err != nil {
@@ -55,7 +59,7 @@ func run(src, out string, check bool, checkPath string, lint bool) error {
 		return fmt.Errorf("nothing to do: pass -out, -check, or -lint")
 	}
 
-	sc, err := bodyscan.Load(src)
+	sc, err := bodyscan.LoadClib("internal/clib")
 	if err != nil {
 		return err
 	}
@@ -66,14 +70,14 @@ func run(src, out string, check bool, checkPath string, lint bool) error {
 	generated := bodyscan.GenGo(sums)
 
 	if check {
-		committed, err := os.ReadFile(checkPath)
+		committed, err := os.ReadFile(factsPath)
 		if err != nil {
 			return err
 		}
 		if !bytes.Equal(committed, generated) {
-			return fmt.Errorf("%s is stale: regenerate with `go run ./cmd/bodyscan -out %s`", checkPath, checkPath)
+			return fmt.Errorf("%s is stale: regenerate with `go run ./cmd/bodyscan -out %s`", factsPath, factsPath)
 		}
-		fmt.Printf("%s is up to date (%d functions)\n", checkPath, len(sums))
+		fmt.Printf("%s is up to date (%d functions)\n", factsPath, len(sums))
 		return nil
 	}
 	if err := os.WriteFile(out, generated, 0o644); err != nil {

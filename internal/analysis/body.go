@@ -17,9 +17,7 @@ import (
 // floor-seeking: where a summary's evidence is environment-dependent
 // (a NUL scan over a writable buffer, a comparison whose extent tracks
 // sibling content, a stream header walk), the prediction drops to the
-// weakest type that every dynamic outcome still implies. A summary the
-// scanner marked Unknown lowers to all-Unknown arguments — the
-// soundness gate counts those as declined, never as claims.
+// weakest type that every dynamic outcome still implies.
 func BodyPredict(sums map[string]*bodyscan.FuncSummary, names []string) (*Prediction, error) {
 	if names == nil {
 		names = bodyscan.SortedNames(sums)
@@ -32,7 +30,7 @@ func BodyPredict(sums map[string]*bodyscan.FuncSummary, names []string) (*Predic
 		}
 		fp := &FuncPrediction{Name: name}
 		for i := range fs.Args {
-			a := lowerArg(fs, &fs.Args[i])
+			a := lowerArg(&fs.Args[i])
 			a.Index = i
 			a.Param = fs.Args[i].Param
 			a.CType = fs.Args[i].CType
@@ -46,10 +44,7 @@ func BodyPredict(sums map[string]*bodyscan.FuncSummary, names []string) (*Predic
 
 // lowerArg maps one argument summary to a robust-type prediction plus
 // injector seed hints.
-func lowerArg(fs *bodyscan.FuncSummary, a *bodyscan.ArgSummary) ArgPrediction {
-	if fs.Unknown {
-		return unknown("body not summarized: " + fs.Reason)
-	}
+func lowerArg(a *bodyscan.ArgSummary) ArgPrediction {
 	// SeedReadOnly comes from the C type system, not from the probes: a
 	// const-qualified pointee cannot legally be written, so the write
 	// growth chains are provably dead. Probe evidence alone would be

@@ -24,7 +24,7 @@ func fullBodyReport(t *testing.T) *Report {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sc, err := bodyscan.Load("../clib")
+	sc, err := bodyscan.LoadClib("../clib")
 	if err != nil {
 		t.Fatal(err)
 	}

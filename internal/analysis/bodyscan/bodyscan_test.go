@@ -5,10 +5,10 @@ import (
 	"go/parser"
 	"go/token"
 	"os"
-	"strings"
 	"sync"
 	"testing"
 
+	"healers/internal/analysis/bodyscan/testdata/buggylib"
 	"healers/internal/clib"
 	"healers/internal/corpus"
 	"healers/internal/decl"
@@ -16,11 +16,11 @@ import (
 	"healers/internal/gens"
 )
 
-// clibScanner loads the real clib source once for every test that
-// probes it; the load interprets the whole registration path, so it is
-// worth sharing.
+// clibScanner loads the simulated C library once for every test that
+// probes it: parsing its source and pairing every body with its
+// compiled function is worth sharing.
 var clibScanner = sync.OnceValues(func() (*Scanner, error) {
-	return Load("../../clib")
+	return LoadClib("../../clib")
 })
 
 func mustScanner(t *testing.T) *Scanner {
@@ -126,10 +126,10 @@ func TestClassMatchesGenerator(t *testing.T) {
 }
 
 // TestBuggyFixture runs the scanner over the deliberately defective
-// testdata library and checks each defect is surfaced while its fixed
-// twin is certified.
+// testdata library, compiled into this test binary, and checks each
+// defect is surfaced while its fixed twin is certified.
 func TestBuggyFixture(t *testing.T) {
-	s, err := Load("testdata/buggylib")
+	s, err := Load("testdata/buggylib", buggylib.New().Funcs())
 	if err != nil {
 		t.Fatalf("load buggylib: %v", err)
 	}
@@ -182,14 +182,36 @@ func TestBuggyFixture(t *testing.T) {
 		t.Errorf("cyc_pong: call edges %v, want [cyc_ping]", calls)
 	}
 
-	// Unmodeled construct: the goroutine launch degrades the whole
-	// function to Unknown instead of a guessed summary.
-	fs := sum("bug_gofunc")
-	if !fs.Unknown {
-		t.Fatalf("bug_gofunc: goroutine body summarized as %s, want Unknown", fs)
+	// Kernel-boundary copy: the pointee ok_kcopy reaches only through
+	// CopyFromUser constrains nothing; bug_uload's user load does.
+	if a := sum("ok_kcopy").Args[0]; !a.KernelOnly || a.ReadBytes != 0 {
+		t.Errorf("ok_kcopy src: CopyFromUser read summarized as %s, want kernel-only", a.describe())
 	}
-	if !strings.Contains(fs.Reason, "GoStmt") {
-		t.Errorf("bug_gofunc: reason %q does not name the goroutine statement", fs.Reason)
+	if a := sum("bug_uload").Args[0]; a.KernelOnly || a.ReadBytes != 8 {
+		t.Errorf("bug_uload src: Load read summarized as %s, want read const[8]", a.describe())
+	}
+
+	// Unreadable call target: dyn_alias names cyc_pong through a
+	// captured variable, so its errnos cannot be closed. Summarizing it,
+	// or dyn_caller that reaches it, must fail instead of dropping
+	// cyc_pong's EINVAL.
+	for _, name := range []string{"dyn_alias", "dyn_caller"} {
+		if fs, err := s.Summarize(name); err == nil {
+			t.Errorf("%s: summarized as %s, want an error for the unreadable l.Call target", name, fs)
+		}
+	}
+}
+
+// TestLoadPairsBodiesWithTheirSource: the scanner finds each body at
+// the file and line of its compiled code, so a source directory that
+// is not the library's fails the load instead of pairing wrong bodies.
+func TestLoadPairsBodiesWithTheirSource(t *testing.T) {
+	if _, err := Load("testdata/buggylib", clib.New().External()); err == nil {
+		t.Error("loaded clib's functions against buggylib's source")
+	}
+	s := mustScanner(t)
+	if _, err := s.Summarize("__strcpy_internal"); err == nil {
+		t.Error("summarized an alias whose l.Call target is a captured variable")
 	}
 }
 

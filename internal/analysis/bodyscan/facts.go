@@ -2,8 +2,9 @@ package bodyscan
 
 import (
 	"go/ast"
-	"reflect"
+	"go/token"
 	"sort"
+	"strconv"
 )
 
 // fnFacts are the syntactic facts of one registered function: which
@@ -15,6 +16,10 @@ type fnFacts struct {
 	errnos map[string]bool
 	aborts bool
 	calls  map[string]bool
+	// dynamic marks a body, or one it reaches, that makes an l.Call
+	// whose target is not a string literal: its edges are unknown, so
+	// its errno and abort facts cannot be closed.
+	dynamic bool
 }
 
 func newFnFacts() *fnFacts {
@@ -22,10 +27,9 @@ func newFnFacts() *fnFacts {
 }
 
 // collectSyntactic walks one function body, recording SetErrno
-// constants, Abort reachability, l.Call edges (resolving variable
-// targets through the closure environment, which is how alias bodies
-// name their target), and recursing into package-level helpers.
-func (pr *program) collectSyntactic(body ast.Node, env *env, ff *fnFacts, helpers map[string]bool) {
+// constants, Abort reachability and l.Call edges, and recursing into
+// package-level helpers.
+func (pr *program) collectSyntactic(body ast.Node, ff *fnFacts, helpers map[string]bool) {
 	ast.Inspect(body, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
 		if !ok {
@@ -46,8 +50,11 @@ func (pr *program) collectSyntactic(body ast.Node, env *env, ff *fnFacts, helper
 				ff.aborts = true
 			case "Call":
 				if len(call.Args) >= 2 {
-					if name, ok := stringArg(call.Args[1], env); ok {
+					if lit, ok := call.Args[1].(*ast.BasicLit); ok && lit.Kind == token.STRING {
+						name, _ := strconv.Unquote(lit.Value)
 						ff.calls[name] = true
+					} else {
+						ff.dynamic = true
 					}
 				}
 			}
@@ -56,45 +63,25 @@ func (pr *program) collectSyntactic(body ast.Node, env *env, ff *fnFacts, helper
 			// per function (cycle-guarded).
 			if fd, ok := pr.funcs[fun.Name]; ok && !helpers[fun.Name] {
 				helpers[fun.Name] = true
-				pr.collectSyntactic(fd.Body, pr.pkgEnv, ff, helpers)
+				pr.collectSyntactic(fd.Body, ff, helpers)
 			}
 		}
 		return true
 	})
 }
 
-// stringArg resolves a call-target expression to a constant string:
-// either a literal or an identifier bound to a string in the closure
-// environment (the alias target parameter).
-func stringArg(e ast.Expr, env *env) (string, bool) {
-	switch x := e.(type) {
-	case *ast.BasicLit:
-		v := evalBasicLit(x)
-		if v.rv.IsValid() && v.rv.Kind() == reflect.String {
-			return v.rv.String(), true
-		}
-	case *ast.Ident:
-		if env == nil {
-			return "", false
-		}
-		if c := env.lookup(x.Name); c != nil && c.v.rv.IsValid() && c.v.rv.Kind() == reflect.String {
-			return c.v.rv.String(), true
-		}
-	}
-	return "", false
-}
-
 // computeFacts runs the syntactic collection over every registered
-// function and closes errno/abort facts over l.Call edges.
+// function and closes errno, abort and dynamic-call facts over l.Call
+// edges.
 func (pr *program) computeFacts() map[string]*fnFacts {
 	facts := make(map[string]*fnFacts, len(pr.registry))
 	for name, e := range pr.registry {
 		ff := newFnFacts()
-		pr.collectSyntactic(e.Impl.body, e.Impl.env, ff, map[string]bool{})
+		pr.collectSyntactic(e.body, ff, map[string]bool{})
 		facts[name] = ff
 	}
-	// Monotone propagation to fixpoint: callee errnos and aborts flow
-	// into callers. The graph is tiny (hundreds of nodes), so iterate.
+	// Monotone propagation to fixpoint: callee facts flow into callers.
+	// The graph is tiny (hundreds of nodes), so iterate.
 	for changed := true; changed; {
 		changed = false
 		for _, ff := range facts {
@@ -111,6 +98,10 @@ func (pr *program) computeFacts() map[string]*fnFacts {
 				}
 				if cf.aborts && !ff.aborts {
 					ff.aborts = true
+					changed = true
+				}
+				if cf.dynamic && !ff.dynamic {
+					ff.dynamic = true
 					changed = true
 				}
 			}

@@ -11,7 +11,7 @@ import (
 
 // Dependent-extent fitting: the static side of decl.FitSize. Where
 // the injector re-grows a fresh region chain under each sibling move,
-// the static pass re-interprets the body under the same move and reads
+// the static pass re-runs the body under the same move and reads
 // the extent straight off the access log. A divergent fit is caught by
 // the static↔dynamic soundness gate.
 
@@ -21,30 +21,27 @@ import (
 // with an order of magnitude to spare).
 const fitRegion = 4096
 
-// measureExtent interprets one probe with sibling overrides and a large
+// measureExtent runs one probe with sibling overrides and a large
 // zeroed tracked region, returning the access extent. ok is false when
 // the body did not return cleanly (a crashed run's extent measures the
 // fault, not the footprint).
-func (s *Scanner) measureExtent(name string, params []protoParam, i int, strOv map[int]string, intOv map[int]int64) (ext int, ok bool, unk string) {
-	r := s.runProbe(name, params, probeSpec{
+func measureExtent(e *regEntry, params []protoParam, i int, strOv map[int]string, intOv map[int]int64) (ext int, ok bool) {
+	r := runProbe(e, params, probeSpec{
 		tracked: i,
 		build:   trkData(make([]byte, fitRegion), cmem.ProtRW),
 		strOv:   strOv,
 		intOv:   intOv,
 	})
-	if r.unk != "" {
-		return 0, false, r.unk
-	}
 	if r.kind != csim.OutcomeReturn {
-		return 0, false, ""
+		return 0, false
 	}
-	return r.extent(), true, ""
+	return r.extent(), true
 }
 
 // fitSizeExpr fits the tracked argument's extent to a dependent-size
 // expression over its C-string and integer siblings, whose benign
 // values are the generators' defaults.
-func (s *Scanner) fitSizeExpr(name string, params []protoParam, i int) (*decl.SizeExpr, string) {
+func fitSizeExpr(e *regEntry, params []protoParam, i int) *decl.SizeExpr {
 	base := decl.FitArgs{Strlens: map[int]int{}, Vals: map[int]int64{}}
 	for j, q := range params {
 		switch {
@@ -56,15 +53,12 @@ func (s *Scanner) fitSizeExpr(name string, params []protoParam, i int) (*decl.Si
 		}
 	}
 	if len(base.Strlens) == 0 && len(base.Vals) == 0 {
-		return nil, ""
+		return nil
 	}
 
-	baseline, ok, unk := s.measureExtent(name, params, i, nil, nil)
-	if unk != "" {
-		return nil, unk
-	}
+	baseline, ok := measureExtent(e, params, i, nil, nil)
 	if !ok || baseline == 0 {
-		return nil, ""
+		return nil
 	}
 	measure := func(j int, env decl.FitArgs, _ int) (int, bool, error) {
 		var strOv map[int]string
@@ -74,17 +68,11 @@ func (s *Scanner) fitSizeExpr(name string, params []protoParam, i int) (*decl.Si
 		} else {
 			intOv = map[int]int64{j: env.Vals[j]}
 		}
-		ext, ok, unk := s.measureExtent(name, params, i, strOv, intOv)
-		if unk != "" {
-			return 0, false, unknownf{unk}
-		}
+		ext, ok := measureExtent(e, params, i, strOv, intOv)
 		return ext, ok, nil
 	}
-	expr, err := decl.FitSize(base, baseline, measure)
-	if err != nil {
-		return nil, err.Error()
-	}
-	return expr, ""
+	expr, _ := decl.FitSize(base, baseline, measure) // measure never fails
+	return expr
 }
 
 // boundedReadArg detects the R_BOUNDED contract on a const char*
@@ -92,26 +80,20 @@ func (s *Scanner) fitSizeExpr(name string, params []protoParam, i int) (*decl.Si
 // decl.BoundedRead* constants): an unterminated region larger than an
 // integer sibling's count returns cleanly, while one smaller than the
 // count faults. Returns the bounding argument index, or -1.
-func (s *Scanner) boundedReadArg(name string, params []protoParam, i int) (int, string) {
+func boundedReadArg(e *regEntry, params []protoParam, i int) int {
 	for j, q := range params {
 		if j == i || q.Class != gens.ClassInt {
 			continue
 		}
-		small := s.runProbe(name, params, probeSpec{
+		small := runProbe(e, params, probeSpec{
 			tracked: i, build: trkUnterm(decl.BoundedReadRegion), intOv: map[int]int64{j: decl.BoundedReadWithin},
 		})
-		if small.unk != "" {
-			return -1, small.unk
-		}
-		big := s.runProbe(name, params, probeSpec{
+		big := runProbe(e, params, probeSpec{
 			tracked: i, build: trkUnterm(decl.BoundedReadRegion), intOv: map[int]int64{j: decl.BoundedReadPast},
 		})
-		if big.unk != "" {
-			return -1, big.unk
-		}
 		if small.clean() && big.kind == csim.OutcomeSegfault {
-			return j, ""
+			return j
 		}
 	}
-	return -1, ""
+	return -1
 }

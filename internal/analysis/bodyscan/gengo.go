@@ -42,9 +42,6 @@ var facts = map[string]*bodyscan.FuncSummary{
 		f := sums[name]
 		fmt.Fprintf(&b, "\t%q: {\n", name)
 		fmt.Fprintf(&b, "\t\tName: %q, Proto: %q, NArgs: %d,\n", f.Name, f.Proto, f.NArgs)
-		if f.Unknown {
-			fmt.Fprintf(&b, "\t\tUnknown: true, Reason: %q,\n", f.Reason)
-		}
 		if len(f.Args) > 0 {
 			b.WriteString("\t\tArgs: []bodyscan.ArgSummary{\n")
 			for i := range f.Args {

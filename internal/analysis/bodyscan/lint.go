@@ -11,16 +11,15 @@ import (
 	"strings"
 )
 
-// Repo-local AST lint, sharing the bodyscan loader's parsing machinery.
-// Two rules, both guarding invariants the test suite cannot see
-// directly:
+// Repo-local AST lint: two rules, both guarding invariants the test
+// suite cannot see directly:
 //
 //   - cmem encapsulation: the page table and heap cursors of the
 //     simulated address space (fields pages/heapCursor/mmapCursor, and
 //     Mem.heap) may only be touched inside internal/cmem. Everything
 //     else must go through the fault-checked Load/Store/Map API — a
-//     direct field poke would bypass the access log the whole injection
-//     methodology rests on.
+//     direct field poke would bypass the fault checks and the memory
+//     recorder the whole injection methodology rests on.
 //
 //   - injector determinism: internal/injector must not read wall-clock
 //     time or math/rand in non-test code. Campaign results are golden-

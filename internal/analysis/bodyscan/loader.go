@@ -8,291 +8,86 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
-	"sort"
+	"runtime"
 	"strings"
+
+	"healers/internal/clib"
 )
 
-// regEntry is one function registered through the interpreted l.add.
+// regEntry is one compiled library function paired with the syntax of
+// its body.
 type regEntry struct {
-	Name     string
-	Proto    string
-	NArgs    int
-	Internal bool
-	Impl     *funcVal
+	*clib.Func
+	body *ast.BlockStmt
 }
 
-// program is the loaded clib source: declarations indexed for the
-// interpreter plus the registry built by interpreting the register*
-// methods (so the symbol table is derived from the same code path the
-// compiled library uses, never from a parallel list).
+// program is a compiled library and its source: the registry the
+// probes run, in registration order, and the package-level functions
+// the syntactic pass follows helper calls into.
 type program struct {
-	fset      *token.FileSet
-	funcs     map[string]*ast.FuncDecl // package-level functions
-	methods   map[string]*ast.FuncDecl // *Library methods
-	types     map[string]*istruct      // package-level struct types
-	funcTypes map[string]bool          // package-level func types (Impl)
-	pkgEnv    *env                     // package-level consts and vars
-
-	registry  map[string]*regEntry
-	regOrder  []string
-	declCache map[*ast.FuncDecl]*funcVal
-
-	selectors []selRef // every pkg.Name selector seen in the source
+	registry map[string]*regEntry
+	regOrder []string
+	funcs    map[string]*ast.FuncDecl
 }
 
-// selRef is one package-qualified selector occurrence, kept so a test
-// can assert the consts table covers everything the source mentions.
-type selRef struct {
-	Pkg, Name string
-	Pos       token.Position
+// srcLine is a source position at line granularity: a file's base name
+// and a line in it.
+type srcLine struct {
+	file string
+	line int
 }
 
-func (pr *program) declFunc(fd *ast.FuncDecl) *funcVal {
-	if fv, ok := pr.declCache[fd]; ok {
-		return fv
-	}
-	fv := &funcVal{
-		name:    fd.Name.Name,
-		params:  fd.Type.Params,
-		results: fd.Type.Results,
-		body:    fd.Body,
-		env:     pr.pkgEnv,
-	}
-	pr.declCache[fd] = fv
-	return fv
-}
-
-// register implements the l.add intrinsic: pull the registration fields
-// out of the interpreted Func literal.
-func (pr *program) register(sv *structVal) {
-	name := fieldString(sv, "Name")
-	if name == "" {
-		unknown("l.add with empty Name")
-	}
-	if _, dup := pr.registry[name]; dup {
-		unknown("duplicate registration of %s", name)
-	}
-	impl := asFunc(sv.fields["Impl"])
-	if impl == nil {
-		unknown("registration of %s without interpretable Impl", name)
-	}
-	impl.name = name
-	pr.registry[name] = &regEntry{
-		Name:     name,
-		Proto:    fieldString(sv, "Proto"),
-		NArgs:    fieldInt(sv, "NArgs"),
-		Internal: fieldBool(sv, "Internal"),
-		Impl:     impl,
-	}
-	pr.regOrder = append(pr.regOrder, name)
-}
-
-func fieldString(sv *structVal, name string) string {
-	if v, ok := sv.fields[name]; ok && v.rv.IsValid() && v.rv.Kind() == reflect.String {
-		return v.rv.String()
-	}
-	return ""
-}
-
-func fieldInt(sv *structVal, name string) int {
-	if v, ok := sv.fields[name]; ok && v.rv.IsValid() {
-		return toInt(v)
-	}
-	return 0
-}
-
-func fieldBool(sv *structVal, name string) bool {
-	if v, ok := sv.fields[name]; ok && v.rv.IsValid() && v.rv.Kind() == reflect.Bool {
-		return v.rv.Bool()
-	}
-	return false
-}
-
-// loadProgram parses every non-test Go file in dir and builds the
-// interpreted registry by executing the same register* methods New
-// runs.
-func loadProgram(dir string) (pr *program, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			if u, ok := r.(unknownf); ok {
-				pr, err = nil, fmt.Errorf("bodyscan: load: %s", u.msg)
-				return
-			}
-			panic(r)
-		}
-	}()
-
-	pr = &program{
-		fset:      token.NewFileSet(),
-		funcs:     map[string]*ast.FuncDecl{},
-		methods:   map[string]*ast.FuncDecl{},
-		types:     map[string]*istruct{},
-		funcTypes: map[string]bool{},
-		registry:  map[string]*regEntry{},
-		declCache: map[*ast.FuncDecl]*funcVal{},
-	}
-
+// loadProgram parses every non-test Go file in dir and pairs each of
+// funcs with its body: the one function literal that starts at the file
+// and line runtime.FuncForPC gives for the Impl's code. Nothing is
+// interpreted; the registry is the compiled library's own.
+func loadProgram(dir string, funcs []*clib.Func) (*program, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, fmt.Errorf("bodyscan: %w", err)
 	}
-	var names []string
+	pr := &program{registry: map[string]*regEntry{}, funcs: map[string]*ast.FuncDecl{}}
+	fset := token.NewFileSet()
+	lits := map[srcLine][]*ast.FuncLit{}
 	for _, e := range entries {
 		n := e.Name()
-		if strings.HasSuffix(n, ".go") && !strings.HasSuffix(n, "_test.go") {
-			names = append(names, n)
+		if !strings.HasSuffix(n, ".go") || strings.HasSuffix(n, "_test.go") {
+			continue
 		}
-	}
-	sort.Strings(names)
-	var files []*ast.File
-	for _, n := range names {
-		f, err := parser.ParseFile(pr.fset, filepath.Join(dir, n), nil, parser.SkipObjectResolution)
+		f, err := parser.ParseFile(fset, filepath.Join(dir, n), nil, parser.SkipObjectResolution)
 		if err != nil {
 			return nil, fmt.Errorf("bodyscan: %w", err)
 		}
-		files = append(files, f)
-	}
-
-	// Pass 1: index declarations and record every pkg.Name selector.
-	for _, f := range files {
-		imports := map[string]bool{}
-		for _, imp := range f.Imports {
-			path := strings.Trim(imp.Path.Value, `"`)
-			name := path[strings.LastIndex(path, "/")+1:]
-			if imp.Name != nil {
-				name = imp.Name.Name
-			}
-			imports[name] = true
-		}
 		for _, d := range f.Decls {
-			switch decl := d.(type) {
-			case *ast.FuncDecl:
-				if decl.Recv == nil {
-					pr.funcs[decl.Name.Name] = decl
-				} else {
-					pr.methods[decl.Name.Name] = decl
-				}
-			case *ast.GenDecl:
-				if decl.Tok == token.TYPE {
-					for _, spec := range decl.Specs {
-						ts := spec.(*ast.TypeSpec)
-						switch t := ts.Type.(type) {
-						case *ast.StructType:
-							pr.types[ts.Name.Name] = newIstruct(ts.Name.Name, t)
-						case *ast.FuncType:
-							pr.funcTypes[ts.Name.Name] = true
-						}
-					}
-				}
+			if fd, ok := d.(*ast.FuncDecl); ok && fd.Recv == nil {
+				pr.funcs[fd.Name.Name] = fd
 			}
 		}
-		ast.Inspect(f, func(n ast.Node) bool {
-			sel, ok := n.(*ast.SelectorExpr)
-			if !ok {
-				return true
-			}
-			if id, ok := sel.X.(*ast.Ident); ok && imports[id.Name] {
-				pr.selectors = append(pr.selectors, selRef{
-					Pkg: id.Name, Name: sel.Sel.Name, Pos: pr.fset.Position(sel.Pos()),
-				})
+		ast.Inspect(f, func(nd ast.Node) bool {
+			if fl, ok := nd.(*ast.FuncLit); ok {
+				at := srcLine{n, fset.Position(fl.Pos()).Line}
+				lits[at] = append(lits[at], fl)
 			}
 			return true
 		})
 	}
 
-	// Pass 2: package-level consts and vars (weekdays, months, ...).
-	pr.pkgEnv = newEnv(nil)
-	ip := newInterp(pr, nil)
-	for _, f := range files {
-		for _, d := range f.Decls {
-			gd, ok := d.(*ast.GenDecl)
-			if !ok {
-				continue
-			}
-			switch gd.Tok {
-			case token.CONST:
-				evalConstDecl(ip, gd, pr.pkgEnv)
-			case token.VAR:
-				for _, spec := range gd.Specs {
-					vs := spec.(*ast.ValueSpec)
-					for i, n := range vs.Names {
-						switch {
-						case i < len(vs.Values):
-							pr.pkgEnv.define(n.Name, copyIfStruct(ip.evalExpr(vs.Values[i], pr.pkgEnv)))
-						case vs.Type != nil:
-							pr.pkgEnv.define(n.Name, ip.zeroVal(vs.Type))
-						}
-					}
-				}
-			}
+	for _, f := range funcs {
+		if _, dup := pr.registry[f.Name]; dup {
+			return nil, fmt.Errorf("bodyscan: %s registered twice", f.Name)
 		}
-	}
-
-	// Pass 3: build the registry by interpreting the register* calls in
-	// the order New makes them.
-	newDecl, ok := pr.funcs["New"]
-	if !ok {
-		return nil, fmt.Errorf("bodyscan: no New() in %s", dir)
-	}
-	var regNames []string
-	ast.Inspect(newDecl.Body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
+		if f.Impl == nil {
+			return nil, fmt.Errorf("bodyscan: %s has no Impl", f.Name)
 		}
-		if sel, ok := call.Fun.(*ast.SelectorExpr); ok && strings.HasPrefix(sel.Sel.Name, "register") {
-			regNames = append(regNames, sel.Sel.Name)
+		fn := runtime.FuncForPC(reflect.ValueOf(f.Impl).Pointer())
+		file, line := fn.FileLine(fn.Entry())
+		at := srcLine{filepath.Base(file), line}
+		if cands := lits[at]; len(cands) != 1 {
+			return nil, fmt.Errorf("bodyscan: %s: %d function literals at %s:%d in %s, want its Impl alone",
+				f.Name, len(cands), at.file, at.line, dir)
 		}
-		return true
-	})
-	if len(regNames) == 0 {
-		return nil, fmt.Errorf("bodyscan: New() makes no register calls")
-	}
-	l := &libHandle{prog: pr}
-	for _, rn := range regNames {
-		fd, ok := pr.methods[rn]
-		if !ok {
-			return nil, fmt.Errorf("bodyscan: New() calls missing method %s", rn)
-		}
-		menv := newEnv(pr.pkgEnv)
-		if fd.Recv != nil && len(fd.Recv.List) == 1 && len(fd.Recv.List[0].Names) == 1 {
-			menv.define(fd.Recv.List[0].Names[0].Name, val{rv: reflect.ValueOf(l)})
-		}
-		fv := &funcVal{name: rn, params: fd.Type.Params, results: fd.Type.Results, body: fd.Body, env: menv}
-		ip.invoke(fv, nil)
+		pr.registry[f.Name] = &regEntry{Func: f, body: lits[at][0].Body}
+		pr.regOrder = append(pr.regOrder, f.Name)
 	}
 	return pr, nil
-}
-
-// evalConstDecl handles a const block with iota and carried-over
-// expressions.
-func evalConstDecl(ip *interp, gd *ast.GenDecl, e *env) {
-	var lastValues []ast.Expr
-	var lastType ast.Expr
-	for si, spec := range gd.Specs {
-		vs := spec.(*ast.ValueSpec)
-		values := vs.Values
-		typ := vs.Type
-		if len(values) == 0 {
-			values = lastValues
-			typ = lastType
-		} else {
-			lastValues = values
-			lastType = typ
-		}
-		ce := newEnv(e)
-		ce.define("iota", val{rv: reflect.ValueOf(si), untyped: true})
-		for i, n := range vs.Names {
-			if i >= len(values) {
-				break
-			}
-			v := ip.evalExpr(values[i], ce)
-			if typ != nil {
-				if rt, _ := ip.resolveType(typ); rt != nil {
-					v = convertVal(v, rt)
-				}
-			}
-			e.define(n.Name, v)
-		}
-	}
 }

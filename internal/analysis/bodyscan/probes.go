@@ -3,9 +3,9 @@ package bodyscan
 import (
 	"fmt"
 	"math"
-	"reflect"
 	"strings"
 
+	"healers/internal/clib"
 	"healers/internal/cmem"
 	"healers/internal/csim"
 	"healers/internal/decl"
@@ -13,21 +13,29 @@ import (
 	"healers/internal/injector"
 )
 
-// Scanner analyzes one loaded clib source tree.
+// Scanner summarizes the functions of one compiled library.
 type Scanner struct {
 	prog  *program
 	facts map[string]*fnFacts
 }
 
-// Load parses the clib package in dir, builds the interpreted registry
-// by executing its register* methods, and computes the syntactic
-// errno/abort call-graph facts.
-func Load(dir string) (*Scanner, error) {
-	pr, err := loadProgram(dir)
+// Load builds a scanner over funcs, compiled library functions whose
+// source is the Go package in dir, and computes the syntactic
+// errno/abort call-graph facts. The probes run the compiled Impls; the
+// source serves only the syntactic pass.
+func Load(dir string, funcs []*clib.Func) (*Scanner, error) {
+	pr, err := loadProgram(dir, funcs)
 	if err != nil {
 		return nil, err
 	}
 	return &Scanner{prog: pr, facts: pr.computeFacts()}, nil
+}
+
+// LoadClib loads the simulated C library: every function clib.New
+// registers, with its source in dir.
+func LoadClib(dir string) (*Scanner, error) {
+	lib := clib.New()
+	return Load(dir, append(lib.External(), lib.Internal()...))
 }
 
 // Names returns the externally visible registered functions in
@@ -35,7 +43,7 @@ func Load(dir string) (*Scanner, error) {
 func (s *Scanner) Names() []string {
 	var out []string
 	for _, n := range s.prog.regOrder {
-		if e := s.prog.registry[n]; e != nil && !e.Internal {
+		if !s.prog.registry[n].Internal {
 			out = append(out, n)
 		}
 	}
@@ -44,6 +52,51 @@ func (s *Scanner) Names() []string {
 
 // Has reports whether name is registered.
 func (s *Scanner) Has(name string) bool { return s.prog.registry[name] != nil }
+
+// accessLog records every memory touch inside the tracked argument's
+// region during one probe run.
+type accessLog struct {
+	base cmem.Addr
+	size int
+
+	readExt    int // bytes from base reached by direct reads
+	writeExt   int
+	kernelRead int // extents reached only through kernel-boundary copies
+	kernelWr   int
+	cstr       bool // a NUL-terminated scan started inside the region
+	kernelCStr bool
+}
+
+// covers reports whether addr falls inside the tracked region or its
+// trailing guard page (so overruns are recorded as attempted extents).
+func (lg *accessLog) covers(addr cmem.Addr) bool {
+	return lg.size > 0 && addr >= lg.base && addr < lg.base+cmem.Addr(lg.size)+cmem.PageSize
+}
+
+// record is the probe process's memory recorder: it notes one access,
+// user or kernel side, when it starts inside the tracked region.
+func (lg *accessLog) record(t cmem.Touch) {
+	if !lg.covers(t.Addr) {
+		return
+	}
+	if t.Scan {
+		if t.Kernel {
+			lg.kernelCStr = true
+		} else {
+			lg.cstr = true
+		}
+	}
+	ext := &lg.readExt
+	switch write := t.Access == cmem.AccessWrite; {
+	case t.Kernel && write:
+		ext = &lg.kernelWr
+	case t.Kernel:
+		ext = &lg.kernelRead
+	case write:
+		ext = &lg.writeExt
+	}
+	*ext = max(*ext, int(t.Addr-lg.base)+t.N)
+}
 
 // trackedBuild materializes the argument under analysis in p and
 // returns its value plus the region to log accesses against.
@@ -90,19 +143,6 @@ func trkDir() trackedBuild {
 	}
 }
 
-func trkFd() trackedBuild {
-	return func(p *csim.Process) (uint64, gens.Region) {
-		fd := p.OpenFile(gens.DefaultFixturePath, csim.ReadWrite, false)
-		return uint64(uint32(fd)), gens.Region{}
-	}
-}
-
-func trkFunc() trackedBuild {
-	return func(p *csim.Process) (uint64, gens.Region) {
-		return uint64(p.RegisterCallback(gens.ValidCallback)), gens.Region{}
-	}
-}
-
 // benignBuild returns the benign materialization for a parameter: the
 // generators' Default probe content (gens.BenignStringDefault,
 // gens.BenignIntDefault, gens.ValidCallback), so the sibling
@@ -122,9 +162,13 @@ func benignBuild(pp protoParam, strOv string, intOv *int64, region int) trackedB
 	case gens.ClassDir:
 		return trkDir()
 	case gens.ClassFd:
-		return trkFd()
+		return func(p *csim.Process) (uint64, gens.Region) {
+			return uint64(uint32(p.OpenFile(gens.DefaultFixturePath, csim.ReadWrite, false))), gens.Region{}
+		}
 	case gens.ClassFuncPtr:
-		return trkFunc()
+		return func(p *csim.Process) (uint64, gens.Region) {
+			return uint64(p.RegisterCallback(gens.ValidCallback)), gens.Region{}
+		}
 	case gens.ClassDouble:
 		return trkRaw(math.Float64bits(1.0))
 	default: // gens.ClassInt
@@ -155,20 +199,16 @@ type probeSpec struct {
 // probeRun is the outcome of one probe.
 type probeRun struct {
 	kind    csim.OutcomeKind
-	ret     uint64
-	errno   int
 	fault   *cmem.Fault
 	log     accessLog
 	regions []gens.Region // per-argument mounted regions (zero if unmounted)
-	unk     string        // non-empty: interpretation hit an unmodeled construct
 }
 
 func (r probeRun) crashed() bool {
-	return r.unk == "" &&
-		(r.kind == csim.OutcomeSegfault || r.kind == csim.OutcomeHang || r.kind == csim.OutcomeAbort)
+	return r.kind == csim.OutcomeSegfault || r.kind == csim.OutcomeHang || r.kind == csim.OutcomeAbort
 }
 
-func (r probeRun) clean() bool { return r.unk == "" && r.kind == csim.OutcomeReturn }
+func (r probeRun) clean() bool { return r.kind == csim.OutcomeReturn }
 
 func (r probeRun) extent() int {
 	if r.log.readExt > r.log.writeExt {
@@ -178,98 +218,65 @@ func (r probeRun) extent() int {
 }
 
 // buildArgs materializes every argument in p per the spec.
-func buildArgs(p *csim.Process, params []protoParam, spec probeSpec) ([]val, *accessLog, []gens.Region) {
-	lg := &accessLog{}
-	args := make([]val, len(params))
+func buildArgs(p *csim.Process, params []protoParam, spec probeSpec) ([]uint64, []gens.Region) {
+	args := make([]uint64, len(params))
 	regions := make([]gens.Region, len(params))
 	for j, pp := range params {
-		var v uint64
 		if j == spec.tracked && spec.build != nil {
-			var r gens.Region
-			v, r = spec.build(p)
-			lg.base, lg.size = r.Base, r.Size
-			lg.trkTag = j + 1
-			regions[j] = r
-		} else {
-			var iov *int64
-			if n, ok := spec.intOv[j]; ok {
-				iov = &n
-			}
-			size := gens.ArrayDefaultSize
-			if n, ok := spec.sibSize[j]; ok {
-				size = n
-			}
-			b := benignBuild(pp, spec.strOv[j], iov, size)
-			v, regions[j] = b(p)
+			args[j], regions[j] = spec.build(p)
+			continue
 		}
-		args[j] = val{rv: reflect.ValueOf(v), tag: j + 1}
+		var iov *int64
+		if n, ok := spec.intOv[j]; ok {
+			iov = &n
+		}
+		size := gens.ArrayDefaultSize
+		if n, ok := spec.sibSize[j]; ok {
+			size = n
+		}
+		args[j], regions[j] = benignBuild(pp, spec.strOv[j], iov, size)(p)
 	}
-	return args, lg, regions
+	return args, regions
 }
 
-// runProbe executes one interpreted probe in a fresh template process.
-func (s *Scanner) runProbe(name string, params []protoParam, spec probeSpec) (res probeRun) {
+// runProbe calls the compiled function once in a fresh template
+// process, under the injector's step budget, with the process's memory
+// recorder logging every access to the tracked argument's region.
+func runProbe(e *regEntry, params []protoParam, spec probeSpec) (res probeRun) {
 	p := injector.NewTemplateProcess()
 	defer p.Release()
 	p.SetStepBudget(injector.StepBudget)
-	args, lg, regions := buildArgs(p, params, spec)
+	args, regions := buildArgs(p, params, spec)
 	res.regions = regions
-	ip := newInterp(s.prog, p)
-	ip.log = lg
-	defer func() {
-		res.log = *lg
-		if r := recover(); r != nil {
-			u, ok := r.(unknownf)
-			if !ok {
-				panic(r)
-			}
-			res.unk = u.msg
-		}
-	}()
-	out := p.Run(func() uint64 { return toUint64(ip.callByName(name, args)) })
-	res.kind, res.ret, res.errno, res.fault = out.Kind, out.Ret, out.Errno, out.Fault
+	if spec.tracked >= 0 {
+		res.log.base, res.log.size = regions[spec.tracked].Base, regions[spec.tracked].Size
+	}
+	p.Mem.Recorder = res.log.record
+	out := p.Run(func() uint64 { return e.Impl(p, args) })
+	res.kind, res.fault = out.Kind, out.Fault
 	return res
 }
 
 // Summarize runs the probe schedule for one registered function and
-// derives its access summary. Any unmodeled construct along any probe
-// degrades the whole function to Unknown: the pass never guesses.
+// derives its access summary. It fails for a function that makes, or
+// reaches, an l.Call whose target the syntactic pass cannot read: its
+// errno and abort facts would silently miss that callee's.
 func (s *Scanner) Summarize(name string) (*FuncSummary, error) {
 	e := s.prog.registry[name]
 	if e == nil {
 		return nil, fmt.Errorf("bodyscan: %s not registered", name)
 	}
+	ff := s.facts[name]
+	if ff.dynamic {
+		return nil, fmt.Errorf("bodyscan: %s reaches an l.Call whose target is not a string literal", name)
+	}
 	params := parseProto(e.Proto)
-	fs := &FuncSummary{Name: name, Proto: e.Proto, NArgs: e.NArgs}
-	if ff := s.facts[name]; ff != nil {
-		fs.Errnos = ff.errnoList()
-		fs.Aborts = ff.aborts
-		fs.Calls = ff.callList()
-	}
-	markUnknown := func(reason string) {
-		fs.Unknown = true
-		fs.Reason = reason
-		fs.Args = fs.Args[:0]
-		for i, pp := range params {
-			fs.Args = append(fs.Args, ArgSummary{
-				Index: i, Param: pp.Name, CType: pp.CType, Class: pp.Class,
-				BoundArg: -1, BoundedArg: -1,
-			})
-		}
-	}
-	// Baseline run with every argument benign: establishes that the
-	// whole body is interpretable before per-argument probing.
-	if base := s.runProbe(name, params, probeSpec{tracked: -1}); base.unk != "" {
-		markUnknown(base.unk)
-		return fs, nil
+	fs := &FuncSummary{
+		Name: name, Proto: e.Proto, NArgs: e.NArgs,
+		Errnos: ff.errnoList(), Aborts: ff.aborts, Calls: ff.callList(),
 	}
 	for i := range params {
-		as, unk := s.analyzeArg(name, params, i)
-		if unk != "" {
-			markUnknown(unk)
-			return fs, nil
-		}
-		fs.Args = append(fs.Args, as)
+		fs.Args = append(fs.Args, analyzeArg(e, params, i))
 	}
 	return fs, nil
 }
@@ -297,18 +304,15 @@ func (s *Scanner) SummarizeAll(names []string) (map[string]*FuncSummary, error) 
 // sibling and re-runs, exactly as the sibling's adaptive array chain
 // would have grown. The integer is crash-prone only if the crash
 // persists once every implicated sibling is at the generator maximum.
-func (s *Scanner) intProbe(name string, params []protoParam, i int, v uint64) (crashed bool, unk string) {
+func intProbe(e *regEntry, params []protoParam, i int, v uint64) (crashed bool) {
 	sizes := map[int]int{}
 	for {
-		r := s.runProbe(name, params, probeSpec{tracked: i, build: trkRaw(v), sibSize: sizes})
-		if r.unk != "" {
-			return false, r.unk
-		}
+		r := runProbe(e, params, probeSpec{tracked: i, build: trkRaw(v), sibSize: sizes})
 		if !r.crashed() {
-			return false, ""
+			return false
 		}
 		if r.kind != csim.OutcomeSegfault || r.fault == nil {
-			return true, ""
+			return true
 		}
 		grown := false
 		for j, pp := range params {
@@ -328,32 +332,24 @@ func (s *Scanner) intProbe(name string, params []protoParam, i int, v uint64) (c
 			break
 		}
 		if !grown {
-			return true, ""
+			return true
 		}
 	}
 }
 
 // analyzeArg runs the per-class probe schedule for one argument.
-func (s *Scanner) analyzeArg(name string, params []protoParam, i int) (ArgSummary, string) {
+func analyzeArg(e *regEntry, params []protoParam, i int) ArgSummary {
 	pp := params[i]
 	as := ArgSummary{Index: i, Param: pp.Name, CType: pp.CType, Class: pp.Class, BoundArg: -1, BoundedArg: -1}
 
 	probe := func(spec probeSpec) probeRun {
 		spec.tracked = i
-		return s.runProbe(name, params, spec)
+		return runProbe(e, params, spec)
 	}
 
 	switch pp.Class {
 	case gens.ClassInt:
-		m1, unk := s.intProbe(name, params, i, ^uint64(0))
-		if unk != "" {
-			return as, unk
-		}
-		z, unk := s.intProbe(name, params, i, 0)
-		if unk != "" {
-			return as, unk
-		}
-		switch {
+		switch m1, z := intProbe(e, params, i, ^uint64(0)), intProbe(e, params, i, 0); {
 		case m1 && z:
 			as.Int = IntPositive
 		case m1:
@@ -361,47 +357,25 @@ func (s *Scanner) analyzeArg(name string, params []protoParam, i int) (ArgSummar
 		default:
 			as.Int = IntAny
 		}
-		return as, ""
+		return as
 	case gens.ClassDouble:
-		return as, ""
+		return as
 	case gens.ClassFd:
 		as.FD = true
-		b := probe(probeSpec{build: trkFd()})
-		if b.unk != "" {
-			return as, b.unk
-		}
-		as.FD = as.FD || b.log.fdUse
-		return as, ""
+		return as
 	case gens.ClassFuncPtr:
 		as.FuncPtr = true
-		b := probe(probeSpec{build: trkFunc()})
-		if b.unk != "" {
-			return as, b.unk
-		}
-		n := probe(probeSpec{build: trkRaw(0)})
-		if n.unk != "" {
-			return as, n.unk
-		}
-		as.NullOK = n.clean()
-		return as, ""
+		as.NullOK = probe(probeSpec{build: trkRaw(0)}).clean()
+		return as
 	}
 
 	// Pointer-like classes: cstring, charbuf, ptr, file, dir.
-	nullRun := probe(probeSpec{build: trkRaw(0)})
-	if nullRun.unk != "" {
-		return as, nullRun.unk
-	}
-	as.NullOK = nullRun.clean()
+	as.NullOK = probe(probeSpec{build: trkRaw(0)}).clean()
 
 	benign := probe(probeSpec{build: benignBuild(pp, "", nil, gens.ArrayDefaultSize)})
-	if benign.unk != "" {
-		return as, benign.unk
-	}
 	as.ReadBytes = benign.log.readExt
 	as.WriteBytes = benign.log.writeExt
 	as.CStr = benign.log.cstr
-	as.FD = benign.log.fdUse
-	as.FuncPtr = benign.log.funcPtr
 	// Kernel-boundary copies (including kernel-side string reads) never
 	// fault the caller, so a pointee reached only that way imposes no
 	// robustness constraint.
@@ -412,9 +386,6 @@ func (s *Scanner) analyzeArg(name string, params []protoParam, i int) (ArgSummar
 
 	if pp.Class == gens.ClassCString {
 		u1 := probe(probeSpec{build: trkUnterm(gens.UntermSize)})
-		if u1.unk != "" {
-			return as, u1.unk
-		}
 		if u1.crashed() && u1.log.readExt > gens.UntermSize {
 			as.CStr = true // scan ran off the unterminated region
 		}
@@ -430,27 +401,16 @@ func (s *Scanner) analyzeArg(name string, params []protoParam, i int) (ArgSummar
 		}
 		if len(ov) > 0 {
 			u2 := probe(probeSpec{build: trkUnterm(gens.UntermSize), strOv: ov})
-			if u2.unk != "" {
-				return as, u2.unk
-			}
 			if u2.crashed() != u1.crashed() || u2.log.readExt != u1.log.readExt {
 				as.ContentDep = true
 			}
 		}
 		// Minimal probe: the empty string.
-		em := probe(probeSpec{build: trkData([]byte{0}, cmem.ProtRW)})
-		if em.unk != "" {
-			return as, em.unk
-		}
-		as.MinBytes = em.extent()
+		as.MinBytes = probe(probeSpec{build: trkData([]byte{0}, cmem.ProtRW)}).extent()
 		// Bounded read: an integer sibling that caps the scan (the
 		// R_BOUNDED contract the dynamic inferBoundedRead discovers).
 		if !as.CStr {
-			j, unk := s.boundedReadArg(name, params, i)
-			if unk != "" {
-				return as, unk
-			}
-			as.BoundedArg = j
+			as.BoundedArg = boundedReadArg(e, params, i)
 		}
 	}
 
@@ -481,11 +441,7 @@ func (s *Scanner) analyzeArg(name string, params []protoParam, i int) (ArgSummar
 		as.Shape = ShapeConst
 		// Does the extent follow a sibling-dependent expression? Fit the
 		// same candidate family the dynamic inferSize uses.
-		expr, unk := s.fitSizeExpr(name, params, i)
-		if unk != "" {
-			return as, unk
-		}
-		if expr != nil {
+		if expr := fitSizeExpr(e, params, i); expr != nil {
 			as.Expr = expr
 			as.Shape = ShapeArg
 			if expr.Kind == decl.SizeArgValue {
@@ -493,5 +449,5 @@ func (s *Scanner) analyzeArg(name string, params []protoParam, i int) (ArgSummar
 			}
 		}
 	}
-	return as, ""
+	return as
 }

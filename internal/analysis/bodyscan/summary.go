@@ -1,26 +1,29 @@
 // Package bodyscan infers per-argument memory-footprint summaries for
-// the simulated C library by analyzing the *source* of internal/clib —
-// the static analogue of the dynamic fault-injection campaign.
+// the simulated C library by running its compiled functions under
+// instrumented probes — the static analogue of the dynamic
+// fault-injection campaign.
 //
-// The pass loads internal/clib with go/parser, discovers every
-// registered function (including the alias and no-op registration
-// loops), builds the interprocedural call graph over l.Call edges and
-// helper calls, and computes errno/abort facts by a monotone fixpoint
-// over that graph. Per-argument access summaries are then derived by
-// abstract interpretation of each function body over a real
-// csim.Process: the interpreter walks the AST directly (the compiled
-// implementations are never invoked) and every memory operation is
-// logged from its accessor's csim.Footprints row, recording which bytes
-// of the argument under analysis were touched. A schedule of static probes —
-// zeroed region, unterminated string, empty string, NULL, boundary
-// integers — runs in the injector's template process with the
-// generators' benign siblings (package gens), and dependent sizes are
-// fitted by the injector's own fitter (decl.FitSize), so the resulting
-// extents are directly comparable with the dynamically inferred robust
-// types.
+// The registry is the compiled library's own (clib.Func records). The
+// pass reads the internal/clib source with go/parser only for syntax:
+// it pairs every Impl with its function literal by the file and line
+// runtime.FuncForPC gives for its code, collects errno constants,
+// Abort calls and l.Call edges, and closes errno/abort facts over the
+// call graph by a monotone fixpoint. Per-argument access summaries come
+// from calling each Impl in a fresh template process whose memory
+// recorder (cmem.Memory.Recorder) logs which bytes of the argument
+// under analysis were touched, and whether a kernel-boundary copy or a
+// NUL scan touched them. A schedule of probes — zeroed region,
+// unterminated string, empty string, NULL, boundary integers — runs
+// with the generators' benign siblings (package gens), and dependent
+// sizes are fitted by the injector's own fitter (decl.FitSize), so the
+// resulting extents are directly comparable with the dynamically
+// inferred robust types.
 //
-// Anything the interpreter does not model causes the whole function to
-// be summarized as Unknown with a reason: the pass never guesses.
+// A compiled body is never declined: soundness rests on the probes,
+// the step budget and the static↔dynamic gate (wrong = 0), as the
+// dynamic campaign's does. The one thing the pass refuses is a
+// function that makes or reaches an l.Call whose target is not a
+// string literal, whose errno facts it could not close.
 package bodyscan
 
 import (
@@ -167,19 +170,11 @@ type FuncSummary struct {
 	Aborts bool `json:"aborts,omitempty"`
 	// Calls lists direct l.Call edges out of the body.
 	Calls []string `json:"calls,omitempty"`
-
-	// Unknown marks a function the interpreter refused to summarize;
-	// Reason says why. An Unknown summary constrains nothing.
-	Unknown bool   `json:"unknown,omitempty"`
-	Reason  string `json:"reason,omitempty"`
 }
 
 // String renders a summary compactly, one argument per segment, for
 // golden-snapshot tests and the analyze table.
 func (f *FuncSummary) String() string {
-	if f.Unknown {
-		return fmt.Sprintf("%s: UNKNOWN (%s)", f.Name, f.Reason)
-	}
 	var b strings.Builder
 	b.WriteString(f.Name)
 	b.WriteString(":")

@@ -107,6 +107,20 @@ func (a Access) String() string {
 	return fmt.Sprintf("Access(%d)", uint8(a))
 }
 
+// Touch is one access a Memory reports to its Recorder.
+type Touch struct {
+	Addr   Addr
+	N      int // bytes from Addr the access reaches
+	Access Access
+	// Scan marks a NUL-terminated scan (CString): N runs through the
+	// terminator, or through the byte that faulted.
+	Scan bool
+	// Kernel marks a syscall-boundary copy, which reports a bad address
+	// instead of faulting. Package cmem never sets it; the caller that
+	// makes such a copy does.
+	Kernel bool
+}
+
 // Fault describes a memory access violation: a simulated SIGSEGV.
 // It records the exact faulting address, which the adaptive fault
 // injector uses to find the test-case generator owning the region.
@@ -350,6 +364,12 @@ type Memory struct {
 	// forked its template without any side channel.
 	TraceID uint64
 	SpanID  uint64
+
+	// Recorder, when non-nil, observes every access made through Read,
+	// ReadInto, Write, LoadByte, StoreByte and CString (and so through
+	// every accessor built on them) before the access is checked. Clone
+	// does not inherit it and Release clears it.
+	Recorder func(Touch)
 
 	// spare holds the emptied containers a released Memory keeps for
 	// its next life; zero on a live Memory. Release sets it, alloc
@@ -849,6 +869,9 @@ func (m *Memory) check(addr Addr, n int, access Access) *Fault {
 
 // Read copies n bytes starting at addr into a fresh slice.
 func (m *Memory) Read(addr Addr, n int) ([]byte, *Fault) {
+	if m.Recorder != nil {
+		m.Recorder(Touch{Addr: addr, N: n, Access: AccessRead})
+	}
 	if f := m.check(addr, n, AccessRead); f != nil {
 		return nil, f
 	}
@@ -860,6 +883,9 @@ func (m *Memory) Read(addr Addr, n int) ([]byte, *Fault) {
 // Write copies data into memory at addr. data is never retained, so
 // callers may pass stack buffers.
 func (m *Memory) Write(addr Addr, data []byte) *Fault {
+	if m.Recorder != nil {
+		m.Recorder(Touch{Addr: addr, N: len(data), Access: AccessWrite})
+	}
 	if f := m.check(addr, len(data), AccessWrite); f != nil {
 		return f
 	}
@@ -894,6 +920,9 @@ func (m *Memory) copyIn(addr Addr, data []byte) {
 // LoadByte reads a single byte. On a frozen Memory it performs no
 // writes, so snapshots and fork templates stay pristine under reads.
 func (m *Memory) LoadByte(addr Addr) (byte, *Fault) {
+	if m.Recorder != nil {
+		m.Recorder(Touch{Addr: addr, N: 1, Access: AccessRead})
+	}
 	pg := m.lookup(addr.PageBase())
 	if pg == nil {
 		return 0, &Fault{Addr: addr, Access: AccessRead}
@@ -907,6 +936,9 @@ func (m *Memory) LoadByte(addr Addr) (byte, *Fault) {
 // StoreByte writes a single byte. The protection check precedes the
 // copy-on-write fault, so a denied store never copies the page.
 func (m *Memory) StoreByte(addr Addr, b byte) *Fault {
+	if m.Recorder != nil {
+		m.Recorder(Touch{Addr: addr, N: 1, Access: AccessWrite})
+	}
 	base := addr.PageBase()
 	pg := m.lookup(base)
 	if pg == nil {
@@ -944,6 +976,9 @@ func (m *Memory) inPage(addr Addr, n int, access Access) (pg *page, off int, f *
 // range lies inside one page, through check+copyOut when it spans
 // several — with exactly the faults Read reports either way.
 func (m *Memory) ReadInto(addr Addr, out []byte) *Fault {
+	if m.Recorder != nil {
+		m.Recorder(Touch{Addr: addr, N: len(out), Access: AccessRead})
+	}
 	if len(out) == 0 {
 		return nil
 	}
@@ -1035,8 +1070,22 @@ func (m *Memory) Segment(addr Addr) (b []byte, prot Prot, mapped bool) {
 // observes protection page by page, so an unterminated string in a
 // bounded region faults at exactly the first inaccessible byte — the
 // behaviour real C string functions exhibit. The string is allocated
-// once, however many pages it spans.
+// once, however many pages it spans. The Recorder sees the scan once it
+// ends: through the terminator, or through the byte that faults.
 func (m *Memory) CString(addr Addr) (string, *Fault) {
+	if m.Recorder == nil {
+		return m.cstring(addr)
+	}
+	s, f := m.cstring(addr)
+	n := len(s) + 1
+	if f != nil {
+		n = int(f.Addr-addr) + 1
+	}
+	m.Recorder(Touch{Addr: addr, N: n, Access: AccessRead, Scan: true})
+	return s, f
+}
+
+func (m *Memory) cstring(addr Addr) (string, *Fault) {
 	n := 0
 	for a := addr; ; {
 		chunk, _, mapped := m.Segment(a)

@@ -542,24 +542,42 @@ func (p *Process) StdinSkip(n int) { p.stdinPos = min(p.stdinPos+n, len(p.Stdin)
 //
 // Kernel-backed functions do not crash on bad user pointers; the kernel
 // copy routines fail and the syscall returns EFAULT. These helpers give
-// the simulated syscall layer the same behaviour.
+// the simulated syscall layer the same behaviour, and report their
+// accesses to a memory recorder as kernel accesses.
 
 // CopyFromUser reads n bytes without faulting; ok is false if any byte
 // is unreadable.
 func (p *Process) CopyFromUser(addr cmem.Addr, n int) ([]byte, bool) {
+	defer p.kernelCopy()()
 	b, f := p.Mem.Read(addr, n)
 	return b, f == nil
 }
 
 // CopyToUser writes data without faulting; ok is false on bad memory.
 func (p *Process) CopyToUser(addr cmem.Addr, data []byte) bool {
+	defer p.kernelCopy()()
 	return p.Mem.Write(addr, data) == nil
 }
 
 // StrFromUser reads a NUL-terminated string without faulting.
 func (p *Process) StrFromUser(addr cmem.Addr) (string, bool) {
+	defer p.kernelCopy()()
 	s, f := p.Mem.CString(addr)
 	return s, f == nil
+}
+
+// kernelCopy marks the accesses a memory recorder sees as kernel ones
+// until the returned func runs. Without a recorder it does nothing.
+func (p *Process) kernelCopy() (restore func()) {
+	rec := p.Mem.Recorder
+	if rec == nil {
+		return func() {}
+	}
+	p.Mem.Recorder = func(t cmem.Touch) {
+		t.Kernel = true
+		rec(t)
+	}
+	return func() { p.Mem.Recorder = rec }
 }
 
 // Malloc allocates simulated heap memory, setting errno on exhaustion.
