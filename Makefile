@@ -18,11 +18,13 @@
 #   make verify        — all tiers (the pre-commit gate)
 #   make bench         — wrapper call-path overhead benchmarks
 #   make bench-smoke   — one-iteration benchmarks (incl. the scaling
-#                        ratio gate) + COW differential audit
+#                        and byte-kernel ratio gates) + COW
+#                        differential audit
 #   make bench-module  — vet + smoke-test the nested bench/ module, which
 #                        the root `go test ./...` does not compile
-#   make fuzz          — 30s each of prototype-parser and cache-line
-#                        fuzzing beyond the checked-in corpora
+#   make fuzz          — 30s each of prototype-parser, cache-line,
+#                        heal-string and byte-kernel fuzzing beyond the
+#                        checked-in corpora
 #   make test-e2e-crash — the Jepsen-style crash harness over real
 #                        child processes: blackbox SIGKILL/restart
 #                        loop, whitebox killpoint sweep, stress mode
@@ -138,18 +140,21 @@ bench-profile:
 # CI's cheap perf gate: every campaign benchmark, the page-cache byte
 # scan and the bulk stdio paths run one iteration (so a hang or a
 # golden-vector divergence fails fast), BenchmarkCampaignScaling (on 4+
-# procs) holds the 8-worker wall at or below 0.50x the sequential, the
-# wrapper nop path, the forked-memory accessors, the per-test Ballista
-# budget, the stdio loops, hierarchy construction and a whole cold
-# campaign and one fixture experiment prove their allocation contracts
+# procs) holds the 8-worker wall at or below 0.50x the sequential,
+# BenchmarkByteKernels holds a 16 KiB memcpy and memset at or below
+# 0.25x their per-byte reference, the wrapper nop path, the
+# forked-memory accessors, the per-test Ballista budget, the stdio
+# loops, the byte kernels (16 KiB across pages in a fork), hierarchy
+# construction and a whole cold campaign and one fixture experiment
+# prove their allocation contracts
 # (the campaign its byte budget too), heal's sink repairs take at most
 # one pool page each, and the COW and page-cache differentials +
 # aliasing + purity + zero-page audits and the file copy-on-write,
 # shared-fixture and file-recycling oracle audits run under the race
 # detector.
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'BenchmarkCampaign|BenchmarkFork|BenchmarkByteScanForked|BenchmarkBuildArrayHierarchy|BenchmarkRobustType|BenchmarkStdio' -benchtime 1x ./internal/injector/ ./internal/cmem/ ./internal/typesys/ ./internal/clib/
-	$(GO) test -count=1 -run 'TestNopObservabilityAddsNoAllocations|TestForkedAccessorsAllocateNothing|TestPerTestAllocationBudget|TestKernelAllocations|TestStdioAllocations|TestCampaignAllocationBudget|TestFixtureExperimentAllocations|TestSinkRepairsTakeOnePage' ./internal/wrapper/ ./internal/cmem/ ./internal/ballista/ ./internal/typesys/ ./internal/clib/ ./internal/injector/
+	$(GO) test -run '^$$' -bench 'BenchmarkCampaign|BenchmarkFork|BenchmarkByteScanForked|BenchmarkBuildArrayHierarchy|BenchmarkRobustType|BenchmarkStdio|BenchmarkByteKernels' -benchtime 1x ./internal/injector/ ./internal/cmem/ ./internal/typesys/ ./internal/clib/
+	$(GO) test -count=1 -run 'TestNopObservabilityAddsNoAllocations|TestForkedAccessorsAllocateNothing|TestPerTestAllocationBudget|TestKernelAllocations|TestStdioAllocations|TestByteKernelAllocations|TestCampaignAllocationBudget|TestFixtureExperimentAllocations|TestSinkRepairsTakeOnePage' ./internal/wrapper/ ./internal/cmem/ ./internal/ballista/ ./internal/typesys/ ./internal/clib/ ./internal/injector/
 	$(GO) test -race -count=1 -run 'TestDifferentialCOWvsEager|TestPageCacheDifferential|TestReleasedMemoryFaultsThroughCache|TestConcurrentTemplateForks|TestReadPathsLeaveSnapshotFrozen|TestFork|TestProtectAfterFork|TestWriteOnlyPagesSurviveFork|TestChildFree|TestMapResetAfterFork|TestRelease|TestSharedPageRelease|TestZeroPages' ./internal/cmem/
 	$(GO) test -race -count=1 -run 'TestFileWritesCopyOnWrite|TestConcurrentTemplateForksShareFS|TestSharedFixtureTemplate|TestFileCOWOracle|TestRecycledFilesStayPrivate' ./internal/csim/
 
@@ -163,6 +168,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzParsePrototype -fuzztime 30s ./internal/cparse/
 	$(GO) test -run '^$$' -fuzz FuzzDiskCacheLine -fuzztime 30s ./internal/injector/
 	$(GO) test -run '^$$' -fuzz FuzzHealString -fuzztime 30s ./internal/wrapper/
+	$(GO) test -run '^$$' -fuzz FuzzByteKernels -fuzztime 30s ./internal/clib/
 
 # Crash-loop iteration and client-count knobs for the blackbox mode;
 # the 25×8 defaults are the acceptance floor, raise them for soaks.

@@ -1,9 +1,6 @@
 package clib
 
-import (
-	"healers/internal/cmem"
-	"healers/internal/csim"
-)
+import "healers/internal/csim"
 
 // Memory functions plus the heap allocation entry points. malloc/free
 // are not in the crash-prone evaluation set, but the wrapper intercepts
@@ -16,10 +13,7 @@ func (l *Library) registerMem() {
 		Proto: "void *memcpy(void *dest, const void *src, size_t n);",
 		Impl: func(p *csim.Process, a []uint64) uint64 {
 			dst, src, n := argPtr(a, 0), argPtr(a, 1), argSize(a, 2)
-			for i := uint64(0); i < n; i++ {
-				p.Step()
-				p.StoreByte(dst+cmem.Addr(i), p.LoadByte(src+cmem.Addr(i)))
-			}
+			copyForward(p, dst, src, n)
 			return uint64(dst)
 		},
 	})
@@ -28,19 +22,10 @@ func (l *Library) registerMem() {
 		Proto: "void *memmove(void *dest, const void *src, size_t n);",
 		Impl: func(p *csim.Process, a []uint64) uint64 {
 			dst, src, n := argPtr(a, 0), argPtr(a, 1), argSize(a, 2)
-			if n == 0 {
-				return uint64(dst)
-			}
 			if dst < src {
-				for i := uint64(0); i < n; i++ {
-					p.Step()
-					p.StoreByte(dst+cmem.Addr(i), p.LoadByte(src+cmem.Addr(i)))
-				}
+				copyForward(p, dst, src, n)
 			} else {
-				for i := n; i > 0; i-- {
-					p.Step()
-					p.StoreByte(dst+cmem.Addr(i-1), p.LoadByte(src+cmem.Addr(i-1)))
-				}
+				copyBackward(p, dst, src, n)
 			}
 			return uint64(dst)
 		},
@@ -50,10 +35,7 @@ func (l *Library) registerMem() {
 		Proto: "void *memset(void *s, int c, size_t n);",
 		Impl: func(p *csim.Process, a []uint64) uint64 {
 			s, c, n := argPtr(a, 0), byte(argInt(a, 1)), argSize(a, 2)
-			for i := uint64(0); i < n; i++ {
-				p.Step()
-				p.StoreByte(s+cmem.Addr(i), c)
-			}
+			fill(p, s, c, n)
 			return uint64(s)
 		},
 	})
@@ -61,15 +43,7 @@ func (l *Library) registerMem() {
 		Name: "memcmp", Header: "string.h", NArgs: 3,
 		Proto: "int memcmp(const void *s1, const void *s2, size_t n);",
 		Impl: func(p *csim.Process, a []uint64) uint64 {
-			s1, s2, n := argPtr(a, 0), argPtr(a, 1), argSize(a, 2)
-			for i := uint64(0); i < n; i++ {
-				p.Step()
-				b1, b2 := p.LoadByte(s1+cmem.Addr(i)), p.LoadByte(s2+cmem.Addr(i))
-				if b1 != b2 {
-					return retInt(int(b1) - int(b2))
-				}
-			}
-			return 0
+			return compare(p, argPtr(a, 0), argPtr(a, 1), argSize(a, 2), false)
 		},
 	})
 	l.add(&Func{
@@ -77,11 +51,8 @@ func (l *Library) registerMem() {
 		Proto: "void *memchr(const void *s, int c, size_t n);",
 		Impl: func(p *csim.Process, a []uint64) uint64 {
 			s, c, n := argPtr(a, 0), byte(argInt(a, 1)), argSize(a, 2)
-			for i := uint64(0); i < n; i++ {
-				p.Step()
-				if p.LoadByte(s+cmem.Addr(i)) == c {
-					return uint64(s + cmem.Addr(i))
-				}
+			if at, _, ok := search(p, s, c, n, false); ok {
+				return uint64(at)
 			}
 			return 0
 		},

@@ -5,26 +5,22 @@ import (
 	"healers/internal/csim"
 )
 
-// The string family is implemented byte-by-byte, exactly as naive libc
-// code is: no argument validation, reads and writes run until the
-// terminator regardless of what memory they touch. None of these
-// functions ever sets errno — the paper's "No Error Return Code Found"
-// class comes largely from here.
+// The string family behaves byte by byte exactly as naive libc code
+// does: no argument validation, reads and writes run until the
+// terminator regardless of what memory they touch. The copy, compare
+// and search loops run on the byte kernels (kernel.go), which move a
+// page segment at a time and keep every observable of the byte loop.
+// None of these functions ever sets errno — the paper's "No Error
+// Return Code Found" class comes largely from here.
 
 func (l *Library) registerString() {
 	l.add(&Func{
 		Name: "strcpy", Header: "string.h", NArgs: 2,
 		Proto: "char *strcpy(char *dest, const char *src);",
 		Impl: func(p *csim.Process, a []uint64) uint64 {
-			dst, src := argPtr(a, 0), argPtr(a, 1)
-			for i := cmem.Addr(0); ; i++ {
-				p.Step()
-				b := p.LoadByte(src + i)
-				p.StoreByte(dst+i, b)
-				if b == 0 {
-					return uint64(dst)
-				}
-			}
+			dst := argPtr(a, 0)
+			copyString(p, dst, argPtr(a, 1), unbounded, true)
+			return uint64(dst)
 		},
 	})
 	l.add(&Func{
@@ -32,20 +28,8 @@ func (l *Library) registerString() {
 		Proto: "char *strncpy(char *dest, const char *src, size_t n);",
 		Impl: func(p *csim.Process, a []uint64) uint64 {
 			dst, src, n := argPtr(a, 0), argPtr(a, 1), argSize(a, 2)
-			var i uint64
-			for ; i < n; i++ {
-				p.Step()
-				b := p.LoadByte(src + cmem.Addr(i))
-				p.StoreByte(dst+cmem.Addr(i), b)
-				if b == 0 {
-					i++
-					break
-				}
-			}
-			for ; i < n; i++ {
-				p.Step()
-				p.StoreByte(dst+cmem.Addr(i), 0)
-			}
+			i := copyString(p, dst, src, n, true)
+			fill(p, dst+cmem.Addr(i), 0, n-i)
 			return uint64(dst)
 		},
 	})
@@ -53,20 +37,9 @@ func (l *Library) registerString() {
 		Name: "strcat", Header: "string.h", NArgs: 2,
 		Proto: "char *strcat(char *dest, const char *src);",
 		Impl: func(p *csim.Process, a []uint64) uint64 {
-			dst, src := argPtr(a, 0), argPtr(a, 1)
-			end := dst
-			for p.LoadByte(end) != 0 {
-				p.Step()
-				end++
-			}
-			for i := cmem.Addr(0); ; i++ {
-				p.Step()
-				b := p.LoadByte(src + i)
-				p.StoreByte(end+i, b)
-				if b == 0 {
-					return uint64(dst)
-				}
-			}
+			dst := argPtr(a, 0)
+			copyString(p, stringEnd(p, dst), argPtr(a, 1), unbounded, true)
+			return uint64(dst)
 		},
 	})
 	l.add(&Func{
@@ -74,20 +47,8 @@ func (l *Library) registerString() {
 		Proto: "char *strncat(char *dest, const char *src, size_t n);",
 		Impl: func(p *csim.Process, a []uint64) uint64 {
 			dst, src, n := argPtr(a, 0), argPtr(a, 1), argSize(a, 2)
-			end := dst
-			for p.LoadByte(end) != 0 {
-				p.Step()
-				end++
-			}
-			var i uint64
-			for ; i < n; i++ {
-				p.Step()
-				b := p.LoadByte(src + cmem.Addr(i))
-				if b == 0 {
-					break
-				}
-				p.StoreByte(end+cmem.Addr(i), b)
-			}
+			end := stringEnd(p, dst)
+			i := copyString(p, end, src, n, false)
 			p.StoreByte(end+cmem.Addr(i), 0)
 			return uint64(dst)
 		},
@@ -96,35 +57,14 @@ func (l *Library) registerString() {
 		Name: "strcmp", Header: "string.h", NArgs: 2,
 		Proto: "int strcmp(const char *s1, const char *s2);",
 		Impl: func(p *csim.Process, a []uint64) uint64 {
-			s1, s2 := argPtr(a, 0), argPtr(a, 1)
-			for i := cmem.Addr(0); ; i++ {
-				p.Step()
-				b1, b2 := p.LoadByte(s1+i), p.LoadByte(s2+i)
-				if b1 != b2 {
-					return retInt(int(b1) - int(b2))
-				}
-				if b1 == 0 {
-					return 0
-				}
-			}
+			return compare(p, argPtr(a, 0), argPtr(a, 1), unbounded, true)
 		},
 	})
 	l.add(&Func{
 		Name: "strncmp", Header: "string.h", NArgs: 3,
 		Proto: "int strncmp(const char *s1, const char *s2, size_t n);",
 		Impl: func(p *csim.Process, a []uint64) uint64 {
-			s1, s2, n := argPtr(a, 0), argPtr(a, 1), argSize(a, 2)
-			for i := uint64(0); i < n; i++ {
-				p.Step()
-				b1, b2 := p.LoadByte(s1+cmem.Addr(i)), p.LoadByte(s2+cmem.Addr(i))
-				if b1 != b2 {
-					return retInt(int(b1) - int(b2))
-				}
-				if b1 == 0 {
-					return 0
-				}
-			}
-			return 0
+			return compare(p, argPtr(a, 0), argPtr(a, 1), argSize(a, 2), true)
 		},
 	})
 	l.add(&Func{
@@ -132,12 +72,7 @@ func (l *Library) registerString() {
 		Proto: "size_t strlen(const char *s);",
 		Impl: func(p *csim.Process, a []uint64) uint64 {
 			s := argPtr(a, 0)
-			var n uint64
-			for p.LoadByte(s+cmem.Addr(n)) != 0 {
-				p.Step()
-				n++
-			}
-			return n
+			return uint64(stringEnd(p, s) - s)
 		},
 	})
 	l.add(&Func{
@@ -145,16 +80,10 @@ func (l *Library) registerString() {
 		Proto: "char *strchr(const char *s, int c);",
 		Impl: func(p *csim.Process, a []uint64) uint64 {
 			s, c := argPtr(a, 0), byte(argInt(a, 1))
-			for i := cmem.Addr(0); ; i++ {
-				p.Step()
-				b := p.LoadByte(s + i)
-				if b == c {
-					return uint64(s + i)
-				}
-				if b == 0 {
-					return 0
-				}
+			if at, b, _ := search(p, s, c, unbounded, true); b == c {
+				return uint64(at)
 			}
+			return 0
 		},
 	})
 	l.add(&Func{
@@ -163,18 +92,15 @@ func (l *Library) registerString() {
 		Impl: func(p *csim.Process, a []uint64) uint64 {
 			s, c := argPtr(a, 0), byte(argInt(a, 1))
 			var last uint64
-			for i := cmem.Addr(0); ; i++ {
-				p.Step()
-				b := p.LoadByte(s + i)
+			for {
+				at, b, _ := search(p, s, c, unbounded, true)
 				if b == c {
-					last = uint64(s + i)
+					last = uint64(at)
 				}
 				if b == 0 {
-					if c == 0 {
-						return uint64(s + i)
-					}
 					return last
 				}
+				s = at + 1
 			}
 		},
 	})
@@ -323,10 +249,7 @@ func (l *Library) registerString() {
 				if limit > len(s) {
 					limit = len(s)
 				}
-				for i := 0; i < limit; i++ {
-					p.Step()
-					p.StoreByte(dst+cmem.Addr(i), s[i])
-				}
+				storeBytes(p, dst, s[:max(limit, 0)])
 				p.StoreByte(dst+cmem.Addr(limit), 0)
 			}
 			return uint64(len(s))

@@ -366,7 +366,8 @@ type Memory struct {
 	SpanID  uint64
 
 	// Recorder, when non-nil, observes every access made through Read,
-	// ReadInto, Write, LoadByte, StoreByte and CString (and so through
+	// ReadInto, Write, LoadByte, StoreByte, ReadSpan, WriteSpan and
+	// CString (and so through
 	// every accessor built on them) before the access is checked. Clone
 	// does not inherit it and Release clears it.
 	Recorder func(Touch)
@@ -1064,6 +1065,52 @@ func (m *Memory) Segment(addr Addr) (b []byte, prot Prot, mapped bool) {
 		return nil, pg.prot, true
 	}
 	return pg.data[addr&(PageSize-1):], pg.prot, true
+}
+
+// ReadSpan returns the n bytes at addr as a view of their page, for a
+// caller that would otherwise read them with n LoadByte calls: the
+// Recorder sees the span, and an unreadable byte faults as LoadByte
+// would. The view aliases the page, which may be shared with other
+// forks: read it, never write it. A WriteSpan of the same page leaves
+// it valid, holding the bytes from before the write. n must not take
+// the span past the end of addr's page unless a byte faults first.
+func (m *Memory) ReadSpan(addr Addr, n int) ([]byte, *Fault) {
+	return m.span(addr, n, AccessRead)
+}
+
+// WriteSpan is the writable counterpart of Segment and ReadSpan: it
+// returns the n bytes at addr as a view of their page to store into,
+// for a caller that would otherwise make n StoreByte calls. The
+// Recorder sees the span, an unwritable byte faults as StoreByte
+// would, and a shared page is made private once, through the same
+// copy-on-write fault a StoreByte takes, only when n > 0. Drop the view
+// before the next mutation of this Memory. n must not take the span
+// past the end of addr's page unless a byte faults first.
+func (m *Memory) WriteSpan(addr Addr, n int) ([]byte, *Fault) {
+	return m.span(addr, n, AccessWrite)
+}
+
+func (m *Memory) span(addr Addr, n int, access Access) ([]byte, *Fault) {
+	if n <= 0 {
+		return nil, nil
+	}
+	if m.Recorder != nil {
+		m.Recorder(Touch{Addr: addr, N: n, Access: access})
+	}
+	pg, off, f, ok := m.inPage(addr, n, access)
+	if !ok {
+		if f := m.check(addr, n, access); f != nil {
+			return nil, f
+		}
+		panic(fmt.Sprintf("cmem: a %d-byte span at %#x crosses a page", n, uint64(addr)))
+	}
+	if f != nil {
+		return nil, f
+	}
+	if access == AccessWrite {
+		pg = m.ensureOwned(addr.PageBase(), pg)
+	}
+	return pg.data[off : off+n], nil
 }
 
 // CString reads a NUL-terminated string starting at addr. The scan

@@ -459,6 +459,33 @@ func (p *Process) StoreByte(addr cmem.Addr, b byte) {
 	}
 }
 
+// LoadSpan reads the n bytes at addr, as n LoadByte calls would, and
+// returns them as a view of their page: read it, never write it. The
+// span must lie in one page unless it faults first; a fault is raised
+// at the first unreadable byte. It takes no step: a loop that moves a
+// span at a time charges its steps around the spans, one before and
+// n-1 after, so that every fault comes after the step the byte loop
+// takes before it.
+func (p *Process) LoadSpan(addr cmem.Addr, n int) []byte {
+	b, f := p.Mem.ReadSpan(addr, n)
+	if f != nil {
+		panic(segvSignal{fault: f})
+	}
+	return b
+}
+
+// StoreSpan returns the n bytes at addr as a view of their page to
+// store into, as n StoreByte calls would: the page is made private
+// once, and an unwritable byte raises SIGSEGV. The span must lie in one
+// page unless it faults first. Like LoadSpan it takes no step.
+func (p *Process) StoreSpan(addr cmem.Addr, n int) []byte {
+	b, f := p.Mem.WriteSpan(addr, n)
+	if f != nil {
+		panic(segvSignal{fault: f})
+	}
+	return b
+}
+
 // LoadU32 reads a 32-bit value or raises SIGSEGV.
 func (p *Process) LoadU32(addr cmem.Addr) uint32 {
 	v, f := p.Mem.ReadU32(addr)
