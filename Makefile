@@ -18,8 +18,9 @@
 #   make verify        — all tiers (the pre-commit gate)
 #   make bench         — wrapper call-path overhead benchmarks
 #   make bench-smoke   — one-iteration benchmarks (incl. the scaling
-#                        and byte-kernel ratio gates) + COW
-#                        differential audit
+#                        and byte-kernel ratio gates), allocation
+#                        contracts (a zero-allocation Ballista test
+#                        among them) + COW differential audit
 #   make bench-module  — vet + smoke-test the nested bench/ module, which
 #                        the root `go test ./...` does not compile
 #   make fuzz          — 30s each of prototype-parser, cache-line,
@@ -143,8 +144,9 @@ bench-profile:
 # procs) holds the 8-worker wall at or below 0.50x the sequential,
 # BenchmarkByteKernels holds a 16 KiB memcpy and memset at or below
 # 0.25x their per-byte reference, the wrapper nop path, the
-# forked-memory accessors, the per-test Ballista budget, the stdio
-# loops, the byte kernels (16 KiB across pages in a fork), hierarchy
+# forked-memory accessors, the per-test Ballista budget, an unwrapped
+# Ballista test of strcpy, memcpy or fgets (zero, faults included), the
+# stdio loops, the byte kernels (16 KiB across pages in a fork), hierarchy
 # construction and a whole cold campaign and one fixture experiment
 # prove their allocation contracts
 # (the campaign its byte budget too), heal's sink repairs take at most
@@ -154,7 +156,7 @@ bench-profile:
 # detector.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkCampaign|BenchmarkFork|BenchmarkByteScanForked|BenchmarkBuildArrayHierarchy|BenchmarkRobustType|BenchmarkStdio|BenchmarkByteKernels' -benchtime 1x ./internal/injector/ ./internal/cmem/ ./internal/typesys/ ./internal/clib/
-	$(GO) test -count=1 -run 'TestNopObservabilityAddsNoAllocations|TestForkedAccessorsAllocateNothing|TestPerTestAllocationBudget|TestKernelAllocations|TestStdioAllocations|TestByteKernelAllocations|TestCampaignAllocationBudget|TestFixtureExperimentAllocations|TestSinkRepairsTakeOnePage' ./internal/wrapper/ ./internal/cmem/ ./internal/ballista/ ./internal/typesys/ ./internal/clib/ ./internal/injector/
+	$(GO) test -count=1 -run 'TestNopObservabilityAddsNoAllocations|TestForkedAccessorsAllocateNothing|TestPerTestAllocationBudget|TestBallistaUnwrappedTestAllocatesNothing|TestKernelAllocations|TestStdioAllocations|TestByteKernelAllocations|TestCampaignAllocationBudget|TestFixtureExperimentAllocations|TestSinkRepairsTakeOnePage' ./internal/wrapper/ ./internal/cmem/ ./internal/ballista/ ./internal/typesys/ ./internal/clib/ ./internal/injector/
 	$(GO) test -race -count=1 -run 'TestDifferentialCOWvsEager|TestPageCacheDifferential|TestReleasedMemoryFaultsThroughCache|TestConcurrentTemplateForks|TestReadPathsLeaveSnapshotFrozen|TestFork|TestProtectAfterFork|TestWriteOnlyPagesSurviveFork|TestChildFree|TestMapResetAfterFork|TestRelease|TestSharedPageRelease|TestZeroPages' ./internal/cmem/
 	$(GO) test -race -count=1 -run 'TestFileWritesCopyOnWrite|TestConcurrentTemplateForksShareFS|TestSharedFixtureTemplate|TestFileCOWOracle|TestRecycledFilesStayPrivate' ./internal/csim/
 

@@ -225,7 +225,7 @@ func BenchmarkAdaptiveVsStatic(b *testing.B) {
 					found = pr.Size
 					break
 				}
-				if out.Fault == nil {
+				if out.Kind != csim.OutcomeSegfault {
 					break
 				}
 				np := g.Adjust(pr, out.Fault.Addr)

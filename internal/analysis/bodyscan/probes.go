@@ -199,7 +199,7 @@ type probeSpec struct {
 // probeRun is the outcome of one probe.
 type probeRun struct {
 	kind    csim.OutcomeKind
-	fault   *cmem.Fault
+	fault   cmem.Fault // valid when kind == csim.OutcomeSegfault
 	log     accessLog
 	regions []gens.Region // per-argument mounted regions (zero if unmounted)
 }
@@ -311,7 +311,7 @@ func intProbe(e *regEntry, params []protoParam, i int, v uint64) (crashed bool) 
 		if !r.crashed() {
 			return false
 		}
-		if r.kind != csim.OutcomeSegfault || r.fault == nil {
+		if r.kind != csim.OutcomeSegfault {
 			return true
 		}
 		grown := false

@@ -35,8 +35,26 @@ type PoolEntry struct {
 	Exceptional bool
 	// Build materializes the value in the child process, performing
 	// setup calls (fopen, malloc, opendir) through the Caller so that
-	// wrapped configurations see them.
-	Build func(p *csim.Process, c Caller) uint64
+	// wrapped configurations see them. The set-up calls pass their
+	// arguments in f (Frame.setupCall). Everything else Build needs is made once,
+	// with the pool: a test builds its value without allocating.
+	Build func(p *csim.Process, c Caller, f *Frame) uint64
+}
+
+// Frame is the argument frame of one test, owned by the goroutine that
+// runs it and reused test after test: args holds the call's arguments,
+// setup those of a set-up call a pool entry makes. A slice of it passed
+// to Caller.Call costs nothing, where a fresh variadic slice escapes to
+// the heap on every call through the interface.
+type Frame struct {
+	args  []uint64
+	setup [2]uint64
+}
+
+// setupCall makes a set-up call through c with args from the frame.
+func (f *Frame) setupCall(p *csim.Process, c Caller, name string, args ...uint64) uint64 {
+	n := copy(f.setup[:], args)
+	return c.Call(p, name, f.setup[:n]...)
 }
 
 // Test is one generated test case.
@@ -77,7 +95,7 @@ func valueEntry(name string, exceptional bool, v uint64) *PoolEntry {
 	return &PoolEntry{
 		Name:        name,
 		Exceptional: exceptional,
-		Build:       func(p *csim.Process, c Caller) uint64 { return v },
+		Build:       func(*csim.Process, Caller, *Frame) uint64 { return v },
 	}
 }
 
@@ -87,8 +105,8 @@ func mallocEntry(name string, exceptional bool, size int) *PoolEntry {
 	return &PoolEntry{
 		Name:        name,
 		Exceptional: exceptional,
-		Build: func(p *csim.Process, c Caller) uint64 {
-			return c.Call(p, "malloc", uint64(size))
+		Build: func(p *csim.Process, c Caller, f *Frame) uint64 {
+			return f.setupCall(p, c, "malloc", uint64(size))
 		},
 	}
 }
@@ -96,12 +114,12 @@ func mallocEntry(name string, exceptional bool, size int) *PoolEntry {
 // stringEntry maps a NUL-terminated payload with the given protection,
 // flush against a guard page.
 func stringEntry(name string, exceptional bool, payload string, prot cmem.Prot) *PoolEntry {
+	z := gens.NulTerminated(payload)
 	return &PoolEntry{
 		Name:        name,
 		Exceptional: exceptional,
-		Build: func(p *csim.Process, c Caller) uint64 {
-			pr := gens.StringProbe(payload, prot)
-			return pr.Build(p)
+		Build: func(p *csim.Process, _ Caller, _ *Frame) uint64 {
+			return uint64(gens.MountFlushData(p, z, prot).Base)
 		},
 	}
 }
@@ -112,11 +130,47 @@ func untermEntry(size int) *PoolEntry {
 	return &PoolEntry{
 		Name:        fmt.Sprintf("unterm[%d]", size),
 		Exceptional: true,
-		Build: func(p *csim.Process, c Caller) uint64 {
-			pr := gens.UntermProbe(size)
-			return pr.Build(p)
+		Build: func(p *csim.Process, _ Caller, _ *Frame) uint64 {
+			return uint64(gens.MountUnterm(p, size).Base)
 		},
 	}
+}
+
+// regionEntry maps a fresh size-byte region with the given protection
+// and passes its address, uninitialised memory standing in for an
+// object.
+func regionEntry(name string, size int, prot cmem.Prot) *PoolEntry {
+	return &PoolEntry{
+		Name:        name,
+		Exceptional: true,
+		Build: func(p *csim.Process, _ Caller, _ *Frame) uint64 {
+			a, err := p.Mem.MmapRegion(size, prot)
+			if err != nil {
+				return 0
+			}
+			return uint64(a)
+		},
+	}
+}
+
+// The fixture names the file and directory entries open, terminated
+// once for every test that mounts them.
+var (
+	fixtureFileZ = gens.NulTerminated(FixtureFile)
+	fixtureDirZ  = gens.NulTerminated(FixtureDir)
+)
+
+// fopenFixture opens the fixture file with the given mode, both strings
+// mounted from their terminated bytes, through the caller.
+func fopenFixture(p *csim.Process, c Caller, f *Frame, modeZ []byte) uint64 {
+	path := gens.MountFlushData(p, fixtureFileZ, cmem.ProtRW).Base
+	mode := gens.MountFlushData(p, modeZ, cmem.ProtRW).Base
+	return f.setupCall(p, c, "fopen", uint64(path), uint64(mode))
+}
+
+// opendirFixture opens the fixture directory through the caller.
+func opendirFixture(p *csim.Process, c Caller, f *Frame) uint64 {
+	return f.setupCall(p, c, "opendir", uint64(gens.MountFlushData(p, fixtureDirZ, cmem.ProtRW).Base))
 }
 
 func stringPool() []*PoolEntry {
@@ -139,23 +193,12 @@ func stringPool() []*PoolEntry {
 }
 
 func bufferPool() []*PoolEntry {
-	roBuf := &PoolEntry{
-		Name:        "buf-ro",
-		Exceptional: true,
-		Build: func(p *csim.Process, c Caller) uint64 {
-			a, err := p.Mem.MmapRegion(64, cmem.ProtRead)
-			if err != nil {
-				return 0
-			}
-			return uint64(a)
-		},
-	}
 	return []*PoolEntry{
 		mallocEntry("buf-64", false, 64),
 		mallocEntry("buf-4096", false, 4096),
 		mallocEntry("buf-8", true, 8),
 		mallocEntry("buf-1", true, 1),
-		roBuf,
+		regionEntry("buf-ro", 64, cmem.ProtRead),
 		valueEntry("null", true, 0),
 		valueEntry("wild", true, 0xdead0000),
 		valueEntry("wild-high", true, 0x7fff00000000),
@@ -165,29 +208,24 @@ func bufferPool() []*PoolEntry {
 }
 
 func filePool() []*PoolEntry {
-	openEntry := func(name, mode string, exceptional bool) *PoolEntry {
+	openEntry := func(name, mode string) *PoolEntry {
+		modeZ := gens.NulTerminated(mode)
 		return &PoolEntry{
-			Name:        name,
-			Exceptional: exceptional,
-			Build: func(p *csim.Process, c Caller) uint64 {
-				pr := gens.StringProbe(FixtureFile, cmem.ProtRW)
-				path := pr.Build(p)
-				mr := gens.StringProbe(mode, cmem.ProtRW)
-				m := mr.Build(p)
-				return c.Call(p, "fopen", path, m)
+			Name: name,
+			Build: func(p *csim.Process, c Caller, f *Frame) uint64 {
+				return fopenFixture(p, c, f, modeZ)
 			},
 		}
 	}
+	modeRW, modeR := gens.NulTerminated("r+"), gens.NulTerminated("r")
 	return []*PoolEntry{
-		openEntry("file-r", "r", false),
-		openEntry("file-w", "w", false),
+		openEntry("file-r", "r"),
+		openEntry("file-w", "w"),
 		{
 			Name:        "file-corrupt",
 			Exceptional: true,
-			Build: func(p *csim.Process, c Caller) uint64 {
-				pr := gens.StringProbe(FixtureFile, cmem.ProtRW)
-				mr := gens.StringProbe("r+", cmem.ProtRW)
-				real := c.Call(p, "fopen", pr.Build(p), mr.Build(p))
+			Build: func(p *csim.Process, c Caller, f *Frame) uint64 {
+				real := fopenFixture(p, c, f, modeRW)
 				if real == 0 {
 					return 0
 				}
@@ -201,27 +239,15 @@ func filePool() []*PoolEntry {
 		{
 			Name:        "file-stale",
 			Exceptional: true,
-			Build: func(p *csim.Process, c Caller) uint64 {
-				pr := gens.StringProbe(FixtureFile, cmem.ProtRW)
-				mr := gens.StringProbe("r", cmem.ProtRW)
-				fp := c.Call(p, "fopen", pr.Build(p), mr.Build(p))
+			Build: func(p *csim.Process, c Caller, f *Frame) uint64 {
+				fp := fopenFixture(p, c, f, modeR)
 				if fp != 0 {
 					p.CloseFD(p.FILEFd(cmem.Addr(fp)))
 				}
 				return fp
 			},
 		},
-		{
-			Name:        "file-garbage",
-			Exceptional: true,
-			Build: func(p *csim.Process, c Caller) uint64 {
-				region, err := p.Mem.MmapRegion(csim.SizeofFILE, cmem.ProtRW)
-				if err != nil {
-					return 0
-				}
-				return uint64(region)
-			},
-		},
+		regionEntry("file-garbage", csim.SizeofFILE, cmem.ProtRW),
 		valueEntry("null", true, 0),
 		valueEntry("wild", true, 0xdead0000),
 		valueEntry("minus-one", true, ^uint64(0)),
@@ -231,18 +257,14 @@ func filePool() []*PoolEntry {
 func dirPool() []*PoolEntry {
 	return []*PoolEntry{
 		{
-			Name: "dir-open",
-			Build: func(p *csim.Process, c Caller) uint64 {
-				pr := gens.StringProbe(FixtureDir, cmem.ProtRW)
-				return c.Call(p, "opendir", pr.Build(p))
-			},
+			Name:  "dir-open",
+			Build: opendirFixture,
 		},
 		{
 			Name:        "dir-corrupt",
 			Exceptional: true,
-			Build: func(p *csim.Process, c Caller) uint64 {
-				pr := gens.StringProbe(FixtureDir, cmem.ProtRW)
-				real := c.Call(p, "opendir", pr.Build(p))
+			Build: func(p *csim.Process, c Caller, f *Frame) uint64 {
+				real := opendirFixture(p, c, f)
 				if real == 0 {
 					return 0
 				}
@@ -253,17 +275,7 @@ func dirPool() []*PoolEntry {
 				return gens.CorruptDIR(p, cmem.Addr(real), region)
 			},
 		},
-		{
-			Name:        "dir-garbage",
-			Exceptional: true,
-			Build: func(p *csim.Process, c Caller) uint64 {
-				region, err := p.Mem.MmapRegion(csim.SizeofDIR, cmem.ProtRW)
-				if err != nil {
-					return 0
-				}
-				return uint64(region)
-			},
-		},
+		regionEntry("dir-garbage", csim.SizeofDIR, cmem.ProtRW),
 		valueEntry("null", true, 0),
 		valueEntry("wild", true, 0xdead0000),
 		valueEntry("minus-one", true, ^uint64(0)),
@@ -287,7 +299,7 @@ func fdPool() []*PoolEntry {
 	return []*PoolEntry{
 		{
 			Name: "fd-open",
-			Build: func(p *csim.Process, c Caller) uint64 {
+			Build: func(p *csim.Process, _ Caller, _ *Frame) uint64 {
 				fd := p.OpenFile(FixtureFile, csim.ReadWrite, false)
 				return uint64(uint32(fd))
 			},
@@ -303,7 +315,7 @@ func funcPtrPool() []*PoolEntry {
 	return []*PoolEntry{
 		{
 			Name: "func-valid",
-			Build: func(p *csim.Process, c Caller) uint64 {
+			Build: func(p *csim.Process, _ Caller, _ *Frame) uint64 {
 				return uint64(p.RegisterCallback(gens.ValidCallback))
 			},
 		},
@@ -327,21 +339,10 @@ func structPool(size int) []*PoolEntry {
 	if size <= 0 || size > 4096 {
 		size = 64
 	}
-	roEntry := &PoolEntry{
-		Name:        "struct-ro",
-		Exceptional: true,
-		Build: func(p *csim.Process, c Caller) uint64 {
-			a, err := p.Mem.MmapRegion(size, cmem.ProtRead)
-			if err != nil {
-				return 0
-			}
-			return uint64(a)
-		},
-	}
 	return []*PoolEntry{
 		mallocEntry("struct-ok", false, size),
 		mallocEntry("struct-small", true, 4),
-		roEntry,
+		regionEntry("struct-ro", size, cmem.ProtRead),
 		valueEntry("null", true, 0),
 		valueEntry("wild", true, 0xdead0000),
 		valueEntry("wild-high", true, 0x7fff00000000),
@@ -350,11 +351,34 @@ func structPool(size int) []*PoolEntry {
 	}
 }
 
+// poolKey identifies a pool: the parameter class, and for a struct
+// pointer the pointee size.
+type poolKey struct {
+	class gens.Class
+	size  int
+}
+
 // poolFor selects the value pool for one parameter (Ballista generates
 // by type). The type's class is the injector's; the pools are
-// Ballista's own, so Figure 6 stays an independent check.
-func poolFor(param cparse.Param, table *cparse.TypeTable) []*PoolEntry {
-	switch gens.Classify(param) {
+// Ballista's own, so Figure 6 stays an independent check. Entries are
+// immutable, so all parameters of one key share one pool: built keeps
+// each pool once it is made.
+func poolFor(param cparse.Param, table *cparse.TypeTable, built map[poolKey][]*PoolEntry) []*PoolEntry {
+	k := poolKey{class: gens.Classify(param)}
+	if k.class == gens.ClassPtr {
+		k.size = table.Sizeof(param.Type.Elem)
+	}
+	if pool, ok := built[k]; ok {
+		return pool
+	}
+	pool := newPool(k)
+	built[k] = pool
+	return pool
+}
+
+// newPool builds the value pool of a key.
+func newPool(k poolKey) []*PoolEntry {
+	switch k.class {
 	case gens.ClassFuncPtr:
 		return funcPtrPool()
 	case gens.ClassFile:
@@ -366,7 +390,7 @@ func poolFor(param cparse.Param, table *cparse.TypeTable) []*PoolEntry {
 	case gens.ClassCharBuf:
 		return bufferPool()
 	case gens.ClassPtr:
-		return structPool(table.Sizeof(param.Type.Elem))
+		return structPool(k.size)
 	case gens.ClassFd:
 		return fdPool()
 	case gens.ClassDouble:
@@ -384,6 +408,7 @@ func Generate(lib *clib.Library, ext *extract.Result, capPerFunc int) (*Suite, e
 		capPerFunc = 400
 	}
 	suite := &Suite{PerFunc: make(map[string]int)}
+	built := make(map[poolKey][]*PoolEntry)
 	for _, name := range lib.CrashProne86() {
 		fi, ok := ext.Lookup(name)
 		if !ok || fi.Proto == nil {
@@ -391,7 +416,7 @@ func Generate(lib *clib.Library, ext *extract.Result, capPerFunc int) (*Suite, e
 		}
 		pools := make([][]*PoolEntry, len(fi.Proto.Params))
 		for i, param := range fi.Proto.Params {
-			pools[i] = poolFor(param, ext.Table)
+			pools[i] = poolFor(param, ext.Table, built)
 		}
 		// Classic Ballista single-fault vectors first: each exceptional
 		// value in isolation with valid siblings, so every failure mode

@@ -1,6 +1,8 @@
 package ballista
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"healers/internal/cmem"
@@ -40,7 +42,7 @@ func TestPoolEntriesMaterialize(t *testing.T) {
 					exceptional++
 				}
 				child := template.Fork()
-				out := child.Run(func() uint64 { return e.Build(child, passCaller{f}) })
+				out := child.Run(func() uint64 { return e.Build(child, passCaller{f}, new(Frame)) })
 				if out.Kind != csim.OutcomeReturn {
 					t.Errorf("%s/%s materialization crashed: %v", kind, e.Name, out)
 				}
@@ -65,7 +67,7 @@ func TestFileCorruptEntryKeepsValidFd(t *testing.T) {
 	entry := func(pool []*PoolEntry, name string) func(*csim.Process) uint64 {
 		for _, e := range pool {
 			if e.Name == name {
-				return func(p *csim.Process) uint64 { return e.Build(p, passCaller{f}) }
+				return func(p *csim.Process) uint64 { return e.Build(p, passCaller{f}, new(Frame)) }
 			}
 		}
 		t.Fatalf("no %s entry", name)
@@ -216,5 +218,149 @@ func TestReportAggregation(t *testing.T) {
 	}
 	if (&Report{Config: "empty", PerFunc: map[string]*FuncReport{}}).String() == "" {
 		t.Error("empty report panics or empty")
+	}
+}
+
+// TestPoolEntriesMountLikeProbes: every string, unterminated, file and
+// directory pool entry mounts its value exactly as the gens probes lay
+// it out — the way the entries built their values before they held
+// prebuilt bytes. Each entry is built in a fresh fork of the template
+// and its probe recipe in another; the two must return the same
+// address and leave the same bytes and page protections on every page
+// of the mmap area they used, the guard page after it included, and
+// the same fork counters.
+func TestPoolEntriesMountLikeProbes(t *testing.T) {
+	f := setup(t)
+	type recipe func(p *csim.Process, c Caller) uint64
+	str := func(s string, prot cmem.Prot) recipe {
+		return func(p *csim.Process, _ Caller) uint64 { return gens.StringProbe(s, prot).Build(p) }
+	}
+	unterm := func(size int) recipe {
+		return func(p *csim.Process, _ Caller) uint64 { return gens.UntermProbe(size).Build(p) }
+	}
+	fopen := func(mode string) recipe {
+		return func(p *csim.Process, c Caller) uint64 {
+			path := gens.StringProbe(FixtureFile, cmem.ProtRW).Build(p)
+			m := gens.StringProbe(mode, cmem.ProtRW).Build(p)
+			return c.Call(p, "fopen", path, m)
+		}
+	}
+	opendir := func(p *csim.Process, c Caller) uint64 {
+		return c.Call(p, "opendir", gens.StringProbe(FixtureDir, cmem.ProtRW).Build(p))
+	}
+	region := func(size int) recipe {
+		return func(p *csim.Process, _ Caller) uint64 {
+			a, err := p.Mem.MmapRegion(size, cmem.ProtRW)
+			if err != nil {
+				return 0
+			}
+			return uint64(a)
+		}
+	}
+	probes := map[string]recipe{
+		"str-valid":    str("hello world", cmem.ProtRW),
+		"str-path":     str(FixtureFile, cmem.ProtRW),
+		"str-mode":     str("r", cmem.ProtRW),
+		"str-ro":       str("hello world", cmem.ProtRead),
+		"str-empty":    str("", cmem.ProtRW),
+		"str-long":     str(strings.Repeat("A", 300), cmem.ProtRW),
+		"unterm[16]":   unterm(16),
+		"unterm[4096]": unterm(4096),
+		"unterm[1]":    unterm(1),
+		"file-r":       fopen("r"),
+		"file-w":       fopen("w"),
+		"file-corrupt": func(p *csim.Process, c Caller) uint64 {
+			real := fopen("r+")(p, c)
+			if real == 0 {
+				return 0
+			}
+			rg, err := p.Mem.MmapRegion(csim.SizeofFILE, cmem.ProtRW)
+			if err != nil {
+				return 0
+			}
+			return gens.CorruptFILE(p, cmem.Addr(real), rg)
+		},
+		"file-stale": func(p *csim.Process, c Caller) uint64 {
+			fp := fopen("r")(p, c)
+			if fp != 0 {
+				p.CloseFD(p.FILEFd(cmem.Addr(fp)))
+			}
+			return fp
+		},
+		"file-garbage": region(csim.SizeofFILE),
+		"dir-open":     opendir,
+		"dir-corrupt": func(p *csim.Process, c Caller) uint64 {
+			real := opendir(p, c)
+			if real == 0 {
+				return 0
+			}
+			rg, err := p.Mem.MmapRegion(csim.SizeofDIR, cmem.ProtRW)
+			if err != nil {
+				return 0
+			}
+			return gens.CorruptDIR(p, cmem.Addr(real), rg)
+		},
+		"dir-garbage": region(csim.SizeofDIR),
+	}
+	plain := map[string]bool{"null": true, "wild": true, "wild-high": true, "near-null": true, "minus-one": true}
+
+	// mmapState renders every page from the start of the mmap area up
+	// to and including the first page past the highest one mapped:
+	// protection, mapped or not, and bytes.
+	mmapState := func(p *csim.Process, from cmem.Addr) string {
+		var b strings.Builder
+		end := from
+		for a := from; a < from+256*cmem.PageSize; a += cmem.PageSize {
+			if _, mapped := p.Mem.ProtAt(a); mapped {
+				end = a + cmem.PageSize
+			}
+		}
+		for a := from; a <= end; a += cmem.PageSize {
+			prot, mapped := p.Mem.ProtAt(a)
+			seg, _, _ := p.Mem.Segment(a)
+			fmt.Fprintf(&b, "%#x %v %v %x\n", uint64(a), mapped, prot, seg)
+		}
+		return b.String()
+	}
+	build := func(fn func(*csim.Process) uint64) (uint64, string, cmem.ForkCounts, csim.Outcome) {
+		template := NewTemplate()
+		defer template.Release()
+		from, err := template.Mem.MmapRegion(0, cmem.ProtRW)
+		if err != nil {
+			t.Fatal(err)
+		}
+		child := template.Fork()
+		defer child.Release()
+		var v uint64
+		out := child.Run(func() uint64 { v = fn(child); return 0 })
+		return v, mmapState(child, from), child.Mem.ForkStats().Snapshot(), out
+	}
+	compared := 0
+	for _, pool := range [][]*PoolEntry{stringPool(), filePool(), dirPool()} {
+		for _, e := range pool {
+			want, ok := probes[e.Name]
+			if !ok {
+				if !plain[e.Name] {
+					t.Errorf("%s: no probe recipe to compare the entry with", e.Name)
+				}
+				continue
+			}
+			compared++
+			gotV, gotMem, gotFork, gotOut := build(func(p *csim.Process) uint64 { return e.Build(p, passCaller{f}, new(Frame)) })
+			wantV, wantMem, wantFork, wantOut := build(func(p *csim.Process) uint64 { return want(p, passCaller{f}) })
+			switch {
+			case gotOut != wantOut || gotOut.Kind != csim.OutcomeReturn:
+				t.Errorf("%s: built with %v, the probe with %v", e.Name, gotOut, wantOut)
+			case gotV == 0 || gotV != wantV:
+				t.Errorf("%s: value %#x, the probe's %#x", e.Name, gotV, wantV)
+			case gotMem != wantMem:
+				t.Errorf("%s: the mmap area differs from the probe's:\n%s\nprobe:\n%s", e.Name, gotMem, wantMem)
+			case gotFork != wantFork:
+				t.Errorf("%s: fork counters %+v, the probe's %+v", e.Name, gotFork, wantFork)
+			}
+		}
+	}
+	if compared != len(probes) {
+		t.Errorf("compared %d entries, want all %d recipes", compared, len(probes))
 	}
 }

@@ -214,8 +214,9 @@ type releaser interface{ Release() }
 // sequential, the worker span when sharded); with tracing off it
 // builds no event and reads no clock. The child, and the caller when
 // it is a releaser, are released once the test is classified, so the
-// next test's fork and factory call reuse them.
-func (r *suiteRunner) runTest(template *csim.Process, test *Test, sc obs.SpanContext) testResult {
+// next test's fork and factory call reuse them; f is the calling
+// goroutine's argument frame.
+func (r *suiteRunner) runTest(template *csim.Process, test *Test, sc obs.SpanContext, f *Frame) testResult {
 	child := template.Fork()
 	defer child.Release()
 	child.SetStepBudget(stepBudget)
@@ -228,7 +229,7 @@ func (r *suiteRunner) runTest(template *csim.Process, test *Test, sc obs.SpanCon
 	if r.tr.Enabled() {
 		testStart = time.Now()
 	}
-	res, out := r.deliver(child, caller, test)
+	res, out := r.deliver(child, caller, test, f)
 	switch res.bucket {
 	case BucketErrno:
 		r.cErrno.Inc()
@@ -243,13 +244,16 @@ func (r *suiteRunner) runTest(template *csim.Process, test *Test, sc obs.SpanCon
 	return res
 }
 
-// deliver builds the test's arguments in child, makes the call through
-// caller and classifies what happened.
-func (r *suiteRunner) deliver(child *csim.Process, caller Caller, test *Test) (testResult, csim.Outcome) {
-	args := make([]uint64, len(test.Entries))
+// deliver builds the test's arguments in child, into f, makes the call
+// through caller and classifies what happened.
+func (r *suiteRunner) deliver(child *csim.Process, caller Caller, test *Test, f *Frame) (testResult, csim.Outcome) {
+	if cap(f.args) < len(test.Entries) {
+		f.args = make([]uint64, len(test.Entries))
+	}
+	args := f.args[:len(test.Entries)]
 	setup := child.Run(func() uint64 {
 		for i, e := range test.Entries {
-			args[i] = e.Build(child, caller)
+			args[i] = e.Build(child, caller, f)
 		}
 		return 0
 	})
@@ -384,8 +388,9 @@ func (s *Suite) RunWith(config string, template *csim.Process, factory CallerFac
 				wsc := suiteSC.Child()
 				workStart := time.Now()
 				done := 0
+				var frame Frame
 				for ti := range jobs {
-					results[ti] = runner.runTest(wtpl, &s.Tests[ti], wsc)
+					results[ti] = runner.runTest(wtpl, &s.Tests[ti], wsc, &frame)
 					done++
 				}
 				if tr.Enabled() {
@@ -407,8 +412,9 @@ func (s *Suite) RunWith(config string, template *csim.Process, factory CallerFac
 		close(jobs)
 		wg.Wait()
 	} else {
+		var frame Frame
 		for ti := range s.Tests {
-			results[ti] = runner.runTest(template, &s.Tests[ti], suiteSC)
+			results[ti] = runner.runTest(template, &s.Tests[ti], suiteSC, &frame)
 		}
 	}
 

@@ -52,7 +52,8 @@ var byteArgs = map[string]string{
 	"memcpy": "ppn", "memmove": "ppn", "memcmp": "ppn", "memset": "pcn",
 	"memchr": "pcn", "strcpy": "pp", "strncpy": "ppn", "strcat": "pp",
 	"strncat": "ppn", "strcmp": "pp", "strncmp": "ppn", "strlen": "p",
-	"strchr": "pc", "strrchr": "pc", "strxfrm": "ppn",
+	"strchr": "pc", "strrchr": "pc", "strxfrm": "ppn", "strpbrk": "pp",
+	"strspn": "pp", "strcspn": "pp", "strtok": "pp",
 }
 
 // build makes the scene's process and the call's arguments.

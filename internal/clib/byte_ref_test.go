@@ -12,7 +12,8 @@ import (
 )
 
 // The per-byte reference model of the byte kernels: memcpy, memmove,
-// memset, memcmp, memchr and the string functions exactly as they ran
+// memset, memcmp, memchr and the string functions, the set scans of
+// strpbrk, strspn, strcspn and strtok among them, exactly as they ran
 // before they moved a page segment at a time, one Step and one
 // LoadByte or StoreByte per byte. The differentials (the scenes of
 // TestByteKernelDifferential, FuzzByteKernels, and TestByteProbeDifferential
@@ -207,6 +208,88 @@ var RefByteFuncs = map[string]Impl{
 			}
 		}
 	},
+	"strpbrk": func(p *csim.Process, a []uint64) uint64 {
+		s, accept := argPtr(a, 0), argPtr(a, 1)
+		in := refSet(p.LoadCString(accept))
+		for i := cmem.Addr(0); ; i++ {
+			p.Step()
+			b := p.LoadByte(s + i)
+			if b == 0 {
+				return 0
+			}
+			if in[b] {
+				return uint64(s + i)
+			}
+		}
+	},
+	"strspn": func(p *csim.Process, a []uint64) uint64 {
+		s, accept := argPtr(a, 0), argPtr(a, 1)
+		in := refSet(p.LoadCString(accept))
+		var n uint64
+		for {
+			p.Step()
+			b := p.LoadByte(s + cmem.Addr(n))
+			if b == 0 || !in[b] {
+				return n
+			}
+			n++
+		}
+	},
+	"strcspn": func(p *csim.Process, a []uint64) uint64 {
+		s, reject := argPtr(a, 0), argPtr(a, 1)
+		in := refSet(p.LoadCString(reject))
+		var n uint64
+		for {
+			p.Step()
+			b := p.LoadByte(s + cmem.Addr(n))
+			if b == 0 || in[b] {
+				return n
+			}
+			n++
+		}
+	},
+	"strtok": func(p *csim.Process, a []uint64) uint64 {
+		s, delim := argPtr(a, 0), argPtr(a, 1)
+		state := p.Static("strtok.state", 8)
+		if s == 0 {
+			s = cmem.Addr(p.LoadU64(state))
+			if s == 0 {
+				return 0
+			}
+		}
+		set := p.LoadCString(delim)
+		inSet := func(b byte) bool {
+			for j := 0; j < len(set); j++ {
+				if set[j] == b {
+					return true
+				}
+			}
+			return false
+		}
+		for p.LoadByte(s) != 0 && inSet(p.LoadByte(s)) {
+			p.Step()
+			s++
+		}
+		if p.LoadByte(s) == 0 {
+			p.StoreU64(state, 0)
+			return 0
+		}
+		tok := s
+		for {
+			p.Step()
+			b := p.LoadByte(s)
+			if b == 0 {
+				p.StoreU64(state, 0)
+				return uint64(tok)
+			}
+			if inSet(b) {
+				p.StoreByte(s, 0)
+				p.StoreU64(state, uint64(s+1))
+				return uint64(tok)
+			}
+			s++
+		}
+	},
 	"strxfrm": func(p *csim.Process, a []uint64) uint64 {
 		dst, src, n := argPtr(a, 0), argPtr(a, 1), argSize(a, 2)
 		s := p.LoadCString(src)
@@ -223,6 +306,14 @@ var RefByteFuncs = map[string]Impl{
 		}
 		return uint64(len(s))
 	},
+}
+
+// refSet is the membership table of the bytes of set.
+func refSet(set string) (in [256]bool) {
+	for i := 0; i < len(set); i++ {
+		in[set[i]] = true
+	}
+	return in
 }
 
 // RefByteNames lists RefByteFuncs' functions in a fixed order.
@@ -299,8 +390,8 @@ func byteObservation(impl Impl, p *csim.Process, a []uint64) string {
 
 	var b strings.Builder
 	fmt.Fprintf(&b, "%v ret=%#x errno=%d steps=%d copied=%d", out.Kind, out.Ret, out.Errno, out.Steps, copied)
-	if out.Fault != nil {
-		fmt.Fprintf(&b, " fault=%+v", *out.Fault)
+	if out.Kind == csim.OutcomeSegfault {
+		fmt.Fprintf(&b, " fault=%+v", out.Fault)
 	}
 	b.WriteByte('\n')
 	reads, writes := merged(log.spans[0]), merged(log.spans[1])

@@ -129,7 +129,7 @@ func TestStrcpyOverflowsGuardPage(t *testing.T) {
 	src := cstr(t, p, long)
 	o := call(lib, p, "strcpy", uint64(dst), uint64(src))
 	wantCrash(t, o)
-	if o.Fault == nil || o.Fault.Addr != dst+cmem.PageSize {
+	if o.Fault.Addr != dst+cmem.PageSize {
 		t.Errorf("fault at %v, want guard page %#x", o.Fault, uint64(dst+cmem.PageSize))
 	}
 }

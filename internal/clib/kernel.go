@@ -186,6 +186,41 @@ func search(p *csim.Process, s cmem.Addr, c byte, n uint64, nul bool) (cmem.Addr
 	return 0, 0, false
 }
 
+// scanSet scans the string at s for its first byte that is NUL or
+// whose membership in set is stop: the loop of strpbrk and strcspn
+// (stop true: the first byte in set) and of strspn and strtok's
+// delimiter skip (stop false: the first byte outside it). set must not
+// hold NUL. Like search it steps before each byte it loads, and it
+// returns the address and value of the byte it stopped at.
+func scanSet(p *csim.Process, s cmem.Addr, set *[256]bool, stop bool) (cmem.Addr, byte) {
+	for a := s; ; {
+		k := withinBudget(p, pageRoom(a))
+		x, _, _ := p.Mem.Segment(a)
+		at := -1
+		if x == nil {
+			k = 1
+		} else {
+			x = x[:k]
+			for i, b := range x {
+				if b == 0 || set[b] == stop {
+					at = i
+					break
+				}
+			}
+			if at >= 0 {
+				k = uint64(at) + 1
+			}
+		}
+		p.Step()
+		p.LoadSpan(a, int(k))
+		p.StepN(int(k) - 1)
+		if at >= 0 {
+			return a + cmem.Addr(at), x[at]
+		}
+		a += cmem.Addr(k)
+	}
+}
+
 // stringEnd returns the address of the NUL ending the string at s:
 // strlen's loop, which loads each byte before it steps for it. That is
 // one load of s and then search's step-first loop from s+1.

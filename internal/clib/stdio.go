@@ -204,13 +204,13 @@ func (l *Library) registerStdio() {
 			// pointer merely yields EFAULT. This is the asymmetry the
 			// paper observed ("fopen and freopen crash when the mode
 			// string is invalid but can cope with invalid file names").
-			mode := p.LoadCString(argPtr(a, 1))
-			path, ok := p.StrFromUser(argPtr(a, 0))
+			mode := p.LoadCStringView(argPtr(a, 1))
+			path, ok := p.CStringViewFromUser(argPtr(a, 0))
 			if !ok {
 				p.SetErrno(csim.EFAULT)
 				return 0
 			}
-			return uint64(p.Fopen(path, mode))
+			return uint64(p.Fopen(string(path), string(mode)))
 		},
 	})
 	l.add(&Func{

@@ -313,8 +313,8 @@ func dump(b *strings.Builder, p *csim.Process, addr cmem.Addr, n uint64) {
 func stdioObservation(p *csim.Process, out csim.Outcome, ref RefStdio, a []uint64, hdr *fileFields) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%v ret=%#x errno=%d steps=%d", out.Kind, out.Ret, out.Errno, out.Steps)
-	if out.Fault != nil {
-		fmt.Fprintf(&b, " fault=%+v", *out.Fault)
+	if out.Kind == csim.OutcomeSegfault {
+		fmt.Fprintf(&b, " fault=%+v", out.Fault)
 	}
 	b.WriteByte('\n')
 	if out.Kind != csim.OutcomeReturn && out.Kind != csim.OutcomeHang {

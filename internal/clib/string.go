@@ -128,17 +128,11 @@ func (l *Library) registerString() {
 		Proto: "char *strpbrk(const char *s, const char *accept);",
 		Impl: func(p *csim.Process, a []uint64) uint64 {
 			s, accept := argPtr(a, 0), argPtr(a, 1)
-			in := byteSet(p.LoadCString(accept))
-			for i := cmem.Addr(0); ; i++ {
-				p.Step()
-				b := p.LoadByte(s + i)
-				if b == 0 {
-					return 0
-				}
-				if in[b] {
-					return uint64(s + i)
-				}
+			in := byteSet(p.LoadCStringView(accept))
+			if at, b := scanSet(p, s, &in, true); b != 0 {
+				return uint64(at)
 			}
+			return 0
 		},
 	})
 	l.add(&Func{
@@ -146,16 +140,9 @@ func (l *Library) registerString() {
 		Proto: "size_t strspn(const char *s, const char *accept);",
 		Impl: func(p *csim.Process, a []uint64) uint64 {
 			s, accept := argPtr(a, 0), argPtr(a, 1)
-			in := byteSet(p.LoadCString(accept))
-			var n uint64
-			for {
-				p.Step()
-				b := p.LoadByte(s + cmem.Addr(n))
-				if b == 0 || !in[b] {
-					return n
-				}
-				n++
-			}
+			in := byteSet(p.LoadCStringView(accept))
+			at, _ := scanSet(p, s, &in, false)
+			return uint64(at - s)
 		},
 	})
 	l.add(&Func{
@@ -163,16 +150,9 @@ func (l *Library) registerString() {
 		Proto: "size_t strcspn(const char *s, const char *reject);",
 		Impl: func(p *csim.Process, a []uint64) uint64 {
 			s, reject := argPtr(a, 0), argPtr(a, 1)
-			in := byteSet(p.LoadCString(reject))
-			var n uint64
-			for {
-				p.Step()
-				b := p.LoadByte(s + cmem.Addr(n))
-				if b == 0 || in[b] {
-					return n
-				}
-				n++
-			}
+			in := byteSet(p.LoadCStringView(reject))
+			at, _ := scanSet(p, s, &in, true)
+			return uint64(at - s)
 		},
 	})
 	l.add(&Func{
@@ -188,38 +168,25 @@ func (l *Library) registerString() {
 					return 0
 				}
 			}
-			set := p.LoadCString(delim)
-			inSet := func(b byte) bool {
-				for j := 0; j < len(set); j++ {
-					if set[j] == b {
-						return true
-					}
-				}
-				return false
-			}
-			for p.LoadByte(s) != 0 && inSet(p.LoadByte(s)) {
-				p.Step()
-				s++
+			in := byteSet(p.LoadCStringView(delim))
+			// The delimiter skip loads each byte before it steps for
+			// it: one load of s, then a step-first scan from s+1.
+			if b := p.LoadByte(s); b != 0 && in[b] {
+				s, _ = scanSet(p, s+1, &in, false)
 			}
 			if p.LoadByte(s) == 0 {
 				p.StoreU64(state, 0)
 				return 0
 			}
 			tok := s
-			for {
-				p.Step()
-				b := p.LoadByte(s)
-				if b == 0 {
-					p.StoreU64(state, 0)
-					return uint64(tok)
-				}
-				if inSet(b) {
-					p.StoreByte(s, 0)
-					p.StoreU64(state, uint64(s+1))
-					return uint64(tok)
-				}
-				s++
+			end, b := scanSet(p, s, &in, true)
+			if b == 0 {
+				p.StoreU64(state, 0)
+				return uint64(tok)
 			}
+			p.StoreByte(end, 0)
+			p.StoreU64(state, uint64(end+1))
+			return uint64(tok)
 		},
 	})
 	l.add(&Func{
@@ -272,7 +239,7 @@ func (l *Library) registerString() {
 
 // byteSet returns the membership table of set's bytes, so the span
 // functions test a byte in one lookup instead of rescanning the set.
-func byteSet(set string) (in [256]bool) {
+func byteSet(set []byte) (in [256]bool) {
 	for i := 0; i < len(set); i++ {
 		in[set[i]] = true
 	}

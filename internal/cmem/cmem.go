@@ -41,6 +41,10 @@
 //
 // All methods return a *Fault on bad accesses instead of panicking; the
 // process layer (package csim) converts faults into simulated signals.
+// A forked child reports its faults through one slot of its own, so a
+// faulting access allocates nothing: the *Fault stays valid until the
+// next fault on the same Memory, and a caller that keeps it longer
+// copies the value.
 package cmem
 
 import (
@@ -376,6 +380,10 @@ type Memory struct {
 	// its next life; zero on a live Memory. Release sets it, alloc
 	// takes it.
 	spare spares
+
+	// fault is the slot a faulting access reports through while the
+	// Memory writes its page cache (see faultAt).
+	fault Fault
 }
 
 // spares are the containers a Memory's life grows and its next life
@@ -836,6 +844,20 @@ func (m *Memory) MmapRegion(n int, prot Prot) (Addr, error) {
 	return base, nil
 }
 
+// faultAt reports an access violation at addr. A Memory that writes its
+// page cache (one owner, never frozen or cloned: the forked child a
+// call runs in) writes the fault into its own slot and returns it, so
+// the fault allocates nothing; the next fault on m overwrites it. A
+// frozen Memory, which concurrent readers may share, writes nothing
+// and allocates the fault instead.
+func (m *Memory) faultAt(addr Addr, access Access, mapped bool) *Fault {
+	if !m.tlbOn {
+		return &Fault{Addr: addr, Access: access, Mapped: mapped}
+	}
+	m.fault = Fault{Addr: addr, Access: access, Mapped: mapped}
+	return &m.fault
+}
+
 func (m *Memory) check(addr Addr, n int, access Access) *Fault {
 	if n <= 0 {
 		return nil
@@ -849,16 +871,16 @@ func (m *Memory) check(addr Addr, n int, access Access) *Fault {
 			at = addr
 		}
 		if pg == nil {
-			return &Fault{Addr: at, Access: access}
+			return m.faultAt(at, access, false)
 		}
 		switch access {
 		case AccessRead:
 			if pg.prot&ProtRead == 0 {
-				return &Fault{Addr: at, Access: access, Mapped: true}
+				return m.faultAt(at, access, true)
 			}
 		case AccessWrite:
 			if pg.prot&ProtWrite == 0 {
-				return &Fault{Addr: at, Access: access, Mapped: true}
+				return m.faultAt(at, access, true)
 			}
 		}
 		if base == last {
@@ -926,10 +948,10 @@ func (m *Memory) LoadByte(addr Addr) (byte, *Fault) {
 	}
 	pg := m.lookup(addr.PageBase())
 	if pg == nil {
-		return 0, &Fault{Addr: addr, Access: AccessRead}
+		return 0, m.faultAt(addr, AccessRead, false)
 	}
 	if pg.prot&ProtRead == 0 {
-		return 0, &Fault{Addr: addr, Access: AccessRead, Mapped: true}
+		return 0, m.faultAt(addr, AccessRead, true)
 	}
 	return pg.data[addr&(PageSize-1)], nil
 }
@@ -943,10 +965,10 @@ func (m *Memory) StoreByte(addr Addr, b byte) *Fault {
 	base := addr.PageBase()
 	pg := m.lookup(base)
 	if pg == nil {
-		return &Fault{Addr: addr, Access: AccessWrite}
+		return m.faultAt(addr, AccessWrite, false)
 	}
 	if pg.prot&ProtWrite == 0 {
-		return &Fault{Addr: addr, Access: AccessWrite, Mapped: true}
+		return m.faultAt(addr, AccessWrite, true)
 	}
 	pg = m.ensureOwned(base, pg)
 	pg.data[addr&(PageSize-1)] = b
@@ -965,10 +987,10 @@ func (m *Memory) inPage(addr Addr, n int, access Access) (pg *page, off int, f *
 	pg = m.lookup(addr.PageBase())
 	switch {
 	case pg == nil:
-		return nil, 0, &Fault{Addr: addr, Access: access}, true
+		return nil, 0, m.faultAt(addr, access, false), true
 	case access == AccessRead && pg.prot&ProtRead == 0,
 		access == AccessWrite && pg.prot&ProtWrite == 0:
-		return nil, 0, &Fault{Addr: addr, Access: access, Mapped: true}, true
+		return nil, 0, m.faultAt(addr, access, true), true
 	}
 	return pg, off, nil, true
 }
@@ -1120,41 +1142,13 @@ func (m *Memory) span(addr Addr, n int, access Access) ([]byte, *Fault) {
 // once, however many pages it spans. The Recorder sees the scan once it
 // ends: through the terminator, or through the byte that faults.
 func (m *Memory) CString(addr Addr) (string, *Fault) {
-	if m.Recorder == nil {
-		return m.cstring(addr)
-	}
-	s, f := m.cstring(addr)
-	n := len(s) + 1
-	if f != nil {
-		n = int(f.Addr-addr) + 1
-	}
-	m.Recorder(Touch{Addr: addr, N: n, Access: AccessRead, Scan: true})
-	return s, f
-}
-
-func (m *Memory) cstring(addr Addr) (string, *Fault) {
-	n := 0
-	for a := addr; ; {
-		chunk, _, mapped := m.Segment(a)
-		if chunk == nil {
-			return "", &Fault{Addr: a, Access: AccessRead, Mapped: mapped}
-		}
-		i := bytes.IndexByte(chunk, 0)
-		if i < 0 {
-			i = len(chunk)
-		}
-		if n+i > maxCString {
-			return "", &Fault{Addr: a + Addr(maxCString-n), Access: AccessRead, Mapped: true}
-		}
-		if i < len(chunk) {
-			if n == 0 {
-				return string(chunk[:i]), nil
-			}
-			n += i
-			break
-		}
-		n += len(chunk)
-		a += Addr(len(chunk))
+	n, view, f := m.cscan(addr)
+	m.recordScan(addr, n, f)
+	switch {
+	case f != nil:
+		return "", f
+	case view != nil:
+		return string(view), nil
 	}
 	var b strings.Builder
 	b.Grow(n)
@@ -1164,6 +1158,65 @@ func (m *Memory) cstring(addr Addr) (string, *Fault) {
 		a += Addr(k)
 	}
 	return b.String(), nil
+}
+
+// CStringView is CString without the string: the same scan, fault and
+// record, returning the string's bytes (without the terminator). When
+// they lie in addr's page, as short strings do, the result is a view of
+// the page that allocates nothing: read it, never write it, and drop it
+// before the next mutation of this Memory. A string that crosses pages
+// comes back as a fresh copy.
+func (m *Memory) CStringView(addr Addr) ([]byte, *Fault) {
+	n, view, f := m.cscan(addr)
+	m.recordScan(addr, n, f)
+	switch {
+	case f != nil:
+		return nil, f
+	case view != nil:
+		return view, nil
+	}
+	out := make([]byte, n)
+	m.copyOut(addr, out)
+	return out, nil
+}
+
+// recordScan reports a string scan of n bytes at addr, or the one that
+// ended in fault f, to the Recorder.
+func (m *Memory) recordScan(addr Addr, n int, f *Fault) {
+	if m.Recorder == nil {
+		return
+	}
+	if f != nil {
+		n = int(f.Addr - addr)
+	}
+	m.Recorder(Touch{Addr: addr, N: n + 1, Access: AccessRead, Scan: true})
+}
+
+// cscan finds the NUL that ends the string at addr: n bytes precede it.
+// view holds those bytes, a view of addr's page, when the terminator
+// lies in that page; nil otherwise, and on a fault.
+func (m *Memory) cscan(addr Addr) (n int, view []byte, f *Fault) {
+	for a := addr; ; {
+		chunk, _, mapped := m.Segment(a)
+		if chunk == nil {
+			return 0, nil, m.faultAt(a, AccessRead, mapped)
+		}
+		i := bytes.IndexByte(chunk, 0)
+		if i < 0 {
+			i = len(chunk)
+		}
+		if n+i > maxCString {
+			return 0, nil, m.faultAt(a+Addr(maxCString-n), AccessRead, true)
+		}
+		if i < len(chunk) {
+			if n == 0 {
+				return i, chunk[:i], nil
+			}
+			return n + i, nil, nil
+		}
+		n += len(chunk)
+		a += Addr(len(chunk))
+	}
 }
 
 // WriteCString writes s followed by a NUL terminator at addr.

@@ -102,10 +102,10 @@ func (k OutcomeKind) String() string {
 // Outcome is the observable result of one sandboxed call.
 type Outcome struct {
 	Kind  OutcomeKind
-	Ret   uint64      // return value, valid when Kind == OutcomeReturn
-	Errno int         // errno after the call (0 if untouched)
-	Fault *cmem.Fault // faulting access, valid when Kind == OutcomeSegfault
-	Steps int         // simulated steps the call consumed
+	Ret   uint64     // return value, valid when Kind == OutcomeReturn
+	Errno int        // errno after the call (0 if untouched)
+	Fault cmem.Fault // faulting access, valid when Kind == OutcomeSegfault
+	Steps int        // simulated steps the call consumed
 }
 
 // Crashed reports whether the outcome is any of the failure kinds the
@@ -126,7 +126,10 @@ func (o Outcome) String() string {
 }
 
 // Internal panic payloads raised by the access helpers and recovered by
-// Run. They never escape this package's sandbox.
+// Run. They never escape this package's sandbox. A segvSignal points at
+// the fault slot of the memory (or, from RaiseSegv, the process) that
+// faulted, which Run copies into the Outcome before anything else runs:
+// a fault costs no allocation on its way out.
 type (
 	segvSignal struct{ fault *cmem.Fault }
 	hangSignal struct{}
@@ -148,13 +151,19 @@ type Process struct {
 	// fds is the descriptor table, indexed by descriptor; a closed
 	// descriptor's slot is nil. It starts in fdSlots (nil until the
 	// first open) and moves to the heap only past fdInline entries.
-	fds        []*OpenFD
-	fdSlots    [fdInline]*OpenFD
+	fds     []*OpenFD
+	fdSlots [fdInline]*OpenFD
+	// fdStore holds the first open-file descriptions (newOpenFD);
+	// fdStored of them are in use.
+	fdStore    [fdStoreLen]OpenFD
+	fdStored   int
 	openFDs    int // non-nil entries of fds
 	nextFD     int
 	steps      int
 	stepBudget int
 	callbacks  map[cmem.Addr]Callback
+	// raised holds the fault RaiseSegv signals until Run reports it.
+	raised cmem.Fault
 
 	// Stdin is the byte stream consumed by gets/fgetc-style reads from
 	// the simulated standard input; stdinPos tracks consumption.
@@ -180,6 +189,10 @@ type Process struct {
 // three numbers below the first descriptor plus five open ones, more
 // than a campaign experiment opens.
 const fdInline = 8
+
+// fdStoreLen is how many open-file descriptions a process holds
+// inline: more than a Ballista test or a campaign experiment opens.
+const fdStoreLen = 4
 
 // NewProcess returns a fresh process over fs with stdin/stdout/stderr
 // style descriptors left unallocated (fds start at 3, like a shell child).
@@ -273,7 +286,7 @@ func (p *Process) Fork() *Process {
 			c.fds[fd] = c.fds[dup]
 			continue
 		}
-		cp := *of
+		cp := c.newOpenFD(*of)
 		cp.Entries = append([]string(nil), of.Entries...)
 		// The description's file may be unlinked-but-open (absent
 		// from the name table, so FS.Clone never froze it); freeze
@@ -281,7 +294,7 @@ func (p *Process) Fork() *Process {
 		if cp.File != nil && !cp.File.frozen.Load() {
 			cp.File.frozen.Store(true)
 		}
-		c.fds[fd] = &cp
+		c.fds[fd] = cp
 	}
 	if p.statics != nil {
 		c.statics = make(map[string]cmem.Addr, len(p.statics))
@@ -392,7 +405,10 @@ func (p *Process) Abort() { panic(abrtSignal{}) }
 // RaiseSegv raises a simulated SIGSEGV for the given fault. Simulated
 // library code uses it for faults detected outside the Load/Store
 // helpers (e.g. a jump through a corrupted function pointer).
-func (p *Process) RaiseSegv(f *cmem.Fault) { panic(segvSignal{fault: f}) }
+func (p *Process) RaiseSegv(f *cmem.Fault) {
+	p.raised = *f
+	panic(segvSignal{fault: &p.raised})
+}
 
 // Run executes fn in the fault sandbox and reports its outcome. The step
 // counter is reset; errno observation is NOT reset (callers decide).
@@ -403,7 +419,7 @@ func (p *Process) Run(fn func() uint64) (out Outcome) {
 		switch sig := r.(type) {
 		case nil:
 		case segvSignal:
-			out = Outcome{Kind: OutcomeSegfault, Errno: p.errno, Fault: sig.fault, Steps: p.steps}
+			out = Outcome{Kind: OutcomeSegfault, Errno: p.errno, Fault: *sig.fault, Steps: p.steps}
 		case hangSignal:
 			out = Outcome{Kind: OutcomeHang, Errno: p.errno, Steps: p.steps}
 		case abrtSignal:
@@ -527,6 +543,18 @@ func (p *Process) LoadCString(addr cmem.Addr) string {
 	return s
 }
 
+// LoadCStringView reads a NUL-terminated string as LoadCString does and
+// returns its bytes, a view of their page when they lie in one page (see
+// cmem.Memory.CStringView): read it, never write it, and drop it before
+// the next store. A string the call only parses costs no allocation.
+func (p *Process) LoadCStringView(addr cmem.Addr) []byte {
+	b, f := p.Mem.CStringView(addr)
+	if f != nil {
+		panic(segvSignal{fault: f})
+	}
+	return b
+}
+
 // StoreCString writes s plus a terminator or raises SIGSEGV.
 func (p *Process) StoreCString(addr cmem.Addr, s string) {
 	if f := p.Mem.WriteCString(addr, s); f != nil {
@@ -591,6 +619,14 @@ func (p *Process) StrFromUser(addr cmem.Addr) (string, bool) {
 	defer p.kernelCopy()()
 	s, f := p.Mem.CString(addr)
 	return s, f == nil
+}
+
+// CStringViewFromUser reads a NUL-terminated string without faulting,
+// as StrFromUser does, and returns its bytes as LoadCStringView does.
+func (p *Process) CStringViewFromUser(addr cmem.Addr) ([]byte, bool) {
+	defer p.kernelCopy()()
+	b, f := p.Mem.CStringView(addr)
+	return b, f == nil
 }
 
 // kernelCopy marks the accesses a memory recorder sees as kernel ones

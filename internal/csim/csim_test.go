@@ -27,7 +27,7 @@ func TestRunSegfault(t *testing.T) {
 	if out.Kind != OutcomeSegfault {
 		t.Fatalf("Run = %v, want segfault", out)
 	}
-	if out.Fault == nil || out.Fault.Addr != 0xdead {
+	if out.Fault.Addr != 0xdead {
 		t.Errorf("fault = %v, want addr 0xdead", out.Fault)
 	}
 	if !out.Crashed() {
@@ -302,7 +302,7 @@ func TestNewDIRLayout(t *testing.T) {
 func TestOutcomeStrings(t *testing.T) {
 	outs := []Outcome{
 		{Kind: OutcomeReturn, Ret: 1},
-		{Kind: OutcomeSegfault, Fault: &cmem.Fault{Addr: 0x10}},
+		{Kind: OutcomeSegfault, Fault: cmem.Fault{Addr: 0x10}},
 		{Kind: OutcomeHang},
 		{Kind: OutcomeAbort},
 	}

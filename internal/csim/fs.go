@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"path"
 	"sort"
+	"strings"
 	"sync/atomic"
 
 	"healers/internal/cmem"
@@ -344,7 +345,6 @@ func (m AccessMode) Writable() bool { return m == WriteOnly || m == ReadWrite }
 // tables like a real kernel's file table entry.
 type OpenFD struct {
 	File   *VFile
-	Name   string
 	Mode   AccessMode
 	Pos    int
 	Append bool
@@ -416,7 +416,7 @@ func (p *Process) OpenFile(name string, mode AccessMode, create bool) int {
 			p.SetErrno(ENOENT)
 			return -1
 		}
-		f = p.FS.Create(name, nil)
+		f = p.FS.Create(strings.Clone(name), nil)
 	}
 	if f.IsDir && mode.Writable() {
 		p.SetErrno(EISDIR)
@@ -424,7 +424,7 @@ func (p *Process) OpenFile(name string, mode AccessMode, create bool) int {
 	}
 	fd := p.nextFD
 	p.nextFD++
-	p.setFD(fd, &OpenFD{File: f, Name: name, Mode: mode})
+	p.setFD(fd, p.newOpenFD(OpenFD{File: f, Mode: mode}))
 	return fd
 }
 
@@ -441,7 +441,7 @@ func (p *Process) OpenDir(name string) int {
 	}
 	fd := p.nextFD
 	p.nextFD++
-	p.setFD(fd, &OpenFD{File: f, Name: name, Mode: ReadOnly, IsDir: true, Entries: p.FS.List(name)})
+	p.setFD(fd, p.newOpenFD(OpenFD{File: f, Mode: ReadOnly, IsDir: true, Entries: p.FS.List(name)}))
 	return fd
 }
 
@@ -475,6 +475,23 @@ func (p *Process) DupFD(of *OpenFD) int {
 	p.nextFD++
 	p.setFD(fd, of)
 	return fd
+}
+
+// newOpenFD returns a new open-file description holding of. The first
+// fdStoreLen a process makes live in its own store, so a process that
+// opens a few files allocates no description; later ones are
+// allocated. A description outlives its descriptors no longer than the
+// process does.
+func (p *Process) newOpenFD(of OpenFD) *OpenFD {
+	var d *OpenFD
+	if p.fdStored < len(p.fdStore) {
+		d = &p.fdStore[p.fdStored]
+		p.fdStored++
+	} else {
+		d = new(OpenFD)
+	}
+	*d = of
+	return d
 }
 
 // setFD installs a descriptor at fd, a number never handed out before.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 
 	"healers/internal/cmem"
@@ -85,7 +86,8 @@ func callFootprint(t *testing.T, m reflect.Method, ai, size int, prot cmem.Prot)
 // exported *Process method that takes an address, found by reflection,
 // so a new accessor is covered the day it is added — the span accessors
 // LoadSpan and StoreSpan, whose views the byte kernels move a page
-// segment at a time, among them. Each is called on a region that ends
+// segment at a time, and the string views LoadCStringView and
+// CStringViewFromUser among them. Each is called on a region that ends
 // at a guard page:
 //
 //   - The recorded extent is exact: a region that long succeeds, and one
@@ -94,7 +96,9 @@ func callFootprint(t *testing.T, m reflect.Method, ai, size int, prot cmem.Prot)
 //   - A faulting access is reported before it faults: the failing run's
 //     record covers the guard byte.
 //   - Kernel is set exactly on the copies that report failure with an
-//     ok result, Scan exactly on the accessors that return a string.
+//     ok result, Scan exactly on the accessors that read a C string:
+//     those that return a string, and the CStringView ones that return
+//     its bytes.
 //   - Read and write are right: a read-only region takes every access
 //     unless one is recorded as a write, a write-only region unless one
 //     is recorded as a read.
@@ -123,21 +127,21 @@ func TestFootprintOracle(t *testing.T) {
 		methods++
 		t.Run(m.Name, func(t *testing.T) { checkFootprint(t, m, ai) })
 	}
-	if methods < 19 {
-		t.Errorf("found %d address-taking methods, want at least the 19 accessors", methods)
+	if methods < 21 {
+		t.Errorf("found %d address-taking methods, want at least the 21 accessors", methods)
 	}
 }
 
 func checkFootprint(t *testing.T, m reflect.Method, ai int) {
 	nout := m.Type.NumOut()
 	kernel := nout > 0 && m.Type.Out(nout-1).Kind() == reflect.Bool
-	scan := nout > 0 && m.Type.Out(0).Kind() == reflect.String
+	scan := nout > 0 && (m.Type.Out(0).Kind() == reflect.String || strings.Contains(m.Name, "CStringView"))
 
 	big := callFootprint(t, m, ai, 64, cmem.ProtRW)
 	if len(big.touches) == 0 {
 		empty := callFootprint(t, m, ai, 0, cmem.ProtRW)
 		if len(empty.touches) != 0 || empty.out.Kind != big.out.Kind || empty.ok != big.ok ||
-			(big.out.Fault != nil && empty.out.Fault.Addr-empty.base != big.out.Fault.Addr-big.base) {
+			(big.out.Kind == OutcomeSegfault && empty.out.Fault.Addr-empty.base != big.out.Fault.Addr-big.base) {
 			t.Errorf("records nothing, but an empty region gives %v (ok %v), a 64-byte one %v (ok %v)",
 				empty.out, empty.ok, big.out, big.ok)
 		}

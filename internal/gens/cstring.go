@@ -60,18 +60,28 @@ func NewCStringGen(contents []string) *CStringGen {
 func (g *CStringGen) Name() string { return "cstring" }
 
 // StringProbe builds a probe holding the given string with the given
-// protection, labelled with the matching fundamental type.
+// protection, labelled with the matching fundamental type. The
+// terminated bytes are made once; every Build mounts them flush against
+// the guard page (MountFlushData), the one layout of a string value,
+// which the Ballista pools share.
 func StringProbe(s string, prot cmem.Prot) *Probe {
 	fund := typesys.NameCStringRW(len(s))
 	if prot == cmem.ProtRead {
 		fund = typesys.NameCStringRO(len(s))
 	}
-	pr := &Probe{Fund: fund, Size: len(s) + 1}
+	z := NulTerminated(s)
+	pr := &Probe{Fund: fund, Size: len(z)}
 	pr.Build = func(p *csim.Process) uint64 {
-		pr.Region = MountFlushData(p, append([]byte(s), 0), prot)
+		pr.Region = MountFlushData(p, z, prot)
 		return uint64(pr.Region.Base)
 	}
 	return pr
+}
+
+// NulTerminated returns s followed by its NUL terminator: the bytes a
+// string value mounts. Make them once and mount them as often as needed.
+func NulTerminated(s string) []byte {
+	return append([]byte(s), 0)
 }
 
 // untermFills holds a page of each fill byte an unterminated region can
@@ -86,30 +96,38 @@ var untermFills = func() (t [7][cmem.PageSize]byte) {
 }()
 
 // UntermProbe maps a readable region of the given size containing no
-// NUL terminator, flush against its guard page (shared with the
-// Ballista pools).
+// NUL terminator, flush against its guard page (MountUnterm).
 func UntermProbe(size int) *Probe {
 	pr := &Probe{Fund: typesys.NameUnterminated(size), Size: size}
 	pr.Build = func(p *csim.Process) uint64 {
-		pr.Region = mountFlush(p, size, cmem.ProtRW)
-		if pr.Region.Base == 0 {
-			return 0
-		}
-		// The fill is derived from the region address so two unterminated
-		// regions in one call differ: comparison functions then return a
-		// mismatch instead of racing both pointers off their guard pages.
-		// The address picks a page of fill, written as often as the
-		// region needs.
-		run := untermFills[(pr.Region.Base>>12)%7][:]
-		for off := 0; off < size; off += len(run) {
-			if f := p.Mem.Write(pr.Region.Base+cmem.Addr(off), run[:min(len(run), size-off)]); f != nil {
-				return 0
-			}
-		}
-		p.Mem.Protect(pr.Region.Base.PageBase(), size+int(pr.Region.Base-pr.Region.Base.PageBase()), cmem.ProtRead)
+		pr.Region = MountUnterm(p, size)
 		return uint64(pr.Region.Base)
 	}
 	return pr
+}
+
+// MountUnterm maps a read-only region of size bytes holding no NUL,
+// flush against its guard page: the one layout of an unterminated
+// value, shared by UntermProbe and the Ballista pools. The zero Region
+// reports a mapping that failed.
+func MountUnterm(p *csim.Process, size int) Region {
+	r := mountFlush(p, size, cmem.ProtRW)
+	if r.Base == 0 {
+		return Region{}
+	}
+	// The fill is derived from the region address so two unterminated
+	// regions in one call differ: comparison functions then return a
+	// mismatch instead of racing both pointers off their guard pages.
+	// The address picks a page of fill, written as often as the
+	// region needs.
+	run := untermFills[(r.Base>>12)%7][:]
+	for off := 0; off < size; off += len(run) {
+		if f := p.Mem.Write(r.Base+cmem.Addr(off), run[:min(len(run), size-off)]); f != nil {
+			return Region{}
+		}
+	}
+	p.Mem.Protect(r.Base.PageBase(), size+int(r.Base-r.Base.PageBase()), cmem.ProtRead)
+	return r
 }
 
 func (g *CStringGen) probes() []*Probe {

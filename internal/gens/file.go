@@ -85,9 +85,12 @@ func CorruptDIR(p *csim.Process, real, dst cmem.Addr) uint64 {
 	return uint64(dst)
 }
 
+// copyStruct copies a FILE or DIR of size bytes from src to dst
+// through a buffer on the stack.
 func copyStruct(p *csim.Process, src, dst cmem.Addr, size int) bool {
-	data, f := p.Mem.Read(src, size)
-	return f == nil && p.Mem.Write(dst, data) == nil
+	var buf [max(csim.SizeofFILE, csim.SizeofDIR)]byte
+	data := buf[:size]
+	return p.Mem.ReadInto(src, data) == nil && p.Mem.Write(dst, data) == nil
 }
 
 func (g *FileGen) corruptedProbe() *Probe {

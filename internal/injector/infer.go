@@ -48,7 +48,7 @@ func (c *campaign) measureMinimal(target int, prot cmem.Prot, overrides map[int]
 			}
 			confirm := gens.SizedProbe(ag, hint-1, prot)
 			if out2, _, ok2 := c.experiment(compose(confirm), -1, "infer"); ok2 &&
-				out2.Kind == csim.OutcomeSegfault && out2.Fault != nil && confirm.Region.Owns(out2.Fault.Addr) {
+				out2.Kind == csim.OutcomeSegfault && confirm.Region.Owns(out2.Fault.Addr) {
 				c.countHint(true)
 				return hint, true
 			}
@@ -68,7 +68,7 @@ func (c *campaign) measureMinimal(target int, prot cmem.Prot, overrides map[int]
 			}
 			return pr.Size, true
 		}
-		if out.Kind != csim.OutcomeSegfault || out.Fault == nil || !pr.Region.Owns(out.Fault.Addr) {
+		if out.Kind != csim.OutcomeSegfault || !pr.Region.Owns(out.Fault.Addr) {
 			return 0, false
 		}
 		np := ag.Adjust(pr, out.Fault.Addr)

@@ -478,7 +478,7 @@ func (c *campaign) exploreArguments() {
 			probes[i] = pr
 			adjusts := 0
 			for {
-				out, fault := c.runOnce(probes, i)
+				out, faultAddr, segv := c.runOnce(probes, i)
 				if out == typesys.Success {
 					// Confirmation probes: a successful region size gets
 					// re-probed under the other protections so access-mode
@@ -489,14 +489,14 @@ func (c *campaign) exploreArguments() {
 						}
 					}
 				}
-				if out != typesys.Crash || fault == nil {
+				if !segv {
 					break
 				}
 				// Attribute the fault to the generator owning the
 				// address and let it adjust (grow) its test case.
 				owner := -1
 				for j, p := range probes {
-					if p.Region.Owns(fault.Addr) {
+					if p.Region.Owns(faultAddr) {
 						owner = j
 						break
 					}
@@ -504,7 +504,7 @@ func (c *campaign) exploreArguments() {
 				if owner < 0 {
 					break
 				}
-				np := c.gens[owner].Adjust(probes[owner], fault.Addr)
+				np := c.gens[owner].Adjust(probes[owner], faultAddr)
 				if np == nil {
 					break
 				}
@@ -517,7 +517,7 @@ func (c *campaign) exploreArguments() {
 						Arg:    owner,
 						Probe:  probes[owner].Fund,
 						Detail: np.Fund,
-						Addr:   uint64(fault.Addr),
+						Addr:   uint64(faultAddr),
 					})
 				}
 				probes[owner] = np
@@ -592,9 +592,9 @@ func selectRepresentatives(list []*gens.Probe, max int) []*gens.Probe {
 
 // runOnce runs one exploration or cross-product experiment and
 // records it for the §4.3 selection and the Table 1 classification.
-// It returns the typesys outcome and the fault (if the call crashed
-// with one).
-func (c *campaign) runOnce(probes []*gens.Probe, explored int) (typesys.CaseOutcome, *cmem.Fault) {
+// It returns the typesys outcome and, when the call died on a
+// segmentation fault, the faulting address and segv true.
+func (c *campaign) runOnce(probes []*gens.Probe, explored int) (_ typesys.CaseOutcome, faultAddr cmem.Addr, segv bool) {
 	// Resolve nil slots to defaults up front: buildOrder tells defaults
 	// from varied probes by pointer.
 	for i, pr := range probes {
@@ -606,7 +606,7 @@ func (c *campaign) runOnce(probes []*gens.Probe, explored int) (typesys.CaseOutc
 	if !ok {
 		// Materialization failure is a harness problem, not an
 		// experiment; skip silently.
-		return typesys.ErrorReturn, nil
+		return typesys.ErrorReturn, 0, false
 	}
 
 	var caseOut typesys.CaseOutcome
@@ -633,7 +633,7 @@ func (c *campaign) runOnce(probes []*gens.Probe, explored int) (typesys.CaseOutc
 		c.inj.mAborts.Inc()
 	}
 	c.runs.add(probes, caseOut, explored)
-	return caseOut, out.Fault
+	return caseOut, out.Fault.Addr, out.Kind == csim.OutcomeSegfault
 }
 
 // experiment runs one sandboxed call, the unit of every injection

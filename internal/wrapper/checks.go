@@ -204,7 +204,8 @@ func (ip *Interposer) checkFILESlow(addr cmem.Addr, k decl.Kind) bool {
 	if !ip.checkMemory(addr, csim.SizeofFILE, true, true) {
 		return false
 	}
-	fd := int64(ip.lib.Call(ip.p, "fileno", uint64(addr)))
+	ip.libArgs[0] = uint64(addr)
+	fd := int64(ip.lib.Call(ip.p, "fileno", ip.libArgs[:1]...))
 	if fd < 0 {
 		return false
 	}
@@ -215,7 +216,8 @@ func (ip *Interposer) checkFILESlow(addr cmem.Addr, k decl.Kind) bool {
 		}
 		ip.statBuf = buf
 	}
-	if int64(ip.lib.Call(ip.p, "fstat", uint64(fd), uint64(ip.statBuf))) != 0 {
+	ip.libArgs[0], ip.libArgs[1] = uint64(fd), uint64(ip.statBuf)
+	if int64(ip.lib.Call(ip.p, "fstat", ip.libArgs[:2]...)) != 0 {
 		return false
 	}
 	// Access-mode refinement for R_FILE / W_FILE from the flag word.

@@ -280,6 +280,10 @@ type Interposer struct {
 	// view is the size-expression view evalSize hands out.
 	view argsView
 
+	// libArgs holds the arguments of the library calls the checks make
+	// themselves (fileno, fstat), so they allocate no variadic slice.
+	libArgs [2]uint64
+
 	tr *obs.Tracer
 	// Registry-only instruments; nil (disabled) without Options.Metrics.
 	mHealRepairs      *obs.Counter
