@@ -7,7 +7,8 @@
 #   make lint          — gofmt diff + go vet + the repo AST lint
 #   make soundness     — the static↔dynamic gate: body facts never
 #                        stronger than the measured robust types
-#   make inline-check  — fail if a per-byte csim accessor stops inlining
+#   make inline-check  — fail if a per-byte csim accessor or a cmem
+#                        page-walk helper stops inlining
 #   make bodyfacts     — regenerate internal/analysis/bodyfacts from clib
 #   make bodyfacts-check — fail if the committed body facts have drifted
 #   make cover         — coverage with a failing floor at COVER_BASELINE
@@ -88,15 +89,26 @@ soundness:
 # per-byte csim accessor stays inlinable. A hook placed inside them
 # pushes their inlining cost (75-80 today) past the budget of 80.
 INLINE_ACCESSORS = Load Store LoadInto LoadByte StoreByte LoadU32 LoadU64 LoadCString
+# cmem's page walk: these Memory methods and isZero inline into lookup
+# and ensureOwned, so a page-cache hit or a probe of the delta and the
+# frozen base costs no call.
+INLINE_PAGEWALK = walk slot cached install
 
 inline-check:
 	@out=$$($(GO) build -gcflags=-m ./internal/csim 2>&1) || { echo "$$out"; exit 1; }; \
+	mout=$$($(GO) build -gcflags=-m ./internal/cmem 2>&1) || { echo "$$mout"; exit 1; }; \
 	fail=0; \
 	for f in $(INLINE_ACCESSORS); do \
 		echo "$$out" | grep -qE "can inline \(\*Process\)\.$$f$$" || \
 			{ echo "FAIL: (*csim.Process).$$f is no longer inlinable"; fail=1; }; \
 	done; \
-	[ $$fail -eq 0 ] && echo "inline-check: all $(words $(INLINE_ACCESSORS)) csim accessors inlinable"
+	for f in $(INLINE_PAGEWALK); do \
+		echo "$$mout" | grep -qE "can inline \(\*Memory\)\.$$f$$" || \
+			{ echo "FAIL: (*cmem.Memory).$$f is no longer inlinable"; fail=1; }; \
+	done; \
+	echo "$$mout" | grep -qE "can inline isZero$$" || \
+		{ echo "FAIL: cmem.isZero is no longer inlinable"; fail=1; }; \
+	[ $$fail -eq 0 ] && echo "inline-check: all $(words $(INLINE_ACCESSORS)) csim accessors and $(words $(INLINE_PAGEWALK) isZero) cmem page-walk helpers inlinable"
 
 bodyfacts:
 	$(GO) run ./cmd/bodyscan -out internal/analysis/bodyfacts/facts.go

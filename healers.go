@@ -173,13 +173,9 @@ func (s *System) Inject(names []string) (*Campaign, error) {
 	return s.InjectWith(names, injector.DefaultConfig())
 }
 
-// InjectWith runs the campaign with an explicit configuration. For
-// parallel campaigns (cfg.Workers > 1) each worker gets a fresh
-// library instance unless the caller supplied its own LibFactory.
+// InjectWith runs the campaign with an explicit configuration. Parallel
+// workers (cfg.Workers > 1) share the system's immutable library.
 func (s *System) InjectWith(names []string, cfg InjectorConfig) (*Campaign, error) {
-	if cfg.Workers > 1 && cfg.LibFactory == nil {
-		cfg.LibFactory = clib.New
-	}
 	return injector.New(s.Library, cfg).InjectAll(s.Extraction, names)
 }
 

@@ -290,14 +290,8 @@ func TestStdioSegmentDifferential(t *testing.T) {
 	}
 }
 
-// pageMisses sums the page pool's freelist misses over every shard.
-func pageMisses() int64 {
-	var n int64
-	for _, s := range cmem.PoolCounts() {
-		n += s.Misses
-	}
-	return n
-}
+// pageMisses reads the page pool's freelist misses.
+func pageMisses() int64 { return cmem.PoolCounts().Misses }
 
 // forkAllocs is testing.AllocsPerRun over calls of fn, each in a fresh
 // fork of p, less the page-pool misses among them. Under the race

@@ -11,11 +11,13 @@
 // Forking is copy-on-write at two granularities. Pages: the first
 // mutation of a shared page (a store, a protection change, a re-map)
 // copies that page. Page tables: Clone freezes the parent's private
-// pages into an immutable, refcounted layer and hands the child the
-// layer list — O(layers), not O(pages), so forking a large address
-// space costs the same as forking a small one. A Memory is its layer
-// stack (shared, frozen) plus a private delta map; a page-table walk
-// probes the delta first, then the layers top-down.
+// pages into an immutable, refcounted table and hands the child a
+// reference to it — one refcount, not O(pages), so forking a large
+// address space costs the same as forking a small one. A Memory is its
+// base table (shared, frozen) plus a private delta map; a page-table
+// walk probes the delta, then the base. The injector forks a frozen
+// template once per call, so a fork sits one level below its template;
+// freezing a fork that was written folds its base into a new table.
 //
 // Fresh memory costs nothing until it is written. Map installs one
 // shared, never-written zero page per protection, as a kernel maps its
@@ -147,126 +149,86 @@ func (f *Fault) Error() string {
 // ErrNoMemory is returned when the simulated address space is exhausted.
 var ErrNoMemory = errors.New("cmem: out of simulated memory")
 
-// page is one 4 KiB unit of simulated memory. Pages are shared across
-// forked address spaces through frozen layers; a page sits in exactly
-// one private delta map (mutable, exclusively owned) or one layer
-// (immutable, copied on write), so refs stays 1 and exists for pool
-// hygiene: release returns the page to its shard exactly once, from
-// whichever container dies last. The refcount is atomic because
-// sibling forks release layer pages concurrently; the header padding
-// keeps that hot word on its own cache line, so releases never
-// false-share with the payload bytes a sibling is copying.
+// page is one 4 KiB unit of simulated memory. A page lives in exactly
+// one container: a Memory's private delta (mutable, exclusively owned)
+// or one frozen table (immutable, copied on write), and returns to the
+// pool when that container dies. The header padding keeps the payload
+// cache-line aligned.
 type page struct {
-	prot  Prot
-	_     [3]byte
-	shard uint32 // pool shard this page returns to on release
-	refs  atomic.Int32
-	_     [52]byte // pad the header to one cache line
-	data  [PageSize]byte
+	prot Prot
+	_    [63]byte
+	data [PageSize]byte
 }
 
-// PoolShards is the number of independent page-pool shards. Each shard
-// has its own sync.Pool and its own counter cache line; a Memory is
-// pinned to one shard at New and every Memory cloned from it inherits
-// the pin, so one campaign's fork tree recycles pages through a single
-// shard while concurrent campaigns (parallel workers build one template
-// per function) spread across all of them.
-const PoolShards = 8
+// pagePool recycles page buffers: every fork that diverges copies a few
+// pages and then discards them when its experiment ends, so a campaign
+// would otherwise churn millions of 4 KiB allocations through the GC.
+// sync.Pool already caches per P, so concurrent campaigns do not
+// contend on it.
+var pagePool sync.Pool
 
-const shardMask = PoolShards - 1
-
-// poolShard is one shard of the page pool: a freelist plus its traffic
-// counters, padded so neighbouring shards never share a cache line.
-type poolShard struct {
-	pool   sync.Pool
-	gets   atomic.Int64
-	puts   atomic.Int64
-	misses atomic.Int64
-	_      [64]byte
+// poolCounts counts the pool's traffic. The padding keeps the counters
+// on a cache line of their own: every get and put writes one of them,
+// and every get and put reads pagePool's fields.
+var poolCounts struct {
+	_                  [64]byte
+	gets, puts, misses atomic.Int64
+	_                  [64]byte
 }
 
-// pageShards recycles page buffers: every fork that diverges copies a
-// few pages and then discards them when its experiment ends, so a
-// campaign would otherwise churn millions of 4 KiB allocations through
-// the GC.
-var pageShards [PoolShards]poolShard
-
-// nextShard round-robins fresh address spaces across the pool shards.
-var nextShard atomic.Uint32
-
-// PoolShardCounts is a snapshot of one pool shard's traffic: pages
-// taken from the shard, pages returned to it, and gets that missed the
+// PoolTraffic is a snapshot of the page pool's traffic: pages taken
+// from the pool, pages returned to it, and gets that missed the
 // freelist and allocated.
-type PoolShardCounts struct {
+type PoolTraffic struct {
 	Gets   int64
 	Puts   int64
 	Misses int64
 }
 
-// PoolCounts snapshots every shard's counters, index == shard id. The
-// counters are process-global and monotonic; exposure layers publish
-// them as per-shard gauges.
-func PoolCounts() [PoolShards]PoolShardCounts {
-	var out [PoolShards]PoolShardCounts
-	for i := range pageShards {
-		s := &pageShards[i]
-		out[i] = PoolShardCounts{Gets: s.gets.Load(), Puts: s.puts.Load(), Misses: s.misses.Load()}
-	}
-	return out
+// PoolCounts snapshots the pool's counters. They are process-global and
+// monotonic; exposure layers publish them as gauges.
+func PoolCounts() PoolTraffic {
+	return PoolTraffic{Gets: poolCounts.gets.Load(), Puts: poolCounts.puts.Load(), Misses: poolCounts.misses.Load()}
 }
 
-// getPage takes a page buffer from the given shard, allocating on a
-// freelist miss. The returned page remembers its shard so release puts
-// it back where it came from.
-func getPage(shard uint32) *page {
-	s := &pageShards[shard&shardMask]
-	s.gets.Add(1)
-	v := s.pool.Get()
-	if v == nil {
-		s.misses.Add(1)
-		pg := new(page)
-		pg.shard = shard & shardMask
-		return pg
+// getPage takes a page buffer from the pool, allocating on a freelist
+// miss.
+func getPage() *page {
+	poolCounts.gets.Add(1)
+	if v := pagePool.Get(); v != nil {
+		return v.(*page)
 	}
-	return v.(*page)
+	poolCounts.misses.Add(1)
+	return new(page)
 }
 
 // newPage returns an exclusively owned, zeroed page. Pooled pages carry
 // the data of their previous life and must be cleared: freshly mapped
 // simulated memory reads as zero.
-func newPage(prot Prot, shard uint32) *page {
-	pg := getPage(shard)
+func newPage(prot Prot) *page {
+	pg := getPage()
 	pg.prot = prot
 	pg.data = [PageSize]byte{}
-	pg.refs.Store(1)
 	return pg
 }
 
-// copyOf returns an exclusively owned copy of src, drawn from the
-// writing Memory's shard. No clearing is needed: the whole payload is
-// overwritten.
-func copyOf(src *page, shard uint32) *page {
-	pg := getPage(shard)
+// copyOf returns an exclusively owned copy of src. No clearing is
+// needed: the whole payload is overwritten.
+func copyOf(src *page) *page {
+	pg := getPage()
 	pg.prot = src.prot
 	pg.data = src.data
-	pg.refs.Store(1)
 	return pg
 }
 
-// release drops one reference; the last referent returns the page to
-// its shard. A zero page is never returned. An exclusively owned page
-// (refs == 1) skips the atomic decrement entirely — no sibling can race
-// a load that observes 1, because observing 1 proves there is no
-// sibling.
+// release returns the page to the pool; its container is dying or has
+// dropped it. A zero page is never returned.
 func (pg *page) release() {
 	if isZero(pg) {
 		return // shared by every mapping of it; never pooled
 	}
-	if pg.refs.Load() == 1 || pg.refs.Add(-1) == 0 {
-		s := &pageShards[pg.shard&shardMask]
-		s.puts.Add(1)
-		s.pool.Put(pg)
-	}
+	poolCounts.puts.Add(1)
+	pagePool.Put(pg)
 }
 
 // ForkStats counts page sharing across one fork tree. Every Memory
@@ -306,15 +268,12 @@ func (c ForkCounts) BytesAvoided() int64 {
 	return (c.PagesShared - c.PagesCopied) * PageSize
 }
 
-// layer is one frozen stratum of a forked address space: an immutable
-// page map shared by reference between every Memory whose history
-// includes it. A nil entry is a tombstone — the page was unmapped in
-// this stratum, shadowing any mapping in the layers below. refs counts
-// the Memories referencing the layer; the last Release returns the
-// layer's pages to the pool.
-type layer struct {
+// table is the frozen page table of a fork template: an immutable page
+// map, with no tombstones, shared by reference between the template and
+// every Memory cloned from it. refs counts those Memories; the last
+// Release returns the table's pages to the pool.
+type table struct {
 	pages map[Addr]*page
-	live  int // non-tombstone entries, for sharing stats
 	refs  atomic.Int32
 }
 
@@ -329,12 +288,13 @@ type layer struct {
 // against the freeze; call Freeze once before sharing a template
 // across goroutines and every subsequent Clone and read is write-free.
 type Memory struct {
-	// layers is the frozen history, bottom-up: entries in later layers
-	// shadow earlier ones. own is the private delta on top — the only
-	// map this Memory may write. Pages in own are exclusively owned
-	// (refs == 1); pages in layers are immutable and copied on write.
-	layers []*layer
-	own    map[Addr]*page
+	// base is the frozen page table this Memory was forked from, nil if
+	// it has none. own is the private delta on top — the only map this
+	// Memory may write: its pages are exclusively owned, and a nil entry
+	// is a tombstone unmapping a page base holds. Pages in base are
+	// immutable and copied on write.
+	base *table
+	own  map[Addr]*page
 
 	// tlb caches recent page-table walks; tlbOn says whether this
 	// Memory may write it (never frozen, never cloned). See tlbEntry.
@@ -356,10 +316,6 @@ type Memory struct {
 
 	// stats is shared by every Memory in this fork tree.
 	stats *ForkStats
-
-	// shard pins this address space (and, via Clone inheritance, its
-	// whole fork tree) to one page-pool shard.
-	shard uint32
 
 	// TraceID and SpanID identify the causal span that owns this address
 	// space (internal/obs span IDs, kept as plain integers so cmem stays
@@ -394,7 +350,7 @@ type spares struct {
 	sorted []Addr
 }
 
-// mems parks released Memories for the next New, Clone or CloneEager.
+// mems parks released Memories for the next New or Clone.
 var mems FreeList[Memory]
 
 // spareCap bounds each container a released Memory keeps: a Go map
@@ -405,8 +361,8 @@ const spareCap = 64
 
 // alloc returns a zeroed Memory and empty containers for it: a released
 // Memory and the containers it kept when one is parked, new ones
-// otherwise. New, Clone and CloneEager initialise every field of the
-// result the same way either way.
+// otherwise. New and Clone initialise every field of the result the
+// same way either way.
 func alloc() (*Memory, spares) {
 	m := mems.Get()
 	var sp spares
@@ -443,9 +399,8 @@ const (
 	heapBase Addr = 0x0000_1000_0000
 	mmapBase Addr = 0x2000_0000_0000
 	stackTop Addr = 0x7fff_ffff_f000
-	// stackSize is deliberately small: even with copy-on-write forking
-	// every mapped page costs a table entry and a refcount per fork, so
-	// a lean stack keeps millions of forks affordable.
+	// stackSize is deliberately small: a lean stack keeps every
+	// template's page table, and what its forks write of it, small.
 	stackSize = 32 << 10
 )
 
@@ -459,7 +414,6 @@ func New() *Memory {
 		heapCursor: heapBase,
 		mmapCursor: mmapBase,
 		stats:      &ForkStats{},
-		shard:      nextShard.Add(1) & shardMask,
 	}
 	m.stack = newStack(m)
 	return m
@@ -516,56 +470,20 @@ func (m *Memory) lookup(base Addr) *page {
 }
 
 // walk is the page-table walk: the private delta first, then the
-// frozen layers top-down. owned reports that the page sits in own.
+// frozen base. owned reports that the page sits in own.
 func (m *Memory) walk(base Addr) (pg *page, owned bool) {
 	if pg, ok := m.own[base]; ok {
 		return pg, true
 	}
-	for i := len(m.layers) - 1; i >= 0; i-- {
-		if pg, ok := m.layers[i].pages[base]; ok {
-			return pg, false
-		}
+	if m.base == nil {
+		return nil, false
 	}
-	return nil, false
+	return m.base.pages[base], false
 }
 
-// inLayers reports whether any frozen layer has an entry for base
-// (tombstones included — they shadow like mappings do).
-func (m *Memory) inLayers(base Addr) bool {
-	for i := len(m.layers) - 1; i >= 0; i-- {
-		if _, ok := m.layers[i].pages[base]; ok {
-			return true
-		}
-	}
-	return false
-}
-
-// forEachPage visits every mapped page, with own entries and later
-// layers shadowing earlier ones.
-func (m *Memory) forEachPage(fn func(base Addr, pg *page)) {
-	seen := make(map[Addr]bool, len(m.own))
-	visit := func(base Addr, pg *page) {
-		if seen[base] {
-			return
-		}
-		seen[base] = true
-		if pg != nil {
-			fn(base, pg)
-		}
-	}
-	for base, pg := range m.own {
-		visit(base, pg)
-	}
-	for i := len(m.layers) - 1; i >= 0; i-- {
-		for base, pg := range m.layers[i].pages {
-			visit(base, pg)
-		}
-	}
-}
-
-// Freeze seals the Memory's private pages into a new immutable layer.
-// After Freeze, Clone performs no writes at all, so a fork template can
-// be cloned from many goroutines while others read it. Freezing is
+// Freeze seals the Memory's private pages into its frozen table. After
+// Freeze, Clone performs no writes at all, so a fork template can be
+// cloned from many goroutines while others read it. Freezing is
 // idempotent and happens implicitly on the first Clone.
 func (m *Memory) Freeze() {
 	m.cloneMu.Lock()
@@ -575,7 +493,7 @@ func (m *Memory) Freeze() {
 
 func (m *Memory) freezeLocked() {
 	// The cache's owned bits describe own, which is about to become a
-	// shared layer, and a frozen Memory must stay write-free under
+	// shared table, and a frozen Memory must stay write-free under
 	// reads: flush and disable it. Testing first keeps repeated freezes
 	// of a template free of stores.
 	if m.tlbOn {
@@ -585,23 +503,46 @@ func (m *Memory) freezeLocked() {
 	if len(m.own) == 0 {
 		return
 	}
-	l := &layer{pages: m.own}
-	for _, pg := range m.own {
-		if pg != nil {
-			l.live++
+	if old := m.base; old != nil {
+		// A written fork is frozen in turn: fold the base it shares
+		// under its delta, copying what the delta does not shadow, so
+		// that every page stays in one container.
+		for base, pg := range old.pages {
+			if _, ok := m.own[base]; !ok {
+				if !isZero(pg) {
+					pg = copyOf(pg)
+				}
+				m.own[base] = pg
+			}
+		}
+		for base, pg := range m.own {
+			if pg == nil {
+				delete(m.own, base)
+			}
+		}
+		old.drop()
+	}
+	m.base = &table{pages: m.own}
+	m.base.refs.Store(1)
+	m.own = make(map[Addr]*page)
+}
+
+// drop releases one reference to the table; the last returns its pages
+// to the pool.
+func (t *table) drop() {
+	if t.refs.Add(-1) == 0 {
+		for _, pg := range t.pages {
+			pg.release()
 		}
 	}
-	l.refs.Store(1)
-	m.layers = append(m.layers, l)
-	m.own = make(map[Addr]*page)
 }
 
 // Clone returns a copy-on-write fork of the address space. The fault
 // injector forks a fresh child for every call of the function under
 // test; Clone is the memory half of that fork. The parent's private
-// pages are frozen into a shared layer (once — repeated Clones reuse
-// it) and the child starts as the layer stack plus an empty delta, so
-// a fork costs O(layers), independent of the address-space size.
+// pages are frozen into a shared table (once — repeated Clones reuse
+// it) and the child starts as that table plus an empty delta, so a
+// fork costs one refcount, independent of the address-space size.
 // Either side's first mutation of a shared page copies that page into
 // its delta.
 //
@@ -611,72 +552,37 @@ func (m *Memory) freezeLocked() {
 func (m *Memory) Clone() *Memory {
 	m.cloneMu.Lock()
 	m.freezeLocked()
-	layers := m.layers
+	t := m.base
 	m.cloneMu.Unlock()
 	c, sp := alloc()
 	*c = Memory{
-		// A full slice expression shares the parent's layer array:
-		// the child's first freeze appends past its capacity and so
-		// reallocates, never writing the parent's array.
-		layers:     layers[:len(layers):len(layers)],
+		base:       t,
 		own:        sp.own,
 		heap:       m.heap.cloneInto(sp.allocs, sp.sorted),
 		tlbOn:      true,
 		heapCursor: m.heapCursor,
 		mmapCursor: m.mmapCursor,
 		stats:      m.stats,
-		shard:      m.shard,
 		TraceID:    m.TraceID,
 		SpanID:     m.SpanID,
 	}
-	shared := int64(0)
-	for _, l := range layers {
-		l.refs.Add(1)
-		shared += int64(l.live)
+	if t != nil {
+		t.refs.Add(1)
+		m.stats.pagesShared.Add(int64(len(t.pages)))
 	}
 	c.stack = m.stack.clone()
 	m.stats.forks.Add(1)
-	m.stats.pagesShared.Add(shared)
 	return c
 }
 
-// CloneEager returns a deep copy sharing no pages or layers: the
-// pre-COW fork, kept as the reference implementation for the
-// differential tests and the eager-vs-COW benchmarks. It does not
-// count toward ForkStats.
-func (m *Memory) CloneEager() *Memory {
-	c, sp := alloc()
-	*c = Memory{
-		own:        sp.own,
-		heap:       m.heap.cloneInto(sp.allocs, sp.sorted),
-		tlbOn:      true,
-		heapCursor: m.heapCursor,
-		mmapCursor: m.mmapCursor,
-		stats:      m.stats,
-		shard:      m.shard,
-		TraceID:    m.TraceID,
-		SpanID:     m.SpanID,
-	}
-	m.forEachPage(func(base Addr, pg *page) {
-		if isZero(pg) {
-			c.own[base] = pg // immutable: shared even by a deep copy
-		} else {
-			c.own[base] = copyOf(pg, m.shard)
-		}
-	})
-	c.stack = m.stack.clone()
-	return c
-}
-
-// Release drops the address space's pages and layer references,
-// returning pages nothing else references to the page pool, and parks
-// the Memory for reuse: the next New, Clone or CloneEager may hand this
-// very struct out again, so no reference to it may outlive Release.
-// Until then the released Memory has every field zeroed but the
-// emptied containers it keeps for that next life: accesses fault as
-// unmapped, mutations panic, and the page cache neither answers for a
-// released page nor keeps pooled pages reachable. Releasing a released
-// Memory again does nothing.
+// Release returns the address space's private pages to the page pool
+// and drops its reference to the frozen table, and parks the Memory for
+// reuse: the next New or Clone may hand this very struct out again, so
+// no reference to it may outlive Release. Until then the released
+// Memory has every field zeroed but the emptied containers it keeps for
+// that next life: accesses fault as unmapped, mutations panic, and the
+// page cache neither answers for a released page nor keeps pooled pages
+// reachable. Releasing a released Memory again does nothing.
 func (m *Memory) Release() {
 	if m.stats == nil {
 		return // already released: parked once is enough
@@ -686,14 +592,8 @@ func (m *Memory) Release() {
 			pg.release()
 		}
 	}
-	for _, l := range m.layers {
-		if l.refs.Add(-1) == 0 {
-			for _, pg := range l.pages {
-				if pg != nil {
-					pg.release()
-				}
-			}
-		}
+	if m.base != nil {
+		m.base.drop()
 	}
 	sorted := m.heap.sorted[:0]
 	if cap(sorted) > spareCap {
@@ -707,7 +607,7 @@ func (m *Memory) Release() {
 func (m *Memory) ForkStats() *ForkStats { return m.stats }
 
 // ensureOwned returns a page for base that this Memory owns
-// exclusively, copying a layer-shared page into the delta first if
+// exclusively, copying a shared page of the base into the delta first if
 // needed. Every mutation path funnels through it — the copy-on-write
 // fault handler. pg must be the result of lookup(base). A zero page,
 // owned or shared, becomes a cleared private page in one map write;
@@ -716,7 +616,7 @@ func (m *Memory) ForkStats() *ForkStats { return m.stats }
 // without probing own, and a copy updates the entry in place.
 func (m *Memory) ensureOwned(base Addr, pg *page) *page {
 	if isZero(pg) {
-		return m.install(base, newPage(pg.prot, m.shard))
+		return m.install(base, newPage(pg.prot))
 	}
 	if !m.tlbOn || !m.cached(base, pg) {
 		if opg, ok := m.own[base]; ok {
@@ -726,7 +626,7 @@ func (m *Memory) ensureOwned(base Addr, pg *page) *page {
 		return pg
 	}
 	m.stats.pagesCopied.Add(1)
-	return m.install(base, copyOf(pg, m.shard))
+	return m.install(base, copyOf(pg))
 }
 
 // cached reports whether the cache entry for base holds pg.
@@ -780,7 +680,7 @@ func (m *Memory) Unmap(addr Addr, n int) {
 		if pg, ok := m.own[base]; ok && pg != nil {
 			pg.release()
 		}
-		if m.inLayers(base) {
+		if m.base != nil && m.base.pages[base] != nil {
 			// A tombstone shadows the frozen mapping below.
 			m.own[base] = nil
 		} else {

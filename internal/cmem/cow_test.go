@@ -243,6 +243,78 @@ func TestForkOfForkDiverges(t *testing.T) {
 	}
 }
 
+// TestForkOfWrittenForkReleaseOrders: forking a written fork folds the
+// base it shares under its delta into a table of its own. Chain a
+// template, a written mid fork and a leaf of it, release the three in
+// every order, and check after each release that every survivor still
+// reads its own bytes. At the end every page the chain took from the
+// pool has gone back exactly once, and no zero page was written or
+// pooled.
+func TestForkOfWrittenForkReleaseOrders(t *testing.T) {
+	const unmapped = "-"
+	orders := [][3]int{{0, 1, 2}, {0, 2, 1}, {1, 0, 2}, {1, 2, 0}, {2, 0, 1}, {2, 1, 0}}
+	for _, order := range orders {
+		t.Run(fmt.Sprint(order), func(t *testing.T) {
+			before := PoolCounts()
+			tpl := New()
+			a, err := tpl.MmapRegion(4*PageSize, ProtRW)
+			if err != nil {
+				t.Fatal(err)
+			}
+			page := func(i int) Addr { return a + Addr(i*PageSize) }
+			write := func(m *Memory, i int, s string) {
+				if f := m.WriteCString(page(i), s); f != nil {
+					t.Fatal(f)
+				}
+			}
+			// Page 2 stays a zero page in the template; the mid fork
+			// overwrites page 1, writes page 2 and unmaps page 3.
+			write(tpl, 0, "tpl0")
+			write(tpl, 1, "tpl1")
+			write(tpl, 3, "tpl3")
+			mid := tpl.Clone()
+			write(mid, 1, "mid1")
+			write(mid, 2, "mid2")
+			mid.Unmap(page(3), PageSize)
+			leaf := mid.Clone()
+			write(leaf, 0, "leaf0")
+
+			chain := []*Memory{tpl, mid, leaf}
+			wants := [][4]string{
+				{"tpl0", "tpl1", "", "tpl3"},
+				{"tpl0", "mid1", "mid2", unmapped},
+				{"leaf0", "mid1", "mid2", unmapped},
+			}
+			names := []string{"template", "mid", "leaf"}
+			released := [3]bool{}
+			for step, r := range order {
+				chain[r].Release()
+				released[r] = true
+				for k, m := range chain {
+					if released[k] {
+						continue
+					}
+					for i, want := range wants[k] {
+						s, f := m.CString(page(i))
+						if want == unmapped {
+							if f == nil || f.Mapped {
+								t.Errorf("step %d: %s page %d = %q, %v; want an unmapped fault", step, names[k], i, s, f)
+							}
+						} else if f != nil || s != want {
+							t.Errorf("step %d: %s page %d = %q, %v; want %q", step, names[k], i, s, f, want)
+						}
+					}
+				}
+			}
+			after := PoolCounts()
+			if gets, puts := after.Gets-before.Gets, after.Puts-before.Puts; gets != puts {
+				t.Errorf("the chain took %d pages from the pool and returned %d", gets, puts)
+			}
+			requireZeroPages(t)
+		})
+	}
+}
+
 // TestReleaseReturnsPagesAndPoisons: Release drops the page table; the
 // memory then faults as unmapped, and pooled pages handed to a fresh
 // mapping read as zero (no stale data escapes the pool).
@@ -364,7 +436,7 @@ func TestConcurrentTemplateForks(t *testing.T) {
 // or a page released while still shared — would surface here as
 // poison. Poison a released fork's private pages, recycle them through
 // fresh mappings, and verify the survivors and the recycled view both
-// stay clean, with the shard counters accounting for the round trip.
+// stay clean, with the pool counters accounting for the round trip.
 func TestPoolHygieneStalePagePoisoning(t *testing.T) {
 	before := PoolCounts()
 
@@ -421,12 +493,7 @@ func TestPoolHygieneStalePagePoisoning(t *testing.T) {
 	sib.Release()
 
 	after := PoolCounts()
-	var gets, puts int64
-	for i := range after {
-		gets += after[i].Gets - before[i].Gets
-		puts += after[i].Puts - before[i].Puts
-	}
-	if gets == 0 || puts == 0 {
+	if gets, puts := after.Gets-before.Gets, after.Puts-before.Puts; gets == 0 || puts == 0 {
 		t.Errorf("pool counters did not move: gets=%d puts=%d", gets, puts)
 	}
 }

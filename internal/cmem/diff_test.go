@@ -194,7 +194,7 @@ func sameFault(a, b *Fault) bool {
 // meets zero pages on templates and forks alike: maps over mapped and
 // unmapped pages, protection changes of regions nothing wrote, Zero
 // and filled mappings (MmapFlush); once it ends no zero page may hold
-// a byte or sit in a pool shard.
+// a byte or sit in the page pool.
 func TestDifferentialCOWvsEager(t *testing.T) {
 	prots := []Prot{ProtNone, ProtRead, ProtWrite, ProtRW}
 	for seed := int64(1); seed <= 6; seed++ {

@@ -10,10 +10,10 @@ import (
 // protection Prot(i<<1), so ProtNone, ProtRead, ProtWrite and ProtRW sit
 // at 0 to 3. Map installs them in place of freshly cleared pool pages,
 // so a mapping costs a page-table entry and nothing else until it is
-// written. Their bytes are never written and they never enter a pool
-// shard: the first store turns one into a private page (ensureOwned),
-// a protection change swaps it for the zero page of the new protection,
-// and release and CloneEager pass it by.
+// written. Their bytes are never written and they never enter the page
+// pool: the first store turns one into a private page (ensureOwned), a
+// protection change swaps it for the zero page of the new protection,
+// and release and a fold pass it by.
 var zeroPages [4]page
 
 func init() {
@@ -37,7 +37,7 @@ func isZero(pg *page) bool {
 // page instead.
 func (m *Memory) zeroPage(prot Prot) *page {
 	if prot&^ProtRW != 0 {
-		return newPage(prot, m.shard)
+		return newPage(prot)
 	}
 	return &zeroPages[prot>>1]
 }
@@ -80,7 +80,7 @@ func (m *Memory) Zero(addr Addr, n int) {
 		if pg := m.lookup(base); pg != nil && !isZero(pg) {
 			z := m.zeroPage(pg.prot)
 			if _, owned := m.own[base]; owned {
-				pg.release() // own shadows the layers: pg is the private page
+				pg.release() // own shadows the base: pg is the private page
 			}
 			m.install(base, z)
 		}
@@ -122,8 +122,7 @@ func (m *Memory) MmapFlush(data []byte, prot Prot) (Addr, error) {
 		if old := m.lookup(base); old != nil {
 			pg = m.ensureOwned(base, old)
 		} else {
-			pg = getPage(m.shard)
-			pg.refs.Store(1)
+			pg = getPage()
 			clear(pg.data[:off])
 			m.own[base] = pg
 		}
@@ -134,10 +133,10 @@ func (m *Memory) MmapFlush(data []byte, prot Prot) (Addr, error) {
 }
 
 // CheckZeroPages audits the zero-page invariant: every shared zero page
-// holds only zero bytes and its own protection, and no pool shard holds
-// one. It drains each shard's freelist to look and puts every page
-// back, so it sees only the pages parked when it runs; tests call it
-// once the Memories they exercised are released.
+// holds only zero bytes and its own protection, and the page pool holds
+// none. It drains the pool to look and puts every page back, so it sees
+// only the pages parked when it runs; tests call it once the Memories
+// they exercised are released.
 func CheckZeroPages() error {
 	var errs []error
 	for i := range zeroPages {
@@ -152,18 +151,15 @@ func CheckZeroPages() error {
 			}
 		}
 	}
-	for s := range pageShards {
-		pool := &pageShards[s].pool
-		var parked []any
-		for v := pool.Get(); v != nil; v = pool.Get() {
-			parked = append(parked, v)
-			if isZero(v.(*page)) {
-				errs = append(errs, fmt.Errorf("cmem: zero page %v parked in pool shard %d", v.(*page).prot, s))
-			}
+	var parked []any
+	for v := pagePool.Get(); v != nil; v = pagePool.Get() {
+		parked = append(parked, v)
+		if isZero(v.(*page)) {
+			errs = append(errs, fmt.Errorf("cmem: zero page %v parked in the page pool", v.(*page).prot))
 		}
-		for _, v := range parked {
-			pool.Put(v)
-		}
+	}
+	for _, v := range parked {
+		pagePool.Put(v)
 	}
 	return errors.Join(errs...)
 }

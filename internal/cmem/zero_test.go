@@ -8,13 +8,10 @@ import (
 	"testing"
 )
 
-// poolTraffic totals the page-pool gets and puts across every shard.
+// poolTraffic reads the page-pool gets and puts.
 func poolTraffic() (gets, puts int64) {
-	for _, s := range PoolCounts() {
-		gets += s.Gets
-		puts += s.Puts
-	}
-	return gets, puts
+	c := PoolCounts()
+	return c.Gets, c.Puts
 }
 
 // requireZeroPages fails the test when the zero-page audit does.
@@ -120,7 +117,7 @@ func TestZeroPagesSemantics(t *testing.T) {
 }
 
 // TestZeroPagesAuditDetects proves the audit can fail: a zero page
-// holding a stray byte, or parked in a pool shard, is reported.
+// holding a stray byte, or parked in the page pool, is reported.
 func TestZeroPagesAuditDetects(t *testing.T) {
 	requireZeroPages(t)
 	zeroPages[3].data[100] = 1
@@ -132,19 +129,18 @@ func TestZeroPagesAuditDetects(t *testing.T) {
 	err = nil
 	// The race detector drops a random share of pool puts, so park the
 	// page until the audit has seen it once.
-	pool := &pageShards[0].pool
 	for i := 0; i < 20 && err == nil; i++ {
-		pool.Put(&zeroPages[1])
+		pagePool.Put(&zeroPages[1])
 		err = CheckZeroPages()
 	}
 	var keep []any
-	for v := pool.Get(); v != nil; v = pool.Get() {
+	for v := pagePool.Get(); v != nil; v = pagePool.Get() {
 		if !isZero(v.(*page)) {
 			keep = append(keep, v)
 		}
 	}
 	for _, v := range keep {
-		pool.Put(v)
+		pagePool.Put(v)
 	}
 	if err == nil {
 		t.Error("a pooled zero page passed the audit")

@@ -75,7 +75,7 @@ func TestCampaignAllocationBudget(t *testing.T) {
 
 // TestColdCampaignKeepsZeroPagesZero runs a cold campaign, whose probe
 // regions, stacks and heap blocks are mapped as shared zero pages, and
-// then audits them: none may hold a byte or sit in a pool shard.
+// then audits them: none may hold a byte or sit in the page pool.
 func TestColdCampaignKeepsZeroPagesZero(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a full campaign")

@@ -244,7 +244,6 @@ func (s *Server) run(c *campaign) {
 	cfg.Metrics = s.reg
 	tr := obs.New(c.hub, c.collect)
 	cfg.Obs = tr
-	cfg.LibFactory = clib.New
 	if normalizeSeed(c.req.Seed) == "static" {
 		pred, err := analysis.Predict(s.ext, c.names)
 		if err != nil {

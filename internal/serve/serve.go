@@ -45,7 +45,7 @@ type Options struct {
 	Registry *obs.Registry
 	// Pprof mounts net/http/pprof under /debug/pprof/ on the service
 	// handler and switches on mutex/block contention sampling, so the
-	// pool-shard and cache-shard lock profiles are capturable live.
+	// cache-shard lock profiles are capturable live.
 	// Off by default: the profiler exposes goroutine dumps and CPU
 	// samples, which only an operator who asked for them should see.
 	Pprof bool
@@ -271,16 +271,12 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	s.reg.Gauge("healers_serve_campaigns").Set(int64(len(s.campaigns)))
 	s.mu.Unlock()
 
-	// Page-pool shard traffic, one labeled series per shard: skewed
-	// gets/puts across shards is the signature of round-robin placement
-	// going wrong, and misses growing faster than gets means the pool
-	// stopped recycling.
-	for i, sc := range cmem.PoolCounts() {
-		shard := fmt.Sprintf("%d", i)
-		s.reg.Gauge(fmt.Sprintf("healers_cmem_pool_gets{shard=%q}", shard)).Set(sc.Gets)
-		s.reg.Gauge(fmt.Sprintf("healers_cmem_pool_puts{shard=%q}", shard)).Set(sc.Puts)
-		s.reg.Gauge(fmt.Sprintf("healers_cmem_pool_misses{shard=%q}", shard)).Set(sc.Misses)
-	}
+	// Page-pool traffic: misses growing faster than gets means the pool
+	// stopped recycling, and puts falling behind gets means pages leak.
+	pc := cmem.PoolCounts()
+	s.reg.Gauge("healers_cmem_pool_gets").Set(pc.Gets)
+	s.reg.Gauge("healers_cmem_pool_puts").Set(pc.Puts)
+	s.reg.Gauge("healers_cmem_pool_misses").Set(pc.Misses)
 
 	// Quantile gauges are materialized at scrape time from the histogram
 	// state, so /metrics carries ready-to-alert p50/p95/p99 series

@@ -470,14 +470,8 @@ func TestRepairArgDispatch(t *testing.T) {
 	}
 }
 
-// poolGets totals the pages taken from every page-pool shard.
-func poolGets() int64 {
-	var n int64
-	for _, s := range cmem.PoolCounts() {
-		n += s.Gets
-	}
-	return n
-}
+// poolGets reads the pages taken from the page pool.
+func poolGets() int64 { return cmem.PoolCounts().Gets }
 
 // TestSinkRepairsTakeOnePage pins the structural property behind heal
 // mode's cheap repairs: the 16-page sink region is mapped as shared
@@ -546,11 +540,7 @@ func TestSinkRepairsTakeOnePage(t *testing.T) {
 	if got, f := p.Mem.Read(chunk, cmem.PageSize); f != nil || !bytes.Equal(got, make([]byte, cmem.PageSize)) {
 		t.Errorf("Zero over a written chunk: fault %v, nonzero bytes", f)
 	}
-	var puts int64
-	for i, s := range cmem.PoolCounts() {
-		puts += s.Puts - before[i].Puts
-	}
-	if puts != 1 {
+	if puts := cmem.PoolCounts().Puts - before.Puts; puts != 1 {
 		t.Errorf("Zero returned %d pages to the pool, want the chunk's 1", puts)
 	}
 	if prot, mapped := p.Mem.ProtAt(chunk); !mapped || prot != cmem.ProtRW {

@@ -87,7 +87,7 @@ func TestStrategyMatrix(t *testing.T) {
 	}
 
 	// Every sink, probe region and stack of the suite began as shared
-	// zero pages: none may have been written or parked in a pool shard.
+	// zero pages: none may have been written or parked in the page pool.
 	if err := cmem.CheckZeroPages(); err != nil {
 		t.Error(err)
 	}
