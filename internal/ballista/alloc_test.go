@@ -1,6 +1,7 @@
 package ballista
 
 import (
+	"runtime"
 	"testing"
 
 	"healers/internal/csim"
@@ -63,10 +64,10 @@ func TestPerTestAllocationBudget(t *testing.T) {
 			}
 			return wrapper.Attach(p, f.lib, f.semi, opts)
 		}
-		perTest := testing.AllocsPerRun(3, func() {
-			sub.RunWith(c.config, template, factory, RunOptions{})
-		}) / float64(len(sub.Tests))
-		t.Logf("%s: %.1f allocations per test (budget %.0f)", c.config, perTest, c.budget)
+		run := func() { sub.RunWith(c.config, template, factory, RunOptions{}) }
+		perTest := testing.AllocsPerRun(3, run) / float64(len(sub.Tests))
+		t.Logf("%s: %.1f allocations, %.0f bytes per test (budget %.0f allocations)",
+			c.config, perTest, bytesPerRun(run)/float64(len(sub.Tests)), c.budget)
 		if perTest > c.budget {
 			t.Errorf("%s: %.1f allocations per test, budget %.0f", c.config, perTest, c.budget)
 		}
@@ -111,4 +112,17 @@ func TestBallistaUnwrappedTestAllocatesNothing(t *testing.T) {
 			t.Errorf("%s: no test crashed, so no fault was measured", fn)
 		}
 	}
+}
+
+// bytesPerRun returns the bytes one call of run allocates, averaged over
+// three calls after a warm-up call.
+func bytesPerRun(run func()) float64 {
+	run()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < 3; i++ {
+		run()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / 3
 }

@@ -24,7 +24,7 @@ type fixture struct {
 
 var cached *fixture
 
-func setup(t *testing.T) *fixture {
+func setup(t testing.TB) *fixture {
 	t.Helper()
 	if cached != nil {
 		return cached
@@ -52,6 +52,30 @@ func setup(t *testing.T) *fixture {
 		suite: suite,
 	}
 	return cached
+}
+
+// matrixConfig is one configuration of the strategy matrix.
+type matrixConfig struct {
+	name    string
+	factory CallerFactory
+}
+
+// matrixConfigs are the strategy matrix's four configurations over the
+// semi-automatic declarations: the bare library and the wrapper in
+// reject, heal and introspect mode.
+func (f *fixture) matrixConfigs() []matrixConfig {
+	configs := []matrixConfig{{"unwrapped", func(*csim.Process) Caller { return f.lib }}}
+	for _, m := range []struct {
+		name string
+		mode wrapper.Mode
+	}{{"mode-reject", wrapper.ModeReject}, {"mode-heal", wrapper.ModeHeal}, {"mode-introspect", wrapper.ModeIntrospect}} {
+		opts := wrapper.DefaultOptions()
+		opts.Mode = m.mode
+		configs = append(configs, matrixConfig{m.name, func(p *csim.Process) Caller {
+			return wrapper.Attach(p, f.lib, f.semi, opts)
+		}})
+	}
+	return configs
 }
 
 func (f *fixture) runAll(t *testing.T) *Figure6 {

@@ -9,33 +9,39 @@ import (
 	"healers/internal/wrapper"
 )
 
-// TestParallelRunMatchesSequential shards the full suite across a
-// worker pool and requires the report to be deep-equal to the
-// sequential run's, for both the bare library and the wrapped
-// configuration (the wrapper allocates per-process state, so this also
-// exercises wrapper isolation). Run under -race this is the ballista
-// half of the concurrency audit.
+// TestParallelRunMatchesSequential shards the suite across a worker
+// pool and requires the report to equal the sequential run's, PerFunc
+// and every test's Outcome, under the strategy matrix's four
+// configurations and the wrapper over the full-automatic declarations
+// (the wrapper allocates per-process state, so this also exercises
+// wrapper isolation). The worker counts and the suite
+// lengths put chunk edges everywhere: one test, one short of a chunk,
+// a chunk, one past it, and the full suite. Run under -race this is
+// the ballista half of the concurrency audit.
 func TestParallelRunMatchesSequential(t *testing.T) {
 	f := setup(t)
 	template := NewTemplate()
-
-	configs := []struct {
-		name    string
-		factory CallerFactory
-	}{
-		{"unwrapped", func(p *csim.Process) Caller { return f.lib }},
-		{"full-auto", func(p *csim.Process) Caller {
+	for _, n := range []int{1, chunkSize - 1, chunkSize, chunkSize + 1, len(f.suite.Tests)} {
+		sub := &Suite{Tests: f.suite.Tests[:n]}
+		configs := append(f.matrixConfigs(), matrixConfig{"full-auto", func(p *csim.Process) Caller {
 			return wrapper.Attach(p, f.lib, f.decls, wrapper.DefaultOptions())
-		}},
-	}
-	for _, c := range configs {
-		sequential := f.suite.RunWith(c.name, template, c.factory, RunOptions{})
-		parallel := f.suite.RunWith(c.name, template, c.factory, RunOptions{Workers: 8})
-		if !reflect.DeepEqual(sequential.PerFunc, parallel.PerFunc) {
-			for name, sf := range sequential.PerFunc {
-				pf := parallel.PerFunc[name]
-				if pf == nil || *sf != *pf {
-					t.Errorf("%s %s: sequential %+v, parallel %+v", c.name, name, sf, pf)
+		}})
+		for _, c := range configs {
+			sequential := sub.RunWith(c.name, template, c.factory, RunOptions{})
+			for _, workers := range []int{2, 3, 8} {
+				parallel := sub.RunWith(c.name, template, c.factory, RunOptions{Workers: workers})
+				if !reflect.DeepEqual(sequential.PerFunc, parallel.PerFunc) {
+					for name, sf := range sequential.PerFunc {
+						if pf := parallel.PerFunc[name]; pf == nil || *sf != *pf {
+							t.Errorf("%d tests, %s, %d workers, %s: sequential %+v, parallel %+v", n, c.name, workers, name, sf, pf)
+						}
+					}
+				}
+				for ti, want := range sequential.Outcomes {
+					if got := parallel.Outcomes[ti]; got != want {
+						t.Errorf("%d tests, %s, %d workers: test %d (%s) is %v, sequential %v", n, c.name, workers, ti, testKey(sub.Tests[ti]), got, want)
+						break
+					}
 				}
 			}
 		}

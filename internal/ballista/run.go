@@ -170,13 +170,21 @@ type RunOptions struct {
 	// labeled by configuration, plus the sandbox boundary counters.
 	Metrics *obs.Registry
 	// Workers shards the suite across a goroutine pool. Each worker
-	// forks its own private template, every test forks a private child
-	// from it, and classifications merge back in suite order, so the
-	// report is identical to the sequential run. 0 or 1 runs
-	// sequentially. With Workers > 1 trace events interleave by
+	// forks its own private template, claims chunks of consecutive
+	// tests from one shared cursor, forks a private child per test
+	// from its template, and writes each classification at the test's
+	// suite index, so the report is identical to the sequential run.
+	// Dealing and outcome counting write no shared line per test:
+	// the cursor and the outcome counters move once per chunk. 0 or 1
+	// runs sequentially. With Workers > 1 trace events interleave by
 	// completion; counters and the report stay deterministic.
 	Workers int
 }
+
+// chunkSize is the number of consecutive tests a worker claims at
+// once: large enough that claiming costs nothing per test, small
+// enough that the last chunks even out the workers' finishing times.
+const chunkSize = 32
 
 // progressEvery is the number of tests between two progress events.
 const progressEvery = 1000
@@ -198,15 +206,34 @@ type suiteRunner struct {
 	config  string
 	factory CallerFactory
 
-	tr                      *obs.Tracer
-	cErrno, cSilent, cCrash *obs.Counter
-	sandbox                 *csim.Metrics
-	done                    atomic.Int64
+	tr *obs.Tracer
+	// outcomes are the per-bucket outcome counters, indexed by Bucket.
+	outcomes [BucketCrash + 1]*obs.Counter
+	sandbox  *csim.Metrics
+	done     atomic.Int64
 }
 
 // releaser is a Caller holding per-test state (the wrapper
 // interposer) that it hands back for reuse once the test is done.
 type releaser interface{ Release() }
+
+// runChunk runs the tests from start to end on template, records each
+// result at its suite index, and adds the chunk's bucket counts to the
+// outcome counters in one step, so a worker writes the counters, which
+// every worker shares, once per chunk and not once per test.
+func (r *suiteRunner) runChunk(template *csim.Process, start, end int, sc obs.SpanContext, f *Frame, results []testResult) {
+	var n [BucketCrash + 1]int64
+	for ti := start; ti < end; ti++ {
+		res := r.runTest(template, &r.suite.Tests[ti], sc, f)
+		results[ti] = res
+		n[res.bucket]++
+	}
+	for b, c := range r.outcomes {
+		if n[b] != 0 {
+			c.Add(n[b])
+		}
+	}
+}
 
 // runTest forks a child from template, delivers one test, and
 // classifies the outcome. It emits the per-test outcome event and the
@@ -230,14 +257,6 @@ func (r *suiteRunner) runTest(template *csim.Process, test *Test, sc obs.SpanCon
 		testStart = time.Now()
 	}
 	res, out := r.deliver(child, caller, test, f)
-	switch res.bucket {
-	case BucketErrno:
-		r.cErrno.Inc()
-	case BucketSilent:
-		r.cSilent.Inc()
-	case BucketCrash:
-		r.cCrash.Inc()
-	}
 	if r.tr.Enabled() {
 		r.emit(test, sc, testStart, res, out)
 	}
@@ -342,22 +361,12 @@ func (r *suiteRunner) emit(test *Test, sc obs.SpanContext, testStart time.Time, 
 func (s *Suite) RunWith(config string, template *csim.Process, factory CallerFactory, opt RunOptions) *Report {
 	tr := opt.Obs      // nil-safe: a nil tracer is the disabled one
 	reg := opt.Metrics // nil-safe
-	outcomeCounter := func(bucket string) *obs.Counter {
-		return reg.Counter(fmt.Sprintf("healers_ballista_outcomes_total{config=%q,bucket=%q}", config, bucket))
+	runner := &suiteRunner{suite: s, config: config, factory: factory, tr: tr}
+	for b := BucketErrno; b <= BucketCrash; b++ {
+		runner.outcomes[b] = reg.Counter(fmt.Sprintf("healers_ballista_outcomes_total{config=%q,bucket=%q}", config, b))
 	}
-	var sandbox *csim.Metrics
 	if reg != nil {
-		sandbox = csim.NewMetrics(reg)
-	}
-	runner := &suiteRunner{
-		suite:   s,
-		config:  config,
-		factory: factory,
-		tr:      tr,
-		cErrno:  outcomeCounter("errno-set"),
-		cSilent: outcomeCounter("silent"),
-		cCrash:  outcomeCounter("crash"),
-		sandbox: sandbox,
+		runner.sandbox = csim.NewMetrics(reg)
 	}
 
 	suiteSC := obs.NewTrace()
@@ -375,8 +384,11 @@ func (s *Suite) RunWith(config string, template *csim.Process, factory CallerFac
 		// freezes it (serialized inside cmem), and a frozen Memory's
 		// read paths write nothing — only a never-frozen child writes
 		// its own page cache — so concurrent forks of (and reads from)
-		// one shared template are race-free.
-		jobs := make(chan int)
+		// one shared template are race-free. Workers claim chunks of
+		// consecutive tests from one cursor and write each result at
+		// its suite index, so the cursor and the outcome counters,
+		// which every worker writes, move once per chunk.
+		var cursor atomic.Int64
 		var wg sync.WaitGroup
 		for w := 0; w < workers; w++ {
 			wid := w
@@ -389,9 +401,15 @@ func (s *Suite) RunWith(config string, template *csim.Process, factory CallerFac
 				workStart := time.Now()
 				done := 0
 				var frame Frame
-				for ti := range jobs {
-					results[ti] = runner.runTest(wtpl, &s.Tests[ti], wsc, &frame)
-					done++
+				for {
+					end := int(cursor.Add(chunkSize))
+					start := end - chunkSize
+					if start >= len(s.Tests) {
+						break
+					}
+					end = min(end, len(s.Tests))
+					runner.runChunk(wtpl, start, end, wsc, &frame, results)
+					done += end - start
 				}
 				if tr.Enabled() {
 					tr.Emit(wsc.Tag(obs.Event{
@@ -406,15 +424,11 @@ func (s *Suite) RunWith(config string, template *csim.Process, factory CallerFac
 				}
 			}()
 		}
-		for ti := range s.Tests {
-			jobs <- ti
-		}
-		close(jobs)
 		wg.Wait()
 	} else {
 		var frame Frame
-		for ti := range s.Tests {
-			results[ti] = runner.runTest(template, &s.Tests[ti], suiteSC, &frame)
+		for start := 0; start < len(s.Tests); start += chunkSize {
+			runner.runChunk(template, start, min(start+chunkSize, len(s.Tests)), suiteSC, &frame, results)
 		}
 	}
 

@@ -1163,3 +1163,51 @@ func TestDifftimeTimeSafe(t *testing.T) {
 		t.Error("time(NULL) crashed")
 	}
 }
+
+// TestTruncatedFileGapReadsZeros: a truncating open of a fork-shared
+// file takes a parked file that kept its buffer, whose bytes past the
+// new end are still those of its last life. A write past the end must
+// read back zeros in the gap all the same.
+func TestTruncatedFileGapReadsZeros(t *testing.T) {
+	lib := New()
+	fs := csim.NewFS()
+	fs.Create("/f", []byte("fixture"))
+	tpl := csim.NewProcess(fs)
+	open := func(p *csim.Process) cmem.Addr {
+		o := call(lib, p, "fopen", uint64(cstr(t, p, "/f")), uint64(cstr(t, p, "w")))
+		if o.Kind != csim.OutcomeReturn || o.Ret == 0 {
+			t.Fatalf("fopen = %v (errno %d)", o, o.Errno)
+		}
+		return cmem.Addr(o.Ret)
+	}
+	const gap = 100
+	reused := false
+	// A parked file is only ever saved, never owed (a collection may
+	// empty the free lists), so a few rounds make sure one is reused.
+	for round := 0; round < 20 && !reused; round++ {
+		// A child fills the truncated file with 'x' and is released,
+		// which parks its private copy with the buffer.
+		c := tpl.Fork()
+		fp := open(c)
+		fill := cstr(t, c, strings.Repeat("x", 8<<10))
+		wantReturn(t, call(lib, c, "fwrite", uint64(fill), 1, 8<<10, uint64(fp)), 8<<10)
+		wantReturn(t, call(lib, c, "fflush", uint64(fp)), 0)
+		c.Release()
+
+		c = tpl.Fork()
+		fp = open(c)
+		of := c.FD(c.FILEFd(fp))
+		reused = cap(of.File.Data) >= gap
+		wantReturn(t, call(lib, c, "fseek", uint64(fp), gap, 0), 0)
+		wantReturn(t, call(lib, c, "fputc", '!', uint64(fp)), '!')
+		wantReturn(t, call(lib, c, "fflush", uint64(fp)), 0)
+		want := append(make([]byte, gap), '!')
+		if got := c.FD(c.FILEFd(fp)).File.Data; string(got) != string(want) {
+			t.Fatalf("round %d: file holds %q, want %d zeros and '!'", round, got, gap)
+		}
+		c.Release()
+	}
+	if !reused {
+		t.Error("no truncating open reused a parked buffer")
+	}
+}

@@ -315,6 +315,86 @@ func TestForkOfWrittenForkReleaseOrders(t *testing.T) {
 	}
 }
 
+// TestForkOfUnwrittenForkReleaseOrders: a worker forks the shared
+// template and never writes its fork; every test forks that fork. A
+// never-written fork of a never-written fork shares the template's
+// frozen table, with no copy. With a written child under each, the
+// five Memories are released in every order: survivors keep reading
+// their bytes, the table lives exactly as long as some Memory of the
+// tree does, every page taken from the pool returns to it exactly
+// once, and the tree's ForkStats count every fork.
+func TestForkOfUnwrittenForkReleaseOrders(t *testing.T) {
+	var orders [][]int
+	var permute func(prefix []int, rest []int)
+	permute = func(prefix, rest []int) {
+		if len(rest) == 0 {
+			orders = append(orders, prefix)
+			return
+		}
+		for i := range rest {
+			next := append(append([]int(nil), rest[:i]...), rest[i+1:]...)
+			permute(append(append([]int(nil), prefix...), rest[i]), next)
+		}
+	}
+	permute(nil, []int{0, 1, 2, 3, 4})
+	for _, order := range orders {
+		before := PoolCounts()
+		tpl := New()
+		a, err := tpl.MmapRegion(2*PageSize, ProtRW)
+		if err != nil {
+			t.Fatal(err)
+		}
+		page := func(i int) Addr { return a + Addr(i*PageSize) }
+		write := func(m *Memory, i int, s string) {
+			if f := m.WriteCString(page(i), s); f != nil {
+				t.Fatal(f)
+			}
+		}
+		write(tpl, 0, "tpl0")
+		write(tpl, 1, "tpl1")
+		w := tpl.Clone()
+		root := tpl.base
+		w2 := w.Clone()
+		c1 := w.Clone()
+		c2 := w2.Clone()
+		if w.base != root || w2.base != root {
+			t.Fatalf("%v: an unwritten fork froze a table of its own", order)
+		}
+		write(c1, 0, "c1")
+		write(c2, 1, "c2")
+		stats := tpl.ForkStats()
+
+		chain := []*Memory{tpl, w, w2, c1, c2}
+		wants := [][2]string{{"tpl0", "tpl1"}, {"tpl0", "tpl1"}, {"tpl0", "tpl1"}, {"c1", "tpl1"}, {"tpl0", "c2"}}
+		released := make([]bool, len(chain))
+		for step, r := range order {
+			chain[r].Release()
+			released[r] = true
+			if last := step == len(order)-1; (root.refs.Load() == 0) != last {
+				t.Fatalf("%v step %d: root table refs %d", order, step, root.refs.Load())
+			}
+			for k, m := range chain {
+				if released[k] {
+					continue
+				}
+				for i, want := range wants[k] {
+					if s, f := m.CString(page(i)); f != nil || s != want {
+						t.Errorf("%v step %d: Memory %d page %d = %q, %v; want %q", order, step, k, i, s, f, want)
+					}
+				}
+			}
+		}
+		after := PoolCounts()
+		if gets, puts := after.Gets-before.Gets, after.Puts-before.Puts; gets != puts {
+			t.Errorf("%v: the tree took %d pages from the pool and returned %d", order, gets, puts)
+		}
+		if fk, n := stats.Snapshot(), int64(len(root.pages)); fk.Forks != 4 || fk.PagesCopied != 2 || fk.PagesShared != 4*n {
+			t.Errorf("%v: fork counts %+v, want 4 forks sharing %d pages each and 2 copies", order, fk, n)
+		}
+	}
+	requireZeroPages(t)
+}
+
 // TestReleaseReturnsPagesAndPoisons: Release drops the page table; the
 // memory then faults as unmapped, and pooled pages handed to a fresh
 // mapping read as zero (no stale data escapes the pool).

@@ -104,8 +104,13 @@ func TestReleaseZeroesProcess(t *testing.T) {
 // TestTruncatingOpenCopiesNothing: "w" and creat on a fork-shared file
 // privatize it empty — the child sees an empty file, its sibling and
 // the template keep the bytes, and no byte of the old contents is
-// copied.
+// copied. The parked files are drained first, so the private copy is a
+// new file and an empty buffer shows that nothing was copied into it.
 func TestTruncatingOpenCopiesNothing(t *testing.T) {
+	for spareFiles.Get() != nil {
+	}
+	for bareFiles.Get() != nil {
+	}
 	fs := NewFS()
 	fixture := fs.Create("/f", bytes.Repeat([]byte("z"), 8192))
 	tpl := NewProcess(fs)

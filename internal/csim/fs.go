@@ -33,29 +33,21 @@ type VFile struct {
 func (f *VFile) Frozen() bool { return f.frozen.Load() }
 
 // privateCopy returns a private, mutable copy of f holding its first
-// n bytes, in a file another fork released when one is parked: a copy
-// of bytes takes one that kept its buffer, so the copy lands in bytes
-// that are already there, and a copy of nothing (a truncation) takes
-// one without, so no byte of the old contents is copied. Either falls
-// back on the other list before allocating, so no more files are
-// parked than forks ever held at once.
+// n bytes, in a file another fork released when one is parked. It
+// draws one that kept its buffer first, so a copy lands in bytes that
+// are already there and a copy of nothing (a truncation) keeps the
+// buffer at length 0 for the writes that follow; no byte of the old
+// contents is copied either way. It falls back on a bare file before
+// allocating, so no more files are parked than forks ever held at once.
 func (f *VFile) privateCopy(n int) *VFile {
-	first, second := &spareFiles, &bareFiles
-	if n == 0 {
-		first, second = second, first
-	}
-	nf := first.Get()
+	nf := spareFiles.Get()
 	if nf == nil {
-		nf = second.Get()
+		nf = bareFiles.Get()
 	}
 	if nf == nil {
 		nf = new(VFile)
 	}
-	if n == 0 {
-		nf.Data = nil
-	} else {
-		nf.Data = append(nf.Data[:0], f.Data[:n]...)
-	}
+	nf.Data = append(nf.Data[:0], f.Data[:n]...)
 	nf.Mode, nf.IsDir, nf.Ino = f.Mode, f.IsDir, f.Ino
 	return nf
 }
